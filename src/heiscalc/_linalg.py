@@ -47,10 +47,6 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
     return mat[:r], pivots
 
 
-def rank(rows: Mat) -> int:
-    return len(rref(rows)[0])
-
-
 def nullspace(rows: Mat, width: int) -> Mat:
     """Basis of {x : A x = 0} for the matrix with the given rows."""
     reduced, pivots = rref(rows)
@@ -101,13 +97,3 @@ def solve(rows: Mat, rhs: Vec) -> Vec | None:
             return None
         solution[p] = row[width]
     return solution
-
-
-def in_span(rows: Mat, vec: Vec) -> bool:
-    """Whether vec lies in the row span (exact membership test)."""
-    if all(value == 0 for value in vec):
-        return True
-    if not rows:
-        return False
-    columns = [[row[i] for row in rows] for i in range(len(rows[0]))]
-    return solve(columns, list(vec)) is not None

@@ -13,6 +13,7 @@ is graded lexicographic, highest total degree first.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -35,6 +36,12 @@ class PolyCoeff:
 
     Instances are immutable by convention: no method mutates `terms`
     after construction, so values can be shared freely across threads.
+
+    The public constructor validates every exponent tuple and coerces
+    and filters every coefficient.  Ring operations whose results are
+    canonical by construction (`+`, `-`, `*`, `scale`, `partial`) skip
+    that pass through the trusted `_from_clean`: their keys come from
+    valid keys and their zero coefficients are already dropped.
     """
 
     __slots__ = ("n", "terms")
@@ -57,6 +64,19 @@ class PolyCoeff:
                 if frac != 0:
                     clean[tuple(exps)] = frac
         self.terms = clean
+
+    @classmethod
+    def _from_clean(cls, n: int, terms: dict[tuple[int, ...], Fraction]) -> PolyCoeff:
+        """Wrap canonical terms without validation.
+
+        The caller guarantees that every key is a tuple of 2n+1
+        non-negative ints and every value a nonzero Fraction; the dict
+        is taken over, not copied.
+        """
+        self = cls.__new__(cls)
+        self.n = n
+        self.terms = terms
+        return self
 
     # -- constructors ------------------------------------------------
 
@@ -101,17 +121,21 @@ class PolyCoeff:
         self._check_same_n(rhs)
         terms = dict(self.terms)
         for exps, coeff in rhs.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(exps, None)
+            acc = terms.get(exps)
+            if acc is None:
+                terms[exps] = coeff
             else:
-                terms[exps] = acc
-        return PolyCoeff(self.n, terms)
+                acc += coeff
+                if acc:
+                    terms[exps] = acc
+                else:
+                    del terms[exps]
+        return PolyCoeff._from_clean(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> PolyCoeff:
-        return PolyCoeff(self.n, {exps: -c for exps, c in self.terms.items()})
+        return PolyCoeff._from_clean(self.n, {exps: -c for exps, c in self.terms.items()})
 
     def __sub__(self, other) -> PolyCoeff:
         rhs = self._coerce(other)
@@ -132,15 +156,16 @@ class PolyCoeff:
             return NotImplemented
         self._check_same_n(other)
         terms: dict[tuple[int, ...], Fraction] = {}
+        get = terms.get
+        add = operator.add
+        rhs = other.terms.items()
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                acc = terms.get(exps, Fraction(0)) + ca * cb
-                if acc == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = acc
-        return PolyCoeff(self.n, terms)
+            for eb, cb in rhs:
+                exps = tuple(map(add, ea, eb))
+                acc = get(exps)
+                terms[exps] = ca * cb if acc is None else acc + ca * cb
+        # Products of nonzero Fractions are nonzero, but sums can cancel.
+        return PolyCoeff._from_clean(self.n, {e: c for e, c in terms.items() if c})
 
     def __rmul__(self, other) -> PolyCoeff:
         if isinstance(other, (int, Fraction)):
@@ -151,7 +176,7 @@ class PolyCoeff:
         frac = _as_fraction(value)
         if frac == 0:
             return PolyCoeff(self.n)
-        return PolyCoeff(self.n, {exps: c * frac for exps, c in self.terms.items()})
+        return PolyCoeff._from_clean(self.n, {exps: c * frac for exps, c in self.terms.items()})
 
     def __pow__(self, power: int) -> PolyCoeff:
         if not isinstance(power, int) or power < 0:
@@ -188,20 +213,14 @@ class PolyCoeff:
         if not 1 <= i <= width:
             raise IndexError(f"coordinate index {i} out of range 1..{width}")
         pos = i - 1
+        # Lowering one exponent maps distinct terms to distinct keys, so
+        # nothing cancels and the result is canonical as built.
         terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             e = exps[pos]
-            if e == 0:
-                continue
-            lowered = list(exps)
-            lowered[pos] = e - 1
-            key = tuple(lowered)
-            acc = terms.get(key, Fraction(0)) + coeff * e
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return PolyCoeff(self.n, terms)
+            if e:
+                terms[exps[:pos] + (e - 1,) + exps[pos + 1:]] = coeff * e
+        return PolyCoeff._from_clean(self.n, terms)
 
     def eval_exact(self, coords: Sequence[Scalar]) -> Fraction:
         """Evaluate with Fraction arithmetic; exact for rational inputs."""

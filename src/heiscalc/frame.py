@@ -19,6 +19,7 @@ duality pairing treat them asymmetrically.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Type, TypeVar, Union
 
 from .coeff import PolyCoeff, Scalar
@@ -60,8 +61,19 @@ def twist_polynomial(n: int, i: int) -> PolyCoeff:
     return -PolyCoeff.var(n, i - n)
 
 
+@lru_cache(maxsize=None)
+def _half_twists(n: int) -> tuple[PolyCoeff, ...]:
+    """(1/2) wtilde_i for i = 1..2n, at index i - 1."""
+    half = Fraction(1, 2)
+    return tuple(twist_polynomial(n, i).scale(half) for i in range(1, 2 * n + 1))
+
+
 def frame_apply(i: int, p: PolyCoeff) -> PolyCoeff:
-    """Apply the frame derivation W_i to a polynomial."""
+    """Apply the frame derivation W_i to a polynomial.
+
+    W_i p = d_i p - (1/2) wtilde_i d_t p, with the half-twists taken from
+    a per-n cache; the twist product is skipped when d_t p vanishes.
+    """
     n = p.n
     width = 2 * n + 1
     if not 1 <= i <= width:
@@ -69,7 +81,9 @@ def frame_apply(i: int, p: PolyCoeff) -> PolyCoeff:
     dt = p.partial(width)
     if i == width:
         return dt
-    return p.partial(i) - twist_polynomial(n, i) * dt * Fraction(1, 2)
+    if dt.is_zero():
+        return p.partial(i)
+    return p.partial(i) - _half_twists(n)[i - 1] * dt
 
 
 def _merge_blades(a: Blade, b: Blade) -> tuple[Blade, int] | None:
@@ -102,7 +116,13 @@ T_ = TypeVar("T_", bound="_GradedElement")
 
 
 class _GradedElement:
-    """Shared container logic for Form and MultiVector."""
+    """Shared container logic for Form and MultiVector.
+
+    The public constructor validates every blade and coefficient.  `+`,
+    `-` and `wedge` build canonical results (strictly increasing blades
+    of the right degree, nonzero PolyCoeff values of the same n) and
+    wrap them with the trusted `_from_clean` instead.
+    """
 
     __slots__ = ("n", "degree", "coeffs")
 
@@ -131,6 +151,16 @@ class _GradedElement:
                 if not coeff.is_zero():
                     clean[blade] = coeff
         self.coeffs = clean
+
+    @classmethod
+    def _from_clean(cls: Type[T_], n: int, degree: int, coeffs: dict[Blade, PolyCoeff]) -> T_:
+        """Wrap canonical coefficients without validation; the dict is
+        taken over, not copied."""
+        self = cls.__new__(cls)
+        self.n = n
+        self.degree = degree
+        self.coeffs = coeffs
+        return self
 
     # -- constructors -------------------------------------------------
 
@@ -177,10 +207,10 @@ class _GradedElement:
                 coeffs.pop(blade, None)
             else:
                 coeffs[blade] = acc
-        return type(self)(self.n, self.degree, coeffs)
+        return self._from_clean(self.n, self.degree, coeffs)
 
     def __neg__(self: T_) -> T_:
-        return type(self)(self.n, self.degree, {b: -c for b, c in self.coeffs.items()})
+        return self._from_clean(self.n, self.degree, {b: -c for b, c in self.coeffs.items()})
 
     def __sub__(self: T_, other: T_) -> T_:
         return self + (-other)
@@ -229,8 +259,8 @@ class _GradedElement:
                 else:
                     coeffs[blade] = acc
         if out_degree > 2 * self.n + 1:
-            return type(self)(self.n, out_degree)
-        return type(self)(self.n, out_degree, coeffs)
+            return self._from_clean(self.n, out_degree, {})
+        return self._from_clean(self.n, out_degree, coeffs)
 
     def sorted_items(self) -> list[tuple[Blade, PolyCoeff]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
@@ -285,33 +315,79 @@ def d_contact_form(n: int) -> Form:
     return Form(n, 2, coeffs)
 
 
+_DTable = tuple[tuple[tuple[int, Blade, int], ...], tuple[tuple[Blade, int], ...]]
+
+
+@lru_cache(maxsize=None)
+def _d_table(n: int, blade: Blade) -> _DTable:
+    """Where d sends the terms of c . blade, as (fronts, tails).
+
+    fronts holds (i, merged blade, sign) for every frame index i not in
+    the blade, with theta_i ^ blade = sign . merged.  tails is empty
+    unless the blade ends in theta; then it holds (merged blade, sign)
+    for each rest ^ dx_j ^ dy_j that survives, where rest is the blade
+    without theta, with the Koszul sign (-1)^|rest| of splitting theta
+    off and the minus sign of dtheta = -sum_j dx_j ^ dy_j folded in.
+    """
+    width = 2 * n + 1
+    fronts = []
+    for i in range(1, width + 1):
+        merged = _merge_blades((i,), blade)
+        if merged is not None:
+            fronts.append((i, merged[0], merged[1]))
+    tails = []
+    if blade and blade[-1] == width:
+        rest = blade[:-1]
+        koszul = -1 if len(rest) % 2 else 1
+        for j in range(1, n + 1):
+            merged = _merge_blades(rest, (j, n + j))
+            if merged is not None:
+                tails.append((merged[0], -koszul * merged[1]))
+    return tuple(fronts), tuple(tails)
+
+
 def exterior_derivative(a: Form) -> Form:
     """The exterior derivative in the left-invariant coframe.
 
-    Computed termwise: d(c . blade) = sum_i (W_i c) theta_i ^ blade
-    plus c . d(blade), where the coframe satisfies d(dx_j) = d(dy_j) = 0
-    and d(theta) = dtheta.
+    d(c . blade) = sum_i (W_i c) theta_i ^ blade + c . d(blade), where the
+    coframe satisfies d(dx_j) = d(dy_j) = 0 and d(theta) = dtheta.  Both
+    sums are read off the cached per-blade table `_d_table`, so no
+    intermediate Form or wedge is built.  d_t c is taken once per
+    coefficient and W_i c = d_i c - (1/2) wtilde_i d_t c uses the cached
+    half-twists.  Terms accumulate per blade and zeros are dropped once
+    at the end.
     """
     if not isinstance(a, Form):
         raise TypeError(f"exterior_derivative expects a Form, got {type(a).__name__}")
     n = a.n
-    theta = theta_index(n)
-    dtheta = d_contact_form(n)
-    result = Form.zero(n, a.degree + 1)
+    width = 2 * n + 1
+    half_twists = _half_twists(n)
+    out: dict[Blade, PolyCoeff] = {}
+    get = out.get
     for blade, coeff in a.coeffs.items():
-        for i in range(1, theta + 1):
-            dc = frame_apply(i, coeff)
-            if dc.is_zero():
+        fronts, tails = _d_table(n, blade)
+        dt = coeff.partial(width)
+        dt_zero = dt.is_zero()
+        for i, merged, sign in fronts:
+            if i == width:
+                term = dt
+            elif dt_zero:
+                term = coeff.partial(i)
+            else:
+                term = coeff.partial(i) - half_twists[i - 1] * dt
+            if term.is_zero():
                 continue
-            result = result + Form.from_blade(n, (i,), dc).wedge(Form.from_blade(n, blade))
-        if blade and blade[-1] == theta:
-            # theta is the largest index, so it always sits last in the
-            # blade; splitting it off costs the Koszul sign (-1)^(len-1).
-            rest = blade[:-1]
-            sign = -1 if len(rest) % 2 else 1
-            tail = Form.from_blade(n, rest, coeff if sign > 0 else -coeff).wedge(dtheta)
-            result = result + tail
-    return result
+            if sign < 0:
+                term = -term
+            acc = get(merged)
+            out[merged] = term if acc is None else acc + term
+        for merged, sign in tails:
+            term = coeff if sign > 0 else -coeff
+            acc = get(merged)
+            out[merged] = term if acc is None else acc + term
+    return Form._from_clean(
+        n, a.degree + 1, {blade: c for blade, c in out.items() if not c.is_zero()}
+    )
 
 
 def _complement(n: int, blade: Blade) -> tuple[Blade, int]:
@@ -353,26 +429,8 @@ def horizontal_gradient(f: PolyCoeff) -> MultiVector:
     return MultiVector(n, 1, coeffs)
 
 
-def pairing(omega: Form, v: MultiVector) -> PolyCoeff:
-    """Duality pairing; coframe and frame blades are orthonormal."""
-    if not isinstance(omega, Form) or not isinstance(v, MultiVector):
-        raise TypeError("pairing expects (Form, MultiVector)")
-    if omega.n != v.n:
-        raise ValueError(f"ambient dimension mismatch: n={omega.n} vs n={v.n}")
-    if omega.degree != v.degree and not (omega.is_zero() or v.is_zero()):
-        raise ValueError(f"degree mismatch: {omega.degree} vs {v.degree}")
-    total = PolyCoeff.zero(omega.n)
-    for blade, coeff in omega.coeffs.items():
-        other = v.coeffs.get(blade)
-        if other is not None:
-            total = total + coeff * other
-    return total
-
-
-def inner(a: T_, b: T_) -> PolyCoeff:
-    """Blade-orthonormal inner product of two like-graded elements."""
-    if type(a) is not type(b):
-        raise TypeError(f"cannot pair {type(a).__name__} with {type(b).__name__}")
+def _blade_dot(a: _GradedElement, b: _GradedElement) -> PolyCoeff:
+    """Sum of coefficient products over shared blades (orthonormal blades)."""
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: n={a.n} vs n={b.n}")
     if a.degree != b.degree and not (a.is_zero() or b.is_zero()):
@@ -383,6 +441,20 @@ def inner(a: T_, b: T_) -> PolyCoeff:
         if other is not None:
             total = total + coeff * other
     return total
+
+
+def pairing(omega: Form, v: MultiVector) -> PolyCoeff:
+    """Duality pairing; coframe and frame blades are orthonormal."""
+    if not isinstance(omega, Form) or not isinstance(v, MultiVector):
+        raise TypeError("pairing expects (Form, MultiVector)")
+    return _blade_dot(omega, v)
+
+
+def inner(a: T_, b: T_) -> PolyCoeff:
+    """Blade-orthonormal inner product of two like-graded elements."""
+    if type(a) is not type(b):
+        raise TypeError(f"cannot pair {type(a).__name__} with {type(b).__name__}")
+    return _blade_dot(a, b)
 
 
 def all_blades(n: int, k: int) -> list[Blade]:

@@ -367,12 +367,6 @@ def strip_theta(alpha: Form) -> Form:
     return Form(alpha.n, alpha.degree, kept)
 
 
-def _theta_part_forms(alpha: Form) -> Form:
-    t_idx = theta_index(alpha.n)
-    kept = {blade: c for blade, c in alpha.coeffs.items() if t_idx in blade}
-    return Form(alpha.n, alpha.degree, kept)
-
-
 def theta_class(alpha: Form) -> QuotientClass:
     """The class of alpha modulo {gamma ^ theta}."""
     return QuotientClass(alpha.n, alpha.degree, strip_theta(alpha), relation="theta")
@@ -708,10 +702,6 @@ def _random_chain_input(rng, n: int, k: int, degree: int):
     return random_combination(rng, basis.elements, max_degree=degree)
 
 
-def _apply_chain(value):
-    return rumin_operator(value)
-
-
 def _result_form(value) -> Form:
     return value.representative if isinstance(value, QuotientClass) else value
 
@@ -734,7 +724,7 @@ def verify_complex(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -
         failure = None
         for _ in range(trials):
             start = _random_chain_input(rng, n, k, degree)
-            composed = _result_form(_apply_chain(_apply_chain(start)))
+            composed = _result_form(rumin_operator(rumin_operator(start)))
             if not composed.is_zero():
                 failure = {
                     "input": form_to_json(_result_form(start)),
@@ -799,7 +789,7 @@ def verify_dc(n: int, trials: int = 50, seed: int = 42, degree: int = 3) -> dict
             if k > n:
                 expected = exterior_derivative(alpha)
             else:
-                expected = _result_form(_apply_chain(value))
+                expected = _result_form(rumin_operator(value))
             if via_dc != expected:
                 failure = {
                     "input": form_to_json(alpha),

@@ -179,6 +179,14 @@ def test_commute_rejects_non_contact_map(runner):
     assert "-1/2·w2" in result.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "4"])
+def test_commute_rejects_n_out_of_range(runner, n):
+    result = runner.invoke(main, ["commute", "--map", "dilation:r=2", "--n", n])
+    assert result.exit_code == 2
+    assert "n in {1, 2, 3}" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a crash
+
+
 def test_commute_rejects_bad_literal(runner):
     result = runner.invoke(main, ["commute", "--map", "dilation:r=zero", "--n", "1"])
     assert result.exit_code == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heiscalc.coeff import Point, PolyCoeff, evaluate_at
+from heiscalc.frame import Form, all_blades, exterior_derivative
 
 
 def _poly_terms(n: int, max_degree: int = 2, max_terms: int = 3):
@@ -130,6 +131,60 @@ def test_substitute_oracle():
     # w1 -> w1 + w2 in w1^2 gives w1^2 + 2 w1 w2 + w2^2
     w1, w2, w3 = (PolyCoeff.var(1, i) for i in (1, 2, 3))
     assert (w1 ** 2).substitute((w1 + w2, w2, w3)) == w1 ** 2 + 2 * w1 * w2 + w2 ** 2
+
+
+# -- canonical results of the trusted fast paths ------------------------
+
+
+def _assert_canonical_poly(p: PolyCoeff, n: int) -> None:
+    """Width 2n+1 keys, Fraction values, no zeros; equal to a validated rebuild."""
+    assert type(p) is PolyCoeff and p.n == n
+    for exps, coeff in p.terms.items():
+        assert type(exps) is tuple and len(exps) == 2 * n + 1
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+    rebuilt = PolyCoeff(n, p.terms)
+    assert rebuilt == p and rebuilt.terms == p.terms
+
+
+def _assert_canonical_form(a: Form, n: int) -> None:
+    assert type(a) is Form and a.n == n
+    for blade, coeff in a.coeffs.items():
+        assert type(blade) is tuple and len(blade) == a.degree
+        assert all(1 <= i <= 2 * n + 1 for i in blade)
+        assert all(blade[k] < blade[k + 1] for k in range(len(blade) - 1))
+        assert not coeff.is_zero()
+        _assert_canonical_poly(coeff, n)
+    rebuilt = Form(n, a.degree, a.coeffs)
+    assert rebuilt == a and rebuilt.coeffs == a.coeffs
+
+
+@st.composite
+def _forms(draw, n: int, degree: int):
+    blades = draw(st.lists(st.sampled_from(all_blades(n, degree)), max_size=3, unique=True))
+    return Form(n, degree, {blade: draw(polys(n)) for blade in blades})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]))
+def test_fast_paths_stay_canonical(data, n):
+    p, q = data.draw(polys(n)), data.draw(polys(n))
+    factor = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    results = [p + q, p - q, p - p, -p, p * q, (p + q) * (p - q), p.scale(factor),
+               p ** data.draw(st.integers(0, 3)), 2 * p + 1, 1 - p]
+    results += [p.partial(i) for i in range(1, 2 * n + 2)]
+    comps = [data.draw(polys(1)) for _ in range(2 * n + 1)]
+    results.append(p.substitute(comps))
+    for result in results[:-1]:
+        _assert_canonical_poly(result, n)
+    _assert_canonical_poly(results[-1], 1)
+
+    k = data.draw(st.integers(0, 2 * n))
+    l = data.draw(st.integers(0, 2 * n + 1 - k))
+    a, b = data.draw(_forms(n, k)), data.draw(_forms(n, k))
+    c = data.draw(_forms(n, l))
+    for form in (a + b, a - b, a - a, -a, a.wedge(c), c.wedge(a), exterior_derivative(a)):
+        _assert_canonical_form(form, n)
 
 
 # -- text format --------------------------------------------------------

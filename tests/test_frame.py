@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heiscalc.coeff import PolyCoeff
 from heiscalc.frame import (
@@ -166,6 +167,55 @@ def test_leibniz_rule():
         lhs = exterior_derivative(wedge(a, b))
         rhs = wedge(exterior_derivative(a), b) + wedge(a, exterior_derivative(b)).scale((-1) ** k)
         assert lhs == rhs
+
+
+def _poly_strategy(n: int):
+    width = 2 * n + 1
+    exps = st.tuples(*(st.integers(0, 2) for _ in range(width)))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    return st.dictionaries(exps, coeff, min_size=1, max_size=3).map(lambda t: PolyCoeff(n, t))
+
+
+@st.composite
+def _forms(draw, ns=(1, 2, 3)):
+    """A sparse random form: any n in ns, any degree 0..2n+1."""
+    n = draw(st.sampled_from(ns))
+    degree = draw(st.integers(0, 2 * n + 1))
+    blades = draw(
+        st.lists(st.sampled_from(all_blades(n, degree)), min_size=1, max_size=4, unique=True)
+    )
+    return Form(n, degree, {blade: draw(_poly_strategy(n)) for blade in blades})
+
+
+def _d_termwise(a: Form) -> Form:
+    """d(c . blade) = sum_i (W_i c) theta_i ^ blade + c . d(blade), one
+    Form and one wedge per term; d(rest ^ theta) = (-1)^|rest| rest ^ dtheta."""
+    n = a.n
+    width = 2 * n + 1
+    dtheta = Form(n, 2, {(j, n + j): -1 for j in range(1, n + 1)})
+    total = Form.zero(n, a.degree + 1)
+    for blade, c in a.coeffs.items():
+        for i in range(1, width + 1):
+            w_c = Form.from_blade(n, (i,), frame_apply(i, c))
+            total = total + wedge(w_c, Form.from_blade(n, blade))
+        if width in blade:
+            rest = blade[:-1]
+            total = total + wedge(Form.from_blade(n, rest, c), dtheta).scale((-1) ** len(rest))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forms())
+def test_d_matches_termwise_reference(a):
+    d_a = exterior_derivative(a)
+    assert d_a == _d_termwise(a)
+    assert d_a.degree == a.degree + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_forms(ns=(3,)))
+def test_d_squared_is_zero_n3(a):
+    assert exterior_derivative(exterior_derivative(a)).is_zero()
 
 
 def test_d_theta_tail_sign():
