@@ -19,7 +19,7 @@ import sys
 
 import click
 
-from . import contact, rumin, surface
+from . import contact, rumin
 from .frame import Form, blade_name
 
 
@@ -293,6 +293,22 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     raise ValueError(f"cannot parse grid {spec!r}; expected e.g. 1024x512")
 
 
+def _write_scan_csv(path: str, data: dict) -> None:
+    # One r-row of 5-column lines at a time, shortest round-trip reprs.
+    # No field holds a comma or quote, so the bytes are those csv.writer
+    # would write, without building the whole file in memory.
+    s_texts = [repr(s) for s in data["s"].tolist()]
+    n1, n2, n3 = data["N1"], data["N2"], data["N3"]
+    with open(path, "w") as handle:
+        handle.write("r,s,N1,N2,N3\n")
+        for i, r in enumerate(data["r"].tolist()):
+            r_text = repr(r)
+            handle.writelines(
+                f"{r_text},{s},{a!r},{b!r},{c!r}\n"
+                for s, a, b, c in zip(s_texts, n1[i].tolist(), n2[i].tolist(), n3[i].tolist())
+            )
+
+
 @main.command()
 @click.option("--radius", "-R", type=float, required=True, help="midcircle radius R")
 @click.option("--half-width", "-w", type=float, required=True, help="strip half-width w")
@@ -315,23 +331,17 @@ def mobius(ctx, radius: float, half_width: float, grid_spec: str, tol: float,
         raise click.UsageError("grid must be at least 64x64")
     if tol <= 0:
         raise click.UsageError("tolerance must be positive")
+    # numpy is imported here, not at module level, so the symbolic
+    # subcommands start without it.
+    from . import surface
+
     surf = surface.mobius_surface(radius, half_width)
     result = surface.find_characteristic_points(surf, grid=grid, tol=tol)
 
     os.makedirs(out, exist_ok=True)
     scan_path = os.path.join(out, "mobius_scan.csv")
     points_path = os.path.join(out, "mobius_points.json")
-    data = surface.scan_grid(surf, grid)
-    with open(scan_path, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["r", "s", "N1", "N2", "N3"])
-        r_nodes, s_nodes = data["r"], data["s"]
-        n1, n2, n3 = data["N1"], data["N2"], data["N3"]
-        for i in range(len(r_nodes)):
-            for j in range(len(s_nodes)):
-                writer.writerow([repr(float(r_nodes[i])), repr(float(s_nodes[j])),
-                                 repr(float(n1[i, j])), repr(float(n2[i, j])),
-                                 repr(float(n3[i, j]))])
+    _write_scan_csv(scan_path, result.grid)
     with open(points_path, "w") as handle:
         handle.write(_json_dump(result.to_json()))
 

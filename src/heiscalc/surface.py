@@ -25,9 +25,7 @@ parameter preimages of a seam root by their ambient images.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Callable, Sequence
@@ -79,10 +77,15 @@ class CharPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Characteristic points plus any Newton candidates that failed to converge."""
+    """Characteristic points plus any Newton candidates that failed to converge.
+
+    `grid` is the scan_grid dict the points were seeded from; it takes
+    no part in equality or repr.
+    """
 
     points: tuple[CharPoint, ...]
     failures: tuple[dict, ...]
+    grid: dict | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> list[dict]:
         return [p.to_json() for p in self.points]
@@ -315,24 +318,10 @@ def _newton_2d(func: Callable, r: float, s: float, tol: float, max_iter: int = 6
     return r, s, best, False
 
 
-def _resolve_workers(workers: int | None) -> int:
-    # 0 means auto-detect, both as an argument and in HEISCALC_WORKERS.
-    if workers is None:
-        env = os.environ.get("HEISCALC_WORKERS", "")
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            workers = 1
-    if workers == 0:
-        return os.cpu_count() or 1
-    return max(1, workers)
-
-
 def find_characteristic_points(
     surface: ParamSurface,
     grid: tuple[int, int] = (1024, 512),
     tol: float = 1e-10,
-    workers: int | None = None,
 ) -> ScanResult:
     """Locate zeros of (N1, N2) on the surface.
 
@@ -342,8 +331,8 @@ def find_characteristic_points(
     within 1e-6 in parameters (circular in r for periodic surfaces) and
     by ambient position, and flagged as boundary points when |s| is
     within tol of the strip edge.  Non-convergent candidates are
-    returned in `failures` rather than dropped.  The candidate list and
-    refinement are deterministic for any worker count.
+    returned in `failures` rather than dropped, and the scanned grid is
+    returned in `grid`.
     """
     n_r, n_s = grid
     if n_r < 64 or n_s < 64:
@@ -370,26 +359,16 @@ def find_characteristic_points(
     dr = float(r_nodes[1] - r_nodes[0]) if len(r_nodes) > 1 else period
     ds = float(s_nodes[1] - s_nodes[0])
 
-    def refine(cell: tuple[int, int]):
-        i, j = cell
-        r_start = float(r_nodes[i]) + dr / 2
-        s_start = float(s_nodes[j]) + ds / 2
-        return cell, r_start, s_start, _newton_2d(normal, r_start, s_start, tol)
-
-    n_workers = _resolve_workers(workers)
-    if n_workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            refined = list(pool.map(refine, cells))
-    else:
-        refined = [refine(c) for c in cells]
-
     margin = 1e-6
     points: list[CharPoint] = []
     failures: list[dict] = []
-    for cell, r_start, s_start, (r, s, res, ok) in refined:
+    for i, j in cells:
+        r_start = float(r_nodes[i]) + dr / 2
+        s_start = float(s_nodes[j]) + ds / 2
+        r, s, res, ok = _newton_2d(normal, r_start, s_start, tol)
         if not ok:
             failures.append(
-                {"cell": list(cell), "start": [r_start, s_start], "residual": res,
+                {"cell": [i, j], "start": [r_start, s_start], "residual": res,
                  "reason": "newton did not converge"}
             )
             continue
@@ -417,7 +396,7 @@ def find_characteristic_points(
                 break
         if not duplicate:
             kept.append(p)
-    return ScanResult(points=tuple(kept), failures=tuple(failures))
+    return ScanResult(points=tuple(kept), failures=tuple(failures), grid=data)
 
 
 # ---------------------------------------------------------------------------

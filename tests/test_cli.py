@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -268,15 +272,35 @@ def test_mobius_deterministic_across_runs(runner, tmp_path):
     assert (out1 / "mobius_points.json").read_bytes() == (out2 / "mobius_points.json").read_bytes()
 
 
-def test_mobius_worker_env_determinism(runner, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    out1.mkdir(), out2.mkdir()
-    args = ["mobius", "--radius", "0.1", "--half-width", "0.075", "--grid", "128x64",
-            "--format", "json"]
-    monkeypatch.setenv("HEISCALC_WORKERS", "1")
-    r1 = runner.invoke(main, args + ["--out", str(out1)])
-    monkeypatch.setenv("HEISCALC_WORKERS", "4")
-    r2 = runner.invoke(main, args + ["--out", str(out2)])
-    assert r1.exit_code == r2.exit_code == 0
-    assert (out1 / "mobius_points.json").read_bytes() == (out2 / "mobius_points.json").read_bytes()
-    assert (out1 / "mobius_scan.csv").read_bytes() == (out2 / "mobius_scan.csv").read_bytes()
+def test_mobius_scan_csv_bytes_pinned(runner, tmp_path):
+    # The reference is the csv.writer + repr(float(...)) loop the CLI
+    # once used.  On 65 r-nodes the r = pi column has N3 near 1e-17, so
+    # scientific-notation reprs are covered.
+    from heiscalc.surface import mobius_surface, scan_grid
+
+    data = scan_grid(mobius_surface(0.2, 0.15), (65, 64))
+    assert 0 < abs(float(data["N3"][32, 0])) < 1e-15
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["r", "s", "N1", "N2", "N3"])
+    for i in range(len(data["r"])):
+        for j in range(len(data["s"])):
+            writer.writerow([repr(float(data["r"][i])), repr(float(data["s"][j])),
+                             repr(float(data["N1"][i, j])), repr(float(data["N2"][i, j])),
+                             repr(float(data["N3"][i, j]))])
+    result = runner.invoke(
+        main, ["mobius", "--radius", "0.2", "--half-width", "0.15", "--grid", "65x64",
+               "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert (tmp_path / "mobius_scan.csv").read_bytes() == buffer.getvalue().encode()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # Only mobius needs numpy; the symbolic subcommands must not pay for it.
+    import heiscalc
+
+    code = "import heiscalc.cli, sys; assert 'numpy' not in sys.modules"
+    src = str(Path(heiscalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -364,6 +364,29 @@ def test_commute_check_detects_a_broken_operator(monkeypatch):
     assert "input" in report["counterexample"]
 
 
+def test_commute_computes_each_A_coefficient_once(monkeypatch):
+    # contactness is read from the cached frame matrix, so neither the
+    # per-degree gate nor the per-trial pullback gates recompute A(j, f)
+    import heiscalc.contact as contact_mod
+
+    calls = {}
+    real = contact_mod.A_coefficient
+
+    def counting(j, f):
+        calls[(id(f), j)] = calls.get((id(f), j), 0) + 1
+        return real(j, f)
+
+    monkeypatch.setattr(contact_mod, "A_coefficient", counting)
+    n = 2
+    f = parse_map("compose:translate:q=1,-2,1,3,1/2;dilation:r=2", n)
+    assert is_contact(f)
+    for k in range(0, 2 * n + 1):
+        report = commute_check(f, k, trials=2, seed=7, degree=2)
+        assert report["passed"], report["counterexample"]
+    assert sorted(j for _, j in calls) == list(range(1, 2 * n + 2))
+    assert max(calls.values()) == 1
+
+
 def test_verify_subspaces_passes():
     for n in (1, 2):
         report = verify_subspaces(n, seed=42)

@@ -168,11 +168,15 @@ def test_grid_minimum_enforced():
         find_characteristic_points(mobius_surface(0.2, 0.15), grid=(32, 128))
 
 
-def test_worker_count_does_not_change_results():
-    surf = mobius_surface(0.1, 0.075)
-    a = find_characteristic_points(surf, grid=(128, 64), workers=1)
-    b = find_characteristic_points(surf, grid=(128, 64), workers=4)
-    assert a.to_json() == b.to_json()
+def test_scan_result_carries_its_grid():
+    surf = mobius_surface(0.2, 0.15)
+    result = find_characteristic_points(surf, grid=(128, 64))
+    data = scan_grid(surf, (128, 64))
+    assert sorted(result.grid) == sorted(data)
+    for key, values in data.items():
+        assert np.array_equal(result.grid[key], values)
+    assert result == ScanResult(points=result.points, failures=result.failures)
+    assert "grid" not in repr(result)
 
 
 def test_char_point_json_shape():
