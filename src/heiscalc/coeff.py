@@ -2,21 +2,27 @@
 
 Polynomials live in the coordinates w1..w_{2n+1} of the Heisenberg group
 H^n, with the naming convention x_j = w_j, y_j = w_{n+j} for j = 1..n and
-t = w_{2n+1}.  Coefficients are `fractions.Fraction`, so every operation
-is exact; nothing in this module ever rounds.
+t = w_{2n+1}.  Every operation is exact; nothing in this module ever
+rounds.
 
-Terms are stored sparsely as a mapping from dense exponent tuples (length
-2n+1) to nonzero Fractions.  The canonical term order used for printing
-is graded lexicographic, highest total degree first.
+A polynomial is stored as integer numerators over one shared
+denominator: `num` maps dense exponent tuples (length 2n+1) to nonzero
+ints and `den` is a positive int, so the coefficient of a monomial is
+num[exps] / den.  The ring operations work on ints only and reduce the
+result once, by the gcd of the denominator and every numerator.  The
+canonical term order used for printing is graded lexicographic, highest
+total degree first.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -31,27 +37,63 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-class PolyCoeff:
-    """A polynomial in w1..w_{2n+1} with Fraction coefficients.
+def _parse_fraction(text: str) -> Fraction:
+    """A rational from text such as "3", "-1/2" or "0.25"; ValueError if malformed."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
-    Instances are immutable by convention: no method mutates `terms`
-    after construction, so values can be shared freely across threads.
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"ambient parameter n must be >= 1, got {n}")
+
+
+class _Terms(Mapping):
+    """Read-only {exps: Fraction} view of a polynomial's coefficients."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[tuple[int, ...], int], den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, exps: tuple[int, ...]) -> Fraction:
+        return Fraction(self._num[exps], self._den)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+
+class PolyCoeff:
+    """A polynomial in w1..w_{2n+1} with rational coefficients.
+
+    Stored as `num`, a dict from exponent tuples to nonzero int
+    numerators, over the shared positive denominator `den`.  The form is
+    canonical: gcd(den, *num.values()) == 1 and den == 1 for zero, so
+    equality compares (n, den, num).  `terms` is a read-only
+    {exps: Fraction} view for callers that want each coefficient whole.
+
+    Instances are immutable by convention: no method mutates `num`
+    after construction, so values can be shared freely.
 
     The public constructor validates every exponent tuple and coerces
     and filters every coefficient.  Ring operations whose results are
-    canonical by construction (`+`, `-`, `*`, `scale`, `partial`) skip
-    that pass through the trusted `_from_clean`: their keys come from
-    valid keys and their zero coefficients are already dropped.
+    canonical by construction go through the trusted `_from_clean`,
+    after one reduction by the gcd where the denominator exceeds 1.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "num", "den")
 
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        if n < 1:
-            raise ValueError(f"ambient parameter n must be >= 1, got {n}")
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
+        _check_n(n)
         self.n = n
         width = 2 * n + 1
-        clean: dict[tuple[int, ...], Fraction] = {}
+        fracs: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != width:
@@ -62,44 +104,86 @@ class PolyCoeff:
                     raise ValueError(f"negative exponent in {exps}")
                 frac = _as_fraction(coeff)
                 if frac != 0:
-                    clean[tuple(exps)] = frac
-        self.terms = clean
+                    fracs[tuple(exps)] = frac
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so the result is canonical without a gcd pass.
+        den = lcm(*(f.denominator for f in fracs.values()))
+        self.num = {exps: f.numerator * (den // f.denominator) for exps, f in fracs.items()}
+        self.den = den
 
     @classmethod
-    def _from_clean(cls, n: int, terms: dict[tuple[int, ...], Fraction]) -> PolyCoeff:
-        """Wrap canonical terms without validation.
+    def _from_clean(cls, n: int, num: dict[tuple[int, ...], int], den: int = 1) -> PolyCoeff:
+        """Wrap canonical numerators without validation.
 
         The caller guarantees that every key is a tuple of 2n+1
-        non-negative ints and every value a nonzero Fraction; the dict
-        is taken over, not copied.
+        non-negative ints, every value a nonzero int, den >= 1 and
+        gcd(den, *num.values()) == 1; the dict is taken over, not copied.
         """
         self = cls.__new__(cls)
         self.n = n
-        self.terms = terms
+        self.num = num
+        self.den = den
         return self
+
+    @classmethod
+    def _reduced(cls, n: int, num: dict[tuple[int, ...], int], den: int) -> PolyCoeff:
+        """Wrap nonzero int numerators over den >= 1, dividing out their
+        common factor; the zero polynomial gets den 1."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {exps: c // g for exps, c in num.items()}
+                den //= g
+        return cls._from_clean(n, num, den)
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        return _Terms(self.num, self.den)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> PolyCoeff:
-        return cls(n)
+        _check_n(n)
+        return cls._from_clean(n, {})
 
     @classmethod
     def const(cls, n: int, value: Scalar) -> PolyCoeff:
+        _check_n(n)
         frac = _as_fraction(value)
         if frac == 0:
-            return cls(n)
-        return cls(n, {tuple([0] * (2 * n + 1)): frac})
+            return cls._from_clean(n, {})
+        return cls._from_clean(n, {(0,) * (2 * n + 1): frac.numerator}, frac.denominator)
 
     @classmethod
     def var(cls, n: int, i: int) -> PolyCoeff:
         """The coordinate polynomial w_i, 1-based."""
+        _check_n(n)
         width = 2 * n + 1
         if not 1 <= i <= width:
             raise IndexError(f"coordinate index {i} out of range 1..{width}")
         exps = [0] * width
         exps[i - 1] = 1
-        return cls(n, {tuple(exps): Fraction(1)})
+        return cls._from_clean(n, {tuple(exps): 1})
+
+    @classmethod
+    def combine(cls, n: int, pairs: Iterable[tuple[int, PolyCoeff]], den: int = 1) -> PolyCoeff:
+        """The exact sum of c * p over the (int c, polynomial p) pairs, divided by den >= 1.
+
+        Numerators accumulate as ints over the lcm of the polynomials'
+        denominators, and the sum is reduced once at the end.
+        """
+        pairs = [(c, p) for c, p in pairs if c and p.num]
+        common = lcm(*(p.den for _, p in pairs))
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for c, p in pairs:
+            if p.n != n:
+                raise ValueError(f"ambient dimension mismatch: n={p.n} vs n={n}")
+            factor = c * (common // p.den)
+            for exps, v in p.num.items():
+                acc[exps] = get(exps, 0) + factor * v
+        return cls._reduced(n, {exps: v for exps, v in acc.items() if v}, common * den)
 
     # -- ring structure ----------------------------------------------
 
@@ -119,23 +203,34 @@ class PolyCoeff:
         if rhs is None:
             return NotImplemented
         self._check_same_n(rhs)
-        terms = dict(self.terms)
-        for exps, coeff in rhs.terms.items():
-            acc = terms.get(exps)
+        if not rhs.num:
+            return self
+        if not self.num:
+            return rhs
+        # Equal denominators, the common case, need no rescaling.
+        da, db = self.den, rhs.den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, den // db
+        num = dict(self.num) if fa == 1 else {exps: c * fa for exps, c in self.num.items()}
+        get = num.get
+        for exps, c in rhs.num.items():
+            if fb != 1:
+                c *= fb
+            acc = get(exps)
             if acc is None:
-                terms[exps] = coeff
+                num[exps] = c
             else:
-                acc += coeff
+                acc += c
                 if acc:
-                    terms[exps] = acc
+                    num[exps] = acc
                 else:
-                    del terms[exps]
-        return PolyCoeff._from_clean(self.n, terms)
+                    del num[exps]
+        return PolyCoeff._reduced(self.n, num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> PolyCoeff:
-        return PolyCoeff._from_clean(self.n, {exps: -c for exps, c in self.terms.items()})
+        return PolyCoeff._from_clean(self.n, {exps: -c for exps, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> PolyCoeff:
         rhs = self._coerce(other)
@@ -155,17 +250,16 @@ class PolyCoeff:
         if not isinstance(other, PolyCoeff):
             return NotImplemented
         self._check_same_n(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        get = terms.get
         add = operator.add
-        rhs = other.terms.items()
-        for ea, ca in self.terms.items():
-            for eb, cb in rhs:
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        rhs_items = other.num.items()
+        for ea, ca in self.num.items():
+            for eb, cb in rhs_items:
                 exps = tuple(map(add, ea, eb))
-                acc = get(exps)
-                terms[exps] = ca * cb if acc is None else acc + ca * cb
-        # Products of nonzero Fractions are nonzero, but sums can cancel.
-        return PolyCoeff._from_clean(self.n, {e: c for e, c in terms.items() if c})
+                acc[exps] = get(exps, 0) + ca * cb
+        num = {exps: c for exps, c in acc.items() if c}
+        return PolyCoeff._reduced(self.n, num, self.den * other.den)
 
     def __rmul__(self, other) -> PolyCoeff:
         if isinstance(other, (int, Fraction)):
@@ -175,8 +269,12 @@ class PolyCoeff:
     def scale(self, value: Scalar) -> PolyCoeff:
         frac = _as_fraction(value)
         if frac == 0:
-            return PolyCoeff(self.n)
-        return PolyCoeff._from_clean(self.n, {exps: c * frac for exps, c in self.terms.items()})
+            return PolyCoeff._from_clean(self.n, {})
+        p, q = frac.numerator, frac.denominator
+        if p == 1 and q == 1:
+            return self
+        num = {exps: c * p for exps, c in self.num.items()}
+        return PolyCoeff._reduced(self.n, num, self.den * q)
 
     def __pow__(self, power: int) -> PolyCoeff:
         if not isinstance(power, int) or power < 0:
@@ -194,16 +292,16 @@ class PolyCoeff:
         rhs = self._coerce(other) if not isinstance(other, PolyCoeff) else other
         if rhs is None or not isinstance(rhs, PolyCoeff):
             return NotImplemented
-        return self.n == rhs.n and self.terms == rhs.terms
+        return self.n == rhs.n and self.den == rhs.den and self.num == rhs.num
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def total_degree(self) -> int:
         """Max total degree of any term; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(sum(exps) for exps in self.num)
 
     # -- calculus -----------------------------------------------------
 
@@ -214,13 +312,13 @@ class PolyCoeff:
             raise IndexError(f"coordinate index {i} out of range 1..{width}")
         pos = i - 1
         # Lowering one exponent maps distinct terms to distinct keys, so
-        # nothing cancels and the result is canonical as built.
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
+        # nothing cancels; only the new factors e can share one with den.
+        num: dict[tuple[int, ...], int] = {}
+        for exps, c in self.num.items():
             e = exps[pos]
             if e:
-                terms[exps[:pos] + (e - 1,) + exps[pos + 1:]] = coeff * e
-        return PolyCoeff._from_clean(self.n, terms)
+                num[exps[:pos] + (e - 1,) + exps[pos + 1:]] = c * e
+        return PolyCoeff._reduced(self.n, num, self.den)
 
     def eval_exact(self, coords: Sequence[Scalar]) -> Fraction:
         """Evaluate with Fraction arithmetic; exact for rational inputs."""
@@ -229,32 +327,43 @@ class PolyCoeff:
             raise ValueError(f"expected {width} coordinates, got {len(coords)}")
         values = [_as_fraction(c) for c in coords]
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
+        for exps, c in self.num.items():
+            term = Fraction(c)
             for value, e in zip(values, exps):
                 if e:
                     term *= value**e
             total += term
-        return total
+        return total / self.den
 
     def evaluate(self, coords: Sequence[float]) -> float:
         width = 2 * self.n + 1
         if len(coords) != width:
             raise ValueError(f"expected {width} coordinates, got {len(coords)}")
         total = 0.0
-        for exps, coeff in self.terms.items():
-            term = float(coeff)
+        den = self.den
+        for exps, c in self.num.items():
+            # int / int rounds the exact quotient once, as float(Fraction) does.
+            term = c / den
             for value, e in zip(coords, exps):
                 if e:
                     term *= float(value) ** e
             total += term
         return total
 
-    def substitute(self, components: Sequence[PolyCoeff]) -> PolyCoeff:
+    def substitute(
+        self,
+        components: Sequence[PolyCoeff],
+        powers: list[dict[int, PolyCoeff]] | None = None,
+    ) -> PolyCoeff:
         """Compose: plug the given polynomials in for w1..w_{2n+1}.
 
         The replacement polynomials may live in a different ambient
-        dimension; they must all share one.
+        dimension; they must all share one.  `powers` memoizes
+        components[i] ** e in powers[i][e]; a caller that substitutes
+        the same components many times (a map's pullback) passes one
+        table for all of them, and a fresh table is used otherwise.
+        A table holds components[i] itself at powers[i][1], so one
+        filled from other components is refused with ValueError.
         """
         width = 2 * self.n + 1
         if len(components) != width:
@@ -263,35 +372,45 @@ class PolyCoeff:
         for comp in components:
             if comp.n != m:
                 raise ValueError("replacement polynomials disagree on ambient dimension")
-        # Powers of each component are memoized: compositions in the
-        # commutation suites reuse the same small exponents repeatedly.
-        powers: list[dict[int, PolyCoeff]] = [
-            {0: PolyCoeff.const(m, 1), 1: comp} for comp in components
-        ]
+        if powers is None:
+            powers = [{1: comp} for comp in components]
+        else:
+            if len(powers) != width:
+                raise ValueError(f"expected {width} power tables, got {len(powers)}")
+            for cache, comp in zip(powers, components):
+                if cache.setdefault(1, comp) is not comp:
+                    raise ValueError("power table was filled from different components")
 
         def power(idx: int, e: int) -> PolyCoeff:
             cache = powers[idx]
-            if e not in cache:
-                cache[e] = power(idx, e - 1) * cache[1]
-            return cache[e]
+            value = cache.get(e)
+            if value is None:
+                value = cache[e] = power(idx, e - 1) * components[idx]
+            return value
 
-        total = PolyCoeff.zero(m)
-        for exps, coeff in self.terms.items():
-            term = PolyCoeff.const(m, coeff)
+        one = PolyCoeff._from_clean(m, {(0,) * (2 * m + 1): 1})
+        pairs = []
+        for exps, c in self.num.items():
+            term = one
             for idx, e in enumerate(exps):
                 if e:
-                    term = term * power(idx, e)
-            total = total + term
-        return total
+                    factor = power(idx, e)
+                    term = factor if term is one else term * factor
+            pairs.append((c, term))
+        return PolyCoeff.combine(m, pairs, self.den)
 
     # -- serialization -------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lex order, highest degree first."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        den = self.den
+        return [
+            (exps, Fraction(c, den))
+            for exps, c in sorted(self.num.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        ]
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0/1"
         rendered = []
         for exps, coeff in self.sorted_terms():
@@ -311,7 +430,7 @@ class PolyCoeff:
             return cls(n)
         for chunk in stripped.split(" + "):
             pieces = chunk.replace("*", "·").split("·")
-            coeff = Fraction(pieces[0].strip())
+            coeff = _parse_fraction(pieces[0])
             exps = [0] * width
             for piece in pieces[1:]:
                 piece = piece.strip()

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .coeff import PolyCoeff, Point, Scalar, _as_fraction
+from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _parse_fraction
 from .frame import Form, form_to_json, frame_apply, theta_index
 from .rumin import (
     D_second_order,
@@ -77,6 +77,22 @@ class SmoothMap:
         ]
         rows.append(tuple(A_coefficient(j, self) for j in range(1, dim + 1)))
         return FrameMatrix(n, tuple(rows))
+
+    @cached_property
+    def _coframe_pullbacks(self) -> tuple[Form, ...]:
+        """f* theta_m for m = 1..2n+1: row m of the frame matrix as a 1-form."""
+        return tuple(
+            Form(self.n, 1, {(j,): c for j, c in enumerate(row, start=1) if not c.is_zero()})
+            for row in self.frame_matrix.entries
+        )
+
+    @cached_property
+    def _powers(self) -> list[dict[int, PolyCoeff]]:
+        """The table `PolyCoeff.substitute` memoizes component powers in.
+
+        Filled on demand and shared by every pullback through this map.
+        """
+        return [{} for _ in self.components]
 
     def label(self) -> str:
         if self.description is not None:
@@ -178,21 +194,6 @@ def pushforward(f: SmoothMap) -> FrameMatrix:
     return f.frame_matrix
 
 
-def _coframe_pullbacks(f: SmoothMap) -> list[Form]:
-    # f* theta_m = sum_j entry(m, j) theta_j: the transpose of the frame matrix.
-    n = f.n
-    mat = pushforward(f)
-    gens = []
-    for m in range(1, theta_index(n) + 1):
-        terms = {}
-        for j in range(1, theta_index(n) + 1):
-            coeff = mat.entry(m, j)
-            if not coeff.is_zero():
-                terms[(j,)] = coeff
-        gens.append(Form(n, 1, terms))
-    return gens
-
-
 def pullback_form(f: SmoothMap, alpha: Form) -> Form:
     """Pullback of a form: transpose coframe action plus coefficient substitution.
 
@@ -203,10 +204,10 @@ def pullback_form(f: SmoothMap, alpha: Form) -> Form:
     """
     if alpha.n != f.n:
         raise ValueError(f"form lives in H^{alpha.n}, map in H^{f.n}")
-    gens = _coframe_pullbacks(f)
+    gens = f._coframe_pullbacks
     out = Form.zero(f.n, alpha.degree)
     for blade, coeff in alpha.coeffs.items():
-        piece = Form.function(coeff.substitute(f.components))
+        piece = Form.function(coeff.substitute(f.components, f._powers))
         for idx in blade:
             piece = piece.wedge(gens[idx - 1])
         out = out + piece
@@ -438,12 +439,12 @@ def parse_map(text: str, n: int) -> SmoothMap:
         body = text[len("dilation:"):].strip()
         if not body.startswith("r="):
             raise ValueError(f"dilation literal must look like dilation:r=2, got {text!r}")
-        return builtin_dilation(Fraction(body[2:].strip()), n)
+        return builtin_dilation(_parse_fraction(body[2:]), n)
     if text.startswith("translate:"):
         body = text[len("translate:"):].strip()
         if not body.startswith("q="):
             raise ValueError(f"translation literal must look like translate:q=1,0,0, got {text!r}")
-        coords = [Fraction(part.strip()) for part in body[2:].split(",")]
+        coords = [_parse_fraction(part) for part in body[2:].split(",")]
         return builtin_left_translation(coords, n)
     if text.startswith("compose:"):
         body = text[len("compose:"):]

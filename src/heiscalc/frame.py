@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Type, TypeVar, Union
 
 from .coeff import PolyCoeff, Scalar
@@ -457,24 +458,17 @@ def inner(a: T_, b: T_) -> PolyCoeff:
     return _blade_dot(a, b)
 
 
+@lru_cache(maxsize=None)
+def _blade_tuple(n: int, k: int) -> tuple[Blade, ...]:
+    """All degree-k blades over 1..2n+1, lexicographically sorted; cached."""
+    if k < 0 or k > 2 * n + 1:
+        return ()
+    return tuple(combinations(range(1, 2 * n + 2), k))
+
+
 def all_blades(n: int, k: int) -> list[Blade]:
-    """All degree-k blades over 1..2n+1, lexicographically sorted."""
-    width = 2 * n + 1
-    if k < 0 or k > width:
-        return []
-    out: list[Blade] = []
-
-    def grow(start: int, chosen: list[int]) -> None:
-        if len(chosen) == k:
-            out.append(tuple(chosen))
-            return
-        for idx in range(start, width + 1):
-            chosen.append(idx)
-            grow(idx + 1, chosen)
-            chosen.pop()
-
-    grow(1, [])
-    return out
+    """All degree-k blades over 1..2n+1, lexicographically sorted, as a fresh list."""
+    return list(_blade_tuple(n, k))
 
 
 def blade_name(n: int, blade: Blade, vector: bool = False) -> str:

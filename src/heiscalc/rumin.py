@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Literal, Sequence
+from math import comb, lcm
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import _linalg
 from ._linalg import Mat, Vec
@@ -36,7 +36,7 @@ from .coeff import PolyCoeff
 from .frame import (
     Blade,
     Form,
-    all_blades,
+    _blade_tuple,
     blade_name,
     contact_form,
     d_contact_form,
@@ -101,9 +101,47 @@ def _vector_to_form(n: int, degree: int, vec: Vec, blades: Sequence[Blade]) -> F
     return Form(n, degree, coeffs)
 
 
-def _poly_vector(a: Form, blades: Sequence[Blade]) -> list[PolyCoeff]:
-    zero = PolyCoeff.zero(a.n)
-    return [a.coeffs.get(blade, zero) for blade in blades]
+_IntRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+
+def _int_rows(matrix: Mat) -> _IntRows:
+    """Each row as (den, ((column, int numerator), ...)) over its nonzero entries."""
+    rows = []
+    for row in matrix:
+        den = lcm(*(v.denominator for v in row if v))
+        entries = tuple((i, v.numerator * (den // v.denominator)) for i, v in enumerate(row) if v)
+        rows.append((den, entries))
+    return tuple(rows)
+
+
+class _ConstOp(NamedTuple):
+    """A constant matrix acting on the coefficient vectors of forms.
+
+    Column i reads the coefficient on inputs[i]; row j, stored as in
+    `_int_rows`, gives the coefficient on outputs[j].
+    """
+
+    inputs: tuple[Blade, ...]
+    outputs: tuple[Blade, ...]
+    rows: _IntRows
+
+
+def _rows_times(op: _ConstOp, alpha: Form) -> Iterator[PolyCoeff]:
+    """The rows of op times alpha's coefficient vector, one polynomial per row.
+
+    Each entry is one `PolyCoeff.combine`: integer numerators accumulate
+    over a common denominator and are reduced once.
+    """
+    n = alpha.n
+    vec = [alpha.coeffs.get(blade) for blade in op.inputs]
+    for den, entries in op.rows:
+        yield PolyCoeff.combine(n, [(c, vec[i]) for i, c in entries if vec[i] is not None], den)
+
+
+def _apply(op: _ConstOp, alpha: Form, degree: int) -> Form:
+    """op applied to alpha, as a form of the given degree on op.outputs."""
+    coeffs = {blade: c for blade, c in zip(op.outputs, _rows_times(op, alpha)) if not c.is_zero()}
+    return Form(alpha.n, degree, coeffs)
 
 
 # -- subspaces --------------------------------------------------------------
@@ -123,7 +161,7 @@ class SubspaceBasis:
         return len(self.elements)
 
     def matrix(self) -> Mat:
-        blades = all_blades(self.n, self.degree)
+        blades = _blade_tuple(self.n, self.degree)
         return [_const_vector(element, blades) for element in self.elements]
 
     def to_json(self) -> dict:
@@ -158,7 +196,7 @@ def dims(k: int, n: int) -> tuple[int, int, int, int]:
 
 
 def _rows_to_basis(n: int, degree: int, kind: str, rows: Mat) -> SubspaceBasis:
-    blades = all_blades(n, degree)
+    blades = _blade_tuple(n, degree)
     reduced, _ = _linalg.rref(rows)
     elements = tuple(_vector_to_form(n, degree, row, blades) for row in reduced)
     return SubspaceBasis(n, degree, kind, elements)  # type: ignore[arg-type]
@@ -177,14 +215,14 @@ def basis_I(k: int, n: int) -> SubspaceBasis:
         raise ValueError(f"degree k={k} out of range 1..{2 * n + 1} for I^k")
     theta = contact_form(n)
     dtheta = d_contact_form(n)
-    blades = all_blades(n, k)
+    blades = _blade_tuple(n, k)
     t_idx = theta_index(n)
     rows: Mat = []
-    for blade in all_blades(n, k - 1):
+    for blade in _blade_tuple(n, k - 1):
         if t_idx in blade:
             continue
         rows.append(_const_vector(Form.from_blade(n, blade).wedge(theta), blades))
-    for blade in all_blades(n, k - 2):
+    for blade in _blade_tuple(n, k - 2):
         generated = Form.from_blade(n, blade).wedge(dtheta)
         if not generated.is_zero():
             rows.append(_const_vector(generated, blades))
@@ -208,9 +246,9 @@ def basis_J(k: int, n: int) -> SubspaceBasis:
         raise ValueError(f"degree k={k} out of range 1..{2 * n + 1} for J^k")
     theta = contact_form(n)
     dtheta = d_contact_form(n)
-    source = all_blades(n, k)
-    target_theta = all_blades(n, k + 1)
-    target_dtheta = all_blades(n, k + 2)
+    source = _blade_tuple(n, k)
+    target_theta = _blade_tuple(n, k + 1)
+    target_dtheta = _blade_tuple(n, k + 2)
     columns: Mat = []
     for blade in source:
         base = Form.from_blade(n, blade)
@@ -234,7 +272,7 @@ def basis_quotient(k: int, n: int) -> SubspaceBasis:
         return SubspaceBasis(n, 0, "quotient", (Form.from_blade(n, ()),))
     if not 1 <= k <= n:
         raise ValueError(f"degree k={k} out of range 0..{n} for the quotient")
-    width = len(all_blades(n, k))
+    width = len(_blade_tuple(n, k))
     complement = _linalg.orthogonal_complement(basis_I(k, n).matrix(), width)
     basis = _rows_to_basis(n, k, "quotient", complement)
     if basis.dim != dims(k, n)[2]:
@@ -251,7 +289,7 @@ def basis_E0(k: int, n: int) -> SubspaceBasis:
     """
     if not 0 <= k <= 2 * n + 1:
         raise ValueError(f"degree k={k} out of range 0..{2 * n + 1}")
-    width = len(all_blades(n, k))
+    width = len(_blade_tuple(n, k))
     kernel_rows = _d0_kernel(n, k)
     image_rows = _d0_image(n, k - 1)
     if image_rows:
@@ -269,51 +307,59 @@ def _intersect_coords(rows_a: Mat, rows_b: Mat, width: int) -> Mat:
     return _linalg.orthogonal_complement(perp_a + perp_b, width)
 
 
-@lru_cache(maxsize=None)
-def _ortho_rows(kind: str, k: int, n: int) -> tuple[Mat, list[Fraction]]:
-    """Orthogonalized (unnormalized) rows of a cached basis + norms."""
+def _basis(kind: str, k: int, n: int) -> SubspaceBasis:
     if kind == "I":
-        basis = basis_I(k, n)
-    elif kind == "J":
-        basis = basis_J(k, n)
-    elif kind == "quotient":
-        basis = basis_quotient(k, n)
-    elif kind == "E0":
-        basis = basis_E0(k, n)
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    ortho = _linalg.gram_schmidt(basis.matrix())
-    return ortho, [_linalg.dot(row, row) for row in ortho]
+        return basis_I(k, n)
+    if kind == "J":
+        return basis_J(k, n)
+    if kind == "quotient":
+        return basis_quotient(k, n)
+    if kind == "E0":
+        return basis_E0(k, n)
+    raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def _project_onto(kind: str, k: int, n: int, alpha: Form) -> Form:
-    """Orthogonal projection of a polynomial form onto a cached subspace."""
-    blades = all_blades(n, k)
-    vec = _poly_vector(alpha, blades)
-    ortho, norms = _ortho_rows(kind, k, n)
-    result = Form.zero(n, k)
-    for row, norm in zip(ortho, norms):
-        coeff = PolyCoeff.zero(n)
-        for entry, poly in zip(row, vec):
-            if entry != 0 and not poly.is_zero():
-                coeff = coeff + poly * entry
-        if coeff.is_zero():
-            continue
-        piece = Form(
-            n, k,
-            {blade: coeff * (entry / norm) for blade, entry in zip(blades, row) if entry != 0},
-        )
-        result = result + piece
-    return result
+@lru_cache(maxsize=None)
+def _quotient_projector(k: int, n: int) -> _ConstOp:
+    """Orthogonal projection onto the quotient basis: sum_r u_r u_r^T / |u_r|^2
+    over its Gram-Schmidt rows u_r."""
+    blades = _blade_tuple(n, k)
+    width = len(blades)
+    matrix = [[Fraction(0)] * width for _ in range(width)]
+    for u in _linalg.gram_schmidt(basis_quotient(k, n).matrix()):
+        norm = _linalg.dot(u, u)
+        for i, ui in enumerate(u):
+            if ui:
+                row = matrix[i]
+                scaled = ui / norm
+                for j, uj in enumerate(u):
+                    if uj:
+                        row[j] += scaled * uj
+    return _ConstOp(blades, blades, _int_rows(matrix))
+
+
+@lru_cache(maxsize=None)
+def _annihilator(kind: str, k: int, n: int) -> _ConstOp:
+    """Rows spanning the orthogonal complement of a cached subspace S.
+
+    A form lies in S exactly when every row pairs with it to zero, since
+    S = (S-perp)-perp over the rationals.  The rows label no blades.
+    """
+    blades = _blade_tuple(n, k)
+    perp = _linalg.orthogonal_complement(_basis(kind, k, n).matrix(), len(blades))
+    return _ConstOp(blades, (), _int_rows(perp))
 
 
 def in_subspace(kind: str, k: int, n: int, alpha: Form) -> bool:
-    """Exact membership: the projection residual must vanish."""
+    """Exact membership: every row of the complement's basis pairs to zero.
+
+    Stops at the first row that does not.
+    """
     if alpha.is_zero():
         return True
     if alpha.degree != k:
         return False
-    return (alpha - _project_onto(kind, k, n, alpha)).is_zero()
+    return all(p.is_zero() for p in _rows_times(_annihilator(kind, k, n), alpha))
 
 
 # -- quotient classes --------------------------------------------------------
@@ -355,8 +401,9 @@ def project_quotient(alpha: Form, k: int | None = None, n: int | None = None) ->
         raise ValueError(f"quotient degree k={k} out of range 0..{n}")
     if k == 0:
         return QuotientClass(n, 0, alpha)
-    representative = alpha - _project_onto("I", k, n, alpha)
-    return QuotientClass(n, k, representative)
+    # The quotient basis spans the orthogonal complement of I^k, so this
+    # is alpha minus its projection onto I^k.
+    return QuotientClass(n, k, _apply(_quotient_projector(k, n), alpha, k))
 
 
 def strip_theta(alpha: Form) -> Form:
@@ -377,7 +424,7 @@ def theta_class(alpha: Form) -> QuotientClass:
 
 def _h1_blades(n: int, k: int) -> list[Blade]:
     t_idx = theta_index(n)
-    return [blade for blade in all_blades(n, k) if t_idx not in blade]
+    return [blade for blade in _blade_tuple(n, k) if t_idx not in blade]
 
 
 def _check_horizontal(alpha: Form, expected_degree: int, label: str) -> None:
@@ -397,7 +444,7 @@ def L_apply(beta: Form) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _L_inverse_matrix(n: int) -> Mat:
+def _L_inverse_op(n: int) -> _ConstOp:
     """Exact inverse of the matrix of L over the theta-free blades."""
     source = _h1_blades(n, n - 1)
     target = _h1_blades(n, n + 1)
@@ -417,27 +464,15 @@ def _L_inverse_matrix(n: int) -> Mat:
             raise AssertionError("L is not invertible; this cannot happen")
         inverse_cols.append(col)
     # inverse_cols[i] solves L x = e_i, so it is the i-th column of L^-1.
-    return [[inverse_cols[i][j] for i in range(size)] for j in range(size)]
+    inverse = [[inverse_cols[i][j] for i in range(size)] for j in range(size)]
+    return _ConstOp(tuple(target), tuple(source), _int_rows(inverse))
 
 
 def L_inverse(gamma: Form) -> Form:
     """Solve L beta = gamma for the unique theta-free beta."""
     n = gamma.n
     _check_horizontal(gamma, n + 1, "L_inverse")
-    source = _h1_blades(n, n - 1)
-    target = _h1_blades(n, n + 1)
-    vec = _poly_vector(gamma, target)
-    inverse = _L_inverse_matrix(n)
-    coeffs: dict[Blade, PolyCoeff] = {}
-    for j, blade in enumerate(source):
-        acc = PolyCoeff.zero(n)
-        for i, poly in enumerate(vec):
-            entry = inverse[j][i]
-            if entry != 0 and not poly.is_zero():
-                acc = acc + poly * entry
-        if not acc.is_zero():
-            coeffs[blade] = acc
-    return Form(n, n - 1, coeffs)
+    return _apply(_L_inverse_op(n), gamma, n - 1)
 
 
 def lift(cls: QuotientClass) -> Form:
@@ -541,8 +576,8 @@ def d0_part(alpha: Form) -> Form:
 def _d0_matrix(n: int, k: int) -> Mat:
     """Matrix of d0 at degree k: rows = degree-(k+1) blades, columns =
     degree-k blades."""
-    source = all_blades(n, k)
-    target = all_blades(n, k + 1)
+    source = _blade_tuple(n, k)
+    target = _blade_tuple(n, k + 1)
     columns = [
         _const_vector(d0_part(Form.from_blade(n, blade)), target) for blade in source
     ]
@@ -551,7 +586,7 @@ def _d0_matrix(n: int, k: int) -> Mat:
 
 @lru_cache(maxsize=None)
 def _d0_kernel(n: int, k: int) -> Mat:
-    source_width = len(all_blades(n, k))
+    source_width = len(_blade_tuple(n, k))
     rows = _d0_matrix(n, k)
     if not rows:
         identity = [[Fraction(1 if i == j else 0) for i in range(source_width)] for j in range(source_width)]
@@ -573,11 +608,11 @@ def _d0_image(n: int, k: int) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def _d0_pseudo_inverse(n: int, k: int) -> Mat:
+def _d0_pseudo_inverse(n: int, k: int) -> _ConstOp:
     """Exact pseudo-inverse of d0^{(k)}: kills (Im d0)^perp and returns
     the unique preimage orthogonal to Ker d0."""
-    source = all_blades(n, k)
-    target = all_blades(n, k + 1)
+    source = _blade_tuple(n, k)
+    target = _blade_tuple(n, k + 1)
     matrix = _d0_matrix(n, k)
     image = _linalg.gram_schmidt(_d0_image(n, k))
     kernel = _d0_kernel(n, k)
@@ -604,7 +639,8 @@ def _d0_pseudo_inverse(n: int, k: int) -> Mat:
         for coeff_value, basis_vec in zip(solution, coker):
             preimage = [p + coeff_value * b for p, b in zip(preimage, basis_vec)]
         columns.append(preimage)
-    return [[columns[i][j] for i in range(len(target))] for j in range(len(source))]
+    inverse = [[columns[i][j] for i in range(len(target))] for j in range(len(source))]
+    return _ConstOp(target, source, _int_rows(inverse))
 
 
 def d0_inverse(beta: Form, source_degree: int | None = None) -> Form:
@@ -613,20 +649,7 @@ def d0_inverse(beta: Form, source_degree: int | None = None) -> Form:
     k = beta.degree - 1 if source_degree is None else source_degree
     if k < 0 or beta.is_zero():
         return Form.zero(n, max(k, 0))
-    source = all_blades(n, k)
-    target = all_blades(n, k + 1)
-    matrix = _d0_pseudo_inverse(n, k)
-    vec = _poly_vector(beta, target)
-    coeffs: dict[Blade, PolyCoeff] = {}
-    for j, blade in enumerate(source):
-        acc = PolyCoeff.zero(n)
-        for i, poly in enumerate(vec):
-            entry = matrix[j][i]
-            if entry != 0 and not poly.is_zero():
-                acc = acc + poly * entry
-        if not acc.is_zero():
-            coeffs[blade] = acc
-    return Form(n, k, coeffs)
+    return _apply(_d0_pseudo_inverse(n, k), beta, k)
 
 
 def d0_corrector(alpha: Form) -> Form:

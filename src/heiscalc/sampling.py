@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeff import PolyCoeff
-from .frame import Form, all_blades
+from .frame import Form, _blade_tuple
 
 COEFF_RANGE = (-5, 5)
 
@@ -49,7 +49,7 @@ def random_form(
     max_degree: int = 3,
 ) -> Form:
     """A random form with a polynomial coefficient on every blade."""
-    coeffs = {blade: random_poly(rng, n, max_degree) for blade in all_blades(n, degree)}
+    coeffs = {blade: random_poly(rng, n, max_degree) for blade in _blade_tuple(n, degree)}
     return Form(n, degree, coeffs)
 
 

@@ -198,6 +198,14 @@ def test_commute_rejects_bad_literal(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("literal, n", [("dilation:r=1/0", "1"), ("translate:q=1/0,0,0,0,0", "2")])
+def test_commute_rejects_zero_denominator(runner, literal, n):
+    result = runner.invoke(main, ["commute", "--map", literal, "--n", n])
+    assert result.exit_code == 2
+    assert "zero denominator" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+
+
 # -- mobius ----------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -137,12 +138,18 @@ def test_substitute_oracle():
 
 
 def _assert_canonical_poly(p: PolyCoeff, n: int) -> None:
-    """Width 2n+1 keys, Fraction values, no zeros; equal to a validated rebuild."""
+    """Width 2n+1 keys, nonzero int numerators over a reduced positive
+    denominator, Fraction values in the view; equal to a validated rebuild."""
     assert type(p) is PolyCoeff and p.n == n
-    for exps, coeff in p.terms.items():
+    assert type(p.den) is int and p.den >= 1
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert p.num or p.den == 1
+    for exps, c in p.num.items():
         assert type(exps) is tuple and len(exps) == 2 * n + 1
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(c) is int and c != 0
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff == Fraction(p.num[exps], p.den)
     rebuilt = PolyCoeff(n, p.terms)
     assert rebuilt == p and rebuilt.terms == p.terms
 
@@ -187,6 +194,122 @@ def test_fast_paths_stay_canonical(data, n):
         _assert_canonical_form(form, n)
 
 
+# -- integer numerators against a plain Fraction reference ----------------
+#
+# The reference keeps every polynomial as a dict {exps: Fraction} with no
+# zero values and does each operation term by term.
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def _ref_scale(a: dict, factor: Fraction) -> dict:
+    return {exps: c * factor for exps, c in a.items() if c * factor}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out = _ref_add(out, {exps: ca * cb})
+    return out
+
+
+def _ref_partial(a: dict, i: int) -> dict:
+    out = {}
+    for exps, c in a.items():
+        if exps[i - 1]:
+            lowered = list(exps)
+            lowered[i - 1] -= 1
+            out[tuple(lowered)] = c * exps[i - 1]
+    return out
+
+
+def _ref_substitute(a: dict, comps: list[dict], width: int) -> dict:
+    out: dict = {}
+    for exps, c in a.items():
+        term = {(0,) * width: c}
+        for comp, e in zip(comps, exps):
+            for _ in range(e):
+                term = _ref_mul(term, comp)
+        out = _ref_add(out, term)
+    return out
+
+
+def _raw_terms(n: int):
+    # Denominators up to 12 make the lcm and gcd paths meet unequal,
+    # non-coprime denominators.
+    width = 2 * n + 1
+    exps = st.tuples(*(st.integers(0, 2) for _ in range(width)))
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return st.dictionaries(exps, coeff, max_size=4)
+
+
+def _nonzero(raw: dict) -> dict:
+    return {exps: Fraction(c) for exps, c in raw.items() if c}
+
+
+def _assert_matches(p: PolyCoeff, n: int, ref: dict) -> None:
+    _assert_canonical_poly(p, n)
+    assert dict(p.terms) == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]))
+def test_ring_ops_match_fraction_reference(data, n):
+    raw_a, raw_b = data.draw(_raw_terms(n)), data.draw(_raw_terms(n))
+    a, b = PolyCoeff(n, raw_a), PolyCoeff(n, raw_b)
+    ra, rb = _nonzero(raw_a), _nonzero(raw_b)
+    factor = data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=9))
+    _assert_matches(a, n, ra)
+    _assert_matches(a + b, n, _ref_add(ra, rb))
+    _assert_matches(a - b, n, _ref_add(ra, _ref_scale(rb, Fraction(-1))))
+    _assert_matches(-a, n, _ref_scale(ra, Fraction(-1)))
+    _assert_matches(a * b, n, _ref_mul(ra, rb))
+    _assert_matches(a.scale(factor), n, _ref_scale(ra, factor))
+    for i in range(1, 2 * n + 2):
+        _assert_matches(a.partial(i), n, _ref_partial(ra, i))
+    c = data.draw(st.integers(-5, 5))
+    d = data.draw(st.integers(1, 6))
+    expected = _ref_scale(_ref_add(_ref_scale(ra, Fraction(c)), rb), Fraction(1, d))
+    _assert_matches(PolyCoeff.combine(n, [(c, a), (1, b)], d), n, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]))
+def test_substitute_matches_fraction_reference(data, n):
+    raw = data.draw(_raw_terms(n))
+    width = 2 * n + 1
+    raw_comps = [data.draw(_raw_terms(1)) for _ in range(width)]
+    comps = [PolyCoeff(1, r) for r in raw_comps]
+    expected = _ref_substitute(_nonzero(raw), [_nonzero(r) for r in raw_comps], 3)
+    _assert_matches(PolyCoeff(n, raw).substitute(comps), 1, expected)
+    # A shared power table, filled by one polynomial, serves the next.
+    powers = [{} for _ in comps]
+    for raw_p in (raw, data.draw(_raw_terms(n))):
+        expected = _ref_substitute(_nonzero(raw_p), [_nonzero(r) for r in raw_comps], 3)
+        _assert_matches(PolyCoeff(n, raw_p).substitute(comps, powers), 1, expected)
+
+
+def test_substitute_refuses_a_foreign_power_table():
+    w1, w2, w3 = (PolyCoeff.var(1, i) for i in (1, 2, 3))
+    p = w1 ** 3 + w2 * w3
+    powers = [{} for _ in range(3)]
+    assert p.substitute((w1 + w2, w2, w3), powers) == (w1 + w2) ** 3 + w2 * w3
+    # Equal but not the same objects: the table cannot prove where it came from.
+    with pytest.raises(ValueError, match="different components"):
+        p.substitute((w1 + w2, w2, w3), powers)
+    with pytest.raises(ValueError, match="different components"):
+        p.substitute((w2, w1, w3), powers)
+    with pytest.raises(ValueError, match="power tables"):
+        p.substitute((w1, w2, w3), powers[:2])
+
+
 # -- text format --------------------------------------------------------
 
 
@@ -213,6 +336,8 @@ def test_from_text_rejects_bad_input():
         PolyCoeff.from_text(1, "1/1·z2^1")
     with pytest.raises(ValueError):
         PolyCoeff.from_text(1, "1/1·w4^1")  # w4 needs n >= 2
+    with pytest.raises(ValueError, match="zero denominator"):
+        PolyCoeff.from_text(1, "1/0·w1")
 
 
 # -- points -------------------------------------------------------------

@@ -226,6 +226,41 @@ def test_pullback_commutes_with_d_even_for_non_contact_maps():
             assert pullback_form(f, exterior_derivative(a)) == exterior_derivative(pullback_form(f, a))
 
 
+def _fresh_pullback(f: SmoothMap, alpha: Form) -> Form:
+    """Pullback rebuilt per call: a fresh `substitute` for every coefficient
+    and the coframe images read from the frame matrix."""
+    n = f.n
+    mat = pushforward(f)
+    gens = [
+        Form(n, 1, {(j,): mat.entry(m, j) for j in range(1, 2 * n + 2)})
+        for m in range(1, 2 * n + 2)
+    ]
+    out = Form.zero(n, alpha.degree)
+    for blade, coeff in alpha.coeffs.items():
+        piece = Form.function(coeff.substitute(f.components))
+        for idx in blade:
+            piece = wedge(piece, gens[idx - 1])
+        out = out + piece
+    return out
+
+
+def test_pullback_tables_stay_with_their_map():
+    # Two maps alternate over the same forms; each keeps its own power
+    # table and coframe images, so neither may see the other's entries.
+    n = 2
+    rng = seeded_rng(47)
+    maps = [
+        builtin_dilation(Fraction(3, 2), n),
+        compose(builtin_left_translation([1, Fraction(-1, 2), 2, Fraction(1, 3), -1], n),
+                parse_map("poly:[w1, w2, w3 + w1^2, w4, w5 + w1^3/6]", n)),
+    ]
+    forms = [random_form(rng, n, k, max_degree=3) for k in (0, 1, 2, 3)]
+    for _ in range(2):  # the second pass reads tables the first one filled
+        for alpha in forms:
+            for f in maps:
+                assert pullback_form(f, alpha) == _fresh_pullback(f, alpha)
+
+
 def test_pullback_quotient_well_defined():
     n = 1
     f = builtin_dilation(2, n)

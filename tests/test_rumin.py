@@ -7,9 +7,11 @@ from math import comb
 
 import pytest
 
+from heiscalc import _linalg
 from heiscalc.coeff import PolyCoeff
 from heiscalc.frame import (
     Form,
+    all_blades,
     contact_form,
     d_contact_form,
     dx,
@@ -113,6 +115,69 @@ def test_I_membership():
             g = random_form(rng, n, k - 2, max_degree=2)
             assert in_subspace("I", k, n, wedge(dtheta, g))
     assert not in_subspace("I", 1, n, dx(n, 1))
+
+
+_BASES = {"I": basis_I, "J": basis_J, "quotient": basis_quotient, "E0": basis_E0}
+
+
+def _residual_rule(kind: str, k: int, n: int, alpha: Form) -> bool:
+    """Membership by the projection residual, rebuilt from the bases:
+    project onto the Gram-Schmidt rows and require alpha - projection = 0."""
+    if alpha.is_zero():
+        return True
+    if alpha.degree != k:
+        return False
+    basis = _BASES[kind](k, n)
+    blades = all_blades(n, k)
+    vec = [alpha.coeffs.get(blade, PolyCoeff.zero(n)) for blade in blades]
+    projection = Form.zero(n, k)
+    for row in _linalg.gram_schmidt(basis.matrix()):
+        norm = _linalg.dot(row, row)
+        coeff = PolyCoeff.zero(n)
+        for entry, poly in zip(row, vec):
+            coeff = coeff + poly.scale(entry)
+        projection = projection + Form(
+            n, k, {blade: coeff.scale(entry / norm) for blade, entry in zip(blades, row) if entry}
+        )
+    return (alpha - projection).is_zero()
+
+
+_MEMBERSHIP_CASES = [
+    (kind, k, n)
+    for n in (1, 2)
+    for kind, degrees in (
+        ("I", range(1, 2 * n + 2)),
+        ("J", range(1, 2 * n + 2)),
+        ("quotient", range(0, n + 1)),
+        ("E0", range(0, 2 * n + 2)),
+    )
+    for k in degrees
+]
+
+
+@pytest.mark.parametrize("kind, k, n", _MEMBERSHIP_CASES)
+def test_in_subspace_matches_residual_rule(kind, k, n):
+    rng = seeded_rng(1000 * n + 10 * k + len(kind))
+    elements = _BASES[kind](k, n).elements
+    blades = all_blades(n, k)
+    # S has constant coefficients, so p . blade lies in S for a nonzero
+    # polynomial p exactly when the blade does: these perturbations
+    # always leave S.
+    outside = [b for b in blades if not _residual_rule(kind, k, n, Form.from_blade(n, b))]
+    assert bool(outside) == (len(elements) < len(blades))
+
+    def bump() -> PolyCoeff:
+        p = random_poly(rng, n, 2)
+        return PolyCoeff.const(n, 1) if p.is_zero() else p
+
+    for _ in range(3):
+        member = random_combination(rng, elements, max_degree=2) if elements else Form.zero(n, k)
+        assert in_subspace(kind, k, n, member) and _residual_rule(kind, k, n, member)
+        for blade in blades:
+            perturbed = member + Form.from_blade(n, blade, bump())
+            assert in_subspace(kind, k, n, perturbed) == _residual_rule(kind, k, n, perturbed)
+        for blade in outside:
+            assert not in_subspace(kind, k, n, member + Form.from_blade(n, blade, bump()))
 
 
 def test_J_annihilator_property():
