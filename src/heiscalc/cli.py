@@ -244,6 +244,8 @@ def commute(ctx, map_literal: str, n: int, k: int | None, trials: int, seed: int
     """Check that pullback by a contact map commutes with the Rumin operators."""
     if n not in (1, 2, 3):
         raise click.UsageError("commutation checks support n in {1, 2, 3}")
+    if trials < 1 or degree < 0:
+        raise click.UsageError("trials must be >= 1 and degree >= 0")
     try:
         f = contact.parse_map(map_literal, n)
     except ValueError as exc:
@@ -323,14 +325,18 @@ def mobius(ctx, radius: float, half_width: float, grid_spec: str, tol: float,
     """Scan the Mobius strip for characteristic points and write scan artifacts."""
     if not 0 < half_width < radius:
         raise click.UsageError(f"need 0 < w < R, got R={radius}, w={half_width}")
+    if not (math.isfinite(radius) and math.isfinite(half_width)):
+        raise click.UsageError(f"R and w must be finite, got R={radius}, w={half_width}")
     try:
         grid = _parse_grid(grid_spec)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if grid[0] < 64 or grid[1] < 64:
         raise click.UsageError("grid must be at least 64x64")
-    if tol <= 0:
+    if not tol > 0:
         raise click.UsageError("tolerance must be positive")
+    if not math.isfinite(tol):
+        raise click.UsageError("tolerance must be finite")
     # numpy is imported here, not at module level, so the symbolic
     # subcommands start without it.
     from . import surface

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _parse_fraction
-from .frame import Form, form_to_json, frame_apply, theta_index
+from .frame import Blade, Form, _sum_columns, form_to_json, frame_apply, theta_index
 from .rumin import (
     D_second_order,
     QuotientClass,
@@ -41,7 +41,16 @@ from .sampling import random_combination, seeded_rng
 
 @dataclass(frozen=True, eq=False)
 class SmoothMap:
-    """A polynomial map of H^n given by its coordinate components."""
+    """A polynomial map of H^n given by its coordinate components.
+
+    A map lazily owns the tables every pullback through it shares, each
+    filled on first use and kept for the map's lifetime: the frame
+    matrix, the coframe images f* theta_m, the component powers
+    `PolyCoeff.substitute` memoizes, the blade images
+    f* theta_{i1} ^ ... ^ f* theta_{ik}, and the monomial images
+    w^e o f.  The components are fixed, so no entry ever goes stale;
+    the tables are per map, never shared between maps.
+    """
 
     n: int
     components: tuple[PolyCoeff, ...]
@@ -93,6 +102,40 @@ class SmoothMap:
         Filled on demand and shared by every pullback through this map.
         """
         return [{} for _ in self.components]
+
+    @cached_property
+    def _blade_images(self) -> dict[Blade, Form]:
+        """blade -> f* theta_{i1} ^ ... ^ f* theta_{ik}, filled by `_blade_image`.
+
+        Starts with the unit function for the empty blade and the
+        coframe images for the single ones.
+        """
+        images: dict[Blade, Form] = {(): Form.function(PolyCoeff.const(self.n, 1))}
+        images.update(((m,), g) for m, g in enumerate(self._coframe_pullbacks, start=1))
+        return images
+
+    def _blade_image(self, blade: Blade) -> Form:
+        """f* of a coframe blade; each longer blade is one wedge of its
+        cached prefix's image with the last coframe image."""
+        image = self._blade_images.get(blade)
+        if image is None:
+            image = self._blade_image(blade[:-1]).wedge(self._coframe_pullbacks[blade[-1] - 1])
+            self._blade_images[blade] = image
+        return image
+
+    @cached_property
+    def _monomial_images(self) -> dict[tuple[int, ...], PolyCoeff]:
+        """exponent tuple -> that monomial substituted through the
+        components, filled by `_monomial_image`."""
+        return {}
+
+    def _monomial_image(self, exps: tuple[int, ...]) -> PolyCoeff:
+        image = self._monomial_images.get(exps)
+        if image is None:
+            monomial = PolyCoeff._from_clean(self.n, {exps: 1})
+            image = monomial.substitute(self.components, self._powers)
+            self._monomial_images[exps] = image
+        return image
 
     def label(self) -> str:
         if self.description is not None:
@@ -201,17 +244,29 @@ def pullback_form(f: SmoothMap, alpha: Form) -> Form:
     theta_{ik} maps to (c o f) * f*theta_{i1} ^ ... ^ f*theta_{ik}.  No
     contactness is assumed; for non-contact maps theta picks up
     horizontal terms sum_j A(j, f) theta_j.
+
+    Both factors come from the map's tables: c o f is one
+    `PolyCoeff.combine` over the cached images of c's monomials, and the
+    blade image is wedged once per map.  The products are summed per
+    output blade with one more `combine` each; a constant coefficient of
+    the blade image enters that sum as a multiplier, not a product.
     """
     if alpha.n != f.n:
         raise ValueError(f"form lives in H^{alpha.n}, map in H^{f.n}")
-    gens = f._coframe_pullbacks
-    out = Form.zero(f.n, alpha.degree)
+    n = f.n
+    image = f._monomial_image
+    const_exps = (0,) * (2 * n + 1)
+    columns: dict[Blade, list[tuple[int, int, PolyCoeff]]] = {}
     for blade, coeff in alpha.coeffs.items():
-        piece = Form.function(coeff.substitute(f.components, f._powers))
-        for idx in blade:
-            piece = piece.wedge(gens[idx - 1])
-        out = out + piece
-    return out
+        pulled = PolyCoeff.combine(n, [(c, image(exps)) for exps, c in coeff.num.items()], coeff.den)
+        if pulled.is_zero():
+            continue
+        for out_blade, b in f._blade_image(blade).coeffs.items():
+            # A constant factor rides along as a rational multiplier.
+            const = b.num.get(const_exps) if len(b.num) == 1 else None
+            entry = (1, 1, pulled * b) if const is None else (const, b.den, pulled)
+            columns.setdefault(out_blade, []).append(entry)
+    return _sum_columns(n, alpha.degree, columns)
 
 
 def pullback_quotient(f: SmoothMap, cls: QuotientClass) -> QuotientClass:

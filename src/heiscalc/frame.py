@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Type, TypeVar, Union
 
 from .coeff import PolyCoeff, Scalar
@@ -294,6 +295,24 @@ def wedge(a: T_, b: T_) -> T_:
     return a.wedge(b)
 
 
+def _sum_columns(
+    n: int, degree: int, columns: Mapping[Blade, Sequence[tuple[int, int, PolyCoeff]]]
+) -> Form:
+    """The degree-`degree` form whose coefficient on each blade is the
+    sum of (a / q) p over that blade's column of (int a, int q >= 1, p).
+
+    Each coefficient is one `PolyCoeff.combine` over the lcm of the q;
+    blades whose sum vanishes are dropped.
+    """
+    coeffs: dict[Blade, PolyCoeff] = {}
+    for blade, column in columns.items():
+        den = lcm(*(q for _, q, _ in column))
+        total = PolyCoeff.combine(n, [(a * (den // q), p) for a, q, p in column], den)
+        if not total.is_zero():
+            coeffs[blade] = total
+    return Form._from_clean(n, degree, coeffs)
+
+
 def dx(n: int, j: int = 1) -> Form:
     if not 1 <= j <= n:
         raise IndexError(f"dx index {j} out of range 1..{n}")
@@ -316,26 +335,38 @@ def d_contact_form(n: int) -> Form:
     return Form(n, 2, coeffs)
 
 
-_DTable = tuple[tuple[tuple[int, Blade, int], ...], tuple[tuple[Blade, int], ...]]
+_Front = tuple[int, Blade, int, int, int]
+_DTable = tuple[tuple[_Front, ...], tuple[tuple[Blade, int], ...]]
 
 
 @lru_cache(maxsize=None)
 def _d_table(n: int, blade: Blade) -> _DTable:
     """Where d sends the terms of c . blade, as (fronts, tails).
 
-    fronts holds (i, merged blade, sign) for every frame index i not in
-    the blade, with theta_i ^ blade = sign . merged.  tails is empty
-    unless the blade ends in theta; then it holds (merged blade, sign)
-    for each rest ^ dx_j ^ dy_j that survives, where rest is the blade
-    without theta, with the Koszul sign (-1)^|rest| of splitting theta
-    off and the minus sign of dtheta = -sum_j dx_j ^ dy_j folded in.
+    fronts holds one entry for every frame index i not in the blade:
+    the coordinate position i - 1 of d_i, the merged blade and sign with
+    theta_i ^ blade = sign . merged, and the position and sign of the
+    twist variable, wtilde_i = +w_{n+i} (i <= n) or -w_{i-n} (n < i <= 2n),
+    so that W_i = d_i - (1/2) wtilde_i d_t; T = d_t has no twist and
+    twist position -1.  tails is empty unless the blade ends in theta;
+    then it holds (merged blade, sign) for each rest ^ dx_j ^ dy_j that
+    survives, where rest is the blade without theta, with the Koszul sign
+    (-1)^|rest| of splitting theta off and the minus sign of
+    dtheta = -sum_j dx_j ^ dy_j folded in.
     """
     width = 2 * n + 1
     fronts = []
     for i in range(1, width + 1):
         merged = _merge_blades((i,), blade)
-        if merged is not None:
-            fronts.append((i, merged[0], merged[1]))
+        if merged is None:
+            continue
+        if i <= n:
+            twist = (n + i - 1, 1)
+        elif i <= 2 * n:
+            twist = (i - n - 1, -1)
+        else:
+            twist = (-1, 0)
+        fronts.append((i - 1, merged[0], merged[1]) + twist)
     tails = []
     if blade and blade[-1] == width:
         rest = blade[:-1]
@@ -351,44 +382,54 @@ def exterior_derivative(a: Form) -> Form:
     """The exterior derivative in the left-invariant coframe.
 
     d(c . blade) = sum_i (W_i c) theta_i ^ blade + c . d(blade), where the
-    coframe satisfies d(dx_j) = d(dy_j) = 0 and d(theta) = dtheta.  Both
-    sums are read off the cached per-blade table `_d_table`, so no
-    intermediate Form or wedge is built.  d_t c is taken once per
-    coefficient and W_i c = d_i c - (1/2) wtilde_i d_t c uses the cached
-    half-twists.  Terms accumulate per blade and zeros are dropped once
-    at the end.
+    coframe satisfies d(dx_j) = d(dy_j) = 0 and d(theta) = dtheta, and
+    W_i = d_i - (1/2) wtilde_i d_t.  Both sums are read off the cached
+    per-blade plan `_d_table`, so no intermediate Form, wedge or
+    polynomial is built: one pass over each coefficient's integer terms
+    adds the d_i, twist and d(blade) contributions straight into one
+    numerator dict per output blade.  All numerators share the
+    denominator 2 lcm(input denominators); every rescaled input numerator
+    is even there, so halving it for the twist stays an exact integer.
+    Each output coefficient is reduced once, and zeros are dropped.
     """
     if not isinstance(a, Form):
         raise TypeError(f"exterior_derivative expects a Form, got {type(a).__name__}")
     n = a.n
-    width = 2 * n + 1
-    half_twists = _half_twists(n)
-    out: dict[Blade, PolyCoeff] = {}
-    get = out.get
+    t_pos = 2 * n
+    den = 2 * lcm(*(c.den for c in a.coeffs.values()))
+    acc: dict[Blade, dict[tuple[int, ...], int]] = {}
     for blade, coeff in a.coeffs.items():
         fronts, tails = _d_table(n, blade)
-        dt = coeff.partial(width)
-        dt_zero = dt.is_zero()
-        for i, merged, sign in fronts:
-            if i == width:
-                term = dt
-            elif dt_zero:
-                term = coeff.partial(i)
-            else:
-                term = coeff.partial(i) - half_twists[i - 1] * dt
-            if term.is_zero():
-                continue
-            if sign < 0:
-                term = -term
-            acc = get(merged)
-            out[merged] = term if acc is None else acc + term
+        scale = den // coeff.den
+        # (exps, numerator over den, exps with t lowered or None, d_t factor)
+        terms = []
+        for exps, c in coeff.num.items():
+            c *= scale
+            e_t = exps[t_pos]
+            terms.append((exps, c, exps[:t_pos] + (e_t - 1,) if e_t else None, e_t * (c // 2)))
+        for pos, merged, sign, tw_pos, tw_sign in fronts:
+            out = acc.setdefault(merged, {})
+            get = out.get
+            twist = -sign * tw_sign
+            for exps, c, dt_exps, half_dt in terms:
+                e = exps[pos]
+                if e:
+                    key = exps[:pos] + (e - 1,) + exps[pos + 1:]
+                    out[key] = get(key, 0) + sign * e * c
+                if twist and dt_exps is not None:
+                    key = dt_exps[:tw_pos] + (dt_exps[tw_pos] + 1,) + dt_exps[tw_pos + 1:]
+                    out[key] = get(key, 0) + twist * half_dt
         for merged, sign in tails:
-            term = coeff if sign > 0 else -coeff
-            acc = get(merged)
-            out[merged] = term if acc is None else acc + term
-    return Form._from_clean(
-        n, a.degree + 1, {blade: c for blade, c in out.items() if not c.is_zero()}
-    )
+            out = acc.setdefault(merged, {})
+            get = out.get
+            for exps, c, _, _ in terms:
+                out[exps] = get(exps, 0) + sign * c
+    coeffs: dict[Blade, PolyCoeff] = {}
+    for blade, out in acc.items():
+        num = {exps: c for exps, c in out.items() if c}
+        if num:
+            coeffs[blade] = PolyCoeff._reduced(n, num, den)
+    return Form._from_clean(n, a.degree + 1, coeffs)
 
 
 def _complement(n: int, blade: Blade) -> tuple[Blade, int]:

@@ -30,7 +30,10 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Iterator, Literal, NamedTuple, Sequence
 
-from . import _linalg
+# frame's private tables are read as frame._d_table: bound here by name,
+# an lru_cache function would be listed with this module's own tables
+# (bench/tracer.py times and counts those as rumin.tables).
+from . import _linalg, frame
 from ._linalg import Mat, Vec
 from .coeff import PolyCoeff
 from .frame import (
@@ -557,19 +560,17 @@ def d0_part(alpha: Form) -> Form:
     """The weight-preserving part of d: c . blade -> c . d(blade).
 
     Only theta-carrying blades contribute, and the split-off of theta
-    costs the Koszul sign (-1)^{len(blade)-1}.
+    costs the Koszul sign (-1)^{len(blade)-1}.  The terms of d(blade)
+    are the tails of the exterior derivative's per-blade table, so d
+    and d0 share one definition of d(blade); each output blade is one
+    `PolyCoeff.combine`.
     """
     n = alpha.n
-    t_idx = theta_index(n)
-    dtheta = d_contact_form(n)
-    result = Form.zero(n, alpha.degree + 1)
+    columns: dict[Blade, list[tuple[int, int, PolyCoeff]]] = {}
     for blade, coeff in alpha.coeffs.items():
-        if not blade or blade[-1] != t_idx:
-            continue
-        rest = blade[:-1]
-        signed = coeff if len(rest) % 2 == 0 else -coeff
-        result = result + Form.from_blade(n, rest, signed).wedge(dtheta)
-    return result
+        for merged, sign in frame._d_table(n, blade)[1]:
+            columns.setdefault(merged, []).append((sign, 1, coeff))
+    return frame._sum_columns(n, alpha.degree + 1, columns)
 
 
 @lru_cache(maxsize=None)

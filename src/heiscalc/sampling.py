@@ -8,11 +8,10 @@ integers so all downstream arithmetic stays exact.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Sequence
 
 from .coeff import PolyCoeff
-from .frame import Form, _blade_tuple
+from .frame import Blade, Form, _blade_tuple, _sum_columns
 
 COEFF_RANGE = (-5, 5)
 
@@ -38,8 +37,7 @@ def random_poly(
         value = rng.randint(*coeff_range)
         key = tuple(exponents)
         terms[key] = terms.get(key, 0) + value
-    cleaned = {key: Fraction(value) for key, value in terms.items() if value}
-    return PolyCoeff(n, cleaned)
+    return PolyCoeff._from_clean(n, {key: value for key, value in terms.items() if value})
 
 
 def random_form(
@@ -58,12 +56,25 @@ def random_combination(
     elements: Sequence[Form],
     max_degree: int = 3,
 ) -> Form:
-    """A random polynomial combination of the given constant forms."""
+    """A random polynomial combination of the given constant forms.
+
+    One random polynomial is drawn per element, in order.  Each blade's
+    coefficient is one `PolyCoeff.combine` of those polynomials with the
+    elements' constant coefficients on it; a non-constant element
+    coefficient, or elements of another n or degree, raise ValueError.
+    """
     if not elements:
         raise ValueError("cannot combine an empty basis")
     n = elements[0].n
     degree = elements[0].degree
-    result = Form.zero(n, degree)
+    const_exps = (0,) * (2 * n + 1)
+    columns: dict[Blade, list[tuple[int, int, PolyCoeff]]] = {}
     for element in elements:
-        result = result + random_poly(rng, n, max_degree) * element
-    return result
+        if element.n != n or element.degree != degree:
+            raise ValueError("elements must share one n and one degree")
+        p = random_poly(rng, n, max_degree)
+        for blade, c in element.coeffs.items():
+            if c.num.keys() != {const_exps}:
+                raise ValueError(f"element coefficient {c.to_text()} is not constant")
+            columns.setdefault(blade, []).append((c.num[const_exps], c.den, p))
+    return _sum_columns(n, degree, columns)

@@ -179,7 +179,7 @@ def surface_normal(surface: ParamSurface) -> Callable:
 
 
 def mobius_surface(R: float, w: float) -> ParamSurface:
-    """Mobius strip of midcircle radius R and half-width w, 0 < w < R.
+    """Mobius strip of finite midcircle radius R and half-width w, 0 < w < R.
 
     gamma(r, s) = ([R + s cos(r/2)] cos r, [R + s cos(r/2)] sin r, s sin(r/2))
     on [0, 2 pi] x [-w, w].  The partials are analytic, not finite
@@ -189,6 +189,8 @@ def mobius_surface(R: float, w: float) -> ParamSurface:
     """
     if not 0 < w < R:
         raise ValueError(f"need 0 < w < R, got R={R}, w={w}")
+    if not (math.isfinite(R) and math.isfinite(w)):
+        raise ValueError(f"R and w must be finite, got R={R}, w={w}")
 
     def gamma(r, s):
         half = r / 2

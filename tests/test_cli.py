@@ -206,6 +206,14 @@ def test_commute_rejects_zero_denominator(runner, literal, n):
     assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
 
 
+@pytest.mark.parametrize("option, value", [("--trials", "0"), ("--degree", "-1")])
+def test_commute_rejects_bad_sampling_sizes(runner, option, value):
+    result = runner.invoke(main, ["commute", "--map", "dilation:r=2", "--n", "1", option, value])
+    assert result.exit_code == 2
+    assert "trials must be >= 1 and degree >= 0" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+
+
 # -- mobius ----------------------------------------------------------------------
 
 
@@ -265,6 +273,21 @@ def test_mobius_rejects_bad_geometry(runner, tmp_path):
         main, ["mobius", "--radius", "0.3", "--half-width", "0.2", "--tol", "-1",
                "--out", str(tmp_path)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["-R", "inf", "-w", "0.15"], "must be finite"),
+    (["-R", "0.2", "-w", "0.15", "--tol", "nan"], "tolerance must be positive"),
+    (["-R", "0.2", "-w", "0.15", "--tol", "inf"], "tolerance must be finite"),
+])
+def test_mobius_rejects_non_finite_input(runner, tmp_path, args, message):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["mobius", *args, "--grid", "64x64", "--out", str(out),
+                                  "--format", "json"])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()  # rejected before any artifact is written
 
 
 def test_mobius_deterministic_across_runs(runner, tmp_path):

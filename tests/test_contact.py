@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heiscalc.coeff import PolyCoeff
 from heiscalc.contact import (
@@ -27,6 +28,7 @@ from heiscalc.contact import (
 )
 from heiscalc.frame import (
     Form,
+    all_blades,
     contact_form,
     dx,
     dy,
@@ -244,9 +246,22 @@ def _fresh_pullback(f: SmoothMap, alpha: Form) -> Form:
     return out
 
 
+def _assert_tables_hold_their_own_images(f: SmoothMap) -> None:
+    """Every cached blade and monomial image is f's own, recomputed here."""
+    one = Form.function(_const(f.n, 1))
+    for blade, image in f._blade_images.items():
+        expected = one
+        for idx in blade:
+            expected = wedge(expected, f._coframe_pullbacks[idx - 1])
+        assert image == expected, blade
+    for exps, image in f._monomial_images.items():
+        assert image == PolyCoeff(f.n, {exps: 1}).substitute(f.components), exps
+
+
 def test_pullback_tables_stay_with_their_map():
     # Two maps alternate over the same forms; each keeps its own power
-    # table and coframe images, so neither may see the other's entries.
+    # table, coframe, blade and monomial images, so neither may see the
+    # other's entries.
     n = 2
     rng = seeded_rng(47)
     maps = [
@@ -259,6 +274,49 @@ def test_pullback_tables_stay_with_their_map():
         for alpha in forms:
             for f in maps:
                 assert pullback_form(f, alpha) == _fresh_pullback(f, alpha)
+    first, second = maps
+    for table in ("_powers", "_blade_images", "_monomial_images"):
+        assert getattr(first, table) is not getattr(second, table), table
+    for f in maps:
+        # blades up to degree 3, and the monomials of every coefficient
+        assert len(f._blade_images) > 2 * n + 2
+        assert f._monomial_images.keys() == {e for a in forms for c in a.coeffs.values() for e in c.num}
+        _assert_tables_hold_their_own_images(f)
+
+
+def _shear(n: int) -> SmoothMap:
+    """The contact shear y1 -> y1 + x1^2, t -> t + x1^3/6 after a translation."""
+    if n == 2:
+        return parse_map("compose:translate:q=1/2,-1,3/2,-2,1/3;"
+                         "poly:[w1, w2, w3 + w1^2, w4, w5 + w1^3/6]", n)
+    return parse_map("compose:translate:q=1/2,-1,1/3;poly:[w1, w2 + w1^2, w3 + w1^3/6]", n)
+
+
+# Built once, so that successive examples share (and test) each map's tables.
+_PULLBACK_MAPS = {n: suite_maps(n) + [_shear(n)] for n in (1, 2)}
+
+
+@st.composite
+def _map_and_form(draw):
+    n = draw(st.sampled_from([1, 2]))
+    f = draw(st.sampled_from(_PULLBACK_MAPS[n]))
+    degree = draw(st.integers(0, 2 * n + 1))
+    width = 2 * n + 1
+    blades = draw(st.lists(st.sampled_from(all_blades(n, degree)), min_size=1, max_size=4,
+                           unique=True))
+    exps = st.tuples(*(st.integers(0, 2) for _ in range(width)))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    poly = st.dictionaries(exps, coeff, min_size=1, max_size=3).map(lambda t: PolyCoeff(n, t))
+    return f, Form(n, degree, {blade: draw(poly) for blade in blades})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_map_and_form())
+def test_pullback_matches_untabled_reference(case):
+    f, alpha = case
+    pulled = pullback_form(f, alpha)
+    assert pulled == _fresh_pullback(f, alpha)
+    assert pulled.degree == alpha.degree
 
 
 def test_pullback_quotient_well_defined():

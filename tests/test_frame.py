@@ -170,9 +170,11 @@ def test_leibniz_rule():
 
 
 def _poly_strategy(n: int):
+    # Denominators up to 6 (3, 4, 5, 6 and their mixtures, not only 1 and 2):
+    # d works over twice the lcm of its input denominators.
     width = 2 * n + 1
     exps = st.tuples(*(st.integers(0, 2) for _ in range(width)))
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
     return st.dictionaries(exps, coeff, min_size=1, max_size=3).map(lambda t: PolyCoeff(n, t))
 
 

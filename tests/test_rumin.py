@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heiscalc import _linalg
 from heiscalc.coeff import PolyCoeff
@@ -386,6 +387,45 @@ def test_d0_oracle():
     # d(dx1 ^ theta) = dx1 ^ dx2 ^ dy2 is the weight-3 piece in degree 3
     a = wedge(dx(n, 1), contact_form(n))
     assert d0_part(a) == wedge(wedge(dx(n, 1), dx(n, 2)), dy(n, 2))
+
+
+def _d0_by_wedges(alpha: Form) -> Form:
+    """d0 built as before: (-1)^|rest| c . rest, wedged with dtheta, per
+    theta-carrying blade, summed one Form at a time."""
+    n = alpha.n
+    t_idx = 2 * n + 1
+    dtheta = d_contact_form(n)
+    result = Form.zero(n, alpha.degree + 1)
+    for blade, coeff in alpha.coeffs.items():
+        if not blade or blade[-1] != t_idx:
+            continue
+        rest = blade[:-1]
+        signed = coeff if len(rest) % 2 == 0 else -coeff
+        result = result + Form.from_blade(n, rest, signed).wedge(dtheta)
+    return result
+
+
+@st.composite
+def _sparse_forms(draw):
+    """A form at any n in 1..3 and any degree 0..2n+1, on up to 5 blades,
+    with rational polynomial coefficients."""
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 2 * n + 1))
+    width = 2 * n + 1
+    blades = draw(st.lists(st.sampled_from(all_blades(n, degree)), min_size=1, max_size=5,
+                           unique=True))
+    exps = st.tuples(*(st.integers(0, 2) for _ in range(width)))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    poly = st.dictionaries(exps, coeff, min_size=1, max_size=3).map(lambda t: PolyCoeff(n, t))
+    return Form(n, degree, {blade: draw(poly) for blade in blades})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_forms())
+def test_d0_part_matches_wedge_construction(alpha):
+    out = d0_part(alpha)
+    assert out == _d0_by_wedges(alpha)
+    assert out.degree == alpha.degree + 1
 
 
 def test_d0_inverse_is_exact_pseudo_inverse():

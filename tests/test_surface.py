@@ -70,6 +70,9 @@ def test_mobius_surface_validation():
         mobius_surface(0.2, 0.2)  # needs w < R
     with pytest.raises(ValueError):
         mobius_surface(0.2, 0.0)
+    for R, w in ((math.inf, 0.15), (0.2, math.nan), (math.nan, 0.15)):
+        with pytest.raises(ValueError):
+            mobius_surface(R, w)
 
 
 def test_mobius_gamma_oracle():
