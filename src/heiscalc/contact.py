@@ -248,24 +248,19 @@ def pullback_form(f: SmoothMap, alpha: Form) -> Form:
     Both factors come from the map's tables: c o f is one
     `PolyCoeff.combine` over the cached images of c's monomials, and the
     blade image is wedged once per map.  The products are summed per
-    output blade with one more `combine` each; a constant coefficient of
-    the blade image enters that sum as a multiplier, not a product.
+    output blade with one more `combine` each.
     """
     if alpha.n != f.n:
         raise ValueError(f"form lives in H^{alpha.n}, map in H^{f.n}")
     n = f.n
     image = f._monomial_image
-    const_exps = (0,) * (2 * n + 1)
     columns: dict[Blade, list[tuple[int, int, PolyCoeff]]] = {}
     for blade, coeff in alpha.coeffs.items():
         pulled = PolyCoeff.combine(n, [(c, image(exps)) for exps, c in coeff.num.items()], coeff.den)
         if pulled.is_zero():
             continue
         for out_blade, b in f._blade_image(blade).coeffs.items():
-            # A constant factor rides along as a rational multiplier.
-            const = b.num.get(const_exps) if len(b.num) == 1 else None
-            entry = (1, 1, pulled * b) if const is None else (const, b.den, pulled)
-            columns.setdefault(out_blade, []).append(entry)
+            columns.setdefault(out_blade, []).append((1, 1, pulled * b))
     return _sum_columns(n, alpha.degree, columns)
 
 

@@ -432,6 +432,20 @@ def exterior_derivative(a: Form) -> Form:
     return Form._from_clean(n, a.degree + 1, coeffs)
 
 
+def _d_blade_part(a: Form) -> Form:
+    """The c . d(blade) half of d: sum over a's terms of c . d(blade).
+
+    Reads the tails of `_d_table`, so it shares exterior_derivative's
+    definition of d(blade); each output blade is one `PolyCoeff.combine`.
+    """
+    n = a.n
+    columns: dict[Blade, list[tuple[int, int, PolyCoeff]]] = {}
+    for blade, coeff in a.coeffs.items():
+        for merged, sign in _d_table(n, blade)[1]:
+            columns.setdefault(merged, []).append((sign, 1, coeff))
+    return _sum_columns(n, a.degree + 1, columns)
+
+
 def _complement(n: int, blade: Blade) -> tuple[Blade, int]:
     """Complementary blade and the Hodge sign (-1)^sigma.
 

@@ -30,16 +30,14 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Iterator, Literal, NamedTuple, Sequence
 
-# frame's private tables are read as frame._d_table: bound here by name,
-# an lru_cache function would be listed with this module's own tables
-# (bench/tracer.py times and counts those as rumin.tables).
-from . import _linalg, frame
+from . import _linalg
 from ._linalg import Mat, Vec
 from .coeff import PolyCoeff
 from .frame import (
     Blade,
     Form,
     _blade_tuple,
+    _d_blade_part,
     blade_name,
     contact_form,
     d_contact_form,
@@ -560,17 +558,11 @@ def d0_part(alpha: Form) -> Form:
     """The weight-preserving part of d: c . blade -> c . d(blade).
 
     Only theta-carrying blades contribute, and the split-off of theta
-    costs the Koszul sign (-1)^{len(blade)-1}.  The terms of d(blade)
-    are the tails of the exterior derivative's per-blade table, so d
-    and d0 share one definition of d(blade); each output blade is one
-    `PolyCoeff.combine`.
+    costs the Koszul sign (-1)^{len(blade)-1}.  d(blade) is read from
+    the exterior derivative's per-blade table, so d and d0 share one
+    definition of it.
     """
-    n = alpha.n
-    columns: dict[Blade, list[tuple[int, int, PolyCoeff]]] = {}
-    for blade, coeff in alpha.coeffs.items():
-        for merged, sign in frame._d_table(n, blade)[1]:
-            columns.setdefault(merged, []).append((sign, 1, coeff))
-    return frame._sum_columns(n, alpha.degree + 1, columns)
+    return _d_blade_part(alpha)
 
 
 @lru_cache(maxsize=None)
