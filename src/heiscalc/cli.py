@@ -5,25 +5,33 @@ verify (exactness, lifting, subspace and d_c suites), commute
 (pullback commutation for a map literal), mobius (characteristic-point
 scan).  Output is text, CSV, or JSON; rationals stay "p/q" strings in
 JSON so nothing exact is rounded.  Exit codes: 0 success, 1 a
-verification check failed, 2 bad input or precondition.
+verification check failed or the mobius scan CSV could not be written,
+2 bad input or precondition.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
-import sys
+import shutil
+from typing import TYPE_CHECKING, NoReturn
 
 import click
 
-from . import contact, rumin
-from .frame import Form, blade_name
+if TYPE_CHECKING:
+    from .frame import Form
+
+# The symbolic layers (frame, rumin, contact) are imported inside the
+# subcommands that use them, so `mobius` starts without compiling them.
 
 
 def _form_text(alpha: Form) -> str:
+    from .frame import blade_name
+
     items = alpha.sorted_items()
     if not items:
         return "0"
@@ -94,6 +102,8 @@ def dims(n_spec: str, fmt: str, out: str | None) -> None:
         lo, hi = _parse_n_range(n_spec)
     except ValueError:
         raise click.UsageError(f"cannot parse n range {n_spec!r}")
+    from . import rumin
+
     rows = []
     for n in range(lo, hi + 1):
         for k in range(1, n + 1):
@@ -130,6 +140,8 @@ def complex_cmd(n: int, k: int | None, fmt: str, out: str | None) -> None:
     if k is not None and not 1 <= k <= top:
         raise click.UsageError(f"degree k must lie in 1..{top}")
     degrees = [k] if k is not None else list(range(1, top + 1))
+    from . import rumin
+
     entries = []
     for deg in degrees:
         basis_i = rumin.basis_I(deg, n)
@@ -191,6 +203,8 @@ def verify(ctx, n: int, trials: int, seed: int, degree: int, fmt: str, out: str 
         raise click.UsageError("verification suites support n in {1, 2}")
     if trials < 1 or degree < 0:
         raise click.UsageError("trials must be >= 1 and degree >= 0")
+    from . import contact, rumin
+
     suites = [
         rumin.verify_complex(n, trials=trials, seed=seed, degree=degree),
         rumin.verify_lifting(n, trials=trials, seed=seed, degree=degree),
@@ -246,6 +260,8 @@ def commute(ctx, map_literal: str, n: int, k: int | None, trials: int, seed: int
         raise click.UsageError("commutation checks support n in {1, 2, 3}")
     if trials < 1 or degree < 0:
         raise click.UsageError("trials must be >= 1 and degree >= 0")
+    from . import contact
+
     try:
         f = contact.parse_map(map_literal, n)
     except ValueError as exc:
@@ -295,20 +311,109 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     raise ValueError(f"cannot parse grid {spec!r}; expected e.g. 1024x512")
 
 
-def _write_scan_csv(path: str, data: dict) -> None:
-    # One r-row of 5-column lines at a time, shortest round-trip reprs.
-    # No field holds a comma or quote, so the bytes are those csv.writer
-    # would write, without building the whole file in memory.
+def _import_surface():
+    # numpy is imported here, not at module level, so the symbolic
+    # subcommands start without it.  Its OpenBLAS pool is held to one
+    # thread: the scan makes no BLAS call, and _write_scan_csv forks,
+    # which Python >= 3.12 warns about in a multi-threaded process.  Only
+    # the first numpy import reads the variable; the caller's value is
+    # restored.
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        from . import surface
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    return surface
+
+
+def _write_scan_rows(handle, data: dict, lo: int, hi: int) -> None:
+    # r-rows lo..hi-1 as 5-column lines, one writelines per r-row, with
+    # shortest round-trip reprs.  No field holds a comma or quote, so the
+    # bytes are those csv.writer would write.
     s_texts = [repr(s) for s in data["s"].tolist()]
     n1, n2, n3 = data["N1"], data["N2"], data["N3"]
-    with open(path, "w") as handle:
-        handle.write("r,s,N1,N2,N3\n")
-        for i, r in enumerate(data["r"].tolist()):
-            r_text = repr(r)
-            handle.writelines(
-                f"{r_text},{s},{a!r},{b!r},{c!r}\n"
-                for s, a, b, c in zip(s_texts, n1[i].tolist(), n2[i].tolist(), n3[i].tolist())
-            )
+    for i, r in enumerate(data["r"][lo:hi].tolist(), lo):
+        r_text = repr(r)
+        handle.writelines(
+            f"{r_text},{s},{a!r},{b!r},{c!r}\n"
+            for s, a, b, c in zip(s_texts, n1[i].tolist(), n2[i].tolist(), n3[i].tolist())
+        )
+
+
+def _scan_csv_parts(rows: int) -> int:
+    # One part per CPU this process may run on, never more than rows.
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows))
+
+
+def _write_scan_csv(path: str, data: dict, parts: int | None = None) -> None:
+    """Write the scan grid as CSV, formatting contiguous r-row parts in parallel.
+
+    Float reprs dominate the cost, so each part but the first is formatted
+    by a forked worker into an unnamed temporary file next to `path`
+    while this process formats the first straight into `path`; the
+    parts are then appended in order.  `parts` defaults to one per
+    available CPU.  If anything fails, every worker is reaped, the
+    temporary files vanish with their descriptors, and the partial CSV
+    is removed.
+    """
+    import tempfile
+
+    rows = len(data["r"])
+    if parts is None:
+        parts = _scan_csv_parts(rows)
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    workers = []  # [pid, temporary file, lo, hi]; pid is None unless a child is running
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            workers.append([None, tempfile.TemporaryFile(dir=os.path.dirname(path) or "."), lo, hi])
+            pid = os.fork()
+            if pid == 0:
+                _scan_csv_worker(workers[-1][1].fileno(), data, lo, hi)
+            workers[-1][0] = pid
+        with open(path, "w") as handle:
+            handle.write("r,s,N1,N2,N3\n")
+            _write_scan_rows(handle, data, 0, bounds[1])
+            handle.flush()
+            for worker in workers:
+                pid, part, lo, hi = worker
+                status = os.waitpid(pid, 0)[1]
+                worker[0] = None
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    raise click.ClickException(
+                        f"writing {path} failed: the worker for r-rows {lo}..{hi - 1} "
+                        f"exited with status {code}")
+                part.seek(0)
+                shutil.copyfileobj(part, handle.buffer)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        raise
+    finally:
+        for pid, part, _, _ in workers:
+            if pid is not None:
+                os.waitpid(pid, 0)
+            part.close()
+
+
+def _scan_csv_worker(fd: int, data: dict, lo: int, hi: int) -> NoReturn:
+    # Runs in a forked child and leaves only through os._exit, so it never
+    # returns into the caller's stack (click, a test runner, a tracer).
+    status = 1
+    try:
+        with open(fd, "w", closefd=False) as handle:
+            _write_scan_rows(handle, data, lo, hi)
+        status = 0
+    except BaseException as exc:
+        os.write(2, f"mobius: scan CSV worker for r-rows {lo}..{hi - 1}: {exc!r}\n".encode())
+    finally:
+        os._exit(status)
 
 
 @main.command()
@@ -337,10 +442,7 @@ def mobius(ctx, radius: float, half_width: float, grid_spec: str, tol: float,
         raise click.UsageError("tolerance must be positive")
     if not math.isfinite(tol):
         raise click.UsageError("tolerance must be finite")
-    # numpy is imported here, not at module level, so the symbolic
-    # subcommands start without it.
-    from . import surface
-
+    surface = _import_surface()
     surf = surface.mobius_surface(radius, half_width)
     result = surface.find_characteristic_points(surf, grid=grid, tol=tol)
 

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from random import Random
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .coeff import PolyCoeff, Point
-from .frame import MultiVector, frame_apply, hodge_star
+if TYPE_CHECKING:
+    from .coeff import Point, PolyCoeff
+    from .frame import MultiVector
 
 Triple = tuple  # (x, y, t) triples of floats or numpy arrays
 
@@ -144,7 +144,7 @@ def heis_frame_components(v: Sequence, p: Point | Sequence) -> HeisVector:
     c_T = v_t + y v_x / 2 - x v_y / 2 because the frame fields tilt out
     of the coordinate planes away from the origin.
     """
-    coords = p.coords if isinstance(p, Point) else tuple(p)
+    coords = tuple(getattr(p, "coords", p))  # a coeff.Point or a plain sequence
     x, y = coords[0], coords[1]
     return HeisVector(v[0], v[1], v[2] + y * v[0] / 2 - x * v[1] / 2)
 
@@ -164,16 +164,10 @@ def surface_normal(surface: ParamSurface) -> Callable:
     """Evaluator (r, s) -> (N1, N2, N3) built from the frame cross product."""
 
     def normal(r, s):
-        x, y, _ = surface.gamma(r, s)
-        gr = surface.gamma_r(r, s)
-        gs = surface.gamma_s(r, s)
-        u = (gr[0], gr[1], gr[2] + y * gr[0] / 2 - x * gr[1] / 2)
-        v = (gs[0], gs[1], gs[2] + y * gs[0] / 2 - x * gs[1] / 2)
-        return (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
+        p = surface.gamma(r, s)
+        u = heis_frame_components(surface.gamma_r(r, s), p)
+        v = heis_frame_components(surface.gamma_s(r, s), p)
+        return heis_cross(u, v).as_tuple()
 
     return normal
 
@@ -296,15 +290,20 @@ def _newton_2d(func: Callable, r: float, s: float, tol: float, max_iter: int = 6
     h = 1e-6
     best = math.inf
     for _ in range(max_iter):
-        f1, f2, _ = func(r, s)
-        res = max(abs(float(f1)), abs(float(f2)))
-        best = min(best, res)
-        if res < tol:
-            return r, s, res, True
-        a1p, a2p, _ = func(r + h, s)
-        a1m, a2m, _ = func(r - h, s)
-        b1p, b2p, _ = func(r, s + h)
-        b1m, b2m, _ = func(r, s - h)
+        try:
+            f1, f2, _ = func(r, s)
+            res = max(abs(float(f1)), abs(float(f2)))
+            best = min(best, res)
+            if res < tol:
+                return r, s, res, True
+            a1p, a2p, _ = func(r + h, s)
+            a1m, a2m, _ = func(r - h, s)
+            b1p, b2p, _ = func(r, s + h)
+            b1m, b2m, _ = func(r, s - h)
+        except ValueError:
+            # A HeisVector refused a non-finite frame component: the same
+            # dead end as a non-finite determinant below.
+            return r, s, best, False
         j11 = (a1p - a1m) / (2 * h)
         j12 = (b1p - b1m) / (2 * h)
         j21 = (a2p - a2m) / (2 * h)
@@ -403,9 +402,14 @@ def find_characteristic_points(
 
 # ---------------------------------------------------------------------------
 # Normal-field conversions between Euclidean and horizontal frames
+#
+# These helpers import the symbolic layers (coeff, frame) when called, so
+# the numeric scan above runs without loading them.
 
 
 def _conversion_vars(components: Sequence, p) -> tuple:
+    from .coeff import PolyCoeff
+
     if p is None:
         polys = [c for c in components if isinstance(c, PolyCoeff)]
         if not polys:
@@ -414,7 +418,7 @@ def _conversion_vars(components: Sequence, p) -> tuple:
         x = [PolyCoeff.var(n, i) for i in range(1, n + 1)]
         y = [PolyCoeff.var(n, n + i) for i in range(1, n + 1)]
         return n, x, y
-    coords = p.coords if isinstance(p, Point) else tuple(p)
+    coords = tuple(getattr(p, "coords", p))
     if len(coords) % 2 == 0 or len(coords) < 3:
         raise ValueError("a point of H^n has an odd number >= 3 of coordinates")
     n = (len(coords) - 1) // 2
@@ -422,6 +426,10 @@ def _conversion_vars(components: Sequence, p) -> tuple:
 
 
 def _halve(value):
+    from fractions import Fraction
+
+    from .coeff import PolyCoeff
+
     if isinstance(value, PolyCoeff):
         return value.scale(Fraction(1, 2))
     return value / 2
@@ -456,6 +464,11 @@ def orientability_h_to_e(nH: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
     horizontal components are untilted.  Components must be polynomial
     so the derivatives are exact.
     """
+    from fractions import Fraction
+
+    from .coeff import PolyCoeff
+    from .frame import frame_apply
+
     if len(nH) % 2 != 0 or not nH:
         raise ValueError(f"expected 2n horizontal components, got {len(nH)}")
     n = len(nH) // 2
@@ -481,6 +494,8 @@ def orientability_h_to_e(nH: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
 
 def is_characteristic_normal(nH: Sequence, tol: float = 0.0) -> bool:
     """Whether a converted horizontal normal vanishes (all components)."""
+    from .coeff import PolyCoeff
+
     for c in nH:
         if isinstance(c, PolyCoeff):
             if not c.is_zero():
@@ -496,6 +511,8 @@ def heis_tangent_bivector(nH: Sequence) -> MultiVector:
     The Hodge star of the horizontal normal n_{H,1} X + n_{H,2} Y,
     which is n_{H,1} Y ^ T - n_{H,2} X ^ T.
     """
+    from .frame import MultiVector, hodge_star
+
     if len(nH) != 2:
         raise ValueError("expected 2 horizontal components (n = 1)")
     vec = MultiVector(1, 1, {(1,): nH[0], (2,): nH[1]})

@@ -303,14 +303,8 @@ def test_mobius_deterministic_across_runs(runner, tmp_path):
     assert (out1 / "mobius_points.json").read_bytes() == (out2 / "mobius_points.json").read_bytes()
 
 
-def test_mobius_scan_csv_bytes_pinned(runner, tmp_path):
-    # The reference is the csv.writer + repr(float(...)) loop the CLI
-    # once used.  On 65 r-nodes the r = pi column has N3 near 1e-17, so
-    # scientific-notation reprs are covered.
-    from heiscalc.surface import mobius_surface, scan_grid
-
-    data = scan_grid(mobius_surface(0.2, 0.15), (65, 64))
-    assert 0 < abs(float(data["N3"][32, 0])) < 1e-15
+def _reference_scan_csv(data) -> bytes:
+    # The csv.writer + repr(float(...)) loop the CLI once used.
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["r", "s", "N1", "N2", "N3"])
@@ -319,11 +313,101 @@ def test_mobius_scan_csv_bytes_pinned(runner, tmp_path):
             writer.writerow([repr(float(data["r"][i])), repr(float(data["s"][j])),
                              repr(float(data["N1"][i, j])), repr(float(data["N2"][i, j])),
                              repr(float(data["N3"][i, j]))])
+    return buffer.getvalue().encode()
+
+
+def test_mobius_scan_csv_bytes_pinned(runner, tmp_path):
+    # On 65 r-nodes the r = pi column has N3 near 1e-17, so
+    # scientific-notation reprs are covered.
+    from heiscalc.surface import mobius_surface, scan_grid
+
+    data = scan_grid(mobius_surface(0.2, 0.15), (65, 64))
+    assert 0 < abs(float(data["N3"][32, 0])) < 1e-15
     result = runner.invoke(
         main, ["mobius", "--radius", "0.2", "--half-width", "0.15", "--grid", "65x64",
                "--out", str(tmp_path)])
     assert result.exit_code == 0
-    assert (tmp_path / "mobius_scan.csv").read_bytes() == buffer.getvalue().encode()
+    assert (tmp_path / "mobius_scan.csv").read_bytes() == _reference_scan_csv(data)
+
+
+@pytest.mark.parametrize("grid", [(65, 64), (128, 64)])
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_scan_csv_parts_byte_identical(tmp_path, grid, parts):
+    # Forked workers format all parts but the first; the appended file
+    # must be the single-writer bytes whatever the split.
+    from heiscalc.cli import _write_scan_csv
+    from heiscalc.surface import mobius_surface, scan_grid
+
+    data = scan_grid(mobius_surface(0.2, 0.15), grid)
+    path = tmp_path / "mobius_scan.csv"
+    _write_scan_csv(str(path), data, parts)
+    assert path.read_bytes() == _reference_scan_csv(data)
+    assert os.listdir(tmp_path) == ["mobius_scan.csv"]
+
+
+def test_scan_csv_parts_follow_affinity(monkeypatch):
+    from heiscalc import cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert cli._scan_csv_parts(512) == 4
+    assert cli._scan_csv_parts(3) == 3  # never more parts than r-rows
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._scan_csv_parts(512) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert cli._scan_csv_parts(512) == 1
+
+
+@pytest.mark.parametrize("bad_row", [100, 10], ids=["worker", "parent"])
+def test_mobius_scan_csv_failure_cleans_up(runner, tmp_path, monkeypatch, bad_row):
+    # 128 r-rows in 3 parts: rows 0..41 are formatted in this process,
+    # 42..84 and 85..127 by forked workers.
+    from heiscalc import cli
+
+    format_rows = cli._write_scan_rows
+
+    def failing(handle, data, lo, hi):
+        if lo <= bad_row < hi:
+            format_rows(handle, data, lo, bad_row)
+            raise RuntimeError(f"injected failure at r-row {bad_row}")
+        format_rows(handle, data, lo, hi)
+
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_write_scan_rows", failing)
+    monkeypatch.setattr(cli, "_scan_csv_parts", lambda rows: 3)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    (tmp_path / "kept.txt").write_text("written before the run\n")
+    result = runner.invoke(main, ["mobius", "-R", "0.2", "-w", "0.15", "--grid", "128x64",
+                                  "--out", str(tmp_path)])
+    assert result.exit_code != 0
+    assert len(forked) == 2
+    for pid in forked:  # every worker was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["kept.txt"]  # no partial CSV, no temporary file
+    if bad_row == 100:
+        assert result.exit_code == 1
+        assert "r-rows 85..127" in result.stderr
+    else:
+        assert isinstance(result.exception, RuntimeError)
+
+
+def test_mobius_below_quarter_with_root_outside_strip(runner, tmp_path):
+    # R < 1/4 gives one point only when s* = (1 - 2R - sqrt(1 - 4R))/2 <= w;
+    # at R = 0.24, s* = 0.16 lies outside the strip of half-width 0.15.
+    result = runner.invoke(main, ["mobius", "-R", "0.24", "-w", "0.15", "--out", str(tmp_path),
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload["points"] == [] and payload["failures"] == []
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -335,3 +419,27 @@ def test_cli_import_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_mobius_leaves_symbolic_layers_unloaded(tmp_path):
+    # mobius imports only cli and surface: coeff, frame, rumin, contact and
+    # sampling are neither compiled nor loaded.
+    import heiscalc
+
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['heiscalc', 'mobius', '-R', '0.2', '-w', '0.15', '--grid', '64x64',"
+        f" '--out', {str(tmp_path)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('heiscalc.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "names = ('coeff', 'frame', 'rumin', 'contact', 'sampling')\n"
+        "loaded = [m for m in names if 'heiscalc.' + m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(heiscalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   stdout=subprocess.DEVNULL)

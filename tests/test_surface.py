@@ -166,6 +166,34 @@ def test_find_characteristic_points_empty_above_quarter():
     assert result.points == ()
 
 
+@pytest.mark.parametrize("R", [0.24, 0.249, 0.2499, 0.24999])
+def test_scan_near_root_merge(R):
+    # As R -> 1/4 the two roots of N2(0, s) merge; with w just below R the
+    # scanner still finds the single point at the closed-form s*.
+    result = find_characteristic_points(mobius_surface(R, R - 1e-3), grid=(256, 128))
+    assert not result.failures
+    assert len(result.points) == 1
+    p = result.points[0]
+    r0, s0 = mobius_characteristic_closed_form(R)
+    assert abs(p.r - r0) < 1e-8
+    assert abs(p.s - s0) < 1e-8
+
+
+def test_newton_reports_non_finite_normal_as_failure():
+    # Far out in s the frame component c_T overflows; HeisVector refuses
+    # it, and Newton must report a failed candidate, not raise.
+    from heiscalc.surface import _newton_2d
+
+    normal = surface_normal(mobius_surface(0.2, 0.15))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            normal(1.0, 1e160)
+        r, s, residual, ok = _newton_2d(normal, 1.0, 1e160, 1e-10)
+    assert not ok
+    assert (r, s) == (1.0, 1e160)
+    assert residual == math.inf
+
+
 def test_grid_minimum_enforced():
     with pytest.raises(ValueError):
         find_characteristic_points(mobius_surface(0.2, 0.15), grid=(32, 128))
