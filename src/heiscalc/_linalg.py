@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, sized for one Lefschetz block.
 
 Vectors are lists of Fractions, matrices are lists of row vectors.
 Everything here is fraction-exact; there is no floating tolerance in
@@ -13,12 +13,14 @@ Vec = list[Fraction]
 Mat = list[Vec]
 
 
-def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def matmul(a: Mat, b: Mat) -> Mat:
+    """The product of two matrices; b must have at least one row."""
+    columns = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in columns] for row in a]
 
 
-def matvec(rows: Mat, x: Vec) -> Vec:
-    return [dot(row, x) for row in rows]
+def transpose(a: Mat) -> Mat:
+    return [list(col) for col in zip(*a)]
 
 
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
@@ -48,7 +50,8 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
 
 
 def nullspace(rows: Mat, width: int) -> Mat:
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
+    """Basis of {x : A x = 0} for the matrix with the given rows; the
+    identity when there are no rows."""
     reduced, pivots = rref(rows)
     free = [c for c in range(width) if c not in pivots]
     basis: Mat = []
@@ -61,39 +64,19 @@ def nullspace(rows: Mat, width: int) -> Mat:
     return basis
 
 
-def orthogonal_complement(rows: Mat, width: int) -> Mat:
-    """Basis of the perp of the row span, under the standard product."""
-    if not rows:
-        reduced, _ = rref([[Fraction(1 if i == j else 0) for i in range(width)] for j in range(width)])
-        return reduced
-    return nullspace(rows, width)
+def pinv(rows: Mat, width: int) -> Mat:
+    """The Moore-Penrose pseudo-inverse, width x len(rows), of the matrix A.
 
-
-def gram_schmidt(rows: Mat) -> Mat:
-    """Orthogonalize without normalizing; zero vectors are dropped."""
-    ortho: Mat = []
-    for row in rows:
-        vec = list(row)
-        for prev in ortho:
-            denom = dot(prev, prev)
-            coeff = dot(vec, prev) / denom
-            if coeff != 0:
-                vec = [a - coeff * b for a, b in zip(vec, prev)]
-        if any(value != 0 for value in vec):
-            ortho.append(vec)
-    return ortho
-
-
-def solve(rows: Mat, rhs: Vec) -> Vec | None:
-    """One exact solution of A x = b, or None when inconsistent."""
-    if not rows:
-        return None
-    width = len(rows[0])
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
-    solution = [Fraction(0)] * width
-    for row, p in zip(reduced, pivots):
-        if p == width:
-            return None
-        solution[p] = row[width]
-    return solution
+    R = rref(A) without its zero rows and C = the pivot columns of A give
+    the rank factorisation A = C R, so A+ = R^T (C^T C R R^T)^-1 C^T, and
+    C^T C R R^T = C^T A R^T is invertible.
+    """
+    reduced, pivots = rref(rows)
+    if not reduced:
+        return [[Fraction(0)] * len(rows) for _ in range(width)]
+    rank = len(pivots)
+    c_t = [[row[p] for row in rows] for p in pivots]
+    gram = matmul(c_t, matmul(rows, transpose(reduced)))
+    unit = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
+    inverse = [row[rank:] for row in rref([g + u for g, u in zip(gram, unit)])[0]]
+    return matmul(transpose(reduced), matmul(inverse, c_t))

@@ -128,14 +128,14 @@ def dims(n_spec: str, fmt: str, out: str | None) -> None:
 
 
 @main.command(name="complex")
-@click.option("--n", type=int, required=True, help="ambient parameter (1, 2, or 3)")
+@click.option("--n", type=int, required=True, help="ambient parameter (1, 2, 3, or 4)")
 @click.option("--k", type=int, default=None, help="restrict to one degree")
 @format_option
 @out_option
 def complex_cmd(n: int, k: int | None, fmt: str, out: str | None) -> None:
     """Bases of I^k, J^k, and the quotient complement per degree."""
-    if n not in (1, 2, 3):
-        raise click.UsageError("complex listing supports n in {1, 2, 3}")
+    if n not in (1, 2, 3, 4):
+        raise click.UsageError("complex listing supports n in {1, 2, 3, 4}")
     top = 2 * n + 1
     if k is not None and not 1 <= k <= top:
         raise click.UsageError(f"degree k must lie in 1..{top}")
@@ -189,7 +189,7 @@ def complex_cmd(n: int, k: int | None, fmt: str, out: str | None) -> None:
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="ambient parameter (1 or 2)")
+@click.option("--n", type=int, required=True, help="ambient parameter (1, 2, or 3)")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--degree", type=int, default=3, show_default=True,
@@ -199,8 +199,8 @@ def complex_cmd(n: int, k: int | None, fmt: str, out: str | None) -> None:
 @click.pass_context
 def verify(ctx, n: int, trials: int, seed: int, degree: int, fmt: str, out: str | None) -> None:
     """Run the exactness, lifting, subspace-preservation, and d_c suites."""
-    if n not in (1, 2):
-        raise click.UsageError("verification suites support n in {1, 2}")
+    if n not in (1, 2, 3):
+        raise click.UsageError("verification suites support n in {1, 2, 3}")
     if trials < 1 or degree < 0:
         raise click.UsageError("trials must be >= 1 and degree >= 0")
     from . import contact, rumin

@@ -171,9 +171,10 @@ class PolyCoeff:
         """The exact sum of c * p over the (int c, polynomial p) pairs, divided by den >= 1.
 
         Numerators accumulate as ints over the lcm of the polynomials'
-        denominators, and the sum is reduced once at the end.
+        denominators, and the sum is reduced once at the end.  Zero
+        polynomials are skipped; a zero c only adds zero numerators.
         """
-        pairs = [(c, p) for c, p in pairs if c and p.num]
+        pairs = [(c, p) for c, p in pairs if p.num]
         common = lcm(*(p.den for _, p in pairs))
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get

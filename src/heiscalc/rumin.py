@@ -97,34 +97,27 @@ def _const_vector(a: Form, blades: Sequence[Blade]) -> Vec:
     return [lookup.get(blade, Fraction(0)) for blade in blades]
 
 
-def _vector_to_form(n: int, degree: int, vec: Vec, blades: Sequence[Blade]) -> Form:
-    coeffs = {blade: PolyCoeff.const(n, v) for blade, v in zip(blades, vec) if v != 0}
-    return Form(n, degree, coeffs)
+_IntRow = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
-_IntRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-
-def _int_rows(matrix: Mat) -> _IntRows:
-    """Each row as (den, ((column, int numerator), ...)) over its nonzero entries."""
-    rows = []
-    for row in matrix:
-        den = lcm(*(v.denominator for v in row if v))
-        entries = tuple((i, v.numerator * (den // v.denominator)) for i, v in enumerate(row) if v)
-        rows.append((den, entries))
-    return tuple(rows)
+def _int_row(entries: Sequence[tuple[int, Fraction]]) -> _IntRow:
+    """(den, columns, int numerators) of a row given by its nonzero
+    (column, value) entries: value = numerator / den."""
+    den = lcm(*(v.denominator for _, v in entries))
+    return den, tuple(i for i, _ in entries), tuple(v.numerator * (den // v.denominator) for _, v in entries)
 
 
 class _ConstOp(NamedTuple):
     """A constant matrix acting on the coefficient vectors of forms.
 
     Column i reads the coefficient on inputs[i]; row j, stored as in
-    `_int_rows`, gives the coefficient on outputs[j].
+    `_int_row`, gives the coefficient on outputs[j].  Blades whose row
+    is zero are left out of outputs.
     """
 
     inputs: tuple[Blade, ...]
     outputs: tuple[Blade, ...]
-    rows: _IntRows
+    rows: tuple[_IntRow, ...]
 
 
 def _rows_times(op: _ConstOp, alpha: Form) -> Iterator[PolyCoeff]:
@@ -134,15 +127,31 @@ def _rows_times(op: _ConstOp, alpha: Form) -> Iterator[PolyCoeff]:
     over a common denominator and are reduced once.
     """
     n = alpha.n
-    vec = [alpha.coeffs.get(blade) for blade in op.inputs]
-    for den, entries in op.rows:
-        yield PolyCoeff.combine(n, [(c, vec[i]) for i, c in entries if vec[i] is not None], den)
+    zero = PolyCoeff.zero(n)
+    vec = [alpha.coeffs.get(blade, zero) for blade in op.inputs]
+    pick = vec.__getitem__
+    for den, columns, nums in op.rows:
+        yield PolyCoeff.combine(n, zip(nums, map(pick, columns)), den)
 
 
 def _apply(op: _ConstOp, alpha: Form, degree: int) -> Form:
     """op applied to alpha, as a form of the given degree on op.outputs."""
     coeffs = {blade: c for blade, c in zip(op.outputs, _rows_times(op, alpha)) if not c.is_zero()}
-    return Form(alpha.n, degree, coeffs)
+    return Form._from_clean(alpha.n, degree, coeffs)
+
+
+def _block_op(inputs: tuple[Blade, ...], pieces) -> _ConstOp:
+    """The block-diagonal operator with the given (output blades, input
+    blades, matrix) pieces, its nonzero rows in blade order."""
+    position = {blade: i for i, blade in enumerate(inputs)}
+    rows = {}
+    for outs, ins, matrix in pieces:
+        for blade, row in zip(outs, matrix):
+            entries = [(position[b], v) for b, v in zip(ins, row) if v]
+            if entries:
+                rows[blade] = _int_row(entries)
+    outputs = tuple(sorted(rows))
+    return _ConstOp(inputs, outputs, tuple(rows[blade] for blade in outputs))
 
 
 # -- subspaces --------------------------------------------------------------
@@ -196,11 +205,104 @@ def dims(k: int, n: int) -> tuple[int, int, int, int]:
     return dim_omega, dim_i, dim_quotient, dim_j_dual
 
 
-def _rows_to_basis(n: int, degree: int, kind: str, rows: Mat) -> SubspaceBasis:
-    blades = _blade_tuple(n, degree)
-    reduced, _ = _linalg.rref(rows)
-    elements = tuple(_vector_to_form(n, degree, row, blades) for row in reduced)
-    return SubspaceBasis(n, degree, kind, elements)  # type: ignore[arg-type]
+# -- the Lefschetz blocks -------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _h1_blocks(n: int, j: int) -> dict[tuple[int, ...], tuple[Blade, ...]]:
+    """The theta-free j-blades grouped by their unpaired indices, the
+    indices i or n + i of the j with exactly one of dx_j, dy_j in the
+    blade; each group in lexicographic order."""
+    t_idx = theta_index(n)
+    groups: dict[tuple[int, ...], list[Blade]] = {}
+    for blade in _blade_tuple(n, j):
+        if t_idx not in blade:
+            key = tuple(i for i in blade if (i + n if i <= n else i - n) not in blade)
+            groups.setdefault(key, []).append(blade)
+    return {key: tuple(blades) for key, blades in groups.items()}
+
+
+def _L_rows(n: int, sources: Sequence[Blade], targets: Sequence[Blade]) -> Mat:
+    """L = dtheta ^ as one row per theta-free source blade, over targets.
+
+    dtheta ^ b = -sum_j dx_j ^ dy_j ^ b over the pairs j that b leaves
+    empty, and moving dx_j ^ dy_j into place costs (-1)^m, where m counts
+    the indices of b strictly between j and n + j.
+    """
+    column = {blade: c for c, blade in enumerate(targets)}
+    rows = []
+    for b in sources:
+        row = [Fraction(0)] * len(targets)
+        for j in range(1, n + 1):
+            if j not in b and n + j not in b:
+                between = sum(1 for i in b if j < i < n + j)
+                row[column[tuple(sorted(b + (j, n + j)))]] = Fraction(1 if between % 2 else -1)
+        rows.append(row)
+    return rows
+
+
+class _Block(NamedTuple):
+    """One Lefschetz block of the degree-k blades.
+
+    A theta-free block holds the blades with one set of unpaired indices,
+    and K has one row per L-image of a (k-2)-blade with that set.  A theta
+    block holds rest ^ theta over the (k-1)-rests with one set, and K is
+    the matrix of L from those rests to the (k+1)-blades of the set, its
+    targets; d0 on the block is (-1)^(k-1) K.  Either way E0^k meets the
+    block in Ker K and the rows of K span the rest of it.
+    """
+
+    theta: bool
+    blades: tuple[Blade, ...]
+    targets: tuple[Blade, ...]
+    K: Mat
+    K_pinv: Mat
+
+
+@lru_cache(maxsize=None)
+def _blocks(n: int, k: int) -> tuple[_Block, ...]:
+    """The Lefschetz blocks of the degree-k blades.  L, d0 and every
+    projection and inverse built from them are block-diagonal."""
+    t_idx = theta_index(n)
+    blocks = []
+    for key, blades in _h1_blocks(n, k).items():
+        K = _L_rows(n, _h1_blocks(n, k - 2).get(key, ()), blades)
+        blocks.append(_Block(False, blades, (), K, _linalg.pinv(K, len(blades))))
+    for key, rests in _h1_blocks(n, k - 1).items():
+        targets = _h1_blocks(n, k + 1).get(key, ())
+        K = _linalg.transpose(_L_rows(n, rests, targets))
+        blocks.append(_Block(True, tuple(r + (t_idx,) for r in rests), targets, K, _linalg.pinv(K, len(rests))))
+    return tuple(blocks)
+
+
+def _span_rows(kind: str, block: _Block) -> Mat:
+    """Rows spanning the block's share of I^k, J^k, the quotient or E0^k.
+
+    I^k = theta ^ Omega^{k-1} + dtheta ^ Omega^{k-2} takes every theta
+    blade and the L-images; E0^k takes Ker K on every block, and J^k and
+    the quotient are its theta and theta-free halves.
+    """
+    width = len(block.blades)
+    if kind == "I":
+        return [[Fraction(int(i == j)) for j in range(width)] for i in range(width)] if block.theta else block.K
+    if (kind == "J" and not block.theta) or (kind == "quotient" and block.theta):
+        return []
+    return _linalg.nullspace(block.K, width)
+
+
+def _block_basis(kind: str, k: int, n: int) -> SubspaceBasis:
+    """The row-reduced basis, block by block.  Each reduced row vanishes
+    off its block, so all of them, ordered by pivot blade, are the reduced
+    row echelon form of the whole subspace."""
+    rows = []
+    for block in _blocks(n, k):
+        reduced, pivots = _linalg.rref(_span_rows(kind, block))
+        rows += [(block.blades[p], block.blades, row) for row, p in zip(reduced, pivots)]
+    rows.sort(key=lambda r: r[0])
+    elements = tuple(
+        Form(n, k, {b: PolyCoeff.const(n, v) for b, v in zip(blades, row) if v}) for _, blades, row in rows
+    )
+    return SubspaceBasis(n, k, kind, elements)  # type: ignore[arg-type]
 
 
 @lru_cache(maxsize=None)
@@ -214,20 +316,7 @@ def basis_I(k: int, n: int) -> SubspaceBasis:
     """
     if not 1 <= k <= 2 * n + 1:
         raise ValueError(f"degree k={k} out of range 1..{2 * n + 1} for I^k")
-    theta = contact_form(n)
-    dtheta = d_contact_form(n)
-    blades = _blade_tuple(n, k)
-    t_idx = theta_index(n)
-    rows: Mat = []
-    for blade in _blade_tuple(n, k - 1):
-        if t_idx in blade:
-            continue
-        rows.append(_const_vector(Form.from_blade(n, blade).wedge(theta), blades))
-    for blade in _blade_tuple(n, k - 2):
-        generated = Form.from_blade(n, blade).wedge(dtheta)
-        if not generated.is_zero():
-            rows.append(_const_vector(generated, blades))
-    basis = _rows_to_basis(n, k, "I", rows)
+    basis = _block_basis("I", k, n)
     if k <= n + 1:
         expected = comb(2 * n + 1, k - 1)
         if basis.dim != expected:
@@ -239,26 +328,14 @@ def basis_I(k: int, n: int) -> SubspaceBasis:
 def basis_J(k: int, n: int) -> SubspaceBasis:
     """Basis of J^k = {alpha : alpha^theta = 0, alpha^dtheta = 0}.
 
-    The complex lives on the range k >= n+1 where the dimension is
-    C(2n+1, k) - C(2n+1, k+1); below the middle degree the two wedge
-    conditions force J^k = 0, which the nullspace computation confirms.
+    alpha^theta = 0 forces alpha = beta^theta with beta theta-free, and
+    then alpha^dtheta = 0 asks L beta = 0.  The complex lives on the range
+    k >= n+1 where the dimension is C(2n+1, k) - C(2n+1, k+1); below the
+    middle degree L is injective and J^k = 0.
     """
     if not 1 <= k <= 2 * n + 1:
         raise ValueError(f"degree k={k} out of range 1..{2 * n + 1} for J^k")
-    theta = contact_form(n)
-    dtheta = d_contact_form(n)
-    source = _blade_tuple(n, k)
-    target_theta = _blade_tuple(n, k + 1)
-    target_dtheta = _blade_tuple(n, k + 2)
-    columns: Mat = []
-    for blade in source:
-        base = Form.from_blade(n, blade)
-        col = _const_vector(base.wedge(theta), target_theta)
-        col += _const_vector(base.wedge(dtheta), target_dtheta)
-        columns.append(col)
-    stacked_rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    kernel = _linalg.nullspace(stacked_rows, len(source))
-    basis = _rows_to_basis(n, k, "J", kernel)
+    basis = _block_basis("J", k, n)
     expected = max(0, comb(2 * n + 1, k) - comb(2 * n + 1, k + 1))
     if basis.dim != expected:
         raise AssertionError(f"dim J^{k} = {basis.dim}, closed form says {expected}")
@@ -269,14 +346,10 @@ def basis_J(k: int, n: int) -> SubspaceBasis:
 def basis_quotient(k: int, n: int) -> SubspaceBasis:
     """Orthogonal complement of I^k inside Omega^k; representatives of
     the quotient.  k = 0 is allowed and gives the span of 1."""
-    if k == 0:
-        return SubspaceBasis(n, 0, "quotient", (Form.from_blade(n, ()),))
-    if not 1 <= k <= n:
+    if not 0 <= k <= n:
         raise ValueError(f"degree k={k} out of range 0..{n} for the quotient")
-    width = len(_blade_tuple(n, k))
-    complement = _linalg.orthogonal_complement(basis_I(k, n).matrix(), width)
-    basis = _rows_to_basis(n, k, "quotient", complement)
-    if basis.dim != dims(k, n)[2]:
+    basis = _block_basis("quotient", k, n)
+    if k and basis.dim != dims(k, n)[2]:
         raise AssertionError(f"dim Omega^{k}/I^{k} basis mismatch at n={n}")
     return basis
 
@@ -285,27 +358,12 @@ def basis_quotient(k: int, n: int) -> SubspaceBasis:
 def basis_E0(k: int, n: int) -> SubspaceBasis:
     """E0^k = Ker d0 at degree k, intersected with (Im d0 at k-1)^perp.
 
-    Computed from the d0 matrices directly; coincides with the quotient
-    complement for k <= n and with J^k for k > n.
+    Coincides with the quotient complement for k <= n and with J^k for
+    k > n.
     """
     if not 0 <= k <= 2 * n + 1:
         raise ValueError(f"degree k={k} out of range 0..{2 * n + 1}")
-    width = len(_blade_tuple(n, k))
-    kernel_rows = _d0_kernel(n, k)
-    image_rows = _d0_image(n, k - 1)
-    if image_rows:
-        perp = _linalg.orthogonal_complement(image_rows, width)
-        rows = _intersect_coords(kernel_rows, perp, width)
-    else:
-        rows = kernel_rows
-    return _rows_to_basis(n, k, "E0", rows)
-
-
-def _intersect_coords(rows_a: Mat, rows_b: Mat, width: int) -> Mat:
-    """Basis of span(rows_a) intersected with span(rows_b)."""
-    perp_a = _linalg.orthogonal_complement(rows_a, width)
-    perp_b = _linalg.orthogonal_complement(rows_b, width)
-    return _linalg.orthogonal_complement(perp_a + perp_b, width)
+    return _block_basis("E0", k, n)
 
 
 def _basis(kind: str, k: int, n: int) -> SubspaceBasis:
@@ -321,34 +379,34 @@ def _basis(kind: str, k: int, n: int) -> SubspaceBasis:
 
 
 @lru_cache(maxsize=None)
-def _quotient_projector(k: int, n: int) -> _ConstOp:
-    """Orthogonal projection onto the quotient basis: sum_r u_r u_r^T / |u_r|^2
-    over its Gram-Schmidt rows u_r."""
-    blades = _blade_tuple(n, k)
-    width = len(blades)
-    matrix = [[Fraction(0)] * width for _ in range(width)]
-    for u in _linalg.gram_schmidt(basis_quotient(k, n).matrix()):
-        norm = _linalg.dot(u, u)
-        for i, ui in enumerate(u):
-            if ui:
-                row = matrix[i]
-                scaled = ui / norm
-                for j, uj in enumerate(u):
-                    if uj:
-                        row[j] += scaled * uj
-    return _ConstOp(blades, blades, _int_rows(matrix))
-
-
-@lru_cache(maxsize=None)
 def _annihilator(kind: str, k: int, n: int) -> _ConstOp:
-    """Rows spanning the orthogonal complement of a cached subspace S.
+    """Rows spanning the orthogonal complement of a cached subspace S,
+    block by block.
 
     A form lies in S exactly when every row pairs with it to zero, since
     S = (S-perp)-perp over the rationals.  The rows label no blades.
     """
+    _basis(kind, k, n)  # validates kind and degree
     blades = _blade_tuple(n, k)
-    perp = _linalg.orthogonal_complement(_basis(kind, k, n).matrix(), len(blades))
-    return _ConstOp(blades, (), _int_rows(perp))
+    position = {blade: i for i, blade in enumerate(blades)}
+    rows = []
+    for block in _blocks(n, k):
+        for row in _linalg.nullspace(_span_rows(kind, block), len(block.blades)):
+            rows.append(_int_row([(position[b], v) for b, v in zip(block.blades, row) if v]))
+    return _ConstOp(blades, (), tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _pi_E0(n: int, k: int) -> _ConstOp:
+    """Pi_E0 = 1 - d0+ d0 - d0 d0+ at degree k, the orthogonal projection
+    onto E0^k: I - K+ K on each block."""
+    blades = _blade_tuple(n, k)
+    pieces = []
+    for block in _blocks(n, k):
+        size = len(block.blades)
+        kk = _linalg.matmul(block.K_pinv, block.K) if block.K else [[0] * size] * size
+        pieces.append((block.blades, block.blades, [[(i == j) - kk[i][j] for j in range(size)] for i in range(size)]))
+    return _block_op(blades, pieces)
 
 
 def in_subspace(kind: str, k: int, n: int, alpha: Form) -> bool:
@@ -402,9 +460,9 @@ def project_quotient(alpha: Form, k: int | None = None, n: int | None = None) ->
         raise ValueError(f"quotient degree k={k} out of range 0..{n}")
     if k == 0:
         return QuotientClass(n, 0, alpha)
-    # The quotient basis spans the orthogonal complement of I^k, so this
+    # Below the middle E0^k is the orthogonal complement of I^k, so this
     # is alpha minus its projection onto I^k.
-    return QuotientClass(n, k, _apply(_quotient_projector(k, n), alpha, k))
+    return QuotientClass(n, k, _apply(_pi_E0(n, k), alpha, k))
 
 
 def strip_theta(alpha: Form) -> Form:
@@ -421,11 +479,6 @@ def theta_class(alpha: Form) -> QuotientClass:
 
 
 # -- the isomorphism L and the lifting ---------------------------------------
-
-
-def _h1_blades(n: int, k: int) -> list[Blade]:
-    t_idx = theta_index(n)
-    return [blade for blade in _blade_tuple(n, k) if t_idx not in blade]
 
 
 def _check_horizontal(alpha: Form, expected_degree: int, label: str) -> None:
@@ -446,27 +499,12 @@ def L_apply(beta: Form) -> Form:
 
 @lru_cache(maxsize=None)
 def _L_inverse_op(n: int) -> _ConstOp:
-    """Exact inverse of the matrix of L over the theta-free blades."""
-    source = _h1_blades(n, n - 1)
-    target = _h1_blades(n, n + 1)
-    if len(source) != len(target):
-        raise AssertionError("L must act between spaces of equal dimension")
-    dtheta = d_contact_form(n)
-    columns = [
-        _const_vector(dtheta.wedge(Form.from_blade(n, blade)), target) for blade in source
-    ]
-    size = len(source)
-    rows = [[columns[j][i] for j in range(size)] for i in range(size)]
-    inverse_cols: Mat = []
-    for i in range(size):
-        unit = [Fraction(1) if r == i else Fraction(0) for r in range(size)]
-        col = _linalg.solve(rows, unit)
-        if col is None:
-            raise AssertionError("L is not invertible; this cannot happen")
-        inverse_cols.append(col)
-    # inverse_cols[i] solves L x = e_i, so it is the i-th column of L^-1.
-    inverse = [[inverse_cols[i][j] for i in range(size)] for j in range(size)]
-    return _ConstOp(tuple(target), tuple(source), _int_rows(inverse))
+    """Exact inverse of L over the theta-free blades, from degree n+1 to
+    n-1: the inverse of K on each theta block at degree n."""
+    t_idx = theta_index(n)
+    blocks = [block for block in _blocks(n, n) if block.theta]
+    pieces = [(tuple(b[:-1] for b in block.blades), block.targets, block.K_pinv) for block in blocks]
+    return _block_op(tuple(b for b in _blade_tuple(n, n + 1) if t_idx not in b), pieces)
 
 
 def L_inverse(gamma: Form) -> Form:
@@ -566,74 +604,17 @@ def d0_part(alpha: Form) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _d0_matrix(n: int, k: int) -> Mat:
-    """Matrix of d0 at degree k: rows = degree-(k+1) blades, columns =
-    degree-k blades."""
-    source = _blade_tuple(n, k)
-    target = _blade_tuple(n, k + 1)
-    columns = [
-        _const_vector(d0_part(Form.from_blade(n, blade)), target) for blade in source
-    ]
-    return [[columns[j][i] for j in range(len(source))] for i in range(len(target))]
-
-
-@lru_cache(maxsize=None)
-def _d0_kernel(n: int, k: int) -> Mat:
-    source_width = len(_blade_tuple(n, k))
-    rows = _d0_matrix(n, k)
-    if not rows:
-        identity = [[Fraction(1 if i == j else 0) for i in range(source_width)] for j in range(source_width)]
-        return identity
-    return _linalg.nullspace(rows, source_width)
-
-
-@lru_cache(maxsize=None)
-def _d0_image(n: int, k: int) -> Mat:
-    """Row basis of Im d0^{(k)} inside degree k+1; empty for k < 0."""
-    if k < 0 or k > 2 * n + 1:
-        return []
-    rows = _d0_matrix(n, k)
-    if not rows:
-        return []
-    columns = [[row[j] for row in rows] for j in range(len(rows[0]))]
-    reduced, _ = _linalg.rref(columns)
-    return reduced
-
-
-@lru_cache(maxsize=None)
 def _d0_pseudo_inverse(n: int, k: int) -> _ConstOp:
     """Exact pseudo-inverse of d0^{(k)}: kills (Im d0)^perp and returns
-    the unique preimage orthogonal to Ker d0."""
-    source = _blade_tuple(n, k)
-    target = _blade_tuple(n, k + 1)
-    matrix = _d0_matrix(n, k)
-    image = _linalg.gram_schmidt(_d0_image(n, k))
-    kernel = _d0_kernel(n, k)
-    coker = _linalg.orthogonal_complement(kernel, len(source))
-    restricted_columns = [
-        _linalg.matvec(matrix, basis_vec) for basis_vec in coker
-    ] if matrix else []
-    stacked = [[col[r] for col in restricted_columns] for r in range(len(target))]
-    columns: Mat = []
-    for i in range(len(target)):
-        unit = [Fraction(1 if r == i else 0) for r in range(len(target))]
-        projected = [Fraction(0)] * len(target)
-        for u in image:
-            factor = _linalg.dot(unit, u) / _linalg.dot(u, u)
-            if factor != 0:
-                projected = [p + factor * value for p, value in zip(projected, u)]
-        if all(value == 0 for value in projected) or not coker:
-            columns.append([Fraction(0)] * len(source))
-            continue
-        solution = _linalg.solve(stacked, projected)
-        if solution is None:
-            raise AssertionError("pseudo-inverse system is inconsistent; impossible")
-        preimage = [Fraction(0)] * len(source)
-        for coeff_value, basis_vec in zip(solution, coker):
-            preimage = [p + coeff_value * b for p, b in zip(preimage, basis_vec)]
-        columns.append(preimage)
-    inverse = [[columns[i][j] for i in range(len(target))] for j in range(len(source))]
-    return _ConstOp(target, source, _int_rows(inverse))
+    the unique preimage orthogonal to Ker d0.  d0 is (-1)^(k-1) K on each
+    theta block at degree k, so its pseudo-inverse is (-1)^(k-1) K+."""
+    sign = 1 if k % 2 else -1
+    pieces = [
+        (block.blades, block.targets, [[sign * v for v in row] for row in block.K_pinv])
+        for block in _blocks(n, k)
+        if block.theta
+    ]
+    return _block_op(_blade_tuple(n, k + 1), pieces)
 
 
 def d0_inverse(beta: Form, source_degree: int | None = None) -> Form:
@@ -687,10 +668,7 @@ def Pi_E(alpha: Form) -> Form:
 
 def Pi_E0(alpha: Form) -> Form:
     """Orthogonal projection onto E0 = Ker d0 cap (Im d0)^perp."""
-    k = alpha.degree
-    first = d0_inverse(d0_part(alpha), k)
-    second = d0_part(d0_inverse(alpha, k - 1)) if k > 0 else Form.zero(alpha.n, k)
-    return alpha - first - second
+    return _apply(_pi_E0(alpha.n, alpha.degree), alpha, alpha.degree)
 
 
 def dc_operator(alpha: Form) -> Form:

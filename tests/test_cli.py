@@ -106,11 +106,19 @@ def test_complex_k_filter(runner):
 
 
 def test_complex_rejects_large_n(runner):
-    assert runner.invoke(main, ["complex", "--n", "4"]).exit_code == 2
+    assert runner.invoke(main, ["complex", "--n", "5"]).exit_code == 2
     assert runner.invoke(main, ["complex", "--n", "1", "--k", "4"]).exit_code == 2
 
 
 # -- verify ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", ["0", "4"])
+def test_verify_rejects_n_out_of_range(runner, n):
+    result = runner.invoke(main, ["verify", "--n", n, "--trials", "1"])
+    assert result.exit_code == 2
+    assert "n in {1, 2, 3}" in result.stderr
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_verify_passes(runner, validator):

@@ -8,7 +8,6 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heiscalc import _linalg
 from heiscalc.coeff import PolyCoeff
 from heiscalc.frame import (
     Form,
@@ -54,6 +53,215 @@ from heiscalc.sampling import random_combination, random_form, random_poly, seed
 
 def _var(n, i):
     return PolyCoeff.var(n, i)
+
+
+# -- the dense reference construction ----------------------------------------
+#
+# The constant operators as rumin built them before the Lefschetz block
+# kernel: dense Gauss-Jordan over every blade of a degree, Gram-Schmidt,
+# and one solve per column, with d0 and L read off Form.wedge and
+# d0_part on unit forms.  The block kernel must reproduce them exactly.
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _rref(rows):
+    mat = [list(row) for row in rows]
+    if not mat:
+        return [], []
+    width = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        mat[r] = [value / mat[r][c] for value in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _perp(rows, width):
+    """Basis of the orthogonal complement of the row span."""
+    reduced, pivots = _rref(rows)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+def _gram_schmidt(rows):
+    """Orthogonalize without normalizing; zero vectors are dropped."""
+    ortho = []
+    for row in rows:
+        vec = list(row)
+        for prev in ortho:
+            coeff = _dot(vec, prev) / _dot(prev, prev)
+            if coeff != 0:
+                vec = [a - coeff * b for a, b in zip(vec, prev)]
+        if any(value != 0 for value in vec):
+            ortho.append(vec)
+    return ortho
+
+
+def _solve(rows, rhs):
+    """One exact solution of A x = b, or None when inconsistent."""
+    width = len(rows[0])
+    reduced, pivots = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    solution = [Fraction(0)] * width
+    for row, p in zip(reduced, pivots):
+        if p == width:
+            return None
+        solution[p] = row[width]
+    return solution
+
+
+def _vector(alpha, blades):
+    return [rumin._const_value(alpha.coeffs[b]) if b in alpha.coeffs else Fraction(0) for b in blades]
+
+
+def _columns_to_matrix(columns, height):
+    return [[col[i] for col in columns] for i in range(height)]
+
+
+def _dense_basis(kind, k, n):
+    """The reduced basis rows of I, J, the quotient or E0 at degree k."""
+    blades = all_blades(n, k)
+    width = len(blades)
+    theta, dtheta = contact_form(n), d_contact_form(n)
+    if kind == "I":
+        rows = [_vector(Form.from_blade(n, b).wedge(theta), blades)
+                for b in all_blades(n, k - 1) if 2 * n + 1 not in b]
+        rows += [_vector(Form.from_blade(n, b).wedge(dtheta), blades) for b in all_blades(n, k - 2)]
+    elif kind == "J":
+        columns = [_vector(Form.from_blade(n, b).wedge(theta), all_blades(n, k + 1))
+                   + _vector(Form.from_blade(n, b).wedge(dtheta), all_blades(n, k + 2)) for b in blades]
+        rows = _perp(_columns_to_matrix(columns, len(columns[0])), width)
+    elif kind == "quotient":
+        if k == 0:
+            return [[Fraction(1)]]
+        rows = _perp(_dense_basis("I", k, n), width)
+    else:
+        kernel = _perp(_dense_d0(n, k), width)
+        image = _dense_d0_image(n, k - 1)
+        if image:
+            # span(kernel) cap span(image)^perp, as the perp of the perps' sum
+            rows = _perp(_perp(kernel, width) + image, width)
+        else:
+            rows = kernel
+    return _rref(rows)[0]
+
+
+def _dense_d0(n, k):
+    """The matrix of d0 from degree k to k+1, rows on the (k+1)-blades."""
+    source, target = all_blades(n, k), all_blades(n, k + 1)
+    columns = [_vector(d0_part(Form.from_blade(n, b)), target) for b in source]
+    return _columns_to_matrix(columns, len(target))
+
+
+def _dense_d0_image(n, k):
+    if k < 0:
+        return []
+    matrix = _dense_d0(n, k)
+    return _rref(list(zip(*matrix)))[0] if matrix else []
+
+
+def _dense_d0_pinv(n, k):
+    """Pseudo-inverse of d0 at degree k by the old per-column solves."""
+    source, target = all_blades(n, k), all_blades(n, k + 1)
+    matrix = _dense_d0(n, k)
+    image = _gram_schmidt(_dense_d0_image(n, k))
+    coker = _perp(_perp(matrix, len(source)), len(source)) if matrix else []
+    restricted = [[_dot(row, vec) for row in matrix] for vec in coker]
+    stacked = _columns_to_matrix(restricted, len(target))
+    columns = []
+    for i in range(len(target)):
+        projected = [Fraction(0)] * len(target)
+        for u in image:
+            factor = u[i] / _dot(u, u)
+            projected = [p + factor * value for p, value in zip(projected, u)]
+        if not any(projected) or not coker:
+            columns.append([Fraction(0)] * len(source))
+            continue
+        solution = _solve(stacked, projected)
+        preimage = [Fraction(0)] * len(source)
+        for c, vec in zip(solution, coker):
+            preimage = [p + c * b for p, b in zip(preimage, vec)]
+        columns.append(preimage)
+    return _columns_to_matrix(columns, len(source))
+
+
+def _dense_projector(rows, width):
+    """Orthogonal projection onto the row span, sum_r u_r u_r^T / |u_r|^2
+    over the Gram-Schmidt rows u_r."""
+    matrix = [[Fraction(0)] * width for _ in range(width)]
+    for u in _gram_schmidt(rows):
+        norm = _dot(u, u)
+        for i in range(width):
+            for j in range(width):
+                matrix[i][j] += u[i] * u[j] / norm
+    return matrix
+
+
+def _dense_L_inverse(n):
+    t_idx = 2 * n + 1
+    source = [b for b in all_blades(n, n - 1) if t_idx not in b]
+    target = [b for b in all_blades(n, n + 1) if t_idx not in b]
+    dtheta = d_contact_form(n)
+    rows = _columns_to_matrix([_vector(dtheta.wedge(Form.from_blade(n, b)), target) for b in source],
+                              len(target))
+    columns = [_solve(rows, [Fraction(int(r == i)) for r in range(len(target))]) for i in range(len(target))]
+    return _columns_to_matrix(columns, len(source))
+
+
+def _matmul(a, b, inner):
+    return [[sum((row[t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(len(b[0]) if b else 0)]
+            for row in a]
+
+
+def _dense_pi_E0(n, k):
+    """1 - d0+ d0 - d0 d0+ at degree k, from the dense d0 and its pseudo-inverse."""
+    width = len(all_blades(n, k))
+    result = [[Fraction(int(i == j)) for j in range(width)] for i in range(width)]
+    products = []
+    if k + 1 <= 2 * n + 1:
+        products.append(_matmul(_dense_d0_pinv(n, k), _dense_d0(n, k), len(all_blades(n, k + 1))))
+    if k >= 1:
+        products.append(_matmul(_dense_d0(n, k - 1), _dense_d0_pinv(n, k - 1), len(all_blades(n, k - 1))))
+    for product in products:
+        result = [[a - b for a, b in zip(r, p)] for r, p in zip(result, product)]
+    return result
+
+
+def _op_matrix(op, outputs=None):
+    """A _ConstOp as a dense matrix: its stored rows in order, or one row
+    per blade of outputs, zero where the operator stores none."""
+    rows = op.rows
+    if outputs is not None:
+        stored = dict(zip(op.outputs, op.rows))
+        assert set(stored) <= set(outputs)
+        rows = [stored.get(b, (1, (), ())) for b in outputs]
+    matrix = []
+    for den, columns, nums in rows:
+        row = [Fraction(0)] * len(op.inputs)
+        for i, c in zip(columns, nums):
+            row[i] = Fraction(c, den)
+        matrix.append(row)
+    return matrix
 
 
 # -- dimension bookkeeping -------------------------------------------------
@@ -132,8 +340,8 @@ def _residual_rule(kind: str, k: int, n: int, alpha: Form) -> bool:
     blades = all_blades(n, k)
     vec = [alpha.coeffs.get(blade, PolyCoeff.zero(n)) for blade in blades]
     projection = Form.zero(n, k)
-    for row in _linalg.gram_schmidt(basis.matrix()):
-        norm = _linalg.dot(row, row)
+    for row in _gram_schmidt(basis.matrix()):
+        norm = _dot(row, row)
         coeff = PolyCoeff.zero(n)
         for entry, poly in zip(row, vec):
             coeff = coeff + poly.scale(entry)
@@ -240,6 +448,66 @@ def test_L_inverse_inverts():
             # horizontal (n-1)-form
             beta = strip_theta(random_form(rng, n, n - 1, max_degree=2))
             assert L_inverse(L_apply(beta)) == beta
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sl2_commutator_on_horizontal_forms(n):
+    """[L^T, L] = (n - j) Id on the theta-free j-forms, for every j.
+
+    L is read from d_contact_form and Form.wedge, not from the block
+    kernel, so this checks the sign conventions independently of it.
+    """
+    t_idx = 2 * n + 1
+    dtheta = d_contact_form(n)
+    h1 = [[b for b in all_blades(n, j) if t_idx not in b] for j in range(2 * n + 1)]
+
+    def L(j):
+        """The matrix of L from j- to (j+2)-forms, or None when one side is empty."""
+        if j < 0 or j + 2 > 2 * n:
+            return None
+        columns = [_vector(dtheta.wedge(Form.from_blade(n, b)), h1[j + 2]) for b in h1[j]]
+        return [[int(col[i]) for col in columns] for i in range(len(h1[j + 2]))]
+
+    for j in range(2 * n + 1):
+        size = len(h1[j])
+        commutator = [[0] * size for _ in range(size)]
+        up, down = L(j), L(j - 2)
+        for a in range(size):
+            for b in range(size):
+                if up:
+                    commutator[a][b] += sum(row[a] * row[b] for row in up)
+                if down:
+                    commutator[a][b] -= sum(x * y for x, y in zip(down[a], down[b]))
+        assert commutator == [[(n - j) * (a == b) for b in range(size)] for a in range(size)], j
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_kernel_matches_dense_construction(n):
+    """Every basis and constant table equals the dense construction exactly."""
+    for k in range(0, 2 * n + 2):
+        blades = tuple(all_blades(n, k))
+        width = len(blades)
+        kinds = (["I", "J"] if k else []) + (["quotient"] if k <= n else []) + ["E0"]
+        for kind in kinds:
+            dense = _dense_basis(kind, k, n)
+            basis = rumin._basis(kind, k, n)
+            assert (basis.n, basis.degree, basis.kind) == (n, k, kind)
+            assert basis.matrix() == dense, (kind, k)
+            annihilator = rumin._annihilator(kind, k, n)
+            assert annihilator.inputs == blades
+            assert _rref(_op_matrix(annihilator))[0] == _rref(_perp(dense, width))[0], (kind, k)
+        pi = rumin._pi_E0(n, k)
+        assert pi.inputs == blades
+        assert _op_matrix(pi, blades) == _dense_pi_E0(n, k), k
+        if 1 <= k <= n:
+            assert _op_matrix(pi, blades) == _dense_projector(_dense_basis("quotient", k, n), width), k
+        pinv = rumin._d0_pseudo_inverse(n, k)
+        assert pinv.inputs == tuple(all_blades(n, k + 1))
+        assert _op_matrix(pinv, blades) == _dense_d0_pinv(n, k), k
+    inverse = rumin._L_inverse_op(n)
+    assert inverse.inputs == tuple(b for b in all_blades(n, n + 1) if 2 * n + 1 not in b)
+    source = [b for b in all_blades(n, n - 1) if 2 * n + 1 not in b]
+    assert _op_matrix(inverse, source) == _dense_L_inverse(n)
 
 
 # -- lifting -----------------------------------------------------------------
