@@ -422,41 +422,136 @@ class PolyCoeff:
 
     @classmethod
     def from_text(cls, n: int, text: str) -> PolyCoeff:
-        """Parse the `to_text` format; also accepts '*' as the separator
-        and omitted '^1' exponents."""
-        width = 2 * n + 1
-        terms: dict[tuple[int, ...], Fraction] = {}
-        stripped = text.strip()
-        if not stripped:
-            return cls(n)
-        for chunk in stripped.split(" + "):
-            pieces = chunk.replace("*", "·").split("·")
-            coeff = _parse_fraction(pieces[0])
-            exps = [0] * width
-            for piece in pieces[1:]:
-                piece = piece.strip()
-                if not piece.startswith("w"):
-                    raise ValueError(f"malformed monomial factor {piece!r}")
-                body = piece[1:]
-                if "^" in body:
-                    var_s, exp_s = body.split("^", 1)
-                    e = int(exp_s)
-                else:
-                    var_s, e = body, 1
-                i = int(var_s)
-                if not 1 <= i <= width:
-                    raise ValueError(f"coordinate w{i} out of range for n={n}")
-                exps[i - 1] += e
-            key = tuple(exps)
-            acc = terms.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return cls(n, terms)
+        """Parse a polynomial in w1..w_{2n+1}: integers, +, -, *, /, ^,
+        parentheses and '·' (read as '*').  Division is allowed only by
+        a nonzero constant.  Reads everything `to_text` writes."""
+        return _ExprParser(n, _tokenize(text)).parse()
 
     def __repr__(self) -> str:
         return f"PolyCoeff(n={self.n}, {self.to_text()})"
+
+
+# Nesting, a parenthesis or a unary sign, deeper than this is refused
+# with ValueError before the recursive descent can exhaust the stack.
+_MAX_DEPTH = 100
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*/^()·":
+            tokens.append("*" if ch == "·" else ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        elif ch == "w":
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ValueError(f"bad variable at {text[i:]!r}")
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ValueError(f"unexpected character {ch!r} in polynomial expression")
+    return tokens
+
+
+class _ExprParser:
+    """Recursive-descent parser for +, -, *, /, ^ and w-variables."""
+
+    def __init__(self, n: int, tokens: list[str]):
+        self.n = n
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ValueError("unexpected end of polynomial expression")
+        self.pos += 1
+        return tok
+
+    def parse(self) -> PolyCoeff:
+        value = self.expr()
+        if self.peek() is not None:
+            raise ValueError(f"trailing tokens {self.tokens[self.pos:]!r}")
+        return value
+
+    def expr(self) -> PolyCoeff:
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self) -> PolyCoeff:
+        value = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            rhs = self.factor()
+            if op == "*":
+                value = value * rhs
+            elif rhs.total_degree() > 0:
+                raise ValueError("division is only allowed by nonzero constants")
+            elif rhs.is_zero():
+                raise ValueError("zero denominator in polynomial expression")
+            else:
+                (c,) = rhs.num.values()
+                value = value.scale(Fraction(rhs.den, c))
+        return value
+
+    def factor(self) -> PolyCoeff:
+        # Every level of nesting passes through here, so this one
+        # counter bounds the recursion.
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ValueError("expression nested too deeply")
+        tok = self.peek()
+        if tok in ("+", "-"):
+            self.take()
+            value = self.factor()
+            if tok == "-":
+                value = -value
+        else:
+            value = self.atom()
+            if self.peek() == "^":
+                self.take()
+                exp_tok = self.take()
+                if not exp_tok.isdigit():
+                    raise ValueError(f"exponent must be a nonnegative integer, got {exp_tok!r}")
+                value = value ** int(exp_tok)
+        self.depth -= 1
+        return value
+
+    def atom(self) -> PolyCoeff:
+        tok = self.take()
+        if tok == "(":
+            value = self.expr()
+            if self.take() != ")":
+                raise ValueError("unbalanced parentheses in polynomial expression")
+            return value
+        if tok.isdigit():
+            return PolyCoeff.const(self.n, int(tok))
+        if tok.startswith("w"):
+            idx = int(tok[1:])
+            if not 1 <= idx <= 2 * self.n + 1:
+                raise ValueError(f"variable {tok} out of range for H^{self.n}")
+            return PolyCoeff.var(self.n, idx)
+        raise ValueError(f"unexpected token {tok!r} in polynomial expression")
 
 
 @dataclass(frozen=True)

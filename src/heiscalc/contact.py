@@ -78,13 +78,25 @@ class SmoothMap:
 
     @cached_property
     def frame_matrix(self) -> FrameMatrix:
+        """Rows W_j f^l for l <= 2n, then the theta row A(j, f).
+
+        The A row is read from W_j f^{2n+1} and the horizontal rows, so
+        each W_j f^l is computed once.
+        """
         n = self.n
         dim = theta_index(n)
-        rows = [
-            tuple(frame_apply(j, self.components[l]) for j in range(1, dim + 1))
-            for l in range(dim - 1)
-        ]
-        rows.append(tuple(A_coefficient(j, self) for j in range(1, dim + 1)))
+        rows = [tuple(frame_apply(j, c) for j in range(1, dim + 1)) for c in self.components]
+        t_row = rows.pop()
+        # wtilde_l o f is +f^{n+l} for l <= n and -f^{l-n} above.
+        twists = [*self.components[n:2 * n], *(-c for c in self.components[:n])]
+        half = Fraction(1, 2)
+        a_row = []
+        for j in range(dim):
+            total = t_row[j]
+            for twist, row in zip(twists, rows):
+                total = total + (twist * row[j]).scale(half)
+            a_row.append(total)
+        rows.append(tuple(a_row))
         return FrameMatrix(n, tuple(rows))
 
     @cached_property
@@ -169,30 +181,16 @@ class FrameMatrix:
         }
 
 
-def _twist_substituted(l: int, f: SmoothMap) -> PolyCoeff:
-    # wtilde_l is +w_{n+l} or -w_{l-n}, so substitution is one component.
-    n = f.n
-    if l <= n:
-        return f.components[n + l - 1]
-    return -f.components[l - n - 1]
-
-
 def A_coefficient(j: int, f: SmoothMap) -> PolyCoeff:
-    """Theta component of f_* W_j.
+    """Theta component of f_* W_j, the last row of the frame matrix.
 
     Vanishing of A(j, f) for every j <= 2n is the contact condition;
     A(2n+1, f) is the stretch factor of theta along T and agrees with
     the common value of lambda_coefficient for contact maps.
     """
-    n = f.n
-    dim = theta_index(n)
-    if not 1 <= j <= dim:
-        raise ValueError(f"frame index {j} out of range for H^{n}")
-    total = frame_apply(j, f.components[dim - 1])
-    half = Fraction(1, 2)
-    for l in range(1, 2 * n + 1):
-        total = total + (_twist_substituted(l, f) * frame_apply(j, f.components[l - 1])).scale(half)
-    return total
+    if not 1 <= j <= theta_index(f.n):
+        raise ValueError(f"frame index {j} out of range for H^{f.n}")
+    return f.frame_matrix.entries[-1][j - 1]
 
 
 def lambda_coefficient(j: int, f: SmoothMap) -> PolyCoeff:
@@ -204,13 +202,10 @@ def lambda_coefficient(j: int, f: SmoothMap) -> PolyCoeff:
     n = f.n
     if not 1 <= j <= n:
         raise ValueError(f"lambda index {j} out of range (1..{n})")
+    rows = f.frame_matrix.entries  # rows[l - 1][j - 1] = W_j f^l
     total = PolyCoeff.zero(n)
-    for l in range(1, n + 1):
-        a = frame_apply(j, f.components[l - 1])
-        b = frame_apply(n + j, f.components[n + l - 1])
-        c = frame_apply(n + j, f.components[l - 1])
-        d = frame_apply(j, f.components[n + l - 1])
-        total = total + a * b - c * d
+    for x, y in zip(rows[:n], rows[n:2 * n]):
+        total = total + x[j - 1] * y[n + j - 1] - x[n + j - 1] * y[j - 1]
     return total
 
 
@@ -345,121 +340,6 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
 # Map literals
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        elif text.startswith("·", i):
-            tokens.append("*")
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch == "w":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ValueError(f"bad variable at {text[i:]!r}")
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r} in polynomial expression")
-    return tokens
-
-
-class _ExprParser:
-    """Recursive-descent parser for +, -, *, /, ^ and w-variables."""
-
-    def __init__(self, n: int, tokens: list[str]):
-        self.n = n
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial expression")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> PolyCoeff:
-        value = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing tokens {self.tokens[self.pos:]!r}")
-        return value
-
-    def expr(self) -> PolyCoeff:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> PolyCoeff:
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                const = rhs.sorted_terms()
-                if rhs.total_degree() > 0 or rhs.is_zero():
-                    raise ValueError("division is only allowed by nonzero constants")
-                value = value.scale(Fraction(1, 1) / const[0][1])
-        return value
-
-    def factor(self) -> PolyCoeff:
-        tok = self.peek()
-        if tok in ("+", "-"):
-            self.take()
-            inner = self.factor()
-            return inner if tok == "+" else -inner
-        value = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp_tok = self.take()
-            if not exp_tok.isdigit():
-                raise ValueError(f"exponent must be a nonnegative integer, got {exp_tok!r}")
-            value = value ** int(exp_tok)
-        return value
-
-    def atom(self) -> PolyCoeff:
-        tok = self.take()
-        if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parentheses in polynomial expression")
-            return value
-        if tok.isdigit():
-            return PolyCoeff.const(self.n, int(tok))
-        if tok.startswith("w"):
-            idx = int(tok[1:])
-            if not 1 <= idx <= theta_index(self.n):
-                raise ValueError(f"variable {tok} out of range for H^{self.n}")
-            return PolyCoeff.var(self.n, idx)
-        raise ValueError(f"unexpected token {tok!r} in polynomial expression")
-
-
-def parse_poly_expression(n: int, text: str) -> PolyCoeff:
-    """Parse an expression in w1..w_{2n+1} with +, -, *, /, ^ and parentheses."""
-    return _ExprParser(n, _tokenize(text)).parse()
-
-
 def _split_top_level(text: str, sep: str) -> list[str]:
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
@@ -511,7 +391,7 @@ def parse_map(text: str, n: int) -> SmoothMap:
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError("poly literal needs bracketed components, e.g. poly:[w1, w2, 2*w3]")
         parts = _split_top_level(body[1:-1], ",")
-        comps = tuple(parse_poly_expression(n, part) for part in parts)
+        comps = tuple(PolyCoeff.from_text(n, part) for part in parts)
         return SmoothMap(n, comps, description=text)
     raise ValueError(
         f"unrecognized map literal {text!r}; expected dilation:, translate:, "

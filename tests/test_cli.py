@@ -206,12 +206,27 @@ def test_commute_rejects_bad_literal(runner):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("literal, n", [("dilation:r=1/0", "1"), ("translate:q=1/0,0,0,0,0", "2")])
+@pytest.mark.parametrize(
+    "literal, n",
+    [("dilation:r=1/0", "1"), ("translate:q=1/0,0,0,0,0", "2"), ("poly:[w1, w2, w3/0]", "1")],
+)
 def test_commute_rejects_zero_denominator(runner, literal, n):
     result = runner.invoke(main, ["commute", "--map", literal, "--n", n])
     assert result.exit_code == 2
     assert "zero denominator" in result.stderr
     assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+
+
+@pytest.mark.parametrize(
+    "component",
+    ["(" * 1200 + "w1" + ")" * 1200, "-" * 3000 + "w1"],
+    ids=["parentheses", "signs"],
+)
+def test_commute_rejects_deep_nesting(runner, component):
+    result = runner.invoke(main, ["commute", "--map", f"poly:[{component}, w2, w3]", "--n", "1"])
+    assert result.exit_code == 2
+    assert "nested too deeply" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a RecursionError
 
 
 @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--degree", "-1")])

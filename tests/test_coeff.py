@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heiscalc.coeff import Point, PolyCoeff, evaluate_at
-from heiscalc.frame import Form, all_blades, exterior_derivative
+from heiscalc.contact import parse_map
+from heiscalc.frame import Form, all_blades, exterior_derivative, form_from_json
 
 
 def _poly_terms(n: int, max_degree: int = 2, max_terms: int = 3):
@@ -338,6 +339,33 @@ def test_from_text_rejects_bad_input():
         PolyCoeff.from_text(1, "1/1·w4^1")  # w4 needs n >= 2
     with pytest.raises(ValueError, match="zero denominator"):
         PolyCoeff.from_text(1, "1/0·w1")
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(n=2), polys(n=2), polys(n=2))
+def test_from_text_agrees_with_arithmetic(a, b, c):
+    text = f"({a.to_text()}) * ({b.to_text()}) - ({c.to_text()})"
+    assert PolyCoeff.from_text(2, text) == a * b - c
+    assert PolyCoeff.from_text(2, f"-({a.to_text()})^2") == -(a ** 2)
+
+
+# Eight characters keep the worst power, such as 9^999999, under a second;
+# longer powers grow without bound (see CHANGES.md).
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789w+-*/^()· x", max_size=8))
+def test_parser_raises_only_value_error(text):
+    """Any text either parses or raises ValueError, alone and as a map component."""
+    for parse in (lambda: PolyCoeff.from_text(1, text), lambda: parse_map(f"poly:[{text}, w2, w3]", 1)):
+        try:
+            parse()
+        except ValueError:
+            pass
+
+
+def test_form_from_json_reads_the_poly_grammar():
+    data = {"n": 1, "degree": 0, "terms": [{"blade": [], "coeff": "1/2·w1^1 - w2"}]}
+    w1, w2 = PolyCoeff.var(1, 1), PolyCoeff.var(1, 2)
+    assert form_from_json(data) == Form.function(w1.scale(Fraction(1, 2)) - w2)
 
 
 # -- points -------------------------------------------------------------

@@ -458,25 +458,30 @@ def test_commute_check_detects_a_broken_operator(monkeypatch):
 
 
 def test_commute_computes_each_A_coefficient_once(monkeypatch):
-    # contactness is read from the cached frame matrix, so neither the
-    # per-degree gate nor the per-trial pullback gates recompute A(j, f)
+    # contactness is read from the cached frame matrix, whose A row is
+    # built from its own horizontal rows: neither the per-degree gate,
+    # the per-trial pullback gates nor A(j, f) itself recompute any
+    # frame derivative W_j f^l
     import heiscalc.contact as contact_mod
 
     calls = {}
-    real = contact_mod.A_coefficient
+    real = contact_mod.frame_apply
 
-    def counting(j, f):
-        calls[(id(f), j)] = calls.get((id(f), j), 0) + 1
-        return real(j, f)
+    def counting(j, p):
+        calls[(j, id(p))] = calls.get((j, id(p)), 0) + 1
+        return real(j, p)
 
-    monkeypatch.setattr(contact_mod, "A_coefficient", counting)
+    monkeypatch.setattr(contact_mod, "frame_apply", counting)
     n = 2
+    dim = 2 * n + 1
     f = parse_map("compose:translate:q=1,-2,1,3,1/2;dilation:r=2", n)
     assert is_contact(f)
     for k in range(0, 2 * n + 1):
         report = commute_check(f, k, trials=2, seed=7, degree=2)
         assert report["passed"], report["counterexample"]
-    assert sorted(j for _, j in calls) == list(range(1, 2 * n + 2))
+    assert A_coefficient(dim, f) == _const(n, 4)
+    assert lambda_coefficient(1, f) == lambda_coefficient(2, f) == _const(n, 4)
+    assert set(calls) == {(j, id(c)) for j in range(1, dim + 1) for c in f.components}
     assert max(calls.values()) == 1
 
 
