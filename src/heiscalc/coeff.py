@@ -37,14 +37,6 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-def _parse_fraction(text: str) -> Fraction:
-    """A rational from text such as "3", "-1/2" or "0.25"; ValueError if malformed."""
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
-
-
 def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"ambient parameter n must be >= 1, got {n}")
@@ -280,14 +272,15 @@ class PolyCoeff:
     def __pow__(self, power: int) -> PolyCoeff:
         if not isinstance(power, int) or power < 0:
             raise ValueError(f"polynomial powers must be non-negative integers, got {power}")
-        result = PolyCoeff.const(self.n, 1)
+        result = None
         base = self
         while power:
             if power & 1:
-                result = result * base
-            base = base * base if power > 1 else base
+                result = base if result is None else result * base
             power >>= 1
-        return result
+            if power:
+                base = base * base
+        return PolyCoeff.const(self.n, 1) if result is None else result
 
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other) if not isinstance(other, PolyCoeff) else other
@@ -351,20 +344,12 @@ class PolyCoeff:
             total += term
         return total
 
-    def substitute(
-        self,
-        components: Sequence[PolyCoeff],
-        powers: list[dict[int, PolyCoeff]] | None = None,
-    ) -> PolyCoeff:
+    def substitute(self, components: Sequence[PolyCoeff]) -> PolyCoeff:
         """Compose: plug the given polynomials in for w1..w_{2n+1}.
 
         The replacement polynomials may live in a different ambient
-        dimension; they must all share one.  `powers` memoizes
-        components[i] ** e in powers[i][e]; a caller that substitutes
-        the same components many times (a map's pullback) passes one
-        table for all of them, and a fresh table is used otherwise.
-        A table holds components[i] itself at powers[i][1], so one
-        filled from other components is refused with ValueError.
+        dimension; they must all share one.  Each power of a component
+        is taken once per call.
         """
         width = 2 * self.n + 1
         if len(components) != width:
@@ -373,29 +358,16 @@ class PolyCoeff:
         for comp in components:
             if comp.n != m:
                 raise ValueError("replacement polynomials disagree on ambient dimension")
-        if powers is None:
-            powers = [{1: comp} for comp in components]
-        else:
-            if len(powers) != width:
-                raise ValueError(f"expected {width} power tables, got {len(powers)}")
-            for cache, comp in zip(powers, components):
-                if cache.setdefault(1, comp) is not comp:
-                    raise ValueError("power table was filled from different components")
-
-        def power(idx: int, e: int) -> PolyCoeff:
-            cache = powers[idx]
-            value = cache.get(e)
-            if value is None:
-                value = cache[e] = power(idx, e - 1) * components[idx]
-            return value
-
         one = PolyCoeff._from_clean(m, {(0,) * (2 * m + 1): 1})
+        powers: dict[tuple[int, int], PolyCoeff] = {}
         pairs = []
         for exps, c in self.num.items():
             term = one
             for idx, e in enumerate(exps):
                 if e:
-                    factor = power(idx, e)
+                    factor = powers.get((idx, e))
+                    if factor is None:
+                        factor = powers[idx, e] = components[idx] ** e
                     term = factor if term is one else term * factor
             pairs.append((c, term))
         return PolyCoeff.combine(m, pairs, self.den)
@@ -434,6 +406,22 @@ class PolyCoeff:
 # Nesting, a parenthesis or a unary sign, deeper than this is refused
 # with ValueError before the recursive descent can exhaust the stack.
 _MAX_DEPTH = 100
+# A power whose result could exceed this size, in terms times bits per
+# coefficient, is refused with ValueError before it is expanded.
+_MAX_POWER_SIZE = 1 << 20
+
+
+def _power_size(base: PolyCoeff, e: int) -> int:
+    """An upper bound on the size of base ** e.  For t terms of degree
+    at most d in v variables it has at most C(e + t - 1, t - 1) and at
+    most C(e d + v, v) terms, and no numerator or denominator above
+    max(sum |num|, den) ** e."""
+    t = len(base.num)
+    terms = 1
+    if t > 1:
+        v = sum(map(any, zip(*base.num)))
+        terms = min(math.comb(e + t - 1, t - 1), math.comb(e * base.total_degree() + v, v))
+    return terms * e * max(sum(map(abs, base.num.values())), base.den).bit_length()
 
 
 def _tokenize(text: str) -> list[str]:
@@ -533,7 +521,10 @@ class _ExprParser:
                 exp_tok = self.take()
                 if not exp_tok.isdigit():
                     raise ValueError(f"exponent must be a nonnegative integer, got {exp_tok!r}")
-                value = value ** int(exp_tok)
+                e = int(exp_tok)
+                if _power_size(value, e) > _MAX_POWER_SIZE:
+                    raise ValueError("power too large to expand in polynomial expression")
+                value = value ** e
         self.depth -= 1
         return value
 

@@ -24,19 +24,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _parse_fraction
+from .coeff import PolyCoeff, Point, Scalar, _as_fraction
 from .frame import Blade, Form, _sum_columns, form_to_json, frame_apply, theta_index
 from .rumin import (
-    D_second_order,
     QuotientClass,
-    basis_J,
-    basis_quotient,
-    d_Q_high,
-    d_Q_low,
+    _random_chain_input,
+    _result_form,
     in_subspace,
     project_quotient,
+    rumin_operator,
 )
-from .sampling import random_combination, seeded_rng
+from .sampling import seeded_rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +43,7 @@ class SmoothMap:
 
     A map lazily owns the tables every pullback through it shares, each
     filled on first use and kept for the map's lifetime: the frame
-    matrix, the coframe images f* theta_m, the component powers
-    `PolyCoeff.substitute` memoizes, the blade images
+    matrix, the coframe images f* theta_m, the blade images
     f* theta_{i1} ^ ... ^ f* theta_{ik}, and the monomial images
     w^e o f.  The components are fixed, so no entry ever goes stale;
     the tables are per map, never shared between maps.
@@ -108,14 +105,6 @@ class SmoothMap:
         )
 
     @cached_property
-    def _powers(self) -> list[dict[int, PolyCoeff]]:
-        """The table `PolyCoeff.substitute` memoizes component powers in.
-
-        Filled on demand and shared by every pullback through this map.
-        """
-        return [{} for _ in self.components]
-
-    @cached_property
     def _blade_images(self) -> dict[Blade, Form]:
         """blade -> f* theta_{i1} ^ ... ^ f* theta_{ik}, filled by `_blade_image`.
 
@@ -145,7 +134,7 @@ class SmoothMap:
         image = self._monomial_images.get(exps)
         if image is None:
             monomial = PolyCoeff._from_clean(self.n, {exps: 1})
-            image = monomial.substitute(self.components, self._powers)
+            image = monomial.substitute(self.components)
             self._monomial_images[exps] = image
         return image
 
@@ -354,6 +343,14 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return parts
 
 
+def _parse_rational(text: str, n: int) -> Fraction:
+    """A constant in the polynomial grammar, such as "3" or "-1/2"."""
+    value = PolyCoeff.from_text(n, text)
+    if value.total_degree() > 0:
+        raise ValueError(f"expected a rational number, got {text.strip()!r}")
+    return Fraction(sum(value.num.values()), value.den)
+
+
 def parse_map(text: str, n: int) -> SmoothMap:
     """Build a map from a literal.
 
@@ -369,12 +366,12 @@ def parse_map(text: str, n: int) -> SmoothMap:
         body = text[len("dilation:"):].strip()
         if not body.startswith("r="):
             raise ValueError(f"dilation literal must look like dilation:r=2, got {text!r}")
-        return builtin_dilation(_parse_fraction(body[2:]), n)
+        return builtin_dilation(_parse_rational(body[2:], n), n)
     if text.startswith("translate:"):
         body = text[len("translate:"):].strip()
         if not body.startswith("q="):
             raise ValueError(f"translation literal must look like translate:q=1,0,0, got {text!r}")
-        coords = [_parse_fraction(part) for part in body[2:].split(",")]
+        coords = [_parse_rational(part, n) for part in body[2:].split(",")]
         return builtin_left_translation(coords, n)
     if text.startswith("compose:"):
         body = text[len("compose:"):]
@@ -403,14 +400,14 @@ def parse_map(text: str, n: int) -> SmoothMap:
 # Commutation harness
 
 
-def commute_check(
-    f: SmoothMap,
-    k: int,
-    n: int | None = None,
-    trials: int = 50,
-    seed: int = 42,
-    degree: int = 3,
-) -> dict:
+def _pullback_chain(f: SmoothMap, value: QuotientClass | Form) -> QuotientClass | Form:
+    """f* of a Rumin chain element: a quotient class or a form in J^k."""
+    if isinstance(value, QuotientClass):
+        return pullback_quotient(f, value)
+    return pullback_J(f, value)
+
+
+def commute_check(f: SmoothMap, k: int, trials: int = 50, seed: int = 42, degree: int = 3) -> dict:
     """Verify that pullback by a contact map commutes with the Rumin operator at degree k.
 
     Samples seeded random polynomial inputs (quotient classes for
@@ -418,9 +415,7 @@ def commute_check(
     operator-then-pullback symbolically, and reports exact equality or
     the first counterexample.
     """
-    n = f.n if n is None else n
-    if n != f.n:
-        raise ValueError(f"map lives in H^{f.n}, requested n={n}")
+    n = f.n
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree k={k} out of range 0..{2 * n}")
     if trials < 1:
@@ -428,39 +423,17 @@ def commute_check(
     _require_contact(f)
 
     rng = seeded_rng(seed)
-    if k < n:
-        operator = f"d_Q({k})"
-    elif k == n:
-        operator = "D"
-    else:
-        operator = f"d_Q({k})"
     counterexample = None
     for trial in range(trials):
-        if k <= n:
-            sample = random_combination(rng, basis_quotient(k, n).elements, degree)
-            cls = project_quotient(sample, k=k, n=n)
-            if k < n:
-                lhs_cls = pullback_quotient(f, d_Q_low(cls))
-                rhs_cls = d_Q_low(pullback_quotient(f, cls))
-                agree = lhs_cls == rhs_cls
-                lhs_form, rhs_form = lhs_cls.representative, rhs_cls.representative
-            else:
-                lhs_form = pullback_J(f, D_second_order(cls))
-                rhs_form = D_second_order(pullback_quotient(f, cls))
-                agree = (lhs_form - rhs_form).is_zero()
-            input_form = cls.representative
-        else:
-            sample = random_combination(rng, basis_J(k, n).elements, degree)
-            lhs_form = pullback_J(f, d_Q_high(sample))
-            rhs_form = d_Q_high(pullback_J(f, sample))
-            agree = (lhs_form - rhs_form).is_zero()
-            input_form = sample
-        if not agree:
+        value = _random_chain_input(rng, n, k, degree)
+        lhs = _pullback_chain(f, rumin_operator(value))
+        rhs = rumin_operator(_pullback_chain(f, value))
+        if lhs != rhs:
             counterexample = {
                 "trial": trial,
-                "input": form_to_json(input_form),
-                "pullback_then_operator": form_to_json(rhs_form),
-                "operator_then_pullback": form_to_json(lhs_form),
+                "input": form_to_json(_result_form(value)),
+                "pullback_then_operator": form_to_json(_result_form(rhs)),
+                "operator_then_pullback": form_to_json(_result_form(lhs)),
             }
             break
     return {
@@ -468,7 +441,7 @@ def commute_check(
         "map": f.label(),
         "n": n,
         "k": k,
-        "operator": operator,
+        "operator": "D" if k == n else f"d_Q({k})",
         "trials": trials,
         "seed": seed,
         "passed": counterexample is None,

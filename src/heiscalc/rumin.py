@@ -617,10 +617,10 @@ def _d0_pseudo_inverse(n: int, k: int) -> _ConstOp:
     return _block_op(_blade_tuple(n, k + 1), pieces)
 
 
-def d0_inverse(beta: Form, source_degree: int | None = None) -> Form:
-    """Apply the pseudo-inverse of d0 at the given source degree."""
+def d0_inverse(beta: Form) -> Form:
+    """Apply the pseudo-inverse of d0, from degree beta.degree to one below."""
     n = beta.n
-    k = beta.degree - 1 if source_degree is None else source_degree
+    k = beta.degree - 1
     if k < 0 or beta.is_zero():
         return Form.zero(n, max(k, 0))
     return _apply(_d0_pseudo_inverse(n, k), beta, k)
@@ -634,7 +634,7 @@ def d0_corrector(alpha: Form) -> Form:
     two values, so its square vanishes.
     """
     difference = exterior_derivative(alpha) - d0_part(alpha)
-    return d0_inverse(difference, alpha.degree)
+    return d0_inverse(difference)
 
 
 _P_SERIES_CAP = 16
@@ -656,7 +656,7 @@ def Q_apply(alpha: Form) -> Form:
     """Q = P d0^{-1}, mapping degree k to k-1; zero on degree 0."""
     if alpha.degree == 0:
         return Form.zero(alpha.n, 0)
-    return P_apply(d0_inverse(alpha, alpha.degree - 1))
+    return P_apply(d0_inverse(alpha))
 
 
 def Pi_E(alpha: Form) -> Form:

@@ -14,27 +14,23 @@ from .coeff import PolyCoeff
 from .frame import Blade, Form, _blade_tuple, _sum_columns
 
 COEFF_RANGE = (-5, 5)
+MAX_TERMS = 4
 
 
 def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def random_poly(
-    rng: random.Random,
-    n: int,
-    max_degree: int = 3,
-    max_terms: int = 4,
-    coeff_range: tuple[int, int] = COEFF_RANGE,
-) -> PolyCoeff:
-    """A random integer polynomial in w_1..w_{2n+1} of bounded degree."""
+def random_poly(rng: random.Random, n: int, max_degree: int = 3) -> PolyCoeff:
+    """A random integer polynomial in w_1..w_{2n+1} of bounded degree:
+    up to MAX_TERMS terms with coefficients drawn from COEFF_RANGE."""
     width = 2 * n + 1
     terms: dict[tuple[int, ...], int] = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, MAX_TERMS)):
         exponents = [0] * width
         for _ in range(rng.randint(0, max_degree)):
             exponents[rng.randrange(width)] += 1
-        value = rng.randint(*coeff_range)
+        value = rng.randint(*COEFF_RANGE)
         key = tuple(exponents)
         terms[key] = terms.get(key, 0) + value
     return PolyCoeff._from_clean(n, {key: value for key, value in terms.items() if value})

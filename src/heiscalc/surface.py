@@ -16,10 +16,10 @@ Root finding is the one deliberately numeric corner of the package
 symbolic machinery still owns the normal-conversion formulas, which
 accept polynomial components and are checked symbolically.
 
-The Mobius strip is glued with a half twist, gamma(2 pi, s) =
-gamma(0, -s), so its seam is not plain r-periodicity and the scan
-treats the closed parameter rectangle instead, merging the two
-parameter preimages of a seam root by their ambient images.
+The scan samples the closed parameter rectangle, so a root on a seam
+is seen on both edge columns, and the two parameter preimages are
+merged by their ambient images.  This covers plain r-periodicity and
+the Mobius strip's half twist, gamma(2 pi, s) = gamma(0, -s), alike.
 """
 
 from __future__ import annotations
@@ -97,10 +97,8 @@ class ParamSurface:
 
     Evaluators must accept scalars or numpy arrays.  Partials are
     validated against central finite differences on construction, so a
-    surface that exists is internally consistent.  `periodic` marks
-    plain periodicity of the first parameter; identifications that flip
-    the second parameter (the Mobius seam) are not periodic in this
-    sense and rely on the scan sampling the closed rectangle.
+    surface that exists is internally consistent.  Seams need no
+    declaration: the scan samples the closed rectangle.
     """
 
     r_range: tuple[float, float]
@@ -108,7 +106,6 @@ class ParamSurface:
     gamma: Callable
     gamma_r: Callable
     gamma_s: Callable
-    periodic: bool = False
     name: str = "surface"
 
     def __post_init__(self) -> None:
@@ -177,9 +174,9 @@ def mobius_surface(R: float, w: float) -> ParamSurface:
 
     gamma(r, s) = ([R + s cos(r/2)] cos r, [R + s cos(r/2)] sin r, s sin(r/2))
     on [0, 2 pi] x [-w, w].  The partials are analytic, not finite
-    differences.  The strip closes with a half twist, so `periodic` is
-    False; seam roots are caught on the sampled r = 0 and r = 2 pi
-    columns and merged by ambient position.
+    differences.  The strip closes with a half twist; seam roots are
+    caught on the sampled r = 0 and r = 2 pi columns and merged by
+    ambient position.
     """
     if not 0 < w < R:
         raise ValueError(f"need 0 < w < R, got R={R}, w={w}")
@@ -212,7 +209,6 @@ def mobius_surface(R: float, w: float) -> ParamSurface:
         gamma=gamma,
         gamma_r=gamma_r,
         gamma_s=gamma_s,
-        periodic=False,
         name=f"mobius:R={R},w={w}",
     )
 
@@ -259,18 +255,14 @@ def scan_grid(surface: ParamSurface, grid: tuple[int, int]) -> dict:
     """Evaluate the normal components on the full parameter grid.
 
     Returns arrays r, s (1-D nodes) and N1, N2, N3 (2-D, indexed [i_r, i_s]).
-    Periodic surfaces get half-open r nodes; otherwise the closed
-    interval is sampled so seam columns are seen exactly.
+    Both closed intervals are sampled, so seam columns are seen exactly.
     """
     n_r, n_s = grid
     if n_r < 2 or n_s < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
     r0, r1 = surface.r_range
     s0, s1 = surface.s_range
-    if surface.periodic:
-        r_nodes = r0 + (r1 - r0) * np.arange(n_r) / n_r
-    else:
-        r_nodes = np.linspace(r0, r1, n_r)
+    r_nodes = np.linspace(r0, r1, n_r)
     s_nodes = np.linspace(s0, s1, n_s)
     rr, ss = np.meshgrid(r_nodes, s_nodes, indexing="ij")
     normal = surface_normal(surface)
@@ -329,11 +321,10 @@ def find_characteristic_points(
     Sign-change cells of the grid scan seed a 2-D Newton iteration
     (central finite-difference Jacobian, step 1e-6).  Converged roots
     are kept when they land inside the parameter domain, deduplicated
-    within 1e-6 in parameters (circular in r for periodic surfaces) and
-    by ambient position, and flagged as boundary points when |s| is
-    within tol of the strip edge.  Non-convergent candidates are
-    returned in `failures` rather than dropped, and the scanned grid is
-    returned in `grid`.
+    within 1e-6 in parameters and by ambient position, and flagged as
+    boundary points when |s| is within tol of the strip edge.
+    Non-convergent candidates are returned in `failures` rather than
+    dropped, and the scanned grid is returned in `grid`.
     """
     n_r, n_s = grid
     if n_r < 64 or n_s < 64:
@@ -346,18 +337,11 @@ def find_characteristic_points(
 
     candidates = _sign_span(n1) & _sign_span(n2)
     cells = [(int(i), int(j)) for i, j in zip(*np.nonzero(candidates))]
-    if surface.periodic:
-        # One extra column of cells joins the last node back to the first.
-        wrap_n1 = np.stack([n1[-1, :], n1[0, :]])
-        wrap_n2 = np.stack([n2[-1, :], n2[0, :]])
-        wrap = (_sign_span(wrap_n1) & _sign_span(wrap_n2))[0]
-        cells.extend((n_r - 1, int(j)) for j in np.nonzero(wrap)[0])
 
     normal = surface_normal(surface)
     r0, r1 = surface.r_range
     s0, s1 = surface.s_range
-    period = r1 - r0
-    dr = float(r_nodes[1] - r_nodes[0]) if len(r_nodes) > 1 else period
+    dr = float(r_nodes[1] - r_nodes[0])
     ds = float(s_nodes[1] - s_nodes[0])
 
     margin = 1e-6
@@ -373,8 +357,6 @@ def find_characteristic_points(
                  "reason": "newton did not converge"}
             )
             continue
-        if surface.periodic:
-            r = r0 + (r - r0) % period
         if not (r0 - margin <= r <= r1 + margin and s0 - margin <= s <= s1 + margin):
             continue
         boundary = min(abs(s - s0), abs(s - s1)) <= tol
@@ -386,10 +368,7 @@ def find_characteristic_points(
     for p in points:
         duplicate = False
         for q in kept:
-            dr_abs = abs(p.r - q.r)
-            if surface.periodic:
-                dr_abs = min(dr_abs, period - dr_abs)
-            if dr_abs <= 1e-6 and abs(p.s - q.s) <= 1e-6:
+            if abs(p.r - q.r) <= 1e-6 and abs(p.s - q.s) <= 1e-6:
                 duplicate = True
                 break
             if max(abs(a - b) for a, b in zip(p.ambient, q.ambient)) <= 1e-6:

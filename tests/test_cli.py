@@ -229,6 +229,14 @@ def test_commute_rejects_deep_nesting(runner, component):
     assert isinstance(result.exception, SystemExit)  # a usage error, not a RecursionError
 
 
+def test_commute_rejects_a_non_contact_high_power(runner):
+    literal = "compose:poly:[w1^1200, w2, w3];identity"
+    result = runner.invoke(main, ["commute", "--map", literal, "--n", "1"])
+    assert result.exit_code == 2
+    assert "is not contact" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a RecursionError
+
+
 @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--degree", "-1")])
 def test_commute_rejects_bad_sampling_sizes(runner, option, value):
     result = runner.invoke(main, ["commute", "--map", "dilation:r=2", "--n", "1", option, value])

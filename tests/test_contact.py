@@ -259,8 +259,8 @@ def _assert_tables_hold_their_own_images(f: SmoothMap) -> None:
 
 
 def test_pullback_tables_stay_with_their_map():
-    # Two maps alternate over the same forms; each keeps its own power
-    # table, coframe, blade and monomial images, so neither may see the
+    # Two maps alternate over the same forms; each keeps its own
+    # coframe, blade and monomial images, so neither may see the
     # other's entries.
     n = 2
     rng = seeded_rng(47)
@@ -275,7 +275,7 @@ def test_pullback_tables_stay_with_their_map():
             for f in maps:
                 assert pullback_form(f, alpha) == _fresh_pullback(f, alpha)
     first, second = maps
-    for table in ("_powers", "_blade_images", "_monomial_images"):
+    for table in ("_blade_images", "_monomial_images"):
         assert getattr(first, table) is not getattr(second, table), table
     for f in maps:
         # blades up to degree 3, and the monomials of every coefficient
@@ -409,6 +409,12 @@ def test_parse_map_errors():
         "poly:[w1, w2, w3 / w1]",   # division by a non-constant
         "poly:[w1, w2, 0.5*w3]",    # floats are not exact
         "poly:[w1, w2, 2*]",
+        "poly:[9^99999999, w2, w3]",        # powers too large to expand
+        "poly:[((w1+w2)^99)^99, w2, w3]",
+        "poly:[(w1+1)^99999, w2, w3]",
+        "dilation:r=0.25",                  # one grammar for every rational
+        "translate:q=1e3,0,0",
+        "dilation:r=w1",                    # not a constant
     ):
         with pytest.raises(ValueError):
             parse_map(text, 1)
@@ -443,14 +449,14 @@ def test_commute_dilation_n1(k):
 def test_commute_check_detects_a_broken_operator(monkeypatch):
     # sabotage the low operator with a constant offset; a dilation rescales
     # the offset on one side of the square but not the other
-    import heiscalc.contact as contact_mod
+    import heiscalc.rumin as rumin_mod
     from heiscalc.rumin import QuotientClass, d_Q_low as real
 
     def broken(cls):
         out = real(cls)
         return QuotientClass(out.n, out.k, out.representative + dx(out.n))
 
-    monkeypatch.setattr(contact_mod, "d_Q_low", broken)
+    monkeypatch.setattr(rumin_mod, "d_Q_low", broken)
     report = commute_check(builtin_dilation(2, 1), 0, trials=10, seed=42, degree=3)
     assert not report["passed"]
     assert report["counterexample"] is not None

@@ -704,7 +704,7 @@ def test_d0_inverse_is_exact_pseudo_inverse():
             for blade in all_blades(n, k):
                 a = Form.from_blade(n, blade)
                 image = d0_part(a)
-                back = d0_inverse(image, source_degree=k)
+                back = d0_inverse(image)
                 assert d0_part(back) == image
 
 

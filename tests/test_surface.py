@@ -161,6 +161,24 @@ def test_find_characteristic_points_mobius():
     assert abs(n3) > 1e-3
 
 
+def test_periodic_surface_goes_through_the_closed_scan():
+    # The band traversed twice has period 4 pi in r.  Its one
+    # characteristic point has the parameters (0, s*), (2 pi, -s*) and
+    # (4 pi, s*); the scan sees them all and reports the point once.
+    R = 0.2
+    band = mobius_surface(R, 0.15)
+    twice = ParamSurface((0.0, 4 * math.pi), band.s_range, band.gamma, band.gamma_r, band.gamma_s)
+    result = find_characteristic_points(twice, grid=(512, 128))
+    _, s_star = mobius_characteristic_closed_form(R)
+    assert not result.failures
+    assert len(result.points) == 1
+    p = result.points[0]
+    assert abs(p.r) < 1e-8
+    assert abs(p.s - s_star) < 1e-8
+    for r, s in ((0.0, s_star), (2 * math.pi, -s_star), (4 * math.pi, s_star)):
+        assert np.allclose(twice.gamma(r, s), p.ambient, atol=1e-12)
+
+
 def test_find_characteristic_points_empty_above_quarter():
     result = find_characteristic_points(mobius_surface(0.5, 0.375), grid=(256, 128))
     assert result.points == ()
