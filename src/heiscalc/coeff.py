@@ -37,6 +37,24 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
+def _decimal(value: int | Fraction) -> str:
+    """str(value) for an int or Fraction of any length.  str() refuses
+    ints past 4,300 digits, so longer ones are written in halves."""
+    if isinstance(value, Fraction):
+        return _decimal(value.numerator) + (f"/{_decimal(value.denominator)}" if value.denominator > 1 else "")
+    half = abs(value).bit_length() * 3 // 20  # at most half the number of digits
+    if half < 2000:
+        return str(value)
+    high, low = divmod(abs(value), 10**half)
+    return ("-" if value < 0 else "") + _decimal(high) + _decimal(low).zfill(half)
+
+
+def _from_decimal(digits: str) -> int:
+    """int(digits) for a run of decimal digits of any length, read in halves."""
+    half = len(digits) // 2
+    return int(digits) if half < 2000 else _from_decimal(digits[:-half]) * 10**half + _from_decimal(digits[-half:])
+
+
 def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"ambient parameter n must be >= 1, got {n}")
@@ -387,7 +405,7 @@ class PolyCoeff:
             return "0/1"
         rendered = []
         for exps, coeff in self.sorted_terms():
-            pieces = [f"{coeff.numerator}/{coeff.denominator}"]
+            pieces = [f"{_decimal(coeff.numerator)}/{_decimal(coeff.denominator)}"]
             pieces.extend(f"w{i + 1}^{e}" for i, e in enumerate(exps) if e)
             rendered.append("·".join(pieces))
         return " + ".join(rendered)
@@ -434,17 +452,11 @@ def _tokenize(text: str) -> list[str]:
         elif ch in "+-*/^()·":
             tokens.append("*" if ch == "·" else ch)
             i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch == "w":
+        elif ch.isdigit() or ch == "w":
             j = i + 1
             while j < len(text) and text[j].isdigit():
                 j += 1
-            if j == i + 1:
+            if j == i + 1 and ch == "w":
                 raise ValueError(f"bad variable at {text[i:]!r}")
             tokens.append(text[i:j])
             i = j
@@ -521,7 +533,7 @@ class _ExprParser:
                 exp_tok = self.take()
                 if not exp_tok.isdigit():
                     raise ValueError(f"exponent must be a nonnegative integer, got {exp_tok!r}")
-                e = int(exp_tok)
+                e = _from_decimal(exp_tok)
                 if _power_size(value, e) > _MAX_POWER_SIZE:
                     raise ValueError("power too large to expand in polynomial expression")
                 value = value ** e
@@ -536,9 +548,9 @@ class _ExprParser:
                 raise ValueError("unbalanced parentheses in polynomial expression")
             return value
         if tok.isdigit():
-            return PolyCoeff.const(self.n, int(tok))
+            return PolyCoeff.const(self.n, _from_decimal(tok))
         if tok.startswith("w"):
-            idx = int(tok[1:])
+            idx = _from_decimal(tok[1:])
             if not 1 <= idx <= 2 * self.n + 1:
                 raise ValueError(f"variable {tok} out of range for H^{self.n}")
             return PolyCoeff.var(self.n, idx)

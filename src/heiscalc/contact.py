@@ -24,12 +24,18 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .coeff import PolyCoeff, Point, Scalar, _as_fraction
+from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _decimal
 from .frame import Blade, Form, _sum_columns, form_to_json, frame_apply, theta_index
 from .rumin import (
     QuotientClass,
+    _check_report,
+    _first_counterexample,
+    _operator_name,
     _random_chain_input,
     _result_form,
+    _suite_report,
+    basis_I,
+    basis_J,
     in_subspace,
     project_quotient,
     rumin_operator,
@@ -287,7 +293,7 @@ def builtin_dilation(r: Scalar, n: int) -> SmoothMap:
         raise ValueError(f"dilation ratio must be positive, got {r}")
     comps = [PolyCoeff.var(n, i).scale(r) for i in range(1, 2 * n + 1)]
     comps.append(PolyCoeff.var(n, theta_index(n)).scale(r * r))
-    return SmoothMap(n, tuple(comps), description=f"dilation:r={r}")
+    return SmoothMap(n, tuple(comps), description=f"dilation:r={_decimal(r)}")
 
 
 def builtin_left_translation(q: Point | Sequence[Scalar], n: int) -> SmoothMap:
@@ -310,7 +316,7 @@ def builtin_left_translation(q: Point | Sequence[Scalar], n: int) -> SmoothMap:
         t_comp = t_comp + PolyCoeff.var(n, n + j).scale(half * coords[j - 1])
         t_comp = t_comp - PolyCoeff.var(n, j).scale(half * coords[n + j - 1])
     comps.append(t_comp)
-    text = ",".join(str(c) for c in coords)
+    text = ",".join(map(_decimal, coords))
     return SmoothMap(n, tuple(comps), description=f"translate:q={text}")
 
 
@@ -418,30 +424,27 @@ def commute_check(f: SmoothMap, k: int, trials: int = 50, seed: int = 42, degree
     n = f.n
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree k={k} out of range 0..{2 * n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _require_contact(f)
-
     rng = seeded_rng(seed)
-    counterexample = None
-    for trial in range(trials):
+
+    def check(trial: int) -> dict | None:
         value = _random_chain_input(rng, n, k, degree)
-        lhs = _pullback_chain(f, rumin_operator(value))
+        lhs = _pullback_chain(f, rumin_operator(value))  # refuses a non-contact map
         rhs = rumin_operator(_pullback_chain(f, value))
         if lhs != rhs:
-            counterexample = {
+            return {
                 "trial": trial,
                 "input": form_to_json(_result_form(value)),
                 "pullback_then_operator": form_to_json(_result_form(rhs)),
                 "operator_then_pullback": form_to_json(_result_form(lhs)),
             }
-            break
+
+    counterexample = _first_counterexample(trials, check)
     return {
         "suite": "pullback-commutation",
         "map": f.label(),
         "n": n,
         "k": k,
-        "operator": "D" if k == n else f"d_Q({k})",
+        "operator": _operator_name(n, k),
         "trials": trials,
         "seed": seed,
         "passed": counterexample is None,
@@ -473,35 +476,17 @@ def verify_subspaces(n: int, seed: int = 42) -> dict:
     Pulls back every basis element of both families of subspaces by
     each built-in map and tests membership with zero residual.
     """
-    from .rumin import basis_I, basis_J
-
     checks = []
     for f in suite_maps(n, seed):
         for kind, basis_fn in (("I", basis_I), ("J", basis_J)):
-            failure = None
-            for k in range(1, 2 * n + 2):
-                for element in basis_fn(k, n).elements:
-                    pulled = pullback_form(f, element)
-                    if not in_subspace(kind, k, n, pulled):
-                        failure = {
-                            "k": k,
-                            "element": form_to_json(element),
-                            "image": form_to_json(pulled),
-                        }
-                        break
-                if failure:
-                    break
-            checks.append(
-                {
-                    "name": f"{f.label()} preserves {kind}",
-                    "passed": failure is None,
-                    "counterexample": failure,
-                }
-            )
-    return {
-        "suite": "subspace-preservation",
-        "n": n,
-        "seed": seed,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-    }
+            elements = [(k, element) for k in range(1, 2 * n + 2) for element in basis_fn(k, n).elements]
+
+            def check(i: int) -> dict | None:
+                k, element = elements[i]
+                pulled = pullback_form(f, element)
+                if not in_subspace(kind, k, n, pulled):
+                    return {"k": k, "element": form_to_json(element), "image": form_to_json(pulled)}
+
+            failure = _first_counterexample(len(elements), check)
+            checks.append(_check_report(f"{f.label()} preserves {kind}", failure))
+    return _suite_report("subspace-preservation", n, seed, checks)

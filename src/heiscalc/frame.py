@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Type, TypeVar, Union
+from typing import Mapping, Sequence, Type, TypeVar, Union
 
-from .coeff import PolyCoeff, Scalar
+from .coeff import PolyCoeff
 
 Blade = tuple[int, ...]
 CoeffLike = Union[PolyCoeff, int, Fraction]

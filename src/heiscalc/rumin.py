@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, lcm
 from typing import Iterator, Literal, NamedTuple, Sequence
 
@@ -45,7 +45,7 @@ from .frame import (
     form_to_json,
     theta_index,
 )
-from .sampling import random_combination, random_poly, seeded_rng
+from .sampling import random_combination, seeded_rng
 
 __all__ = [
     "SubspaceBasis",
@@ -437,16 +437,6 @@ class QuotientClass:
     def is_zero(self) -> bool:
         return self.representative.is_zero()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientClass):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.k == other.k
-            and self.relation == other.relation
-            and self.representative == other.representative
-        )
-
 
 def project_quotient(alpha: Form, k: int | None = None, n: int | None = None) -> QuotientClass:
     """Class of alpha in Omega^k/I^k; representative orthogonal to I^k."""
@@ -688,16 +678,35 @@ def dc_operator(alpha: Form) -> Form:
 
 def _random_chain_input(rng, n: int, k: int, degree: int):
     """A random element of the degree-k chain space (class or J-form)."""
-    if k <= n:
-        basis = basis_quotient(k, n)
-        rep = random_combination(rng, basis.elements, max_degree=degree)
-        return QuotientClass(n, k, rep)
-    basis = basis_J(k, n)
-    return random_combination(rng, basis.elements, max_degree=degree)
+    basis = basis_quotient(k, n) if k <= n else basis_J(k, n)
+    rep = random_combination(rng, basis.elements, max_degree=degree)
+    return QuotientClass(n, k, rep) if k <= n else rep
 
 
 def _result_form(value) -> Form:
     return value.representative if isinstance(value, QuotientClass) else value
+
+
+def _first_counterexample(trials: int, check) -> dict | None:
+    """The first counterexample check(trial) reports for trial = 0, 1, ...,
+    trials - 1, or None.  Nothing is drawn after it, so the seed fixes it."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return next((failure for failure in map(check, range(trials)) if failure is not None), None)
+
+
+def _check_report(name: str, failure: dict | None, **extra) -> dict:
+    return {"name": name, **extra, "passed": failure is None, "counterexample": failure}
+
+
+def _suite_report(suite: str, n: int, seed: int, checks: list[dict], trials: int | None = None) -> dict:
+    report = {"suite": suite, "n": n} if trials is None else {"suite": suite, "n": n, "trials": trials}
+    return {**report, "seed": seed, "passed": all(c["passed"] for c in checks), "checks": checks}
+
+
+def _operator_name(n: int, k: int) -> str:
+    """The Rumin operator leaving degree k: D at the middle, else d_Q(k)."""
+    return "D" if k == n else f"d_Q({k})"
 
 
 def verify_complex(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -> dict:
@@ -707,59 +716,35 @@ def verify_complex(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -
     with polynomial coefficients, and reports exact-zero status with a
     serialized counterexample on failure.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed)
+
+    def check(k: int, trial: int) -> dict | None:
+        start = _random_chain_input(rng, n, k, degree)
+        composed = _result_form(rumin_operator(rumin_operator(start)))
+        if not composed.is_zero():
+            return {"input": form_to_json(_result_form(start)), "residual": form_to_json(composed)}
+
     checks = []
     for k in range(0, 2 * n):
-        name_first = "D" if k == n else f"d_Q({k})"
-        name_second = "D" if k + 1 == n else f"d_Q({k + 1})"
-        name = f"{name_second} o {name_first}"
-        failure = None
-        for _ in range(trials):
-            start = _random_chain_input(rng, n, k, degree)
-            composed = _result_form(rumin_operator(rumin_operator(start)))
-            if not composed.is_zero():
-                failure = {
-                    "input": form_to_json(_result_form(start)),
-                    "residual": form_to_json(composed),
-                }
-                break
-        checks.append({"name": name, "degree": k, "passed": failure is None, "counterexample": failure})
-    return {
-        "suite": "complex-exactness",
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-    }
+        failure = _first_counterexample(trials, partial(check, k))
+        checks.append(_check_report(f"{_operator_name(n, k + 1)} o {_operator_name(n, k)}", failure, degree=k))
+    return _suite_report("complex-exactness", n, seed, checks, trials=trials)
 
 
 def verify_lifting(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -> dict:
     """Check theta ^ d(lift) = 0 and dtheta ^ d(lift) = 0 exactly."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed)
-    theta = contact_form(n)
-    dtheta = d_contact_form(n)
-    failure = None
-    for _ in range(trials):
-        rep = random_combination(rng, basis_quotient(n, n).elements, max_degree=degree)
-        lifted = lift(QuotientClass(n, n, rep))
+    theta, dtheta = contact_form(n), d_contact_form(n)
+
+    def check(trial: int) -> dict | None:
+        cls = _random_chain_input(rng, n, n, degree)
+        lifted = lift(cls)
         differential = exterior_derivative(lifted)
         if not differential.wedge(theta).is_zero() or not differential.wedge(dtheta).is_zero():
-            failure = {"input": form_to_json(rep), "lift": form_to_json(lifted)}
-            break
-    checks = [{"name": "lift lands in J^{n+1}", "passed": failure is None, "counterexample": failure}]
-    return {
-        "suite": "lifting",
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "passed": failure is None,
-        "checks": checks,
-    }
+            return {"input": form_to_json(cls.representative), "lift": form_to_json(lifted)}
+
+    failure = _first_counterexample(trials, check)
+    return _suite_report("lifting", n, seed, [_check_report("lift lands in J^{n+1}", failure)], trials=trials)
 
 
 def verify_dc(n: int, trials: int = 50, seed: int = 42, degree: int = 3) -> dict:
@@ -770,34 +755,18 @@ def verify_dc(n: int, trials: int = 50, seed: int = 42, degree: int = 3) -> dict
     k > n it must act as plain d on J^k.  The k = 2n degree, where d0
     vanishes identically, doubles as the plain-d agreement check.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed)
+
+    def check(k: int, trial: int) -> dict | None:
+        value = _random_chain_input(rng, n, k, degree)
+        alpha = _result_form(value)
+        via_dc = dc_operator(alpha)
+        expected = exterior_derivative(alpha) if k > n else _result_form(rumin_operator(value))
+        if via_dc != expected:
+            return {"input": form_to_json(alpha), "dc": form_to_json(via_dc), "expected": form_to_json(expected)}
+
     checks = []
     for k in range(0, 2 * n + 1):
-        failure = None
-        for _ in range(trials):
-            value = _random_chain_input(rng, n, k, degree)
-            alpha = _result_form(value)
-            via_dc = dc_operator(alpha)
-            if k > n:
-                expected = exterior_derivative(alpha)
-            else:
-                expected = _result_form(rumin_operator(value))
-            if via_dc != expected:
-                failure = {
-                    "input": form_to_json(alpha),
-                    "dc": form_to_json(via_dc),
-                    "expected": form_to_json(expected),
-                }
-                break
-        label = "d" if k > n else ("D" if k == n else f"d_Q({k})")
-        checks.append({"name": f"d_c({k}) = {label}", "degree": k, "passed": failure is None, "counterexample": failure})
-    return {
-        "suite": "dc-agreement",
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-    }
+        failure = _first_counterexample(trials, partial(check, k))
+        checks.append(_check_report(f"d_c({k}) = {'d' if k > n else _operator_name(n, k)}", failure, degree=k))
+    return _suite_report("dc-agreement", n, seed, checks, trials=trials)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -237,12 +238,46 @@ def test_commute_rejects_a_non_contact_high_power(runner):
     assert isinstance(result.exception, SystemExit)  # a usage error, not a RecursionError
 
 
+def test_commute_prints_coefficients_past_4300_digits(runner):
+    # str(int) refuses more than 4,300 digits; the message, and the label
+    # of a contact map, are written without it
+    result = runner.invoke(main, ["commute", "--map", "poly:[9^5000*w1, w2, w3]", "--n", "1"])
+    assert result.exit_code == 2
+    assert "is not contact: A(1, f) = " in result.stderr
+    assert isinstance(result.exception, SystemExit)
+    result = runner.invoke(main, ["commute", "--map", "dilation:r=9^5000", "--n", "1", "--k", "0", "--trials", "1"])
+    assert result.exit_code == 0, result.output
+    digits = result.stdout.splitlines()[0].removeprefix("commutation for dilation:r=").removesuffix(" on H^1:")
+    high, low = divmod(9**5000, 10**772)  # 9^5000 has 4,772 digits
+    assert digits == str(high) + str(low).zfill(772)
+
+
 @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--degree", "-1")])
 def test_commute_rejects_bad_sampling_sizes(runner, option, value):
     result = runner.invoke(main, ["commute", "--map", "dilation:r=2", "--n", "1", option, value])
     assert result.exit_code == 2
     assert "trials must be >= 1 and degree >= 0" in result.stderr
     assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+
+
+# -- outputs pinned by digest ------------------------------------------------------
+
+# SHA-256 of stdout, recorded before the sampled suites shared one runner.
+_PINNED_STDOUT = {
+    "verify --n 2 --trials 20 --format json": "6f61bd8dd53f1706d0ffb801fa32cc49b616eb4ffdf2c1faeb53f29e2346aee4",
+    "verify --n 1 --format text": "ea1e989d8efe9c85b14d062fc7d1e6a0e3956401bb687e30b8ecb5baedef3805",
+    "commute --map dilation:r=2 --n 2 --format json": "d9f0d4083c2c215d3856013dc5d277991bb65bdb24782df8ac915f52b81d0e76",
+    "commute --map compose:dilation:r=1/3;translate:q=1,2,3 --n 1 --format json": (
+        "157828b0518a47c48508945d8fbe3736ecb5749ef9b7c8b23962f1c55eb8e8f3"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_STDOUT))
+def test_stdout_matches_pinned_digest(runner, command):
+    result = runner.invoke(main, command.split(" "))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == _PINNED_STDOUT[command]
 
 
 # -- mobius ----------------------------------------------------------------------

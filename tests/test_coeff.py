@@ -314,6 +314,18 @@ def test_text_round_trip(p):
     assert PolyCoeff.from_text(2, p.to_text()) == p
 
 
+def test_text_round_trip_past_4300_digits():
+    # str(int) and int(str) refuse more than 4,300 digits
+    p = PolyCoeff.var(1, 1).scale(Fraction(9**5000, 7))
+    text = p.to_text()
+    assert text.endswith("/7·w1^1") and len(text) == 4772 + len("/7·w1^1")
+    assert PolyCoeff.from_text(1, text) == p
+    assert PolyCoeff.from_text(1, "9^5000*w1/7") == p
+    q = PolyCoeff.const(1, -(10**5000) - 1)  # zeros where the digits are split
+    assert q.to_text() == "-1" + "0" * 4999 + "1/1"
+    assert PolyCoeff.from_text(1, q.to_text()) == q
+
+
 def test_from_text_accepts_star_and_bare_exponent():
     assert PolyCoeff.from_text(1, "2*w1") == 2 * PolyCoeff.var(1, 1)
     assert PolyCoeff.from_text(1, "1/2·w3") == PolyCoeff.var(1, 3).scale(Fraction(1, 2))

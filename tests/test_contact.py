@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -461,6 +463,36 @@ def test_commute_check_detects_a_broken_operator(monkeypatch):
     assert not report["passed"]
     assert report["counterexample"] is not None
     assert "input" in report["counterexample"]
+
+
+def test_commute_check_failing_report_is_pinned(monkeypatch):
+    # the same sabotage; the whole report, serialized, keeps the digest
+    # it had before the sampled suites shared one runner
+    import heiscalc.rumin as rumin_mod
+    from heiscalc.rumin import QuotientClass, d_Q_low as real
+
+    def broken(cls):
+        out = real(cls)
+        return QuotientClass(out.n, out.k, out.representative + dx(out.n))
+
+    monkeypatch.setattr(rumin_mod, "d_Q_low", broken)
+    report = commute_check(builtin_dilation(2, 1), 0, trials=10, seed=42, degree=3)
+    assert report["counterexample"]["trial"] == 0
+    text = json.dumps(report, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2ff24afbc63a11663b15c4bdf70014569c7a5a74faaa995fe31cdfbee9c9362c"
+    )
+
+
+def test_commute_check_argument_errors_in_order():
+    # k is checked first, then trials, then contactness
+    f = parse_map("poly:[w1, w2, 2*w3]", 1)
+    with pytest.raises(ValueError, match="out of range"):
+        commute_check(f, 3, trials=0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        commute_check(f, 0, trials=0)
+    with pytest.raises(ValueError, match="is not contact"):
+        commute_check(f, 0, trials=1)
 
 
 def test_commute_computes_each_A_coefficient_once(monkeypatch):

@@ -613,6 +613,29 @@ def test_lifting_report():
         assert report["passed"], report
 
 
+def test_first_counterexample_stops_at_the_first_failure():
+    seen = []
+
+    def check(trial):
+        seen.append(trial)
+        return {"trial": trial} if trial >= 2 else None
+
+    assert rumin._first_counterexample(10, check) == {"trial": 2}
+    assert seen == [0, 1, 2]
+    seen.clear()
+    assert rumin._first_counterexample(5, lambda trial: seen.append(trial)) is None
+    assert seen == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        rumin._first_counterexample(0, check)
+    assert seen == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("suite", [verify_complex, verify_lifting, verify_dc])
+def test_suites_reject_zero_trials(suite):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        suite(1, trials=0)
+
+
 def test_rumin_operator_dispatch():
     n = 1
     f = QuotientClass(n, 0, Form.function(_var(n, 1)))
