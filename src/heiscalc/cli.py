@@ -5,8 +5,8 @@ verify (exactness, lifting, subspace and d_c suites), commute
 (pullback commutation for a map literal), mobius (characteristic-point
 scan).  Output is text, CSV, or JSON; rationals stay "p/q" strings in
 JSON so nothing exact is rounded.  Exit codes: 0 success, 1 a
-verification check failed or the mobius scan CSV could not be written,
-2 bad input or precondition.
+verification check failed or a forked worker (verify, commute, the
+mobius scan CSV) failed, 2 bad input or precondition.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import json
 import math
 import os
 import shutil
-from typing import TYPE_CHECKING, NoReturn
+from functools import partial
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn
 
 import click
 
@@ -60,6 +61,108 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# forked parts
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where fork or the affinity mask is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _forked(what: str, parts: list[tuple[str, Callable[[BinaryIO], None]]],
+            tmp_dir: str | None = None) -> Iterator[Callable[[BinaryIO], None]]:
+    """Run each (name, part) of `parts` in a forked worker while the
+    with-block runs in this process.
+
+    Each worker calls its part on an unnamed temporary file in `tmp_dir`
+    and leaves through os._exit, so it never returns into the caller's
+    stack (click, a test runner, a tracer).  The block gets
+    `append_to(out)`, which reaps the workers in order and appends each
+    one's file to `out`; a worker that failed raises a ClickException
+    (exit 1) naming its part.  However the block ends, every worker is
+    reaped and the temporary files vanish with their descriptors.
+    """
+    import tempfile
+
+    workers = []  # [pid, temporary file, name]; pid is None unless a child is running
+
+    def append_to(out: BinaryIO) -> None:
+        for worker in workers:
+            pid, output, name = worker
+            status = os.waitpid(pid, 0)[1]
+            worker[0] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise click.ClickException(
+                    f"{what} failed: the worker for {name} exited with status {code}")
+            output.seek(0)
+            shutil.copyfileobj(output, out)
+
+    try:
+        for name, part in parts:
+            workers.append([None, tempfile.TemporaryFile(dir=tmp_dir), name])
+            pid = os.fork()
+            if pid == 0:
+                _worker(part, workers[-1][1].fileno(), f"{what}: the worker for {name}")
+            workers[-1][0] = pid
+        yield append_to
+    finally:
+        for pid, output, _ in workers:
+            if pid is not None:
+                os.waitpid(pid, 0)
+            output.close()
+
+
+def _worker(part: Callable[[BinaryIO], None], fd: int, label: str) -> NoReturn:
+    # Runs in a forked child and leaves only through os._exit.  The part
+    # gets a write-only handle: a text layer over a readable one would
+    # reset its decoder on every write.
+    status = 1
+    try:
+        with open(fd, "wb", closefd=False) as handle:
+            part(handle)
+        status = 0
+    except BaseException as exc:
+        os.write(2, f"{label}: {exc!r}\n".encode())
+    finally:
+        os._exit(status)
+
+
+def _run_jobs(what: str, jobs: list[tuple[str, Callable]], in_worker: list[int]) -> list:
+    """The results of `jobs`, (name, callable) pairs, in job order.
+
+    With a second CPU the jobs at the indices `in_worker` run in one
+    forked worker while the others run here; otherwise all run here, in
+    order.  The split is fixed, so this process makes the same calls on
+    every run.  Each job seeds its own generator, so no result depends
+    on the split.
+    """
+    import pickle
+
+    def dump(part: list[int], out: BinaryIO) -> None:
+        pickle.dump([jobs[i][1]() for i in part], out)
+
+    every = range(len(jobs))
+    if in_worker and _cpus() > 1:
+        parts = [[i for i in every if i not in in_worker], in_worker]
+    else:
+        parts = [list(every)]
+    out = io.BytesIO()
+    with _forked(what, [(", ".join(jobs[i][0] for i in part), partial(dump, part))
+                        for part in parts[1:]]) as append_to:
+        dump(parts[0], out)
+        append_to(out)
+    out.seek(0)
+    results = {}
+    for part in parts:
+        results.update(zip(part, pickle.load(out)))
+    return [results[i] for i in every]
 
 
 format_option = click.option(
@@ -205,12 +308,16 @@ def verify(ctx, n: int, trials: int, seed: int, degree: int, fmt: str, out: str 
         raise click.UsageError("trials must be >= 1 and degree >= 0")
     from . import contact, rumin
 
-    suites = [
-        rumin.verify_complex(n, trials=trials, seed=seed, degree=degree),
-        rumin.verify_lifting(n, trials=trials, seed=seed, degree=degree),
-        contact.verify_subspaces(n, seed=seed),
-        rumin.verify_dc(n, trials=trials, seed=seed, degree=degree),
+    sampled = {"trials": trials, "seed": seed, "degree": degree}
+    jobs = [
+        ("complex-exactness", partial(rumin.verify_complex, n, **sampled)),
+        ("lifting", partial(rumin.verify_lifting, n, **sampled)),
+        ("subspace-preservation", partial(contact.verify_subspaces, n, seed=seed)),
+        ("dc-agreement", partial(rumin.verify_dc, n, **sampled)),
     ]
+    # The first three cost about what d_c costs alone; d_c, whose d0/P
+    # layers no other suite runs, stays in this process.
+    suites = _run_jobs("verify", jobs, in_worker=[0, 1, 2])
     passed = all(s["passed"] for s in suites)
     payload = {"command": "verify", "n": n, "trials": trials, "seed": seed,
                "passed": passed, "suites": suites}
@@ -274,10 +381,12 @@ def commute(ctx, map_literal: str, n: int, k: int | None, trials: int, seed: int
     if k is not None and not 0 <= k <= 2 * n:
         raise click.UsageError(f"degree k must lie in 0..{2 * n}")
     degrees = [k] if k is not None else list(range(0, 2 * n + 1))
-    reports = [
-        contact.commute_check(f, deg, trials=trials, seed=seed, degree=degree)
+    jobs = [
+        (f"k={deg}", partial(contact.commute_check, f, deg, trials=trials, seed=seed, degree=degree))
         for deg in degrees
     ]
+    # Even k here and odd k in the worker cost about the same.
+    reports = _run_jobs("commute", jobs, in_worker=list(range(1, len(jobs), 2)))
     passed = all(r["passed"] for r in reports)
     payload = {"command": "commute", "map": f.label(), "n": n, "passed": passed,
                "reports": reports}
@@ -346,74 +455,43 @@ def _write_scan_rows(handle, data: dict, lo: int, hi: int) -> None:
 
 def _scan_csv_parts(rows: int) -> int:
     # One part per CPU this process may run on, never more than rows.
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows))
+    return max(1, min(_cpus(), rows))
 
 
 def _write_scan_csv(path: str, data: dict, parts: int | None = None) -> None:
     """Write the scan grid as CSV, formatting contiguous r-row parts in parallel.
 
-    Float reprs dominate the cost, so each part but the first is formatted
-    by a forked worker into an unnamed temporary file next to `path`
-    while this process formats the first straight into `path`; the
-    parts are then appended in order.  `parts` defaults to one per
-    available CPU.  If anything fails, every worker is reaped, the
-    temporary files vanish with their descriptors, and the partial CSV
-    is removed.
+    Float reprs dominate the cost, so each part but the first is
+    formatted by a forked worker (`_forked`) into a temporary file next
+    to `path` while this process formats the first straight into
+    `path`.  The workers start before `path` is opened, so they overlap
+    the truncation of an earlier CSV.  `parts` defaults to one per
+    available CPU.  If anything fails, the partial CSV is removed.
     """
-    import tempfile
-
     rows = len(data["r"])
     if parts is None:
         parts = _scan_csv_parts(rows)
     bounds = [rows * k // parts for k in range(parts + 1)]
-    workers = []  # [pid, temporary file, lo, hi]; pid is None unless a child is running
+    workers = [(f"r-rows {lo}..{hi - 1}", partial(_scan_csv_part, data, lo, hi))
+               for lo, hi in zip(bounds[1:], bounds[2:])]
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            workers.append([None, tempfile.TemporaryFile(dir=os.path.dirname(path) or "."), lo, hi])
-            pid = os.fork()
-            if pid == 0:
-                _scan_csv_worker(workers[-1][1].fileno(), data, lo, hi)
-            workers[-1][0] = pid
-        with open(path, "w") as handle:
-            handle.write("r,s,N1,N2,N3\n")
-            _write_scan_rows(handle, data, 0, bounds[1])
-            handle.flush()
-            for worker in workers:
-                pid, part, lo, hi = worker
-                status = os.waitpid(pid, 0)[1]
-                worker[0] = None
-                code = os.waitstatus_to_exitcode(status)
-                if code != 0:
-                    raise click.ClickException(
-                        f"writing {path} failed: the worker for r-rows {lo}..{hi - 1} "
-                        f"exited with status {code}")
-                part.seek(0)
-                shutil.copyfileobj(part, handle.buffer)
+        with _forked(f"writing {path}", workers, os.path.dirname(path) or ".") as append_to, \
+                open(path, "wb") as out:
+            out.write(b"r,s,N1,N2,N3\n")
+            _scan_csv_part(data, 0, bounds[1], out)
+            append_to(out)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
         raise
-    finally:
-        for pid, part, _, _ in workers:
-            if pid is not None:
-                os.waitpid(pid, 0)
-            part.close()
 
 
-def _scan_csv_worker(fd: int, data: dict, lo: int, hi: int) -> NoReturn:
-    # Runs in a forked child and leaves only through os._exit, so it never
-    # returns into the caller's stack (click, a test runner, a tracer).
-    status = 1
+def _scan_csv_part(data: dict, lo: int, hi: int, out: BinaryIO) -> None:
+    text = io.TextIOWrapper(out, encoding="ascii")
     try:
-        with open(fd, "w", closefd=False) as handle:
-            _write_scan_rows(handle, data, lo, hi)
-        status = 0
-    except BaseException as exc:
-        os.write(2, f"mobius: scan CSV worker for r-rows {lo}..{hi - 1}: {exc!r}\n".encode())
+        _write_scan_rows(text, data, lo, hi)
     finally:
-        os._exit(status)
+        text.detach()  # flushes, and leaves `out` open
 
 
 @main.command()

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _decimal
+from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _check_n, _decimal
 from .frame import Blade, Form, _sum_columns, form_to_json, frame_apply, theta_index
 from .rumin import (
     QuotientClass,
@@ -218,8 +218,18 @@ def _require_contact(f: SmoothMap) -> None:
     for j, a in enumerate(_horizontal_A(f), start=1):
         if not a.is_zero():
             raise ValueError(
-                f"map {f.label()} is not contact: A({j}, f) = {a.to_text()} != 0"
+                f"map {f.label()} is not contact: A({j}, f) = {_brief_text(a)} != 0"
             )
+
+
+def _brief_text(p: PolyCoeff) -> str:
+    """p's text if it has at most 8 terms and every numerator and the
+    denominator fit in 128 bits; otherwise its term count and degree.
+    Decided from sizes, so a huge coefficient is never formatted."""
+    if len(p.num) <= 8 and max(c.bit_length() for c in (p.den, *p.num.values())) <= 128:
+        return p.to_text()
+    terms = len(p.num)
+    return f"<{terms} term{'s' * (terms > 1)} of degree {p.total_degree()}, too long to print>"
 
 
 def pushforward(f: SmoothMap) -> FrameMatrix:
@@ -476,6 +486,7 @@ def verify_subspaces(n: int, seed: int = 42) -> dict:
     Pulls back every basis element of both families of subspaces by
     each built-in map and tests membership with zero residual.
     """
+    _check_n(n)
     checks = []
     for f in suite_maps(n, seed):
         for kind, basis_fn in (("I", basis_I), ("J", basis_J)):

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence, Type, TypeVar, Union
 
-from .coeff import PolyCoeff
+from .coeff import PolyCoeff, _check_n
 
 Blade = tuple[int, ...]
 CoeffLike = Union[PolyCoeff, int, Fraction]
@@ -129,8 +129,7 @@ class _GradedElement:
     __slots__ = ("n", "degree", "coeffs")
 
     def __init__(self, n: int, degree: int, coeffs: Mapping[Blade, CoeffLike] | None = None):
-        if n < 1:
-            raise ValueError(f"ambient parameter n must be >= 1, got {n}")
+        _check_n(n)
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         self.n = n
@@ -179,11 +178,6 @@ class _GradedElement:
     def function(cls: Type[T_], p: PolyCoeff) -> T_:
         """Degree-0 element wrapping a scalar polynomial."""
         return cls(p.n, 0, {(): p})
-
-    def scalar_part(self) -> PolyCoeff:
-        if self.degree != 0:
-            raise ValueError(f"degree-{self.degree} element has no scalar part")
-        return self.coeffs.get((), PolyCoeff.zero(self.n))
 
     # -- linear structure ----------------------------------------------
 

@@ -32,7 +32,7 @@ from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import _linalg
 from ._linalg import Mat, Vec
-from .coeff import PolyCoeff
+from .coeff import PolyCoeff, _check_n
 from .frame import (
     Blade,
     Form,
@@ -716,6 +716,7 @@ def verify_complex(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -
     with polynomial coefficients, and reports exact-zero status with a
     serialized counterexample on failure.
     """
+    _check_n(n)
     rng = seeded_rng(seed)
 
     def check(k: int, trial: int) -> dict | None:
@@ -733,6 +734,7 @@ def verify_complex(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -
 
 def verify_lifting(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -> dict:
     """Check theta ^ d(lift) = 0 and dtheta ^ d(lift) = 0 exactly."""
+    _check_n(n)
     rng = seeded_rng(seed)
     theta, dtheta = contact_form(n), d_contact_form(n)
 
@@ -755,6 +757,7 @@ def verify_dc(n: int, trials: int = 50, seed: int = 42, degree: int = 3) -> dict
     k > n it must act as plain d on J^k.  The k = 2n degree, where d0
     vanishes identically, doubles as the plain-d agreement check.
     """
+    _check_n(n)
     rng = seeded_rng(seed)
 
     def check(k: int, trial: int) -> dict | None:

@@ -280,6 +280,122 @@ def test_stdout_matches_pinned_digest(runner, command):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == _PINNED_STDOUT[command]
 
 
+# -- verify and commute in two parts ----------------------------------------------
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Pids of the workers forked while the test runs, with two CPUs
+    reported whatever the machine has."""
+    from heiscalc import cli
+
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    return forked
+
+
+_SPLIT_COMMANDS = [
+    "verify --n 1 --trials 10",
+    "verify --n 2 --trials 3",
+    "commute --map dilation:r=2 --n 2 --trials 5",
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", _SPLIT_COMMANDS)
+def test_split_does_not_change_stdout(runner, forks, monkeypatch, command, fmt):
+    from heiscalc import cli
+
+    args = command.split(" ") + ["--format", fmt]
+    two_parts = runner.invoke(main, args)
+    assert two_parts.exit_code == 0, two_parts.output
+    assert len(forks) == 1
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    one_part = runner.invoke(main, args)
+    assert one_part.exit_code == 0, one_part.output
+    assert len(forks) == 1  # the one-part run forked nothing
+    assert two_parts.stdout == one_part.stdout
+
+
+def test_failing_report_is_unchanged_from_a_worker(forks, monkeypatch):
+    # the sabotaged commute_check report pinned in test_contact.py, made
+    # in a forked worker and sent back
+    from heiscalc import cli
+    import heiscalc.rumin as rumin_mod
+    from heiscalc.contact import builtin_dilation, commute_check
+    from heiscalc.frame import dx
+    from heiscalc.rumin import QuotientClass, d_Q_low as real
+
+    def broken(cls):
+        out = real(cls)
+        return QuotientClass(out.n, out.k, out.representative + dx(out.n))
+
+    monkeypatch.setattr(rumin_mod, "d_Q_low", broken)
+    job = ("k=0", lambda: commute_check(builtin_dilation(2, 1), 0, trials=10, seed=42, degree=3))
+    [report] = cli._run_jobs("commute", [job], in_worker=[0])
+    assert len(forks) == 1
+    text = json.dumps(report, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2ff24afbc63a11663b15c4bdf70014569c7a5a74faaa995fe31cdfbee9c9362c"
+    )
+
+
+@pytest.mark.parametrize("command", ["verify --n 1 --trials 2",
+                                     "commute --map dilation:r=2 --n 1 --trials 2"])
+def test_failing_worker_exits_one(runner, forks, monkeypatch, command):
+    # the worker runs verify_lifting, or commute's k = 1
+    import heiscalc.contact as contact_mod
+    import heiscalc.rumin as rumin_mod
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(rumin_mod, "verify_lifting", failing)
+    real = contact_mod.commute_check
+    monkeypatch.setattr(contact_mod, "commute_check",
+                        lambda f, k, **kw: failing() if k == 1 else real(f, k, **kw))
+    result = runner.invoke(main, command.split(" "))
+    assert result.exit_code == 1
+    assert len(forks) == 1
+    assert result.stdout == ""
+    name = "complex-exactness, lifting, subspace-preservation" if "verify" in command else "k=1"
+    assert f"the worker for {name} exited with status 1" in result.stderr
+    for pid in forks:  # every worker was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command", ["verify --n 5", "commute --map poly:[w1,w2,2*w3] --n 1"])
+def test_bad_input_exits_two_before_forking(runner, forks, command):
+    result = runner.invoke(main, command.split(" "))
+    assert result.exit_code == 2
+    assert forks == []
+
+
+def test_non_contact_message_stays_short(runner):
+    # A(1, f) has about 477,000 digits here; the message gives its size
+    import time
+
+    literal = "compose:poly:[w1^1000000, w2, w3];dilation:r=3"
+    start = time.perf_counter()
+    result = runner.invoke(main, ["commute", "--map", literal, "--n", "1"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "is not contact: A(1, f) = " in result.stderr
+    assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 1024
+    assert elapsed < 2
+
+
 # -- mobius ----------------------------------------------------------------------
 
 

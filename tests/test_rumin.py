@@ -636,6 +636,18 @@ def test_suites_reject_zero_trials(suite):
         suite(1, trials=0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("suite", ["verify_complex", "verify_lifting", "verify_dc", "verify_subspaces"])
+def test_suites_reject_n_below_one(suite, n):
+    # n is checked before trials, so no suite reports an empty pass
+    from heiscalc import contact
+
+    run = getattr(rumin, suite, None) or getattr(contact, suite)
+    extra = {} if suite == "verify_subspaces" else {"trials": 0}
+    with pytest.raises(ValueError, match=f"ambient parameter n must be >= 1, got {n}"):
+        run(n, **extra)
+
+
 def test_rumin_operator_dispatch():
     n = 1
     f = QuotientClass(n, 0, Form.function(_var(n, 1)))
