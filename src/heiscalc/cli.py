@@ -420,6 +420,11 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     raise ValueError(f"cannot parse grid {spec!r}; expected e.g. 1024x512")
 
 
+# The scan holds three float64 grids and the CSV takes about 100 bytes a
+# node: 2^24 nodes need about 0.6 GB of memory and write 1.7 GB.
+_MAX_GRID_NODES = 2**24
+
+
 def _import_surface():
     # numpy is imported here, not at module level, so the symbolic
     # subcommands start without it.  Its OpenBLAS pool is held to one
@@ -516,6 +521,8 @@ def mobius(ctx, radius: float, half_width: float, grid_spec: str, tol: float,
         raise click.UsageError(str(exc))
     if grid[0] < 64 or grid[1] < 64:
         raise click.UsageError("grid must be at least 64x64")
+    if grid[0] * grid[1] > _MAX_GRID_NODES:
+        raise click.UsageError(f"grid {grid[0]}x{grid[1]} has more than {_MAX_GRID_NODES} nodes")
     if not tol > 0:
         raise click.UsageError("tolerance must be positive")
     if not math.isfinite(tol):

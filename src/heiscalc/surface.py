@@ -95,10 +95,16 @@ class ScanResult:
 class ParamSurface:
     """A parametrized surface (r, s) -> (x, y, t) with numeric partial evaluators.
 
-    Evaluators must accept scalars or numpy arrays.  Partials are
-    validated against central finite differences on construction, so a
-    surface that exists is internally consistent.  Seams need no
-    declaration: the scan samples the closed rectangle.
+    Evaluators must accept scalars, and numpy arrays that broadcast
+    against each other: `scan_grid` passes r as an (rows, 1) column and
+    s as a (1, n_s) row.  Each returned component may be a scalar or an
+    array of any shape that broadcasts to (rows, n_s), so a component
+    that is constant, or depends on one parameter only, need not be
+    spread over the grid by the evaluator.
+
+    Partials are validated against central finite differences on
+    construction, so a surface that exists is internally consistent.
+    Seams need no declaration: the scan samples the closed rectangle.
     """
 
     r_range: tuple[float, float]
@@ -251,11 +257,24 @@ def mobius_characteristic_closed_form(R: float) -> tuple[float, float] | None:
     return (0.0, s)
 
 
+# r-rows per evaluation block of scan_grid: each temporary an evaluator
+# makes is one block in size, not one grid.
+_SCAN_ROWS = 32
+
+
 def scan_grid(surface: ParamSurface, grid: tuple[int, int]) -> dict:
     """Evaluate the normal components on the full parameter grid.
 
-    Returns arrays r, s (1-D nodes) and N1, N2, N3 (2-D, indexed [i_r, i_s]).
-    Both closed intervals are sampled, so seam columns are seen exactly.
+    Returns arrays r, s (1-D nodes) and N1, N2, N3 (2-D of shape
+    (n_r, n_s), indexed [i_r, i_s]).  Both closed intervals are sampled,
+    so seam columns are seen exactly.
+
+    The normal is evaluated on broadcast axes, one block of `_SCAN_ROWS`
+    r-rows at a time: r as a (rows, 1) column, s as a (1, n_s) row.  A
+    factor that depends on r alone is then computed once per r-node, and
+    the temporaries stay one block in size.  Each block is written into
+    preallocated grids, so a component that is constant, or depends on
+    one parameter only, still fills its full 2-D array.
     """
     n_r, n_s = grid
     if n_r < 2 or n_s < 2:
@@ -264,18 +283,30 @@ def scan_grid(surface: ParamSurface, grid: tuple[int, int]) -> dict:
     s0, s1 = surface.s_range
     r_nodes = np.linspace(r0, r1, n_r)
     s_nodes = np.linspace(s0, s1, n_s)
-    rr, ss = np.meshgrid(r_nodes, s_nodes, indexing="ij")
     normal = surface_normal(surface)
-    n1, n2, n3 = normal(rr, ss)
-    return {"r": r_nodes, "s": s_nodes, "N1": np.asarray(n1), "N2": np.asarray(n2), "N3": np.asarray(n3)}
+    n1, n2, n3 = (np.empty((n_r, n_s)) for _ in range(3))
+    s_row = s_nodes[np.newaxis, :]
+    for lo in range(0, n_r, _SCAN_ROWS):
+        rows = slice(lo, lo + _SCAN_ROWS)
+        for dest, values in zip((n1, n2, n3), normal(r_nodes[rows, np.newaxis], s_row)):
+            dest[rows] = values
+    return {"r": r_nodes, "s": s_nodes, "N1": n1, "N2": n2, "N3": n3}
 
 
 def _sign_span(values: np.ndarray) -> np.ndarray:
     # Cell admits a zero if its four corners straddle (or touch) zero.
-    corners = [values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]]
-    lo = np.minimum.reduce(corners)
-    hi = np.maximum.reduce(corners)
-    return (lo <= 0) & (hi >= 0)
+    # The corner extremes are taken pairwise into one reused buffer, so
+    # no stack of the four corner views is ever built.
+    a, b, c, d = values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]
+    ext = np.minimum(a, b)
+    np.minimum(ext, c, out=ext)
+    np.minimum(ext, d, out=ext)
+    span = ext <= 0
+    np.maximum(a, b, out=ext)
+    np.maximum(ext, c, out=ext)
+    np.maximum(ext, d, out=ext)
+    span &= ext >= 0
+    return span
 
 
 def _newton_2d(func: Callable, r: float, s: float, tol: float, max_iter: int = 60) -> tuple[float, float, float, bool]:

@@ -527,6 +527,24 @@ def test_scan_csv_parts_byte_identical(tmp_path, grid, parts):
     assert os.listdir(tmp_path) == ["mobius_scan.csv"]
 
 
+def test_scan_csv_writes_one_axis_components(tmp_path):
+    # The plane t = 0 has the constant normal component N3 = 1.
+    from heiscalc.cli import _write_scan_csv
+    from heiscalc.surface import ParamSurface, scan_grid
+
+    plane = ParamSurface(
+        r_range=(-1.0, 1.0), s_range=(0.0, 1.0),
+        gamma=lambda r, s: (r + 0 * s, s + 0 * r, 0.0 * r * s),
+        gamma_r=lambda r, s: (1.0, 0.0, 0.0 * r),
+        gamma_s=lambda r, s: (0.0, 1.0, 0.0 * s),
+    )
+    data = scan_grid(plane, (64, 64))
+    path = tmp_path / "mobius_scan.csv"
+    _write_scan_csv(str(path), data, 2)
+    assert path.read_bytes() == _reference_scan_csv(data)
+    assert path.read_text().splitlines()[1].endswith(",1.0")
+
+
 def test_scan_csv_parts_follow_affinity(monkeypatch):
     from heiscalc import cli
 
@@ -601,6 +619,44 @@ def test_cli_import_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_mobius_refuses_oversized_grid_before_loading_numpy(tmp_path):
+    # 10^20 nodes: the node bound exits 2 before surface or numpy is
+    # imported, so nothing is allocated and no artifact is written.
+    import heiscalc
+
+    out = tmp_path / "out"
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['heiscalc', 'mobius', '-R', '0.2', '-w', '0.15',"
+        f" '--grid', '10000000000x10000000000', '--out', {str(out)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('heiscalc.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 2, exc.code\n"
+        "loaded = [m for m in ('numpy', 'heiscalc.surface') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(heiscalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Error: grid 10000000000x10000000000 has more than 16777216 nodes\n" in result.stderr
+    assert not out.exists()
+
+
+def test_mobius_grid_node_bound(runner, tmp_path, monkeypatch):
+    from heiscalc import cli
+
+    monkeypatch.setattr(cli, "_MAX_GRID_NODES", 64 * 65)
+    args = ["mobius", "-R", "0.2", "-w", "0.15", "--out", str(tmp_path)]
+    assert runner.invoke(main, [*args, "--grid", "64x65"]).exit_code == 0
+    result = runner.invoke(main, [*args, "--grid", "65x65"])
+    assert result.exit_code == 2
+    assert "has more than 4160 nodes" in result.stderr
 
 
 def test_mobius_leaves_symbolic_layers_unloaded(tmp_path):

@@ -38,32 +38,61 @@ def test_unused_import_detector():
     assert _unused_imports(tree) == ["line 2: Any", "line 1: os"]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _owned_nodes(tree: ast.Module):
+    """(owner, node) for every node of `tree`.  The owner is the
+    module-level function ('f') or the method of a module-level class
+    ('C.m') the node sits in; elsewhere in a class it is the class name,
+    and elsewhere in the module the statement's name or None."""
+    for statement in tree.body:
+        if isinstance(statement, ast.ClassDef):
+            for member in statement.body:
+                owner = (f"{statement.name}.{member.name}" if isinstance(member, _FUNCTIONS)
+                         else statement.name)
+                for node in ast.walk(member):
+                    yield owner, node
+            for part in (*statement.decorator_list, *statement.bases, *statement.keywords):
+                for node in ast.walk(part):
+                    yield statement.name, node
+        else:
+            for node in ast.walk(statement):
+                yield getattr(statement, "name", None), node
+
+
 def _unreferenced_private_functions(trees: dict[str, ast.Module]) -> list[str]:
-    """Private module-level functions that no module of `trees` names
-    outside their own definition."""
-    # (module, top-level definition the name sits in, or None) per name read
+    """Private module-level functions, and private methods of module-level
+    classes, that no module of `trees` reads outside their own definition.
+    A method counts as read by any attribute of its name; assignment
+    targets are not reads."""
+    # (module, owner of the read) per name read
     readers: dict[str, set] = {}
     for module, tree in trees.items():
+        for owner, node in _owned_nodes(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                readers.setdefault(name, set()).add((module, owner))
+    definitions = []  # (module, definition, its owner name)
+    for module, tree in sorted(trees.items()):
         for statement in tree.body:
-            owner = getattr(statement, "name", None)
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Name):
-                    names = [node.id]
-                elif isinstance(node, ast.Attribute):
-                    names = [node.attr]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [alias.name for alias in node.names]
-                else:
-                    continue
-                for name in names:
-                    readers.setdefault(name, set()).add((module, owner))
+            if isinstance(statement, _FUNCTIONS):
+                definitions.append((module, statement, statement.name))
+            elif isinstance(statement, ast.ClassDef):
+                definitions.extend((module, member, f"{statement.name}.{member.name}")
+                                   for member in statement.body if isinstance(member, _FUNCTIONS))
     return [
-        f"{module}: {node.name}"
-        for module, tree in sorted(trees.items())
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and not readers.get(node.name, set()) - {(module, node.name)}
+        f"{module}: {owner}"
+        for module, node, owner in definitions
+        if node.name.startswith("_") and not node.name.startswith("__")
+        and not readers.get(node.name, set()) - {(module, owner)}
     ]
 
 
@@ -77,6 +106,25 @@ def test_unreferenced_private_function_detector():
         "a.py": ast.parse("def _used(): pass\ndef _dead(): return _dead\ndef public(): pass\n"
                           "def __getattr__(name): pass\n"),
         "b.py": ast.parse("from .a import _used as alias\nimport a\ndef _via_attribute(): pass\n"
-                          "a._via_attribute\n"),
+                          "a._via_attribute\ndef _rebound(): pass\n_rebound = None\n"),
     }
-    assert _unreferenced_private_functions(trees) == ["a.py: _dead"]
+    assert _unreferenced_private_functions(trees) == ["a.py: _dead", "b.py: _rebound"]
+
+
+def test_unreferenced_private_method_detector():
+    trees = {
+        "a.py": ast.parse(
+            "class C:\n"
+            "    def _called(self): pass\n"
+            "    def _dead(self): return self._dead()\n"
+            "    def _used_elsewhere(self): pass\n"
+            "    def _called_from_class_body(self): pass\n"
+            "    def __repr__(self): pass\n"
+            "    def run(self):\n"
+            "        def _nested(): pass\n"
+            "        return self._called()\n"
+            "    hook = _called_from_class_body\n"
+        ),
+        "b.py": ast.parse("def public(obj): return obj._used_elsewhere()\nC._dead = None\n"),
+    }
+    assert _unreferenced_private_functions(trees) == ["a.py: C._dead"]

@@ -140,6 +140,95 @@ def test_scan_grid_shapes():
     assert data["r"][-1] == pytest.approx(2 * math.pi)
 
 
+def _meshgrid_scan(surface, grid):
+    # One evaluation on the full np.meshgrid: the independent reference
+    # that the blocked, broadcast scan must match bit for bit.
+    r_nodes = np.linspace(*surface.r_range, grid[0])
+    s_nodes = np.linspace(*surface.s_range, grid[1])
+    rr, ss = np.meshgrid(r_nodes, s_nodes, indexing="ij")
+    return [np.broadcast_to(c, grid) for c in surface_normal(surface)(rr, ss)]
+
+
+@pytest.mark.parametrize("R", [0.18, 0.2, 0.22, 0.3])
+@pytest.mark.parametrize("grid", [(64, 64), (65, 64), (511, 257), (512, 256)])
+def test_scan_grid_matches_full_meshgrid_bits(R, grid):
+    surf = mobius_surface(R, 0.75 * R)
+    data = scan_grid(surf, grid)
+    for key, expected in zip(("N1", "N2", "N3"), _meshgrid_scan(surf, grid)):
+        assert data[key].dtype == np.float64 and data[key].shape == grid
+        assert data[key].tobytes() == np.ascontiguousarray(expected).tobytes(), key
+
+
+# Planes parametrized so that a normal component comes out as a (rows, 1)
+# column, a (1, n_s) row or a scalar on broadcast axes: x = 0 twice, t = 0.
+_ONE_AXIS_PLANES = {
+    "r-only": ParamSurface(
+        r_range=(-1.0, 1.0), s_range=(0.0, 1.0),
+        gamma=lambda r, s: (0.0, r, s + r * r),
+        gamma_r=lambda r, s: (0.0, 1.0, 2 * r),
+        gamma_s=lambda r, s: (0.0, 0.0, 1.0),
+    ),
+    "s-only": ParamSurface(
+        r_range=(-1.0, 1.0), s_range=(0.0, 1.0),
+        gamma=lambda r, s: (0.0, s, r + s * s),
+        gamma_r=lambda r, s: (0.0, 0.0, 1.0),
+        gamma_s=lambda r, s: (0.0, 1.0, 2 * s),
+    ),
+    "constant": ParamSurface(
+        r_range=(-1.0, 1.0), s_range=(0.0, 1.0),
+        gamma=lambda r, s: (r + 0 * s, s + 0 * r, 0.0 * r * s),
+        gamma_r=lambda r, s: (1.0, 0.0, 0.0 * r),
+        gamma_s=lambda r, s: (0.0, 1.0, 0.0 * s),
+    ),
+}
+
+
+@pytest.mark.parametrize("name, low_shape", [("r-only", (5, 1)), ("s-only", (1, 64)),
+                                             ("constant", ())])
+def test_scan_grid_fills_one_axis_components(name, low_shape):
+    surf = _ONE_AXIS_PLANES[name]
+    shapes = {np.shape(c) for c in surface_normal(surf)(np.zeros((5, 1)), np.zeros((1, 64)))}
+    assert low_shape in shapes  # the evaluator really returns a lower-dimensional component
+    for grid in ((64, 64), (65, 64)):
+        data = scan_grid(surf, grid)
+        for key, expected in zip(("N1", "N2", "N3"), _meshgrid_scan(surf, grid)):
+            assert data[key].shape == grid, key
+            assert np.array_equal(data[key], expected), key
+
+
+def _sign_span_reference(values):
+    corners = [values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]]
+    return (np.minimum.reduce(corners) <= 0) & (np.maximum.reduce(corners) >= 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sign_span_matches_corner_reduce(seed):
+    from heiscalc.surface import _sign_span
+
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.5, -0.0, 0.0, 2.0, 1e-300, -1e-300, np.nan], size=(67, 33))
+    values[rng.random(values.shape) < 0.3] *= rng.random()
+    span = _sign_span(values)
+    assert span.shape == (66, 32) and span.dtype == bool
+    assert np.array_equal(span, _sign_span_reference(values))
+
+
+def test_find_peak_memory_stays_under_six_grids():
+    # Three result grids, one corner buffer and the boolean spans; an
+    # evaluation on the full meshgrid needs about 15 grids.
+    import tracemalloc
+
+    surf = mobius_surface(0.2, 0.15)
+    grid = (512, 256)
+    tracemalloc.start()
+    try:
+        find_characteristic_points(surf, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * grid[0] * grid[1] * 8
+
+
 def test_find_characteristic_points_mobius():
     R = 0.2
     result = find_characteristic_points(mobius_surface(R, 0.75 * R), grid=(256, 128))
