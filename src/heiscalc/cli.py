@@ -7,10 +7,15 @@ scan).  Output is text, CSV, or JSON; rationals stay "p/q" strings in
 JSON so nothing exact is rounded.  Exit codes: 0 success, 1 a
 verification check failed or a forked worker (verify, commute, the
 mobius scan CSV) failed, 2 bad input or precondition.
+
+The parser is the standard library's argparse: it loads in a fraction
+of the time a third-party one would, and start-up is a large share of
+each short run.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -18,16 +23,24 @@ import json
 import math
 import os
 import shutil
+import sys
 from functools import partial
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn
-
-import click
 
 if TYPE_CHECKING:
     from .frame import Form
 
 # The symbolic layers (frame, rumin, contact) are imported inside the
 # subcommands that use them, so `mobius` starts without compiling them.
+
+
+class _Failure(Exception):
+    """Ends a command with `Error: <message>` on stderr and exit `code`:
+    2 for bad input, 1 for a failed forked worker."""
+
+    def __init__(self, message: str, code: int) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _form_text(alpha: Form) -> str:
@@ -48,7 +61,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w") as handle:
             handle.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _json_dump(payload) -> str:
@@ -82,10 +95,10 @@ def _forked(what: str, parts: list[tuple[str, Callable[[BinaryIO], None]]],
 
     Each worker calls its part on an unnamed temporary file in `tmp_dir`
     and leaves through os._exit, so it never returns into the caller's
-    stack (click, a test runner, a tracer).  The block gets
+    stack (the command line, a test runner, a tracer).  The block gets
     `append_to(out)`, which reaps the workers in order and appends each
-    one's file to `out`; a worker that failed raises a ClickException
-    (exit 1) naming its part.  However the block ends, every worker is
+    one's file to `out`; a worker that failed raises a _Failure (exit 1)
+    naming its part.  However the block ends, every worker is
     reaped and the temporary files vanish with their descriptors.
     """
     import tempfile
@@ -99,8 +112,8 @@ def _forked(what: str, parts: list[tuple[str, Callable[[BinaryIO], None]]],
             worker[0] = None
             code = os.waitstatus_to_exitcode(status)
             if code != 0:
-                raise click.ClickException(
-                    f"{what} failed: the worker for {name} exited with status {code}")
+                raise _Failure(
+                    f"{what} failed: the worker for {name} exited with status {code}", 1)
             output.seek(0)
             shutil.copyfileobj(output, out)
 
@@ -165,19 +178,6 @@ def _run_jobs(what: str, jobs: list[tuple[str, Callable]], in_worker: list[int])
     return [results[i] for i in every]
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text",
-    show_default=True, help="output format",
-)
-out_option = click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                          default=None, help="write output to a file instead of stdout")
-
-
-@click.group()
-def main() -> None:
-    """Exact Rumin-complex calculator on the Heisenberg group H^n."""
-
-
 # ---------------------------------------------------------------------------
 # dims
 
@@ -190,21 +190,16 @@ def _parse_n_range(spec: str) -> tuple[int, int]:
     else:
         lo = hi = int(spec)
     if not (1 <= lo <= hi <= 8):
-        raise click.UsageError(f"n range must lie within 1..8, got {spec!r}")
+        raise _Failure(f"n range must lie within 1..8, got {spec!r}", 2)
     return lo, hi
 
 
-@main.command()
-@click.option("--n", "n_spec", default="1..5", show_default=True,
-              help="ambient parameter, a single value or a range lo..hi")
-@format_option
-@out_option
 def dims(n_spec: str, fmt: str, out: str | None) -> None:
     """Dimension table of the complex: rows (n, k, dim Omega, dim I, dim quotient)."""
     try:
         lo, hi = _parse_n_range(n_spec)
     except ValueError:
-        raise click.UsageError(f"cannot parse n range {n_spec!r}")
+        raise _Failure(f"cannot parse n range {n_spec!r}", 2)
     from . import rumin
 
     rows = []
@@ -230,18 +225,13 @@ def dims(n_spec: str, fmt: str, out: str | None) -> None:
 # complex
 
 
-@main.command(name="complex")
-@click.option("--n", type=int, required=True, help="ambient parameter (1, 2, 3, or 4)")
-@click.option("--k", type=int, default=None, help="restrict to one degree")
-@format_option
-@out_option
 def complex_cmd(n: int, k: int | None, fmt: str, out: str | None) -> None:
     """Bases of I^k, J^k, and the quotient complement per degree."""
     if n not in (1, 2, 3, 4):
-        raise click.UsageError("complex listing supports n in {1, 2, 3, 4}")
+        raise _Failure("complex listing supports n in {1, 2, 3, 4}", 2)
     top = 2 * n + 1
     if k is not None and not 1 <= k <= top:
-        raise click.UsageError(f"degree k must lie in 1..{top}")
+        raise _Failure(f"degree k must lie in 1..{top}", 2)
     degrees = [k] if k is not None else list(range(1, top + 1))
     from . import rumin
 
@@ -291,21 +281,12 @@ def complex_cmd(n: int, k: int | None, fmt: str, out: str | None) -> None:
 # verify
 
 
-@main.command()
-@click.option("--n", type=int, required=True, help="ambient parameter (1, 2, or 3)")
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--degree", type=int, default=3, show_default=True,
-              help="degree bound for random polynomial coefficients")
-@format_option
-@out_option
-@click.pass_context
-def verify(ctx, n: int, trials: int, seed: int, degree: int, fmt: str, out: str | None) -> None:
+def verify(n: int, trials: int, seed: int, degree: int, fmt: str, out: str | None) -> int:
     """Run the exactness, lifting, subspace-preservation, and d_c suites."""
     if n not in (1, 2, 3):
-        raise click.UsageError("verification suites support n in {1, 2, 3}")
+        raise _Failure("verification suites support n in {1, 2, 3}", 2)
     if trials < 1 or degree < 0:
-        raise click.UsageError("trials must be >= 1 and degree >= 0")
+        raise _Failure("trials must be >= 1 and degree >= 0", 2)
     from . import contact, rumin
 
     sampled = {"trials": trials, "seed": seed, "degree": degree}
@@ -341,45 +322,33 @@ def verify(ctx, n: int, trials: int, seed: int, degree: int, fmt: str, out: str 
                     lines.append(f"    counterexample: {json.dumps(c['counterexample'])}")
         lines.append(f"overall: {'pass' if passed else 'FAIL'}")
         _emit("\n".join(lines) + "\n", out)
-    if not passed:
-        ctx.exit(1)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
 # commute
 
 
-@main.command()
-@click.option("--map", "map_literal", required=True,
-              help='map literal, e.g. "dilation:r=2" or "compose:dilation:r=2;translate:q=1,0,0"')
-@click.option("--n", type=int, required=True, help="ambient parameter (1, 2, or 3)")
-@click.option("--k", type=int, default=None, help="restrict to one degree (default: all)")
-@click.option("--trials", type=int, default=50, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--degree", type=int, default=3, show_default=True)
-@format_option
-@out_option
-@click.pass_context
-def commute(ctx, map_literal: str, n: int, k: int | None, trials: int, seed: int,
-            degree: int, fmt: str, out: str | None) -> None:
+def commute(map_literal: str, n: int, k: int | None, trials: int, seed: int,
+            degree: int, fmt: str, out: str | None) -> int:
     """Check that pullback by a contact map commutes with the Rumin operators."""
     if n not in (1, 2, 3):
-        raise click.UsageError("commutation checks support n in {1, 2, 3}")
+        raise _Failure("commutation checks support n in {1, 2, 3}", 2)
     if trials < 1 or degree < 0:
-        raise click.UsageError("trials must be >= 1 and degree >= 0")
+        raise _Failure("trials must be >= 1 and degree >= 0", 2)
     from . import contact
 
     try:
         f = contact.parse_map(map_literal, n)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise _Failure(str(exc), 2)
     try:
         contact._require_contact(f)
     except ValueError as exc:
-        click.echo(str(exc), err=True)
-        ctx.exit(2)
+        sys.stderr.write(f"{exc}\n")
+        return 2
     if k is not None and not 0 <= k <= 2 * n:
-        raise click.UsageError(f"degree k must lie in 0..{2 * n}")
+        raise _Failure(f"degree k must lie in 0..{2 * n}", 2)
     degrees = [k] if k is not None else list(range(0, 2 * n + 1))
     jobs = [
         (f"k={deg}", partial(contact.commute_check, f, deg, trials=trials, seed=seed, degree=degree))
@@ -404,8 +373,7 @@ def commute(ctx, map_literal: str, n: int, k: int | None, trials: int, seed: int
                 lines.append(f"    counterexample: {json.dumps(r['counterexample'])}")
         lines.append(f"overall: {'pass' if passed else 'FAIL'}")
         _emit("\n".join(lines) + "\n", out)
-    if not passed:
-        ctx.exit(1)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -499,34 +467,25 @@ def _scan_csv_part(data: dict, lo: int, hi: int, out: BinaryIO) -> None:
         text.detach()  # flushes, and leaves `out` open
 
 
-@main.command()
-@click.option("--radius", "-R", type=float, required=True, help="midcircle radius R")
-@click.option("--half-width", "-w", type=float, required=True, help="strip half-width w")
-@click.option("--grid", "grid_spec", default="1024x512", show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True,
-              help="directory receiving mobius_scan.csv and mobius_points.json")
-@format_option
-@click.pass_context
-def mobius(ctx, radius: float, half_width: float, grid_spec: str, tol: float,
+def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
            out: str, fmt: str) -> None:
     """Scan the Mobius strip for characteristic points and write scan artifacts."""
     if not 0 < half_width < radius:
-        raise click.UsageError(f"need 0 < w < R, got R={radius}, w={half_width}")
+        raise _Failure(f"need 0 < w < R, got R={radius}, w={half_width}", 2)
     if not (math.isfinite(radius) and math.isfinite(half_width)):
-        raise click.UsageError(f"R and w must be finite, got R={radius}, w={half_width}")
+        raise _Failure(f"R and w must be finite, got R={radius}, w={half_width}", 2)
     try:
         grid = _parse_grid(grid_spec)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise _Failure(str(exc), 2)
     if grid[0] < 64 or grid[1] < 64:
-        raise click.UsageError("grid must be at least 64x64")
+        raise _Failure("grid must be at least 64x64", 2)
     if grid[0] * grid[1] > _MAX_GRID_NODES:
-        raise click.UsageError(f"grid {grid[0]}x{grid[1]} has more than {_MAX_GRID_NODES} nodes")
+        raise _Failure(f"grid {grid[0]}x{grid[1]} has more than {_MAX_GRID_NODES} nodes", 2)
     if not tol > 0:
-        raise click.UsageError("tolerance must be positive")
+        raise _Failure("tolerance must be positive", 2)
     if not math.isfinite(tol):
-        raise click.UsageError("tolerance must be finite")
+        raise _Failure("tolerance must be finite", 2)
     surface = _import_surface()
     surf = surface.mobius_surface(radius, half_width)
     result = surface.find_characteristic_points(surf, grid=grid, tol=tol)
@@ -546,10 +505,10 @@ def mobius(ctx, radius: float, half_width: float, grid_spec: str, tol: float,
         "scan_csv": scan_path, "points_json": points_path,
     }
     if fmt == "json":
-        click.echo(_json_dump(payload), nl=False)
+        sys.stdout.write(_json_dump(payload))
     elif fmt == "csv":
         rows = [[p["r"], p["s"], p["residual"], p["boundary"]] for p in result.to_json()]
-        click.echo(_csv_text(["r", "s", "residual", "boundary"], rows), nl=False)
+        sys.stdout.write(_csv_text(["r", "s", "residual", "boundary"], rows))
     else:
         lines = [f"Mobius strip R={radius}, w={half_width}: "
                  f"{len(result.points)} characteristic point(s)"]
@@ -559,8 +518,116 @@ def mobius(ctx, radius: float, half_width: float, grid_spec: str, tol: float,
         if result.failures:
             lines.append(f"  {len(result.failures)} candidate cell(s) did not converge")
         lines.append(f"scan written to {scan_path}, points to {points_path}")
-        click.echo("\n".join(lines))
-    ctx.exit(0)
+        sys.stdout.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# command line
+
+
+def _file_path(text: str) -> str:
+    # --out of dims, complex, verify and commute: a file, maybe not there yet
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"File {text!r} is a directory.")
+    if os.path.exists(text) and not os.access(text, os.W_OK):
+        raise argparse.ArgumentTypeError(f"File {text!r} is not writable.")
+    return text
+
+
+def _dir_path(text: str) -> str:
+    # --out of mobius: a directory, maybe not there yet
+    if os.path.exists(text) and not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"Directory {text!r} is a file.")
+    return text
+
+
+_DEFAULT = "(default: %(default)s)"
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="heiscalc", allow_abbrev=False,
+        description="Exact Rumin-complex calculator on the Heisenberg group H^n.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run: Callable, name: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, allow_abbrev=False, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    def sampling(sub: argparse.ArgumentParser, trials: int) -> None:
+        sub.add_argument("--trials", type=int, default=trials, help=_DEFAULT)
+        sub.add_argument("--seed", type=int, default=42, help=_DEFAULT)
+        sub.add_argument("--degree", type=int, default=3,
+                         help=f"degree bound for random polynomial coefficients {_DEFAULT}")
+
+    def formats(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--format", dest="fmt", choices=["json", "csv", "text"], default="text",
+                         help=f"output format {_DEFAULT}")
+
+    def output(sub: argparse.ArgumentParser) -> None:
+        formats(sub)
+        sub.add_argument("--out", type=_file_path, metavar="FILE",
+                         help="write output to a file instead of stdout")
+
+    sub = command(dims, "dims")
+    sub.add_argument("--n", dest="n_spec", metavar="N", default="1..5",
+                     help=f"ambient parameter, a single value or a range lo..hi {_DEFAULT}")
+    output(sub)
+
+    sub = command(complex_cmd, "complex")
+    sub.add_argument("--n", type=int, required=True, help="ambient parameter (1, 2, 3, or 4)")
+    sub.add_argument("--k", type=int, help="restrict to one degree")
+    output(sub)
+
+    sub = command(verify, "verify")
+    sub.add_argument("--n", type=int, required=True, help="ambient parameter (1, 2, or 3)")
+    sampling(sub, 100)
+    output(sub)
+
+    sub = command(commute, "commute")
+    sub.add_argument("--map", dest="map_literal", metavar="MAP", required=True,
+                     help='map literal, e.g. "dilation:r=2" or "compose:dilation:r=2;translate:q=1,0,0"')
+    sub.add_argument("--n", type=int, required=True, help="ambient parameter (1, 2, or 3)")
+    sub.add_argument("--k", type=int, help="restrict to one degree (default: all)")
+    sampling(sub, 50)
+    output(sub)
+
+    sub = command(mobius, "mobius")
+    sub.add_argument("-R", "--radius", type=float, required=True, help="midcircle radius R")
+    sub.add_argument("-w", "--half-width", type=float, required=True, help="strip half-width w")
+    sub.add_argument("--grid", dest="grid_spec", metavar="GRID", default="1024x512", help=_DEFAULT)
+    sub.add_argument("--tol", type=float, default=1e-10, help=_DEFAULT)
+    sub.add_argument("--out", type=_dir_path, metavar="DIRECTORY", default=".",
+                     help=f"directory receiving mobius_scan.csv and mobius_points.json {_DEFAULT}")
+    formats(sub)
+    return parser
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Run one command on `args` (default: sys.argv[1:]).
+
+    Exits the process with the command's code, or with standalone_mode
+    false returns it.  Usage errors the parser finds exit 2 either way,
+    and --help exits 0, as argparse does.
+    """
+    options = vars(_parser().parse_args(args))
+    run = options.pop("run")
+    try:
+        code = run(**options) or 0
+        sys.stdout.flush()
+    except _Failure as exc:
+        sys.stderr.write(f"Error: {exc}\n")
+        code = exc.code
+    except BrokenPipeError:
+        # The reader of stdout has gone: exit 1, and send what is still
+        # buffered to devnull, or the flush at exit fails again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -102,8 +102,10 @@ class ParamSurface:
     that is constant, or depends on one parameter only, need not be
     spread over the grid by the evaluator.
 
-    Partials are validated against central finite differences on
-    construction, so a surface that exists is internally consistent.
+    Each evaluator is called once on such a column and row, and the
+    partials are validated against central finite differences, on
+    construction, so a surface that exists can be scanned and is
+    internally consistent.
     Seams need no declaration: the scan samples the closed rectangle.
     """
 
@@ -120,6 +122,20 @@ class ParamSurface:
         self._validate_partials()
 
     def _validate_partials(self, samples: int = 100, tol: float = 1e-6) -> None:
+        # scan_grid passes arrays: refuse a scalar-only evaluator (one that
+        # calls math.cos, say) here, not from inside a scan.
+        r = np.array([[self.r_range[0]], [self.r_range[1]]])
+        s = np.array([self.s_range])
+        for which in ("gamma", "gamma_r", "gamma_s"):
+            try:
+                values = getattr(self, which)(r, s)
+                for comp in range(3):
+                    np.broadcast_to(np.asarray(values[comp], dtype=float), (2, 2))
+            except (TypeError, ValueError, IndexError) as exc:
+                raise ValueError(
+                    f"{which} must accept a (2, 1) r-column and a (1, 2) s-row of numpy "
+                    f"arrays and return 3 components that broadcast to (2, 2): {exc}"
+                ) from exc
         rng = Random(1913)
         h = 1e-6
         for _ in range(samples):

@@ -1,0 +1,40 @@
+"""Shared test helpers."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+
+import pytest
+
+
+class CliResult:
+    """One in-process run of `heiscalc.cli.main` with its output captured.
+
+    `exception` is what would end the process: a SystemExit carrying a
+    non-zero exit code, or the exception that escaped the command; it
+    is None on exit 0.
+    """
+
+    def __init__(self, args: list[str]) -> None:
+        from heiscalc.cli import main
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        self.exception: BaseException | None = None
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                self.exit_code = main(args, standalone_mode=False)
+            except SystemExit as exc:  # a usage error or --help, raised by argparse
+                self.exit_code = exc.code
+            except Exception as exc:
+                self.exit_code, self.exception = 1, exc
+        if self.exit_code and self.exception is None:
+            self.exception = SystemExit(self.exit_code)
+        self.stdout, self.stderr = stdout.getvalue(), stderr.getvalue()
+        self.output = self.stdout + self.stderr
+
+
+@pytest.fixture()
+def run_cli():
+    """`run_cli(args)` runs the command line in-process and returns a CliResult."""
+    return CliResult

@@ -18,9 +18,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from click.testing import CliRunner
 
-from heiscalc.cli import main as cli_main
 from heiscalc.coeff import PolyCoeff
 from heiscalc.contact import (
     A_coefficient,
@@ -102,10 +100,10 @@ def _monomials(n: int, max_degree: int):
     return out
 
 
-def test_c01_dimension_table():
+def test_c01_dimension_table(run_cli):
     """The dims command reproduces the full dimension table exactly, under 1 s."""
     start = time.perf_counter()
-    result = CliRunner().invoke(cli_main, ["dims", "--n", "1..5", "--format", "json"])
+    result = run_cli(["dims", "--n", "1..5", "--format", "json"])
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0
     payload = json.loads(result.stdout)

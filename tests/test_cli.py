@@ -13,10 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from jsonschema import Draft202012Validator
-
-from heiscalc.cli import main
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "cli-schema.json"
 
@@ -28,11 +25,6 @@ def validator():
     return Draft202012Validator(schema)
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
 def _assert_valid(validator, payload):
     errors = list(validator.iter_errors(payload))
     assert not errors, "\n".join(e.message for e in errors)
@@ -41,24 +33,24 @@ def _assert_valid(validator, payload):
 # -- dims ---------------------------------------------------------------------
 
 
-def test_dims_text_default(runner):
-    result = runner.invoke(main, ["dims"])
+def test_dims_text_default(run_cli):
+    result = run_cli(["dims"])
     assert result.exit_code == 0
     lines = result.stdout.strip().splitlines()
     assert len(lines) == 1 + 15  # header + one row per (n, k), n = 1..5
     assert lines[-1].split() == ["5", "5", "462", "330", "132"]
 
 
-def test_dims_json_schema(runner, validator):
-    result = runner.invoke(main, ["dims", "--n", "1..3", "--format", "json"])
+def test_dims_json_schema(run_cli, validator):
+    result = run_cli(["dims", "--n", "1..3", "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     _assert_valid(validator, payload)
     assert payload[0] == {"n": 1, "k": 1, "dim_omega": 3, "dim_I": 1, "dim_quotient": 2}
 
 
-def test_dims_csv(runner):
-    result = runner.invoke(main, ["dims", "--n", "2", "--format", "csv"])
+def test_dims_csv(run_cli):
+    result = run_cli(["dims", "--n", "2", "--format", "csv"])
     assert result.exit_code == 0
     rows = list(csv.reader(result.stdout.splitlines()))
     assert rows[0] == ["n", "k", "dim_omega", "dim_I", "dim_quotient"]
@@ -66,15 +58,15 @@ def test_dims_csv(runner):
     assert rows[2] == ["2", "2", "10", "5", "5"]
 
 
-def test_dims_rejects_bad_range(runner):
+def test_dims_rejects_bad_range(run_cli):
     for spec in ("0..2", "1..9", "junk", "3..1"):
-        result = runner.invoke(main, ["dims", "--n", spec])
+        result = run_cli(["dims", "--n", spec])
         assert result.exit_code == 2, spec
 
 
-def test_dims_out_file(runner, tmp_path):
+def test_dims_out_file(run_cli, tmp_path):
     target = tmp_path / "dims.json"
-    result = runner.invoke(main, ["dims", "--n", "1", "--format", "json", "--out", str(target)])
+    result = run_cli(["dims", "--n", "1", "--format", "json", "--out", str(target)])
     assert result.exit_code == 0
     assert json.loads(target.read_text())[0]["n"] == 1
 
@@ -82,8 +74,8 @@ def test_dims_out_file(runner, tmp_path):
 # -- complex ------------------------------------------------------------------
 
 
-def test_complex_json_schema(runner, validator):
-    result = runner.invoke(main, ["complex", "--n", "1", "--format", "json"])
+def test_complex_json_schema(run_cli, validator):
+    result = run_cli(["complex", "--n", "1", "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     _assert_valid(validator, payload)
@@ -96,8 +88,8 @@ def test_complex_json_schema(runner, validator):
     assert "quotient" not in degrees[2]
 
 
-def test_complex_k_filter(runner):
-    result = runner.invoke(main, ["complex", "--n", "2", "--k", "3", "--format", "json"])
+def test_complex_k_filter(run_cli):
+    result = run_cli(["complex", "--n", "2", "--k", "3", "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     assert len(payload["degrees"]) == 1
@@ -106,24 +98,24 @@ def test_complex_k_filter(runner):
     assert any("dx1^dy1^theta" in text for text in entry["J"])
 
 
-def test_complex_rejects_large_n(runner):
-    assert runner.invoke(main, ["complex", "--n", "5"]).exit_code == 2
-    assert runner.invoke(main, ["complex", "--n", "1", "--k", "4"]).exit_code == 2
+def test_complex_rejects_large_n(run_cli):
+    assert run_cli(["complex", "--n", "5"]).exit_code == 2
+    assert run_cli(["complex", "--n", "1", "--k", "4"]).exit_code == 2
 
 
 # -- verify ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", ["0", "4"])
-def test_verify_rejects_n_out_of_range(runner, n):
-    result = runner.invoke(main, ["verify", "--n", n, "--trials", "1"])
+def test_verify_rejects_n_out_of_range(run_cli, n):
+    result = run_cli(["verify", "--n", n, "--trials", "1"])
     assert result.exit_code == 2
     assert "n in {1, 2, 3}" in result.stderr
     assert isinstance(result.exception, SystemExit)
 
 
-def test_verify_passes(runner, validator):
-    result = runner.invoke(main, ["verify", "--n", "1", "--trials", "5", "--format", "json"])
+def test_verify_passes(run_cli, validator):
+    result = run_cli(["verify", "--n", "1", "--trials", "5", "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     _assert_valid(validator, payload)
@@ -132,14 +124,14 @@ def test_verify_passes(runner, validator):
     assert suites == ["complex-exactness", "lifting", "subspace-preservation", "dc-agreement"]
 
 
-def test_verify_text_lists_checks(runner):
-    result = runner.invoke(main, ["verify", "--n", "1", "--trials", "3"])
+def test_verify_text_lists_checks(run_cli):
+    result = run_cli(["verify", "--n", "1", "--trials", "3"])
     assert result.exit_code == 0
     assert "complex-exactness" in result.stdout
     assert "pass" in result.stdout.lower()
 
 
-def test_verify_exit_one_on_failure(runner, monkeypatch):
+def test_verify_exit_one_on_failure(run_cli, monkeypatch):
     import heiscalc.rumin as rumin_mod
 
     def broken(n, trials=100, seed=42, degree=3):
@@ -151,7 +143,7 @@ def test_verify_exit_one_on_failure(runner, monkeypatch):
         }
 
     monkeypatch.setattr(rumin_mod, "verify_complex", broken)
-    result = runner.invoke(main, ["verify", "--n", "1", "--trials", "3"])
+    result = run_cli(["verify", "--n", "1", "--trials", "3"])
     assert result.exit_code == 1
     assert "FAIL" in result.stdout
 
@@ -159,10 +151,8 @@ def test_verify_exit_one_on_failure(runner, monkeypatch):
 # -- commute --------------------------------------------------------------------
 
 
-def test_commute_dilation(runner, validator):
-    result = runner.invoke(
-        main,
-        ["commute", "--map", "dilation:r=2", "--n", "1", "--trials", "5", "--format", "json"],
+def test_commute_dilation(run_cli, validator):
+    result = run_cli(["commute", "--map", "dilation:r=2", "--n", "1", "--trials", "5", "--format", "json"],
     )
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
@@ -173,10 +163,8 @@ def test_commute_dilation(runner, validator):
     assert payload["reports"][1]["operator"] == "D"
 
 
-def test_commute_single_degree(runner):
-    result = runner.invoke(
-        main,
-        ["commute", "--map", "translate:q=1/2,0,3", "--n", "1", "--k", "0", "--trials", "5",
+def test_commute_single_degree(run_cli):
+    result = run_cli(["commute", "--map", "translate:q=1/2,0,3", "--n", "1", "--k", "0", "--trials", "5",
          "--format", "csv"],
     )
     assert result.exit_code == 0
@@ -185,25 +173,25 @@ def test_commute_single_degree(runner):
     assert len(rows) == 2
 
 
-def test_commute_rejects_non_contact_map(runner):
-    result = runner.invoke(main, ["commute", "--map", "poly:[w1, w2, 2*w3]", "--n", "1"])
+def test_commute_rejects_non_contact_map(run_cli):
+    result = run_cli(["commute", "--map", "poly:[w1, w2, 2*w3]", "--n", "1"])
     assert result.exit_code == 2
     assert "not contact" in result.stderr
     assert "-1/2·w2" in result.stderr
 
 
 @pytest.mark.parametrize("n", ["0", "4"])
-def test_commute_rejects_n_out_of_range(runner, n):
-    result = runner.invoke(main, ["commute", "--map", "dilation:r=2", "--n", n])
+def test_commute_rejects_n_out_of_range(run_cli, n):
+    result = run_cli(["commute", "--map", "dilation:r=2", "--n", n])
     assert result.exit_code == 2
     assert "n in {1, 2, 3}" in result.stderr
     assert isinstance(result.exception, SystemExit)  # a usage error, not a crash
 
 
-def test_commute_rejects_bad_literal(runner):
-    result = runner.invoke(main, ["commute", "--map", "dilation:r=zero", "--n", "1"])
+def test_commute_rejects_bad_literal(run_cli):
+    result = run_cli(["commute", "--map", "dilation:r=zero", "--n", "1"])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["commute", "--map", "dilation:r=2", "--n", "1", "--k", "7"])
+    result = run_cli(["commute", "--map", "dilation:r=2", "--n", "1", "--k", "7"])
     assert result.exit_code == 2
 
 
@@ -211,8 +199,8 @@ def test_commute_rejects_bad_literal(runner):
     "literal, n",
     [("dilation:r=1/0", "1"), ("translate:q=1/0,0,0,0,0", "2"), ("poly:[w1, w2, w3/0]", "1")],
 )
-def test_commute_rejects_zero_denominator(runner, literal, n):
-    result = runner.invoke(main, ["commute", "--map", literal, "--n", n])
+def test_commute_rejects_zero_denominator(run_cli, literal, n):
+    result = run_cli(["commute", "--map", literal, "--n", n])
     assert result.exit_code == 2
     assert "zero denominator" in result.stderr
     assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
@@ -223,29 +211,29 @@ def test_commute_rejects_zero_denominator(runner, literal, n):
     ["(" * 1200 + "w1" + ")" * 1200, "-" * 3000 + "w1"],
     ids=["parentheses", "signs"],
 )
-def test_commute_rejects_deep_nesting(runner, component):
-    result = runner.invoke(main, ["commute", "--map", f"poly:[{component}, w2, w3]", "--n", "1"])
+def test_commute_rejects_deep_nesting(run_cli, component):
+    result = run_cli(["commute", "--map", f"poly:[{component}, w2, w3]", "--n", "1"])
     assert result.exit_code == 2
     assert "nested too deeply" in result.stderr
     assert isinstance(result.exception, SystemExit)  # a usage error, not a RecursionError
 
 
-def test_commute_rejects_a_non_contact_high_power(runner):
+def test_commute_rejects_a_non_contact_high_power(run_cli):
     literal = "compose:poly:[w1^1200, w2, w3];identity"
-    result = runner.invoke(main, ["commute", "--map", literal, "--n", "1"])
+    result = run_cli(["commute", "--map", literal, "--n", "1"])
     assert result.exit_code == 2
     assert "is not contact" in result.stderr
     assert isinstance(result.exception, SystemExit)  # a usage error, not a RecursionError
 
 
-def test_commute_prints_coefficients_past_4300_digits(runner):
+def test_commute_prints_coefficients_past_4300_digits(run_cli):
     # str(int) refuses more than 4,300 digits; the message, and the label
     # of a contact map, are written without it
-    result = runner.invoke(main, ["commute", "--map", "poly:[9^5000*w1, w2, w3]", "--n", "1"])
+    result = run_cli(["commute", "--map", "poly:[9^5000*w1, w2, w3]", "--n", "1"])
     assert result.exit_code == 2
     assert "is not contact: A(1, f) = " in result.stderr
     assert isinstance(result.exception, SystemExit)
-    result = runner.invoke(main, ["commute", "--map", "dilation:r=9^5000", "--n", "1", "--k", "0", "--trials", "1"])
+    result = run_cli(["commute", "--map", "dilation:r=9^5000", "--n", "1", "--k", "0", "--trials", "1"])
     assert result.exit_code == 0, result.output
     digits = result.stdout.splitlines()[0].removeprefix("commutation for dilation:r=").removesuffix(" on H^1:")
     high, low = divmod(9**5000, 10**772)  # 9^5000 has 4,772 digits
@@ -253,11 +241,63 @@ def test_commute_prints_coefficients_past_4300_digits(runner):
 
 
 @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--degree", "-1")])
-def test_commute_rejects_bad_sampling_sizes(runner, option, value):
-    result = runner.invoke(main, ["commute", "--map", "dilation:r=2", "--n", "1", option, value])
+def test_commute_rejects_bad_sampling_sizes(run_cli, option, value):
+    result = run_cli(["commute", "--map", "dilation:r=2", "--n", "1", option, value])
     assert result.exit_code == 2
     assert "trials must be >= 1 and degree >= 0" in result.stderr
     assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+
+
+# -- the parser --------------------------------------------------------------------
+
+_OPTIONS = {
+    "dims": ["--n", "--format", "--out"],
+    "complex": ["--n", "--k", "--format", "--out"],
+    "verify": ["--n", "--trials", "--seed", "--degree", "--format", "--out"],
+    "commute": ["--map", "--n", "--k", "--trials", "--seed", "--degree", "--format", "--out"],
+    "mobius": ["-R", "--radius", "-w", "--half-width", "--grid", "--tol", "--out", "--format"],
+}
+
+
+@pytest.mark.parametrize("args, code", [
+    ([], 2),
+    (["verify", "--n", "1", "--tri", "3"], 2),  # no abbreviated option names
+    (["verify", "--n", "1", "--trials", "2", "--bogus"], 2),
+    (["verify", "--n", "1", "--trials", "2", "--seed", "-3"], 0),
+    (["verify", "--n=1", "--trials", "2"], 0),
+], ids=["no-command", "abbreviation", "unknown-option", "negative-seed", "equals-sign"])
+def test_parser_exit_codes(run_cli, args, code):
+    result = run_cli(args)
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command", ["dims", "complex --n 1", "verify --n 1 --trials 1",
+                                     "commute --map dilation:r=2 --n 1 --trials 1"])
+def test_out_refuses_a_directory(run_cli, tmp_path, command):
+    result = run_cli([*command.split(" "), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "is a directory" in result.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_mobius_out_refuses_a_file(run_cli, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    result = run_cli(["mobius", "-R", "0.2", "-w", "0.15", "--grid", "64x64", "--out", str(taken)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+    assert "is a file" in result.stderr
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", [None, *_OPTIONS])
+def test_help_names_every_option(run_cli, command):
+    result = run_cli([command, "--help"] if command else ["--help"])
+    assert result.exit_code == 0
+    words = result.stdout.replace(",", " ").split()
+    for name in _OPTIONS[command] if command else _OPTIONS:
+        assert name in words, name
 
 
 # -- outputs pinned by digest ------------------------------------------------------
@@ -274,8 +314,8 @@ _PINNED_STDOUT = {
 
 
 @pytest.mark.parametrize("command", list(_PINNED_STDOUT))
-def test_stdout_matches_pinned_digest(runner, command):
-    result = runner.invoke(main, command.split(" "))
+def test_stdout_matches_pinned_digest(run_cli, command):
+    result = run_cli(command.split(" "))
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == _PINNED_STDOUT[command]
 
@@ -312,15 +352,15 @@ _SPLIT_COMMANDS = [
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("command", _SPLIT_COMMANDS)
-def test_split_does_not_change_stdout(runner, forks, monkeypatch, command, fmt):
+def test_split_does_not_change_stdout(run_cli, forks, monkeypatch, command, fmt):
     from heiscalc import cli
 
     args = command.split(" ") + ["--format", fmt]
-    two_parts = runner.invoke(main, args)
+    two_parts = run_cli(args)
     assert two_parts.exit_code == 0, two_parts.output
     assert len(forks) == 1
     monkeypatch.setattr(cli, "_cpus", lambda: 1)
-    one_part = runner.invoke(main, args)
+    one_part = run_cli(args)
     assert one_part.exit_code == 0, one_part.output
     assert len(forks) == 1  # the one-part run forked nothing
     assert two_parts.stdout == one_part.stdout
@@ -351,7 +391,7 @@ def test_failing_report_is_unchanged_from_a_worker(forks, monkeypatch):
 
 @pytest.mark.parametrize("command", ["verify --n 1 --trials 2",
                                      "commute --map dilation:r=2 --n 1 --trials 2"])
-def test_failing_worker_exits_one(runner, forks, monkeypatch, command):
+def test_failing_worker_exits_one(run_cli, forks, monkeypatch, command):
     # the worker runs verify_lifting, or commute's k = 1
     import heiscalc.contact as contact_mod
     import heiscalc.rumin as rumin_mod
@@ -363,7 +403,7 @@ def test_failing_worker_exits_one(runner, forks, monkeypatch, command):
     real = contact_mod.commute_check
     monkeypatch.setattr(contact_mod, "commute_check",
                         lambda f, k, **kw: failing() if k == 1 else real(f, k, **kw))
-    result = runner.invoke(main, command.split(" "))
+    result = run_cli(command.split(" "))
     assert result.exit_code == 1
     assert len(forks) == 1
     assert result.stdout == ""
@@ -375,19 +415,19 @@ def test_failing_worker_exits_one(runner, forks, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", ["verify --n 5", "commute --map poly:[w1,w2,2*w3] --n 1"])
-def test_bad_input_exits_two_before_forking(runner, forks, command):
-    result = runner.invoke(main, command.split(" "))
+def test_bad_input_exits_two_before_forking(run_cli, forks, command):
+    result = run_cli(command.split(" "))
     assert result.exit_code == 2
     assert forks == []
 
 
-def test_non_contact_message_stays_short(runner):
+def test_non_contact_message_stays_short(run_cli):
     # A(1, f) has about 477,000 digits here; the message gives its size
     import time
 
     literal = "compose:poly:[w1^1000000, w2, w3];dilation:r=3"
     start = time.perf_counter()
-    result = runner.invoke(main, ["commute", "--map", literal, "--n", "1"])
+    result = run_cli(["commute", "--map", literal, "--n", "1"])
     elapsed = time.perf_counter() - start
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
@@ -399,10 +439,8 @@ def test_non_contact_message_stays_short(runner):
 # -- mobius ----------------------------------------------------------------------
 
 
-def test_mobius_writes_outputs(runner, tmp_path, validator):
-    result = runner.invoke(
-        main,
-        ["mobius", "--radius", "0.2", "--half-width", "0.15", "--grid", "128x64",
+def test_mobius_writes_outputs(run_cli, tmp_path, validator):
+    result = run_cli(["mobius", "--radius", "0.2", "--half-width", "0.15", "--grid", "128x64",
          "--out", str(tmp_path), "--format", "json"],
     )
     assert result.exit_code == 0
@@ -421,38 +459,30 @@ def test_mobius_writes_outputs(runner, tmp_path, validator):
     assert json.loads(points_path.read_text()) == payload["points"]
 
 
-def test_mobius_empty_case(runner, tmp_path):
-    result = runner.invoke(
-        main,
-        ["mobius", "--radius", "0.5", "--half-width", "0.375", "--grid", "128x64",
+def test_mobius_empty_case(run_cli, tmp_path):
+    result = run_cli(["mobius", "--radius", "0.5", "--half-width", "0.375", "--grid", "128x64",
          "--out", str(tmp_path), "--format", "json"],
     )
     assert result.exit_code == 0
     assert json.loads(result.stdout)["points"] == []
 
 
-def test_mobius_grid_spellings(runner, tmp_path):
+def test_mobius_grid_spellings(run_cli, tmp_path):
     for spec in ("128x64", "128X64", "128,64"):
-        result = runner.invoke(
-            main,
-            ["mobius", "--radius", "0.3", "--half-width", "0.2", "--grid", spec,
+        result = run_cli(["mobius", "--radius", "0.3", "--half-width", "0.2", "--grid", spec,
              "--out", str(tmp_path)],
         )
         assert result.exit_code == 0, spec
-    assert runner.invoke(
-        main, ["mobius", "--radius", "0.3", "--half-width", "0.2", "--grid", "junk",
+    assert run_cli(["mobius", "--radius", "0.3", "--half-width", "0.2", "--grid", "junk",
                "--out", str(tmp_path)]).exit_code == 2
-    assert runner.invoke(
-        main, ["mobius", "--radius", "0.3", "--half-width", "0.2", "--grid", "32x32",
+    assert run_cli(["mobius", "--radius", "0.3", "--half-width", "0.2", "--grid", "32x32",
                "--out", str(tmp_path)]).exit_code == 2
 
 
-def test_mobius_rejects_bad_geometry(runner, tmp_path):
-    result = runner.invoke(
-        main, ["mobius", "--radius", "0.3", "--half-width", "0.4", "--out", str(tmp_path)])
+def test_mobius_rejects_bad_geometry(run_cli, tmp_path):
+    result = run_cli(["mobius", "--radius", "0.3", "--half-width", "0.4", "--out", str(tmp_path)])
     assert result.exit_code == 2
-    result = runner.invoke(
-        main, ["mobius", "--radius", "0.3", "--half-width", "0.2", "--tol", "-1",
+    result = run_cli(["mobius", "--radius", "0.3", "--half-width", "0.2", "--tol", "-1",
                "--out", str(tmp_path)])
     assert result.exit_code == 2
 
@@ -462,9 +492,9 @@ def test_mobius_rejects_bad_geometry(runner, tmp_path):
     (["-R", "0.2", "-w", "0.15", "--tol", "nan"], "tolerance must be positive"),
     (["-R", "0.2", "-w", "0.15", "--tol", "inf"], "tolerance must be finite"),
 ])
-def test_mobius_rejects_non_finite_input(runner, tmp_path, args, message):
+def test_mobius_rejects_non_finite_input(run_cli, tmp_path, args, message):
     out = tmp_path / "out"
-    result = runner.invoke(main, ["mobius", *args, "--grid", "64x64", "--out", str(out),
+    result = run_cli(["mobius", *args, "--grid", "64x64", "--out", str(out),
                                   "--format", "json"])
     assert result.exit_code == 2
     assert message in result.stderr
@@ -472,13 +502,13 @@ def test_mobius_rejects_non_finite_input(runner, tmp_path, args, message):
     assert not out.exists()  # rejected before any artifact is written
 
 
-def test_mobius_deterministic_across_runs(runner, tmp_path):
+def test_mobius_deterministic_across_runs(run_cli, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     out1.mkdir(), out2.mkdir()
     args = ["mobius", "--radius", "0.24", "--half-width", "0.18", "--grid", "128x64",
             "--format", "json"]
-    r1 = runner.invoke(main, args + ["--out", str(out1)])
-    r2 = runner.invoke(main, args + ["--out", str(out2)])
+    r1 = run_cli(args + ["--out", str(out1)])
+    r2 = run_cli(args + ["--out", str(out2)])
     assert r1.exit_code == r2.exit_code == 0
     assert r1.stdout.replace(str(out1), "") == r2.stdout.replace(str(out2), "")
     assert (out1 / "mobius_scan.csv").read_bytes() == (out2 / "mobius_scan.csv").read_bytes()
@@ -498,15 +528,14 @@ def _reference_scan_csv(data) -> bytes:
     return buffer.getvalue().encode()
 
 
-def test_mobius_scan_csv_bytes_pinned(runner, tmp_path):
+def test_mobius_scan_csv_bytes_pinned(run_cli, tmp_path):
     # On 65 r-nodes the r = pi column has N3 near 1e-17, so
     # scientific-notation reprs are covered.
     from heiscalc.surface import mobius_surface, scan_grid
 
     data = scan_grid(mobius_surface(0.2, 0.15), (65, 64))
     assert 0 < abs(float(data["N3"][32, 0])) < 1e-15
-    result = runner.invoke(
-        main, ["mobius", "--radius", "0.2", "--half-width", "0.15", "--grid", "65x64",
+    result = run_cli(["mobius", "--radius", "0.2", "--half-width", "0.15", "--grid", "65x64",
                "--out", str(tmp_path)])
     assert result.exit_code == 0
     assert (tmp_path / "mobius_scan.csv").read_bytes() == _reference_scan_csv(data)
@@ -559,7 +588,7 @@ def test_scan_csv_parts_follow_affinity(monkeypatch):
 
 
 @pytest.mark.parametrize("bad_row", [100, 10], ids=["worker", "parent"])
-def test_mobius_scan_csv_failure_cleans_up(runner, tmp_path, monkeypatch, bad_row):
+def test_mobius_scan_csv_failure_cleans_up(run_cli, tmp_path, monkeypatch, bad_row):
     # 128 r-rows in 3 parts: rows 0..41 are formatted in this process,
     # 42..84 and 85..127 by forked workers.
     from heiscalc import cli
@@ -585,7 +614,7 @@ def test_mobius_scan_csv_failure_cleans_up(runner, tmp_path, monkeypatch, bad_ro
     monkeypatch.setattr(cli, "_scan_csv_parts", lambda rows: 3)
     monkeypatch.setattr(os, "fork", recording_fork)
     (tmp_path / "kept.txt").write_text("written before the run\n")
-    result = runner.invoke(main, ["mobius", "-R", "0.2", "-w", "0.15", "--grid", "128x64",
+    result = run_cli(["mobius", "-R", "0.2", "-w", "0.15", "--grid", "128x64",
                                   "--out", str(tmp_path)])
     assert result.exit_code != 0
     assert len(forked) == 2
@@ -600,10 +629,10 @@ def test_mobius_scan_csv_failure_cleans_up(runner, tmp_path, monkeypatch, bad_ro
         assert isinstance(result.exception, RuntimeError)
 
 
-def test_mobius_below_quarter_with_root_outside_strip(runner, tmp_path):
+def test_mobius_below_quarter_with_root_outside_strip(run_cli, tmp_path):
     # R < 1/4 gives one point only when s* = (1 - 2R - sqrt(1 - 4R))/2 <= w;
     # at R = 0.24, s* = 0.16 lies outside the strip of half-width 0.15.
-    result = runner.invoke(main, ["mobius", "-R", "0.24", "-w", "0.15", "--out", str(tmp_path),
+    result = run_cli(["mobius", "-R", "0.24", "-w", "0.15", "--out", str(tmp_path),
                                   "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
@@ -612,13 +641,38 @@ def test_mobius_below_quarter_with_root_outside_strip(runner, tmp_path):
 
 def test_cli_import_leaves_numpy_unloaded():
     # Only mobius needs numpy; the symbolic subcommands must not pay for it.
+    # Each subcommand imports the layers it runs, and the parser is argparse.
     import heiscalc
 
-    code = "import heiscalc.cli, sys; assert 'numpy' not in sys.modules"
+    code = (
+        "import heiscalc.cli, sys\n"
+        "names = ('click', 'numpy', 'heiscalc.rumin', 'heiscalc.contact', 'heiscalc.surface')\n"
+        "loaded = [m for m in names if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
     src = str(Path(heiscalc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_closed_stdout_exits_one_quietly():
+    # The reader of stdout is gone before anything is written, as in
+    # `heiscalc dims | true`: exit 1, with no traceback or flush error.
+    import heiscalc
+
+    src = str(Path(heiscalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "heiscalc.cli", "dims"], env=env,
+                                stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert result.returncode == 1
+    assert result.stderr == b""
 
 
 def test_mobius_refuses_oversized_grid_before_loading_numpy(tmp_path):
@@ -648,13 +702,13 @@ def test_mobius_refuses_oversized_grid_before_loading_numpy(tmp_path):
     assert not out.exists()
 
 
-def test_mobius_grid_node_bound(runner, tmp_path, monkeypatch):
+def test_mobius_grid_node_bound(run_cli, tmp_path, monkeypatch):
     from heiscalc import cli
 
     monkeypatch.setattr(cli, "_MAX_GRID_NODES", 64 * 65)
     args = ["mobius", "-R", "0.2", "-w", "0.15", "--out", str(tmp_path)]
-    assert runner.invoke(main, [*args, "--grid", "64x65"]).exit_code == 0
-    result = runner.invoke(main, [*args, "--grid", "65x65"])
+    assert run_cli([*args, "--grid", "64x65"]).exit_code == 0
+    result = run_cli([*args, "--grid", "65x65"])
     assert result.exit_code == 2
     assert "has more than 4160 nodes" in result.stderr
 

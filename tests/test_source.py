@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heiscalc"
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -128,3 +129,20 @@ def test_unreferenced_private_method_detector():
         "b.py": ast.parse("def public(obj): return obj._used_elsewhere()\nC._dead = None\n"),
     }
     assert _unreferenced_private_functions(trees) == ["a.py: C._dead"]
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules `tree` imports, relative imports aside."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_nothing_imports_click():
+    # The command line runs on argparse; click is no dependency.
+    paths = sorted(SRC.parent.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+    assert [p.name for p in paths if "click" in _imported_modules(ast.parse(p.read_text()))] == []

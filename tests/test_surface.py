@@ -354,6 +354,33 @@ def test_partial_validation_rejects_wrong_derivative():
         )
 
 
+
+@pytest.mark.parametrize("which", ["gamma", "gamma_r", "gamma_s"])
+def test_construction_rejects_scalar_only_evaluators(which):
+    # math.cos takes no array; scan_grid would fail inside the evaluator
+    evaluators = {
+        "gamma": lambda r, s: (np.cos(r) + 0 * s, s + 0 * r, 0.0 * r * s),
+        "gamma_r": lambda r, s: (-np.sin(r), 0.0, 0.0),
+        "gamma_s": lambda r, s: (0.0, 1.0, 0.0),
+    }
+    scalar_only = {
+        "gamma": lambda r, s: (math.cos(r), s, 0.0),
+        "gamma_r": lambda r, s: (-math.sin(r), 0.0, 0.0),
+        "gamma_s": lambda r, s: (0.0, 1.0, 0.0 * math.cos(s)),
+    }
+    ParamSurface((0.0, 1.0), (0.0, 1.0), **evaluators)
+    evaluators[which] = scalar_only[which]
+    with pytest.raises(ValueError, match=f"^{which} must accept"):
+        ParamSurface((0.0, 1.0), (0.0, 1.0), **evaluators)
+
+
+def test_construction_rejects_components_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="^gamma_s must accept"):
+        ParamSurface((0.0, 1.0), (0.0, 1.0),
+                     gamma=lambda r, s: (r + 0 * s, s + 0 * r, 0.0),
+                     gamma_r=lambda r, s: (1.0, 0.0, 0.0),
+                     gamma_s=lambda r, s: (0.0, 1.0, np.zeros(3)))
+
 # -- orientation field conversions ----------------------------------------------
 
 
