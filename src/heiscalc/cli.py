@@ -44,16 +44,9 @@ class _Failure(Exception):
 
 
 def _form_text(alpha: Form) -> str:
-    from .frame import blade_name
+    from .frame import _term_text
 
-    items = alpha.sorted_items()
-    if not items:
-        return "0"
-    parts = [
-        f"({coeff.to_text()}) {blade_name(alpha.n, blade)}"
-        for blade, coeff in items
-    ]
-    return " + ".join(parts)
+    return " + ".join(_term_text(alpha.n, blade, coeff) for blade, coeff in alpha.sorted_items()) or "0"
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -60,33 +60,13 @@ def _check_n(n: int) -> None:
         raise ValueError(f"ambient parameter n must be >= 1, got {n}")
 
 
-class _Terms(Mapping):
-    """Read-only {exps: Fraction} view of a polynomial's coefficients."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num: dict[tuple[int, ...], int], den: int):
-        self._num = num
-        self._den = den
-
-    def __getitem__(self, exps: tuple[int, ...]) -> Fraction:
-        return Fraction(self._num[exps], self._den)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._num)
-
-    def __len__(self) -> int:
-        return len(self._num)
-
-
 class PolyCoeff:
     """A polynomial in w1..w_{2n+1} with rational coefficients.
 
     Stored as `num`, a dict from exponent tuples to nonzero int
     numerators, over the shared positive denominator `den`.  The form is
     canonical: gcd(den, *num.values()) == 1 and den == 1 for zero, so
-    equality compares (n, den, num).  `terms` is a read-only
-    {exps: Fraction} view for callers that want each coefficient whole.
+    equality compares (n, den, num).
 
     Instances are immutable by convention: no method mutates `num`
     after construction, so values can be shared freely.
@@ -146,9 +126,17 @@ class PolyCoeff:
                 den //= g
         return cls._from_clean(n, num, den)
 
+    def _constant(self) -> Fraction | None:
+        """The value of a constant polynomial (0 for zero), or None when
+        a term has a variable."""
+        if len(self.num) > 1 or any(next(iter(self.num), ())):
+            return None
+        return Fraction(sum(self.num.values()), self.den)
+
     @property
-    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        return _Terms(self.num, self.den)
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """A {exps: Fraction} copy; only the bench tracer reads it."""
+        return {exps: Fraction(c, self.den) for exps, c in self.num.items()}
 
     # -- constructors ------------------------------------------------
 
@@ -505,13 +493,13 @@ class _ExprParser:
             rhs = self.factor()
             if op == "*":
                 value = value * rhs
-            elif rhs.total_degree() > 0:
+                continue
+            c = rhs._constant()
+            if c is None:
                 raise ValueError("division is only allowed by nonzero constants")
-            elif rhs.is_zero():
+            if not c:
                 raise ValueError("zero denominator in polynomial expression")
-            else:
-                (c,) = rhs.num.values()
-                value = value.scale(Fraction(rhs.den, c))
+            value = value.scale(1 / c)
         return value
 
     def factor(self) -> PolyCoeff:

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _check_n, _decimal
-from .frame import Blade, Form, _sum_columns, form_to_json, frame_apply, theta_index
+from .frame import Blade, Form, form_to_json, frame_apply, theta_index
 from .rumin import (
     QuotientClass,
     _check_report,
@@ -254,14 +254,15 @@ def pullback_form(f: SmoothMap, alpha: Form) -> Form:
         raise ValueError(f"form lives in H^{alpha.n}, map in H^{f.n}")
     n = f.n
     image = f._monomial_image
-    columns: dict[Blade, list[tuple[int, int, PolyCoeff]]] = {}
+    columns: dict[Blade, list[tuple[int, PolyCoeff]]] = {}
     for blade, coeff in alpha.coeffs.items():
         pulled = PolyCoeff.combine(n, [(c, image(exps)) for exps, c in coeff.num.items()], coeff.den)
         if pulled.is_zero():
             continue
         for out_blade, b in f._blade_image(blade).coeffs.items():
-            columns.setdefault(out_blade, []).append((1, 1, pulled * b))
-    return _sum_columns(n, alpha.degree, columns)
+            columns.setdefault(out_blade, []).append((1, pulled * b))
+    sums = {blade: PolyCoeff.combine(n, column) for blade, column in columns.items()}
+    return Form._from_clean(n, alpha.degree, {blade: p for blade, p in sums.items() if not p.is_zero()})
 
 
 def pullback_quotient(f: SmoothMap, cls: QuotientClass) -> QuotientClass:
@@ -361,10 +362,10 @@ def _split_top_level(text: str, sep: str) -> list[str]:
 
 def _parse_rational(text: str, n: int) -> Fraction:
     """A constant in the polynomial grammar, such as "3" or "-1/2"."""
-    value = PolyCoeff.from_text(n, text)
-    if value.total_degree() > 0:
+    value = PolyCoeff.from_text(n, text)._constant()
+    if value is None:
         raise ValueError(f"expected a rational number, got {text.strip()!r}")
-    return Fraction(sum(value.num.values()), value.den)
+    return value
 
 
 def parse_map(text: str, n: int) -> SmoothMap:

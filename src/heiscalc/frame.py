@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from typing import Mapping, Sequence, Type, TypeVar, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Type, TypeVar, Union
 
 from .coeff import PolyCoeff, _check_n
 
@@ -264,12 +264,8 @@ class _GradedElement:
     def __repr__(self) -> str:
         if self.is_zero():
             return f"{type(self).__name__}(n={self.n}, 0)"
-        body = " + ".join(
-            f"({coeff.to_text()}) {blade_name(self.n, blade, vector=isinstance(self, MultiVector))}"
-            if blade
-            else f"({coeff.to_text()})"
-            for blade, coeff in self.sorted_items()
-        )
+        vector = isinstance(self, MultiVector)
+        body = " + ".join(_term_text(self.n, blade, coeff, vector) for blade, coeff in self.sorted_items())
         return f"{type(self).__name__}(n={self.n}, {body})"
 
 
@@ -289,22 +285,23 @@ def wedge(a: T_, b: T_) -> T_:
     return a.wedge(b)
 
 
-def _sum_columns(
-    n: int, degree: int, columns: Mapping[Blade, Sequence[tuple[int, int, PolyCoeff]]]
-) -> Form:
-    """The degree-`degree` form whose coefficient on each blade is the
-    sum of (a / q) p over that blade's column of (int a, int q >= 1, p).
+_IntRow = tuple[int, tuple[int, ...], tuple[int, ...]]
 
-    Each coefficient is one `PolyCoeff.combine` over the lcm of the q;
-    blades whose sum vanishes are dropped.
-    """
-    coeffs: dict[Blade, PolyCoeff] = {}
-    for blade, column in columns.items():
-        den = lcm(*(q for _, q, _ in column))
-        total = PolyCoeff.combine(n, [(a * (den // q), p) for a, q, p in column], den)
-        if not total.is_zero():
-            coeffs[blade] = total
-    return Form._from_clean(n, degree, coeffs)
+
+def _int_row(entries: Sequence[tuple[int, Fraction | int]]) -> _IntRow:
+    """(den, columns, int numerators) of a constant row given by its
+    nonzero (column, value) entries: value = numerator / den."""
+    columns, values = zip(*entries)
+    den = lcm(*[v.denominator for v in values])
+    return den, columns, tuple([v.numerator * (den // v.denominator) for v in values])
+
+
+def _rows_times(n: int, rows: Iterable[_IntRow], vec: Sequence[PolyCoeff]) -> Iterator[PolyCoeff]:
+    """The constant rows times a vector of polynomials, each entry one
+    `PolyCoeff.combine`: the one place a constant matrix meets polynomials."""
+    pick = vec.__getitem__
+    for den, columns, nums in rows:
+        yield PolyCoeff.combine(n, zip(nums, map(pick, columns)), den)
 
 
 def dx(n: int, j: int = 1) -> Form:
@@ -426,20 +423,6 @@ def exterior_derivative(a: Form) -> Form:
     return Form._from_clean(n, a.degree + 1, coeffs)
 
 
-def _d_blade_part(a: Form) -> Form:
-    """The c . d(blade) half of d: sum over a's terms of c . d(blade).
-
-    Reads the tails of `_d_table`, so it shares exterior_derivative's
-    definition of d(blade); each output blade is one `PolyCoeff.combine`.
-    """
-    n = a.n
-    columns: dict[Blade, list[tuple[int, int, PolyCoeff]]] = {}
-    for blade, coeff in a.coeffs.items():
-        for merged, sign in _d_table(n, blade)[1]:
-            columns.setdefault(merged, []).append((sign, 1, coeff))
-    return _sum_columns(n, a.degree + 1, columns)
-
-
 def _complement(n: int, blade: Blade) -> tuple[Blade, int]:
     """Complementary blade and the Hodge sign (-1)^sigma.
 
@@ -538,6 +521,12 @@ def blade_name(n: int, blade: Blade, vector: bool = False) -> str:
         else:
             names.append("T" if vector else "theta")
     return "^".join(names)
+
+
+def _term_text(n: int, blade: Blade, coeff: PolyCoeff, vector: bool = False) -> str:
+    """One term as "(coeff) blade"; on the empty blade just "(coeff)"."""
+    text = f"({coeff.to_text()})"
+    return f"{text} {blade_name(n, blade, vector)}" if blade else text
 
 
 def form_to_json(a: Form) -> dict:

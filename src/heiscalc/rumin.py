@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, lcm
+from math import comb
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import _linalg
@@ -36,8 +36,11 @@ from .coeff import PolyCoeff, _check_n
 from .frame import (
     Blade,
     Form,
+    _IntRow,
     _blade_tuple,
-    _d_blade_part,
+    _d_table,
+    _int_row,
+    _rows_times,
     blade_name,
     contact_form,
     d_contact_form,
@@ -84,27 +87,15 @@ __all__ = [
 
 def _const_value(p: PolyCoeff) -> Fraction:
     """The value of a constant polynomial; rejects genuine polynomials."""
-    if p.is_zero():
-        return Fraction(0)
-    items = list(p.terms.items())
-    if len(items) != 1 or any(items[0][0]):
+    value = p._constant()
+    if value is None:
         raise ValueError(f"expected a constant coefficient, got {p.to_text()}")
-    return items[0][1]
+    return value
 
 
 def _const_vector(a: Form, blades: Sequence[Blade]) -> Vec:
     lookup = {blade: _const_value(c) for blade, c in a.coeffs.items()}
     return [lookup.get(blade, Fraction(0)) for blade in blades]
-
-
-_IntRow = tuple[int, tuple[int, ...], tuple[int, ...]]
-
-
-def _int_row(entries: Sequence[tuple[int, Fraction]]) -> _IntRow:
-    """(den, columns, int numerators) of a row given by its nonzero
-    (column, value) entries: value = numerator / den."""
-    den = lcm(*(v.denominator for _, v in entries))
-    return den, tuple(i for i, _ in entries), tuple(v.numerator * (den // v.denominator) for _, v in entries)
 
 
 class _ConstOp(NamedTuple):
@@ -120,23 +111,15 @@ class _ConstOp(NamedTuple):
     rows: tuple[_IntRow, ...]
 
 
-def _rows_times(op: _ConstOp, alpha: Form) -> Iterator[PolyCoeff]:
-    """The rows of op times alpha's coefficient vector, one polynomial per row.
-
-    Each entry is one `PolyCoeff.combine`: integer numerators accumulate
-    over a common denominator and are reduced once.
-    """
-    n = alpha.n
-    zero = PolyCoeff.zero(n)
-    vec = [alpha.coeffs.get(blade, zero) for blade in op.inputs]
-    pick = vec.__getitem__
-    for den, columns, nums in op.rows:
-        yield PolyCoeff.combine(n, zip(nums, map(pick, columns)), den)
+def _op_times(op: _ConstOp, alpha: Form) -> Iterator[PolyCoeff]:
+    """The rows of op times alpha's coefficient vector, one polynomial per row."""
+    zero = PolyCoeff.zero(alpha.n)
+    return _rows_times(alpha.n, op.rows, [alpha.coeffs.get(blade, zero) for blade in op.inputs])
 
 
 def _apply(op: _ConstOp, alpha: Form, degree: int) -> Form:
     """op applied to alpha, as a form of the given degree on op.outputs."""
-    coeffs = {blade: c for blade, c in zip(op.outputs, _rows_times(op, alpha)) if not c.is_zero()}
+    coeffs = {blade: c for blade, c in zip(op.outputs, _op_times(op, alpha)) if not c.is_zero()}
     return Form._from_clean(alpha.n, degree, coeffs)
 
 
@@ -173,15 +156,6 @@ class SubspaceBasis:
     def matrix(self) -> Mat:
         blades = _blade_tuple(self.n, self.degree)
         return [_const_vector(element, blades) for element in self.elements]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "degree": self.degree,
-            "kind": self.kind,
-            "dim": self.dim,
-            "elements": [form_to_json(element) for element in self.elements],
-        }
 
 
 def dims(k: int, n: int) -> tuple[int, int, int, int]:
@@ -418,7 +392,7 @@ def in_subspace(kind: str, k: int, n: int, alpha: Form) -> bool:
         return True
     if alpha.degree != k:
         return False
-    return all(p.is_zero() for p in _rows_times(_annihilator(kind, k, n), alpha))
+    return all(p.is_zero() for p in _op_times(_annihilator(kind, k, n), alpha))
 
 
 # -- quotient classes --------------------------------------------------------
@@ -487,39 +461,35 @@ def L_apply(beta: Form) -> Form:
     return d_contact_form(n).wedge(beta)
 
 
-@lru_cache(maxsize=None)
-def _L_inverse_op(n: int) -> _ConstOp:
-    """Exact inverse of L over the theta-free blades, from degree n+1 to
-    n-1: the inverse of K on each theta block at degree n."""
-    t_idx = theta_index(n)
-    blocks = [block for block in _blocks(n, n) if block.theta]
-    pieces = [(tuple(b[:-1] for b in block.blades), block.targets, block.K_pinv) for block in blocks]
-    return _block_op(tuple(b for b in _blade_tuple(n, n + 1) if t_idx not in b), pieces)
-
-
 def L_inverse(gamma: Form) -> Form:
-    """Solve L beta = gamma for the unique theta-free beta."""
+    """Solve L beta = gamma for the unique theta-free beta.
+
+    At degree n, d0(b ^ theta) = (-1)^(n-1) L b, so beta ^ theta is
+    (-1)^(n-1) d0+ gamma; the pseudo-inverse lands on theta blades only.
+    """
     n = gamma.n
     _check_horizontal(gamma, n + 1, "L_inverse")
-    return _apply(_L_inverse_op(n), gamma, n - 1)
+    image = _apply(_d0_pseudo_inverse(n, n), gamma, n)
+    return Form._from_clean(n, n - 1, {b[:-1]: c if n % 2 else -c for b, c in image.coeffs.items()})
 
 
 def lift(cls: QuotientClass) -> Form:
     """The unique representative whose differential lands in J^{n+1}.
 
-    Writing the lift as alpha + b ^ theta with b theta-free of degree
-    n-1, the theta-free part of its differential is (d alpha)|_h plus
-    (-1)^{n-1} L(b), so killing it forces b = L^{-1}((-1)^n (d alpha)|_h).
-    Here (.)|_h keeps only the theta-free blades and alpha is the
-    theta-free representative of the class.
+    Write the lift as alpha + b ^ theta, with alpha the theta-free
+    representative of the class and b theta-free of degree n-1.  Since
+    d(b ^ theta) = db ^ theta + (-1)^(n-1) b ^ dtheta, the theta-free part
+    of its differential is (d alpha)|_h + (-1)^(n-1) L b, where (.)|_h
+    keeps only the theta-free blades.  Killing it forces
+    b = L^{-1}((-1)^n (d alpha)|_h), and by `L_inverse` that makes
+    b ^ theta = -d0+ (d alpha)|_h.  d0+ ignores theta blades, so the lift
+    is alpha - d0+ (d alpha).
     """
     n = cls.n
     if cls.k != n:
         raise ValueError(f"lifting is defined at degree n={n}, got k={cls.k}")
     alpha = strip_theta(cls.representative)
-    horizontal = strip_theta(exterior_derivative(alpha))
-    correction = L_inverse(horizontal if n % 2 == 0 else -horizontal)
-    return alpha + correction.wedge(contact_form(n))
+    return alpha - _apply(_d0_pseudo_inverse(n, n), exterior_derivative(alpha), n)
 
 
 # -- the Rumin differentials --------------------------------------------------
@@ -582,15 +552,27 @@ def weight_of(alpha: Form) -> int | Literal["mixed"]:
     return "mixed"
 
 
+@lru_cache(maxsize=None)
+def _d0_table(n: int, k: int) -> _ConstOp:
+    """d0 from degree k to k+1, read off the tails of the exterior
+    derivative's per-blade table `_d_table`, so d and d0 share one
+    definition of d(blade)."""
+    inputs = _blade_tuple(n, k)
+    entries: dict[Blade, list[tuple[int, int]]] = {}
+    for i, blade in enumerate(inputs):
+        for merged, sign in _d_table(n, blade)[1]:
+            entries.setdefault(merged, []).append((i, sign))
+    outputs = tuple(sorted(entries))
+    return _ConstOp(inputs, outputs, tuple(_int_row(entries[blade]) for blade in outputs))
+
+
 def d0_part(alpha: Form) -> Form:
     """The weight-preserving part of d: c . blade -> c . d(blade).
 
     Only theta-carrying blades contribute, and the split-off of theta
-    costs the Koszul sign (-1)^{len(blade)-1}.  d(blade) is read from
-    the exterior derivative's per-blade table, so d and d0 share one
-    definition of it.
+    costs the Koszul sign (-1)^{len(blade)-1}.
     """
-    return _d_blade_part(alpha)
+    return _apply(_d0_table(alpha.n, alpha.degree), alpha, alpha.degree + 1)
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,11 @@ integers so all downstream arithmetic stays exact.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Sequence
 
 from .coeff import PolyCoeff
-from .frame import Blade, Form, _blade_tuple, _sum_columns
+from .frame import Blade, Form, _blade_tuple, _int_row, _rows_times
 
 COEFF_RANGE = (-5, 5)
 MAX_TERMS = 4
@@ -55,22 +56,24 @@ def random_combination(
     """A random polynomial combination of the given constant forms.
 
     One random polynomial is drawn per element, in order.  Each blade's
-    coefficient is one `PolyCoeff.combine` of those polynomials with the
-    elements' constant coefficients on it; a non-constant element
-    coefficient, or elements of another n or degree, raise ValueError.
+    coefficient is the row of the elements' constant coefficients on it
+    times those polynomials; a non-constant element coefficient, or
+    elements of another n or degree, raise ValueError.
     """
     if not elements:
         raise ValueError("cannot combine an empty basis")
     n = elements[0].n
     degree = elements[0].degree
-    const_exps = (0,) * (2 * n + 1)
-    columns: dict[Blade, list[tuple[int, int, PolyCoeff]]] = {}
-    for element in elements:
+    polys = []
+    entries: dict[Blade, list[tuple[int, Fraction]]] = {}
+    for i, element in enumerate(elements):
         if element.n != n or element.degree != degree:
             raise ValueError("elements must share one n and one degree")
-        p = random_poly(rng, n, max_degree)
+        polys.append(random_poly(rng, n, max_degree))
         for blade, c in element.coeffs.items():
-            if c.num.keys() != {const_exps}:
+            value = c._constant()
+            if value is None:
                 raise ValueError(f"element coefficient {c.to_text()} is not constant")
-            columns.setdefault(blade, []).append((c.num[const_exps], c.den, p))
-    return _sum_columns(n, degree, columns)
+            entries.setdefault(blade, []).append((i, value))
+    sums = zip(entries, _rows_times(n, map(_int_row, entries.values()), polys))
+    return Form._from_clean(n, degree, {blade: p for blade, p in sums if not p.is_zero()})

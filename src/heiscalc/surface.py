@@ -37,6 +37,11 @@ if TYPE_CHECKING:
 
 Triple = tuple  # (x, y, t) triples of floats or numpy arrays
 
+# Sample points and tolerance of the finite-difference check of partials.
+_PARTIALS_SAMPLES = 100
+_PARTIALS_TOL = 1e-6
+_NEWTON_MAX_ITER = 60  # Newton steps before a candidate counts as a failure
+
 
 @dataclass(frozen=True)
 class HeisVector:
@@ -121,7 +126,7 @@ class ParamSurface:
             raise ValueError("parameter ranges must be nondegenerate")
         self._validate_partials()
 
-    def _validate_partials(self, samples: int = 100, tol: float = 1e-6) -> None:
+    def _validate_partials(self) -> None:
         # scan_grid passes arrays: refuse a scalar-only evaluator (one that
         # calls math.cos, say) here, not from inside a scan.
         r = np.array([[self.r_range[0]], [self.r_range[1]]])
@@ -138,7 +143,7 @@ class ParamSurface:
                 ) from exc
         rng = Random(1913)
         h = 1e-6
-        for _ in range(samples):
+        for _ in range(_PARTIALS_SAMPLES):
             r = rng.uniform(*self.r_range)
             s = rng.uniform(*self.s_range)
             for which, partial in (("gamma_r", self.gamma_r), ("gamma_s", self.gamma_s)):
@@ -149,7 +154,7 @@ class ParamSurface:
                 exact = partial(r, s)
                 for comp in range(3):
                     fd = (plus[comp] - minus[comp]) / (2 * h)
-                    if abs(fd - exact[comp]) > tol:
+                    if abs(fd - exact[comp]) > _PARTIALS_TOL:
                         raise ValueError(
                             f"{which} component {comp} disagrees with finite differences "
                             f"at (r, s) = ({r:.6f}, {s:.6f}): {exact[comp]!r} vs {fd!r}"
@@ -325,10 +330,10 @@ def _sign_span(values: np.ndarray) -> np.ndarray:
     return span
 
 
-def _newton_2d(func: Callable, r: float, s: float, tol: float, max_iter: int = 60) -> tuple[float, float, float, bool]:
+def _newton_2d(func: Callable, r: float, s: float, tol: float) -> tuple[float, float, float, bool]:
     h = 1e-6
     best = math.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         try:
             f1, f2, _ = func(r, s)
             res = max(abs(float(f1)), abs(float(f2)))

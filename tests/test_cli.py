@@ -302,7 +302,9 @@ def test_help_names_every_option(run_cli, command):
 
 # -- outputs pinned by digest ------------------------------------------------------
 
-# SHA-256 of stdout, recorded before the sampled suites shared one runner.
+# SHA-256 of stdout.  The verify and commute digests were recorded before the
+# sampled suites shared one runner, the complex and dims ones before the
+# chain's constant operators shared one kernel.
 _PINNED_STDOUT = {
     "verify --n 2 --trials 20 --format json": "6f61bd8dd53f1706d0ffb801fa32cc49b616eb4ffdf2c1faeb53f29e2346aee4",
     "verify --n 1 --format text": "ea1e989d8efe9c85b14d062fc7d1e6a0e3956401bb687e30b8ecb5baedef3805",
@@ -310,6 +312,8 @@ _PINNED_STDOUT = {
     "commute --map compose:dilation:r=1/3;translate:q=1,2,3 --n 1 --format json": (
         "157828b0518a47c48508945d8fbe3736ecb5749ef9b7c8b23962f1c55eb8e8f3"
     ),
+    "complex --n 3 --format json": "68f20869aca253754506f9253fe2e2d6a902d9901e61f6086dd3f3580f154c6b",
+    "dims --format csv": "3fb8b68015c20c2db9b579e2ae93d2b0cc593efafd546740a8887f05935e0ca6",
 }
 
 

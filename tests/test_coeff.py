@@ -140,7 +140,7 @@ def test_substitute_oracle():
 
 def _assert_canonical_poly(p: PolyCoeff, n: int) -> None:
     """Width 2n+1 keys, nonzero int numerators over a reduced positive
-    denominator, Fraction values in the view; equal to a validated rebuild."""
+    denominator; equal to a validated rebuild from its Fraction values."""
     assert type(p) is PolyCoeff and p.n == n
     assert type(p.den) is int and p.den >= 1
     assert math.gcd(p.den, *p.num.values()) == 1
@@ -149,10 +149,9 @@ def _assert_canonical_poly(p: PolyCoeff, n: int) -> None:
         assert type(exps) is tuple and len(exps) == 2 * n + 1
         assert all(type(e) is int and e >= 0 for e in exps)
         assert type(c) is int and c != 0
-    for exps, coeff in p.terms.items():
-        assert type(coeff) is Fraction and coeff == Fraction(p.num[exps], p.den)
-    rebuilt = PolyCoeff(n, p.terms)
-    assert rebuilt == p and rebuilt.terms == p.terms
+    terms = {exps: Fraction(c, p.den) for exps, c in p.num.items()}
+    rebuilt = PolyCoeff(n, terms)
+    assert rebuilt == p and (rebuilt.num, rebuilt.den) == (p.num, p.den)
 
 
 def _assert_canonical_form(a: Form, n: int) -> None:
@@ -257,7 +256,7 @@ def _nonzero(raw: dict) -> dict:
 
 def _assert_matches(p: PolyCoeff, n: int, ref: dict) -> None:
     _assert_canonical_poly(p, n)
-    assert dict(p.terms) == ref
+    assert {exps: Fraction(c, p.den) for exps, c in p.num.items()} == ref
 
 
 @settings(max_examples=150, deadline=None)

@@ -313,6 +313,16 @@ def test_blade_name():
     assert blade_name(1, ()) == "1"
 
 
+def test_repr_terms():
+    # The empty blade prints as a bare "(coeff)", not "(coeff) 1".
+    x = _var(2, 1)
+    assert repr(Form(2, 0, {(): x.scale(Fraction(1, 2))})) == "Form(n=2, (1/2·w1^1))"
+    coeffs = {(1, 3): 3, (2, 5): x}
+    assert repr(Form(2, 2, coeffs)) == "Form(n=2, (3/1) dx1^dy1 + (1/1·w1^1) dx2^theta)"
+    assert repr(MultiVector(2, 2, coeffs)) == "MultiVector(n=2, (3/1) X1^Y1 + (1/1·w1^1) X2^T)"
+    assert repr(MultiVector.zero(2, 1)) == "MultiVector(n=2, 0)"
+
+
 def test_all_blades_counts():
     for n in (1, 2, 3):
         for k in range(0, 2 * n + 2):
