@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
+import marshal
 import math
 import os
 import shutil
@@ -62,6 +62,8 @@ def _json_dump(payload) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -148,11 +150,15 @@ def _run_jobs(what: str, jobs: list[tuple[str, Callable]], in_worker: list[int])
     order.  The split is fixed, so this process makes the same calls on
     every run.  Each job seeds its own generator, so no result depends
     on the split.
+
+    Every part's results, this process's too, travel by the built-in
+    `marshal`: it round-trips dict, list, str, int, bool and None
+    exactly and raises on other types, which in the worker is a
+    _Failure (exit 1) naming the part.
     """
-    import pickle
 
     def dump(part: list[int], out: BinaryIO) -> None:
-        pickle.dump([jobs[i][1]() for i in part], out)
+        marshal.dump([jobs[i][1]() for i in part], out)
 
     every = range(len(jobs))
     if in_worker and _cpus() > 1:
@@ -167,7 +173,7 @@ def _run_jobs(what: str, jobs: list[tuple[str, Callable]], in_worker: list[int])
     out.seek(0)
     results = {}
     for part in parts:
-        results.update(zip(part, pickle.load(out)))
+        results.update(zip(part, marshal.load(out)))
     return [results[i] for i in every]
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -173,6 +172,8 @@ class PolyCoeff:
         polynomials are skipped; a zero c only adds zero numerators.
         """
         pairs = [(c, p) for c, p in pairs if p.num]
+        if not pairs:
+            return cls._from_clean(n, {})
         common = lcm(*(p.den for _, p in pairs))
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get
@@ -545,17 +546,38 @@ class _ExprParser:
         raise ValueError(f"unexpected token {tok!r} in polynomial expression")
 
 
-@dataclass(frozen=True)
-class Point:
-    """A numeric point of H^n; 2n+1 finite coordinates."""
+class _Frozen:
+    """Refuses to assign or delete attributes; __init__ sets each once through `_set`."""
 
-    coords: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coords) % 2 == 0 or len(self.coords) < 3:
-            raise ValueError(f"a point of H^n needs an odd number >= 3 of coordinates, got {len(self.coords)}")
-        if not all(math.isfinite(c) for c in self.coords):
-            raise ValueError(f"non-finite coordinate in {self.coords}")
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class Point(_Frozen):
+    """A numeric point of H^n; 2n+1 finite coordinates, equal by value."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[float, ...]) -> None:
+        if len(coords) % 2 == 0 or len(coords) < 3:
+            raise ValueError(f"a point of H^n needs an odd number >= 3 of coordinates, got {len(coords)}")
+        if not all(math.isfinite(c) for c in coords):
+            raise ValueError(f"non-finite coordinate in {coords}")
+        self._set(coords=coords)
+
+    def __eq__(self, other):
+        return self.coords == other.coords if isinstance(other, Point) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
 
     @property
     def n(self) -> int:

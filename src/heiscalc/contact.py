@@ -19,12 +19,11 @@ verdicts are decided symbolically, never sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _check_n, _decimal
+from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _check_n, _decimal, _Frozen
 from .frame import Blade, Form, form_to_json, frame_apply, theta_index
 from .rumin import (
     QuotientClass,
@@ -43,8 +42,7 @@ from .rumin import (
 from .sampling import seeded_rng
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothMap:
+class SmoothMap(_Frozen):
     """A polynomial map of H^n given by its coordinate components.
 
     A map lazily owns the tables every pullback through it shares, each
@@ -52,26 +50,23 @@ class SmoothMap:
     matrix, the coframe images f* theta_m, the blade images
     f* theta_{i1} ^ ... ^ f* theta_{ik}, and the monomial images
     w^e o f.  The components are fixed, so no entry ever goes stale;
-    the tables are per map, never shared between maps.
+    the tables are per map, never shared between maps, and maps compare
+    by identity.
     """
 
-    n: int
-    components: tuple[PolyCoeff, ...]
-    description: str | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, components: Sequence[PolyCoeff], description: str | None = None) -> None:
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        comps = tuple(self.components)
-        dim = theta_index(self.n)
+        comps = tuple(components)
+        dim = theta_index(n)
         if len(comps) != dim:
             raise ValueError(f"expected {dim} components, got {len(comps)}")
         for l, c in enumerate(comps, start=1):
             if not isinstance(c, PolyCoeff):
                 raise TypeError(f"component {l} is not a polynomial")
-            if c.n != self.n:
-                raise ValueError(f"component {l} lives in H^{c.n}, map in H^{self.n}")
-        object.__setattr__(self, "components", comps)
+            if c.n != n:
+                raise ValueError(f"component {l} lives in H^{c.n}, map in H^{n}")
+        self._set(n=n, components=comps, description=description)
 
     def component(self, l: int) -> PolyCoeff:
         """The l-th coordinate component, 1-indexed."""
@@ -150,8 +145,7 @@ class SmoothMap:
         return "poly:[" + ", ".join(c.to_text() for c in self.components) + "]"
 
 
-@dataclass(frozen=True, eq=False)
-class FrameMatrix:
+class FrameMatrix(_Frozen):
     """Derivative of a map in the frame basis.
 
     Rows follow the target frame W_1..W_2n, T and columns the source
@@ -159,8 +153,8 @@ class FrameMatrix:
     therefore holds A(j, f), not the naive t-derivative.
     """
 
-    n: int
-    entries: tuple[tuple[PolyCoeff, ...], ...]
+    def __init__(self, n: int, entries: tuple[tuple[PolyCoeff, ...], ...]) -> None:
+        self._set(n=n, entries=entries)
 
     def entry(self, l: int, j: int) -> PolyCoeff:
         """Coefficient of W_l in f_* W_j (1-indexed; l = 2n+1 means T)."""

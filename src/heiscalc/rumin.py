@@ -24,7 +24,6 @@ fraction-exact; no floating tolerance appears anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
@@ -140,8 +139,7 @@ def _block_op(inputs: tuple[Blade, ...], pieces) -> _ConstOp:
 # -- subspaces --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(NamedTuple):
     """A row-reduced constant-coefficient basis of a form subspace."""
 
     n: int
@@ -398,8 +396,7 @@ def in_subspace(kind: str, k: int, n: int, alpha: Form) -> bool:
 # -- quotient classes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientClass:
+class QuotientClass(NamedTuple):
     """A class in Omega^k/I^k (relation "I") or modulo {gamma^theta}
     (relation "theta"), stored through its canonical representative."""
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +42,21 @@ class CliResult:
 def run_cli():
     """`run_cli(args)` runs the command line in-process and returns a CliResult."""
     return CliResult
+
+
+def _fresh_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports heiscalc from the
+    same source tree as this test run; keyword arguments go to
+    subprocess.run."""
+    import heiscalc
+
+    src = str(Path(heiscalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+@pytest.fixture()
+def fresh_python():
+    """`fresh_python(args, **kwargs)` runs Python in a new process; see _fresh_python."""
+    return _fresh_python

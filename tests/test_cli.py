@@ -9,7 +9,6 @@ import json
 import math
 import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -372,7 +371,8 @@ def test_split_does_not_change_stdout(run_cli, forks, monkeypatch, command, fmt)
 
 def test_failing_report_is_unchanged_from_a_worker(forks, monkeypatch):
     # the sabotaged commute_check report pinned in test_contact.py, made
-    # in a forked worker and sent back
+    # in a forked worker and sent back: equal, key order included, to the
+    # report made in this process
     from heiscalc import cli
     import heiscalc.rumin as rumin_mod
     from heiscalc.contact import builtin_dilation, commute_check
@@ -391,6 +391,28 @@ def test_failing_report_is_unchanged_from_a_worker(forks, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2ff24afbc63a11663b15c4bdf70014569c7a5a74faaa995fe31cdfbee9c9362c"
     )
+    here = job[1]()
+    assert not here["passed"]
+    assert report == here and text == json.dumps(here, indent=2) + "\n"
+
+
+def test_worker_result_of_another_type_fails_naming_its_part(forks, capfd):
+    # marshal carries the reports' JSON types only; a Fraction from the
+    # worker is an error with the part's name, never a changed output
+    from fractions import Fraction
+
+    from heiscalc import cli
+
+    jobs = [("k=0", lambda: {"passed": True}), ("k=1", lambda: {"value": Fraction(1, 2)})]
+    with pytest.raises(cli._Failure) as failure:
+        cli._run_jobs("commute", jobs, in_worker=[1])
+    assert failure.value.code == 1
+    assert str(failure.value) == "commute failed: the worker for k=1 exited with status 1"
+    assert len(forks) == 1
+    assert "commute: the worker for k=1: ValueError('unmarshallable object')" in capfd.readouterr().err
+    for pid in forks:  # the worker was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", ["verify --n 1 --trials 2",
@@ -643,47 +665,57 @@ def test_mobius_below_quarter_with_root_outside_strip(run_cli, tmp_path):
     assert payload["points"] == [] and payload["failures"] == []
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def test_cli_import_leaves_numpy_unloaded(fresh_python):
     # Only mobius needs numpy; the symbolic subcommands must not pay for it.
     # Each subcommand imports the layers it runs, and the parser is argparse.
-    import heiscalc
-
     code = (
         "import heiscalc.cli, sys\n"
         "names = ('click', 'numpy', 'heiscalc.rumin', 'heiscalc.contact', 'heiscalc.surface')\n"
         "loaded = [m for m in names if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    src = str(Path(heiscalc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    fresh_python(["-c", code], check=True)
 
 
-def test_closed_stdout_exits_one_quietly():
+def test_symbolic_commands_load_only_what_they_use(fresh_python):
+    # verify and commute load none of dataclasses (with inspect, ast, dis),
+    # pickle or csv; csv loads only for --format csv.  What the run newly
+    # loaded is compared, so modules that site preloads do not count.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from heiscalc import cli\n"
+        "for args in (['verify', '--n', '1', '--trials', '2'],\n"
+        "             ['commute', '--map', 'dilation:r=2', '--n', '1', '--trials', '2']):\n"
+        "    assert cli.main(args, standalone_mode=False) == 0, args\n"
+        "new = set(sys.modules) - before\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'pickle', 'csv') if m in new]\n"
+        "assert not loaded, loaded\n"
+        "assert cli.main(['complex', '--n', '2', '--format', 'csv'], standalone_mode=False) == 0\n"
+        "assert 'csv' in sys.modules\n"
+    )
+    result = fresh_python(["-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "overall: pass\n" in result.stdout
+    assert "\nk,space,index,form\n" in result.stdout
+
+
+def test_closed_stdout_exits_one_quietly(fresh_python):
     # The reader of stdout is gone before anything is written, as in
     # `heiscalc dims | true`: exit 1, with no traceback or flush error.
-    import heiscalc
-
-    src = str(Path(heiscalc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     read, write = os.pipe()
     os.close(read)
     try:
-        result = subprocess.run([sys.executable, "-m", "heiscalc.cli", "dims"], env=env,
-                                stdout=write, stderr=subprocess.PIPE)
+        result = fresh_python(["-m", "heiscalc.cli", "dims"], stdout=write, stderr=subprocess.PIPE)
     finally:
         os.close(write)
     assert result.returncode == 1
     assert result.stderr == b""
 
 
-def test_mobius_refuses_oversized_grid_before_loading_numpy(tmp_path):
+def test_mobius_refuses_oversized_grid_before_loading_numpy(tmp_path, fresh_python):
     # 10^20 nodes: the node bound exits 2 before surface or numpy is
     # imported, so nothing is allocated and no artifact is written.
-    import heiscalc
-
     out = tmp_path / "out"
     code = (
         "import runpy, sys\n"
@@ -696,10 +728,7 @@ def test_mobius_refuses_oversized_grid_before_loading_numpy(tmp_path):
         "loaded = [m for m in ('numpy', 'heiscalc.surface') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    src = str(Path(heiscalc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    result = fresh_python(["-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
     assert "Error: grid 10000000000x10000000000 has more than 16777216 nodes\n" in result.stderr
@@ -717,11 +746,9 @@ def test_mobius_grid_node_bound(run_cli, tmp_path, monkeypatch):
     assert "has more than 4160 nodes" in result.stderr
 
 
-def test_mobius_leaves_symbolic_layers_unloaded(tmp_path):
+def test_mobius_leaves_symbolic_layers_unloaded(tmp_path, fresh_python):
     # mobius imports only cli and surface: coeff, frame, rumin, contact and
     # sampling are neither compiled nor loaded.
-    import heiscalc
-
     code = (
         "import runpy, sys\n"
         f"sys.argv = ['heiscalc', 'mobius', '-R', '0.2', '-w', '0.15', '--grid', '64x64',"
@@ -734,8 +761,4 @@ def test_mobius_leaves_symbolic_layers_unloaded(tmp_path):
         "loaded = [m for m in names if 'heiscalc.' + m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    src = str(Path(heiscalc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    fresh_python(["-c", code], check=True, stdout=subprocess.DEVNULL)

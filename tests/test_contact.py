@@ -541,3 +541,91 @@ def test_suite_maps_contents():
     # deterministic for a fixed seed
     again = suite_maps(2, seed=42)
     assert [f.components for f in maps] == [g.components for g in again]
+
+
+# -- the five records -----------------------------------------------------------
+
+
+def _records():
+    from heiscalc.coeff import Point
+    from heiscalc.rumin import QuotientClass, SubspaceBasis
+
+    f = builtin_dilation(2, 1)
+    return {
+        "Point": (Point((1.0, 2.0, 3.0)), ["coords", "n"]),
+        "SubspaceBasis": (basis_J(2, 1), ["n", "degree", "kind", "elements"]),
+        "QuotientClass": (QuotientClass(1, 0, Form.function(_var(1, 1))),
+                          ["n", "k", "representative", "relation"]),
+        "SmoothMap": (f, ["n", "components", "description", "frame_matrix"]),
+        "FrameMatrix": (f.frame_matrix, ["n", "entries"]),
+    }
+
+
+@pytest.mark.parametrize("name", ["Point", "SubspaceBasis", "QuotientClass", "SmoothMap", "FrameMatrix"])
+def test_record_fields_cannot_be_assigned(name):
+    record, fields = _records()[name]
+    for field in fields:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) is before
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        del record.n
+
+
+def test_point_compares_and_hashes_by_coords():
+    from heiscalc.coeff import Point
+
+    a, b = Point((1.0, 2.0, 3.0)), Point((1.0, 2.0, 3.0))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, Point((1.0, 2.0, 4.0))}) == 2
+    assert a != Point((1.0, 2.0, 4.0))
+    assert a != (1.0, 2.0, 3.0)
+    assert Point(coords=(0.0,) * 5).n == 2
+    with pytest.raises(ValueError, match=r"^a point of H\^n needs an odd number >= 3 of coordinates, got 2$"):
+        Point((1.0, 2.0))
+    with pytest.raises(ValueError, match=r"^non-finite coordinate in \(1\.0, inf, 0\.0\)$"):
+        Point((1.0, float("inf"), 0.0))
+
+
+def test_maps_and_frame_matrices_compare_by_identity():
+    f, g = builtin_dilation(2, 1), builtin_dilation(2, 1)
+    assert f.components == g.components and f.label() == g.label()
+    assert f != g and f == f
+    assert len({f, g}) == 2
+    assert f.frame_matrix.entries == g.frame_matrix.entries
+    assert f.frame_matrix != g.frame_matrix and f.frame_matrix == f.frame_matrix
+
+
+def test_quotient_class_equality_sees_relation():
+    from heiscalc.rumin import QuotientClass
+
+    rep = Form.function(_var(1, 1))
+    assert QuotientClass(1, 0, rep) == QuotientClass(1, 0, rep, "I")
+    assert QuotientClass(1, 0, rep).relation == "I"
+    for other in (QuotientClass(1, 0, rep, relation="theta"),
+                  QuotientClass(1, 0, Form.function(_var(1, 2)))):
+        assert not QuotientClass(1, 0, rep) == other
+        assert QuotientClass(1, 0, rep) != other
+
+
+def test_frame_matrix_is_computed_once_per_map(monkeypatch):
+    import heiscalc.contact as contact_mod
+
+    calls = []
+    real = contact_mod.frame_apply
+
+    def counting(j, p):
+        calls.append(j)
+        return real(j, p)
+
+    monkeypatch.setattr(contact_mod, "frame_apply", counting)
+    f = builtin_left_translation((1, 2, 3), 1)
+    first = f.frame_matrix
+    assert len(calls) == 9  # W_j f^l for j, l = 1..3
+    assert f.frame_matrix is first and pushforward(f) is first
+    assert len(calls) == 9
+    builtin_left_translation((1, 2, 3), 1).frame_matrix  # a second map builds its own
+    assert len(calls) == 18
