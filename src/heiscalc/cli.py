@@ -22,7 +22,6 @@ import json
 import marshal
 import math
 import os
-import shutil
 import sys
 from functools import partial
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn
@@ -96,8 +95,6 @@ def _forked(what: str, parts: list[tuple[str, Callable[[BinaryIO], None]]],
     naming its part.  However the block ends, every worker is
     reaped and the temporary files vanish with their descriptors.
     """
-    import tempfile
-
     workers = []  # [pid, temporary file, name]; pid is None unless a child is running
 
     def append_to(out: BinaryIO) -> None:
@@ -110,10 +107,13 @@ def _forked(what: str, parts: list[tuple[str, Callable[[BinaryIO], None]]],
                 raise _Failure(
                     f"{what} failed: the worker for {name} exited with status {code}", 1)
             output.seek(0)
-            shutil.copyfileobj(output, out)
+            # 64 KiB at a time, as shutil.copyfileobj reads on Linux
+            while chunk := output.read(65536):
+                out.write(chunk)
 
     try:
         for name, part in parts:
+            import tempfile  # only a run that forks loads it
             workers.append([None, tempfile.TemporaryFile(dir=tmp_dir), name])
             pid = os.fork()
             if pid == 0:

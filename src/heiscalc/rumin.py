@@ -15,10 +15,13 @@ the coefficient (a2 - a5)/2 when a2 dx1^dy1 + a5 dx2^dy2 is projected.
 The module also carries the weight machinery: d0 is the part of the
 exterior derivative that preserves blade weight (dx, dy weigh 1, theta
 weighs 2), so d0(c . blade) = c . d(blade).  Note the Koszul sign this
-inherits: d0(c . rest^theta) = (-1)^{|rest|} c . rest^dtheta.  Dropping
-that sign would give the corrector D0 = d0^{-1}(d - d0) a diagonal
-block on even degrees and the series P = sum (-D0)^k would never
-terminate, so the sign is load-bearing.  All subspace computations are
+inherits: d0(c . rest^theta) = (-1)^{|rest|} c . rest^dtheta.  With it,
+d - d0 raises weight, and so does the corrector C = d0^{-1}(d - d0).
+d0^{-1} lands on theta blades, which carry the top weight k + 1 of their
+degree k, so C d0^{-1} = 0: Q = P d0^{-1} is d0^{-1} itself, and the
+chain projection is Pi_E = 1 - d0^{-1} d - d d0^{-1}.  Dropping the sign
+would leave a weight-preserving remainder in d - d0 and break all of
+this, so the sign is load-bearing.  All subspace computations are
 fraction-exact; no floating tolerance appears anywhere in this module.
 """
 
@@ -70,7 +73,6 @@ __all__ = [
     "d0_inverse",
     "d0_corrector",
     "P_apply",
-    "Q_apply",
     "Pi_E",
     "Pi_E0",
     "dc_operator",
@@ -596,43 +598,27 @@ def d0_inverse(beta: Form) -> Form:
 
 
 def d0_corrector(alpha: Form) -> Form:
-    """The nilpotent corrector d0^{-1}(d - d0); degree-preserving.
+    """The corrector C = d0^{-1}(d - d0); degree-preserving.
 
     Named d0_corrector to keep it apart from the second-order D of the
-    Rumin chain.  It raises weight, and weights at a fixed degree span
-    two values, so its square vanishes.
+    Rumin chain.  It raises weight, so it kills the theta blades, the top
+    weight of their degree, and with them every output of d0^{-1}:
+    C d0^{-1} = 0 and C C = 0.
     """
     difference = exterior_derivative(alpha) - d0_part(alpha)
     return d0_inverse(difference)
 
 
-_P_SERIES_CAP = 16
-
-
 def P_apply(alpha: Form) -> Form:
-    """P = sum_k (-d0_corrector)^k, evaluated until the terms die out."""
-    acc = alpha
-    term = alpha
-    for _ in range(_P_SERIES_CAP):
-        term = -d0_corrector(term)
-        if term.is_zero():
-            return acc
-        acc = acc + term
-    raise AssertionError("corrector series failed to terminate; d0 convention broken")
-
-
-def Q_apply(alpha: Form) -> Form:
-    """Q = P d0^{-1}, mapping degree k to k-1; zero on degree 0."""
-    if alpha.degree == 0:
-        return Form.zero(alpha.n, 0)
-    return P_apply(d0_inverse(alpha))
+    """Rumin's P = sum_j (-C)^j for C = d0_corrector, which is 1 - C as
+    C C = 0.  `Pi_E` does not need it: Q = P d0^{-1} is d0^{-1}."""
+    return alpha - d0_corrector(alpha)
 
 
 def Pi_E(alpha: Form) -> Form:
-    """The chain projection Id - Q d - d Q."""
-    first = Q_apply(exterior_derivative(alpha))
-    second = exterior_derivative(Q_apply(alpha)) if alpha.degree > 0 else Form.zero(alpha.n, alpha.degree)
-    return alpha - first - second
+    """The chain projection 1 - Q d - d Q, with Q = P d0^{-1} = d0^{-1}
+    (see `P_apply`); d0^{-1} of a function is the zero form."""
+    return alpha - d0_inverse(exterior_derivative(alpha)) - exterior_derivative(d0_inverse(alpha))
 
 
 def Pi_E0(alpha: Form) -> Form:
@@ -641,7 +627,11 @@ def Pi_E0(alpha: Form) -> Form:
 
 
 def dc_operator(alpha: Form) -> Form:
-    """d_c = Pi_E0 d Pi_E on E0^k; the unified Rumin differential."""
+    """d_c = Pi_E0 d Pi_E on E0^k; the unified Rumin differential.
+
+    E0^k is orthogonal to Im d0, so d0^{-1} kills it, and on E0^k this is
+    Pi_E0 d (1 - d0^{-1} d).
+    """
     n = alpha.n
     k = alpha.degree
     if not in_subspace("E0", k, n, alpha):

@@ -700,6 +700,26 @@ def test_symbolic_commands_load_only_what_they_use(fresh_python):
     assert "\nk,space,index,form\n" in result.stdout
 
 
+def test_unforked_run_loads_neither_shutil_nor_tempfile(fresh_python):
+    # Importing cli loads neither module, and pinned to one CPU, verify
+    # forks no worker and so never loads tempfile.  -S keeps site's .pth
+    # files from preloading them.  The run itself loads shutil anyway:
+    # argparse imports it for the terminal width as soon as a parser gets
+    # an argument.
+    code = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from heiscalc import cli\n"
+        "loaded = [m for m in ('shutil', 'tempfile') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert cli.main(['verify', '--n', '1', '--trials', '2'], standalone_mode=False) == 0\n"
+        "assert 'tempfile' not in sys.modules\n"
+    )
+    result = fresh_python(["-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "overall: pass\n" in result.stdout
+
+
 def test_closed_stdout_exits_one_quietly(fresh_python):
     # The reader of stdout is gone before anything is written, as in
     # `heiscalc dims | true`: exit 1, with no traceback or flush error.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from heiscalc.frame import (
     dy,
     exterior_derivative,
     frame_apply,
+    theta_index,
     wedge,
 )
 from heiscalc import rumin
@@ -748,6 +750,63 @@ def test_d0_corrector_vanishes_on_E0():
         for k in range(0, 2 * n + 2):
             for el in basis_E0(k, n).elements:
                 assert d0_corrector(el).is_zero()
+
+
+# -- jets: proofs over every input of bounded order ---------------------------
+#
+# An operator of order <= m with polynomial coefficients, applied to
+# w^beta . b, gives beta! a_beta b plus terms of lower order in beta, so
+# it vanishes on every smooth form exactly when it kills every monomial
+# of degree <= m times every blade (the argument test_c04 uses).
+
+
+def _jets(n, max_degree):
+    """Every monomial w^beta with |beta| <= max_degree."""
+    width = 2 * n + 1
+    return [
+        PolyCoeff(n, {tuple(sum(1 for i in factors if i == j) for j in range(width)): Fraction(1)})
+        for total in range(max_degree + 1)
+        for factors in combinations_with_replacement(range(width), total)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_d0_pseudo_inverse_lands_on_theta_blades(n):
+    t_idx = theta_index(n)
+    for k in range(0, 2 * n + 1):
+        assert all(t_idx in blade for blade in rumin._d0_pseudo_inverse(n, k).outputs), k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_d0_corrector_kills_theta_forms(n):
+    # C = d0^{-1}(d - d0) has order 1, so killing w^beta . b for |beta| <= 1
+    # and every theta blade b decides C = 0 on theta-supported forms.  With
+    # the test above, C d0^{-1} = 0, P d0^{-1} = d0^{-1} and C C = 0.
+    t_idx = theta_index(n)
+    jets = _jets(n, 1)
+    for k in range(1, 2 * n + 2):
+        for blade in all_blades(n, k):
+            if t_idx in blade:
+                for m in jets:
+                    assert d0_corrector(Form.from_blade(n, blade, m)).is_zero(), (blade, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_Pi_E_on_jets(n):
+    # Pi_E has order 1, so both sides of each identity have order <= 2,
+    # and the jets of degree <= 2 decide it on every smooth form.
+    jets = _jets(n, 2)
+    for k in range(0, 2 * n + 2):
+        for blade in all_blades(n, k):
+            for m in jets:
+                a = Form.from_blade(n, blade, m)
+                projected = rumin.Pi_E(a)
+                assert rumin.Pi_E(projected) == projected, (blade, m)
+                assert rumin.Pi_E(exterior_derivative(a)) == exterior_derivative(projected), (blade, m)
+        for element in basis_E0(k, n).elements:
+            for m in jets:
+                alpha = element.scale(m)
+                assert rumin.Pi_E(alpha) == alpha - d0_inverse(exterior_derivative(alpha)), (element, m)
 
 
 # -- unified operator ---------------------------------------------------------

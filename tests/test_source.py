@@ -42,6 +42,35 @@ def test_unused_import_detector():
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _unbound_exports(tree: ast.Module) -> list[str]:
+    """Names listed in the module's __all__ that no module-level
+    statement binds."""
+    exported, bound = [], set()
+    for statement in tree.body:
+        if isinstance(statement, (*_FUNCTIONS, ast.ClassDef)):
+            bound.add(statement.name)
+        elif isinstance(statement, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in statement.names)
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            names = {node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)}
+            if "__all__" in names:
+                exported = ast.literal_eval(statement.value)
+            bound.update(names)
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    assert _unbound_exports(ast.parse(path.read_text())) == []
+
+
+def test_unbound_export_detector():
+    tree = ast.parse("from m import a\nimport p.q\ndef f(): pass\nclass C: pass\nx, y = 1, 2\n"
+                     "z: int = 3\n__all__ = ['a', 'p', 'f', 'C', 'x', 'y', 'z', 'gone', 'q']\n")
+    assert _unbound_exports(tree) == ["gone", "q"]
+
+
 def _owned_nodes(tree: ast.Module):
     """(owner, node) for every node of `tree`.  The owner is the
     module-level function ('f') or the method of a module-level class
