@@ -609,7 +609,14 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
 
     Exits the process with the command's code, or with standalone_mode
     false returns it.  Usage errors the parser finds exit 2 either way,
-    and --help exits 0, as argparse does.
+    and --help exits 0, as argparse does; an uncaught exception
+    propagates.
+
+    The exit flushes stdout and stderr and leaves through os._exit, as
+    the forked workers do: every artifact is closed by its with-block
+    and every worker reaped by then, so tearing the interpreter down
+    (freeing the cached tables, and numpy for mobius) would only cost
+    time.
     """
     options = vars(_parser().parse_args(args))
     run = options.pop("run")
@@ -621,12 +628,14 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
         code = exc.code
     except BrokenPipeError:
         # The reader of stdout has gone: exit 1, and send what is still
-        # buffered to devnull, or the flush at exit fails again.
+        # buffered to devnull, or the next flush fails again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    if standalone_mode:
-        sys.exit(code)
-    return code
+    if not standalone_mode:
+        return code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

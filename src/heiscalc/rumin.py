@@ -50,7 +50,7 @@ from .frame import (
     form_to_json,
     theta_index,
 )
-from .sampling import random_combination, seeded_rng
+from .sampling import CombinationRows, combination_rows, random_combination, seeded_rng
 
 __all__ = [
     "SubspaceBasis",
@@ -645,10 +645,16 @@ def dc_operator(alpha: Form) -> Form:
 # -- verification suites -------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _chain_rows(n: int, k: int) -> CombinationRows:
+    """The rows of the degree-k chain basis: the quotient's below the
+    middle, J^k's above it."""
+    return combination_rows((basis_quotient(k, n) if k <= n else basis_J(k, n)).elements)
+
+
 def _random_chain_input(rng, n: int, k: int, degree: int):
     """A random element of the degree-k chain space (class or J-form)."""
-    basis = basis_quotient(k, n) if k <= n else basis_J(k, n)
-    rep = random_combination(rng, basis.elements, max_degree=degree)
+    rep = random_combination(rng, _chain_rows(n, k), max_degree=degree)
     return QuotientClass(n, k, rep) if k <= n else rep
 
 

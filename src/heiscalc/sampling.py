@@ -1,18 +1,24 @@
-"""Seeded random polynomials and forms for the verification suites.
+"""Seeded random polynomials and combinations for the verification suites.
 
 Everything here is driven by a caller-supplied random.Random so that
 suites are reproducible from a single seed; coefficients are small
 integers so all downstream arithmetic stays exact.
+
+Every number is drawn as `Random.randint` and `Random.randrange` draw
+it, by `getrandbits(bound.bit_length())` until the value lies below the
+bound.  Calling `getrandbits` directly skips their argument checks and
+keeps their stream: a seed gives the same polynomials as it did through
+`randint`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coeff import PolyCoeff
-from .frame import Blade, Form, _blade_tuple, _int_row, _rows_times
+from .frame import Blade, Form, _IntRow, _int_row, _rows_times
 
 COEFF_RANGE = (-5, 5)
 MAX_TERMS = 4
@@ -24,56 +30,93 @@ def seeded_rng(seed: int) -> random.Random:
 
 def random_poly(rng: random.Random, n: int, max_degree: int = 3) -> PolyCoeff:
     """A random integer polynomial in w_1..w_{2n+1} of bounded degree:
-    up to MAX_TERMS terms with coefficients drawn from COEFF_RANGE."""
+    up to MAX_TERMS terms with coefficients drawn from COEFF_RANGE.
+
+    Each `x = bits(b); while x >= bound: x = bits(b)` below is
+    `Random._randbelow(bound)`, which randint and randrange call.
+    """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    bits = rng.getrandbits
     width = 2 * n + 1
+    low, high = COEFF_RANGE
+    span = high - low + 1
+    terms_bits, degree_bits = MAX_TERMS.bit_length(), (max_degree + 1).bit_length()
+    width_bits, span_bits = width.bit_length(), span.bit_length()
     terms: dict[tuple[int, ...], int] = {}
-    for _ in range(rng.randint(1, MAX_TERMS)):
+    count = bits(terms_bits)  # randint(1, MAX_TERMS) - 1
+    while count >= MAX_TERMS:
+        count = bits(terms_bits)
+    for _ in range(count + 1):
         exponents = [0] * width
-        for _ in range(rng.randint(0, max_degree)):
-            exponents[rng.randrange(width)] += 1
-        value = rng.randint(*COEFF_RANGE)
+        degree = bits(degree_bits)  # randint(0, max_degree)
+        while degree > max_degree:
+            degree = bits(degree_bits)
+        for _ in range(degree):
+            slot = bits(width_bits)  # randrange(width)
+            while slot >= width:
+                slot = bits(width_bits)
+            exponents[slot] += 1
+        value = bits(span_bits)  # randint(*COEFF_RANGE) - low
+        while value >= span:
+            value = bits(span_bits)
         key = tuple(exponents)
-        terms[key] = terms.get(key, 0) + value
+        terms[key] = terms.get(key, 0) + low + value
     return PolyCoeff._from_clean(n, {key: value for key, value in terms.items() if value})
 
 
-def random_form(
-    rng: random.Random,
-    n: int,
-    degree: int,
-    max_degree: int = 3,
-) -> Form:
-    """A random form with a polynomial coefficient on every blade."""
-    coeffs = {blade: random_poly(rng, n, max_degree) for blade in _blade_tuple(n, degree)}
-    return Form(n, degree, coeffs)
+class CombinationRows(NamedTuple):
+    """The constant rows of a sequence of constant forms.
+
+    A combination draws `size` polynomials, one per element, and puts
+    rows[j] (stored as in `_int_row`) times them on blades[j].
+    """
+
+    n: int
+    degree: int
+    size: int
+    blades: tuple[Blade, ...]
+    rows: tuple[_IntRow, ...]
 
 
-def random_combination(
-    rng: random.Random,
-    elements: Sequence[Form],
-    max_degree: int = 3,
-) -> Form:
-    """A random polynomial combination of the given constant forms.
+def combination_rows(elements: Sequence[Form]) -> CombinationRows:
+    """The rows `random_combination` draws with, for drawing from the
+    same elements many times.
 
-    One random polynomial is drawn per element, in order.  Each blade's
-    coefficient is the row of the elements' constant coefficients on it
-    times those polynomials; a non-constant element coefficient, or
-    elements of another n or degree, raise ValueError.
+    A non-constant element coefficient, no elements at all, or elements
+    of another n or degree raise ValueError.
     """
     if not elements:
         raise ValueError("cannot combine an empty basis")
     n = elements[0].n
     degree = elements[0].degree
-    polys = []
     entries: dict[Blade, list[tuple[int, Fraction]]] = {}
     for i, element in enumerate(elements):
         if element.n != n or element.degree != degree:
             raise ValueError("elements must share one n and one degree")
-        polys.append(random_poly(rng, n, max_degree))
         for blade, c in element.coeffs.items():
             value = c._constant()
             if value is None:
                 raise ValueError(f"element coefficient {c.to_text()} is not constant")
             entries.setdefault(blade, []).append((i, value))
-    sums = zip(entries, _rows_times(n, map(_int_row, entries.values()), polys))
-    return Form._from_clean(n, degree, {blade: p for blade, p in sums if not p.is_zero()})
+    return CombinationRows(n, degree, len(elements), tuple(entries), tuple(map(_int_row, entries.values())))
+
+
+def random_combination(
+    rng: random.Random,
+    elements: Sequence[Form] | CombinationRows,
+    max_degree: int = 3,
+) -> Form:
+    """A random polynomial combination of the given constant forms, or
+    of the forms `combination_rows` was given.
+
+    One random polynomial is drawn per element, in order.  Each blade's
+    coefficient is the row of the elements' constant coefficients on it
+    times those polynomials.  Elements are checked as `combination_rows`
+    checks them, before anything is drawn.
+    """
+    table = elements if isinstance(elements, CombinationRows) else combination_rows(elements)
+    n = table.n
+    polys = [random_poly(rng, n, max_degree) for _ in range(table.size)]
+    sums = zip(table.blades, _rows_times(n, table.rows, polys))
+    return Form._from_clean(n, table.degree, {blade: p for blade, p in sums if not p.is_zero()})

@@ -11,6 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from heiscalc.frame import Form, all_blades
+from heiscalc.sampling import random_poly
+
+
+def random_form(rng, n: int, degree: int, max_degree: int = 3) -> Form:
+    """A random form with a `random_poly` coefficient on every blade,
+    drawn in blade order."""
+    return Form(n, degree, {blade: random_poly(rng, n, max_degree) for blade in all_blades(n, degree)})
+
 
 class CliResult:
     """One in-process run of `heiscalc.cli.main` with its output captured.

@@ -38,7 +38,9 @@ from heiscalc.frame import (
     wedge,
 )
 from heiscalc.rumin import basis_J, in_subspace, project_quotient
-from heiscalc.sampling import random_form, random_poly, seeded_rng
+from heiscalc.sampling import random_poly, seeded_rng
+
+from conftest import random_form
 
 
 def _var(n, i):

@@ -30,7 +30,9 @@ from heiscalc.frame import (
     twist_polynomial,
     wedge,
 )
-from heiscalc.sampling import random_form, random_poly, seeded_rng
+from heiscalc.sampling import random_poly, seeded_rng
+
+from conftest import random_form
 
 
 def _var(n, i):

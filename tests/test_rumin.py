@@ -50,7 +50,9 @@ from heiscalc.rumin import (
     verify_lifting,
     weight_of,
 )
-from heiscalc.sampling import random_combination, random_form, random_poly, seeded_rng
+from heiscalc.sampling import random_combination, random_poly, seeded_rng
+
+from conftest import random_form
 
 
 def _var(n, i):

@@ -8,7 +8,7 @@ import pytest
 
 from heiscalc.coeff import PolyCoeff
 from heiscalc.frame import Form
-from heiscalc.rumin import basis_E0, basis_I, basis_J, basis_quotient
+from heiscalc.rumin import QuotientClass, _random_chain_input, basis_E0, basis_I, basis_J, basis_quotient
 from heiscalc.sampling import COEFF_RANGE, random_combination, random_poly, seeded_rng
 
 
@@ -45,11 +45,14 @@ def _bases(n):
         yield basis_E0(k, n)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_poly_draws_are_unchanged(n):
+    # The rejection loops draw 3 bits for the term count, 4 for a
+    # coefficient, 2 or 3 for a variable (width 3, 5 or 7), and 1 to 4 for
+    # the degree (max_degree 0, 1, 3, 4 and 7 give bounds 1, 2, 4, 5, 8).
     for seed in range(200):
         rng, old = seeded_rng(seed), seeded_rng(seed)
-        for max_degree in (0, 2, 3):
+        for max_degree in (0, 1, 3, 4, 7):
             p = random_poly(rng, n, max_degree)
             assert p == _poly_by_fractions(old, n, max_degree)
             assert p.den == 1 and all(p.num.values())
@@ -78,6 +81,25 @@ def test_random_combination_draws_are_unchanged(n):
             assert rng.getstate() == old.getstate()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_inputs_draw_from_their_basis(n):
+    # Every draw of the suites goes through _random_chain_input, which
+    # reads the basis rows from a table cached per (n, k).
+    for k in range(0, 2 * n + 1):
+        basis = basis_quotient(k, n) if k <= n else basis_J(k, n)
+        for seed in range(20):
+            rng, old = seeded_rng(seed), seeded_rng(seed)
+            for max_degree in (0, 3):
+                value = _random_chain_input(rng, n, k, max_degree)
+                expected = _combination_by_scaling(old, basis.elements, max_degree)
+                if k <= n:
+                    assert isinstance(value, QuotientClass)
+                    assert (value.n, value.k) == (n, k)
+                    value = value.representative
+                assert value == expected and value.degree == k
+            assert rng.getstate() == old.getstate()
+
+
 def test_random_combination_rejects_bad_elements():
     rng = seeded_rng(0)
     with pytest.raises(ValueError, match="empty"):
@@ -87,3 +109,5 @@ def test_random_combination_rejects_bad_elements():
         random_combination(rng, [Form.from_blade(1, (2,)), polynomial])
     with pytest.raises(ValueError):
         random_combination(rng, [Form.from_blade(1, (1,)), Form.from_blade(1, (1, 2))])
+    with pytest.raises(ValueError, match="max_degree"):
+        random_poly(rng, 1, -1)
