@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn
 
 if TYPE_CHECKING:
     from .frame import Form
+    from .surface import ParamSurface
 
 # The symbolic layers (frame, rumin, contact) are imported inside the
 # subcommands that use them, so `mobius` starts without compiling them.
@@ -387,8 +388,9 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     raise ValueError(f"cannot parse grid {spec!r}; expected e.g. 1024x512")
 
 
-# The scan holds three float64 grids and the CSV takes about 100 bytes a
-# node: 2^24 nodes need about 0.6 GB of memory and write 1.7 GB.
+# The scan is streamed in blocks of r-rows, so memory does not grow with
+# the number of r-rows; what the bound caps is the CSV, about 100 bytes a
+# node: 2^24 nodes write 1.7 GB.
 _MAX_GRID_NODES = 2**24
 
 
@@ -411,18 +413,22 @@ def _import_surface():
     return surface
 
 
-def _write_scan_rows(handle, data: dict, lo: int, hi: int) -> None:
+def _write_scan_rows(handle, surface: ParamSurface, grid: tuple[int, int],
+                     lo: int, hi: int) -> None:
     # r-rows lo..hi-1 as 5-column lines, one writelines per r-row, with
-    # shortest round-trip reprs.  No field holds a comma or quote, so the
-    # bytes are those csv.writer would write.
-    s_texts = [repr(s) for s in data["s"].tolist()]
-    n1, n2, n3 = data["N1"], data["N2"], data["N3"]
-    for i, r in enumerate(data["r"][lo:hi].tolist(), lo):
-        r_text = repr(r)
-        handle.writelines(
-            f"{r_text},{s},{a!r},{b!r},{c!r}\n"
-            for s, a, b, c in zip(s_texts, n1[i].tolist(), n2[i].tolist(), n3[i].tolist())
-        )
+    # shortest round-trip reprs, from the scan's blocks of this range.  No
+    # field holds a comma or quote, so the bytes are those csv.writer
+    # would write.
+    from .surface import _grid_nodes, _scan_blocks
+
+    s_texts = [repr(s) for s in _grid_nodes(surface, grid)[1].tolist()]
+    for r_block, (n1, n2, n3) in _scan_blocks(surface, grid, lo, hi):
+        for k, r in enumerate(r_block.tolist()):
+            r_text = repr(r)
+            handle.writelines(
+                f"{r_text},{s},{a!r},{b!r},{c!r}\n"
+                for s, a, b, c in zip(s_texts, n1[k].tolist(), n2[k].tolist(), n3[k].tolist())
+            )
 
 
 def _scan_csv_parts(rows: int) -> int:
@@ -430,27 +436,31 @@ def _scan_csv_parts(rows: int) -> int:
     return max(1, min(_cpus(), rows))
 
 
-def _write_scan_csv(path: str, data: dict, parts: int | None = None) -> None:
-    """Write the scan grid as CSV, formatting contiguous r-row parts in parallel.
+def _write_scan_csv(path: str, surface: ParamSurface, grid: tuple[int, int],
+                    parts: int | None = None) -> None:
+    """Write the scan of `surface` on `grid` as CSV, formatting contiguous
+    r-row parts in parallel.
 
     Float reprs dominate the cost, so each part but the first is
     formatted by a forked worker (`_forked`) into a temporary file next
     to `path` while this process formats the first straight into
-    `path`.  The workers start before `path` is opened, so they overlap
-    the truncation of an earlier CSV.  `parts` defaults to one per
-    available CPU.  If anything fails, the partial CSV is removed.
+    `path`.  Every part evaluates its own rows, block by block, so no
+    process holds the grid.  The workers start before `path` is opened,
+    so they overlap the truncation of an earlier CSV.  `parts` defaults
+    to one per available CPU.  If anything fails, the partial CSV is
+    removed.
     """
-    rows = len(data["r"])
+    rows = grid[0]
     if parts is None:
         parts = _scan_csv_parts(rows)
     bounds = [rows * k // parts for k in range(parts + 1)]
-    workers = [(f"r-rows {lo}..{hi - 1}", partial(_scan_csv_part, data, lo, hi))
+    workers = [(f"r-rows {lo}..{hi - 1}", partial(_scan_csv_part, surface, grid, lo, hi))
                for lo, hi in zip(bounds[1:], bounds[2:])]
     try:
         with _forked(f"writing {path}", workers, os.path.dirname(path) or ".") as append_to, \
                 open(path, "wb") as out:
             out.write(b"r,s,N1,N2,N3\n")
-            _scan_csv_part(data, 0, bounds[1], out)
+            _scan_csv_part(surface, grid, 0, bounds[1], out)
             append_to(out)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -458,10 +468,11 @@ def _write_scan_csv(path: str, data: dict, parts: int | None = None) -> None:
         raise
 
 
-def _scan_csv_part(data: dict, lo: int, hi: int, out: BinaryIO) -> None:
+def _scan_csv_part(surface: ParamSurface, grid: tuple[int, int], lo: int, hi: int,
+                   out: BinaryIO) -> None:
     text = io.TextIOWrapper(out, encoding="ascii")
     try:
-        _write_scan_rows(text, data, lo, hi)
+        _write_scan_rows(text, surface, grid, lo, hi)
     finally:
         text.detach()  # flushes, and leaves `out` open
 
@@ -492,7 +503,7 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
     os.makedirs(out, exist_ok=True)
     scan_path = os.path.join(out, "mobius_scan.csv")
     points_path = os.path.join(out, "mobius_points.json")
-    _write_scan_csv(scan_path, result.grid)
+    _write_scan_csv(scan_path, surf, grid)
     with open(points_path, "w") as handle:
         handle.write(_json_dump(result.to_json()))
 

@@ -169,11 +169,15 @@ class PolyCoeff:
 
         Numerators accumulate as ints over the lcm of the polynomials'
         denominators, and the sum is reduced once at the end.  Zero
-        polynomials are skipped; a zero c only adds zero numerators.
+        polynomials are skipped; a zero c only adds zero numerators.  A
+        lone nonzero polynomial with c = 1 and den = 1 is returned as it
+        is, as `__add__` returns an operand: nothing mutates `num`.
         """
         pairs = [(c, p) for c, p in pairs if p.num]
         if not pairs:
             return cls._from_clean(n, {})
+        if len(pairs) == 1 and pairs[0][0] == 1 and den == 1 and pairs[0][1].n == n:
+            return pairs[0][1]  # a lone unit entry: the polynomial itself
         common = lcm(*(p.den for _, p in pairs))
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get

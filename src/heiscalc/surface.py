@@ -25,9 +25,9 @@ the Mobius strip's half twist, gamma(2 pi, s) = gamma(0, -s), alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,15 +82,10 @@ class CharPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Characteristic points plus any Newton candidates that failed to converge.
-
-    `grid` is the scan_grid dict the points were seeded from; it takes
-    no part in equality or repr.
-    """
+    """Characteristic points plus any Newton candidates that failed to converge."""
 
     points: tuple[CharPoint, ...]
     failures: tuple[dict, ...]
-    grid: dict | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> list[dict]:
         return [p.to_json() for p in self.points]
@@ -101,7 +96,7 @@ class ParamSurface:
     """A parametrized surface (r, s) -> (x, y, t) with numeric partial evaluators.
 
     Evaluators must accept scalars, and numpy arrays that broadcast
-    against each other: `scan_grid` passes r as an (rows, 1) column and
+    against each other: the scan passes r as an (rows, 1) column and
     s as a (1, n_s) row.  Each returned component may be a scalar or an
     array of any shape that broadcasts to (rows, n_s), so a component
     that is constant, or depends on one parameter only, need not be
@@ -127,7 +122,7 @@ class ParamSurface:
         self._validate_partials()
 
     def _validate_partials(self) -> None:
-        # scan_grid passes arrays: refuse a scalar-only evaluator (one that
+        # The scan passes arrays: refuse a scalar-only evaluator (one that
         # calls math.cos, say) here, not from inside a scan.
         r = np.array([[self.r_range[0]], [self.r_range[1]]])
         s = np.array([self.s_range])
@@ -278,9 +273,43 @@ def mobius_characteristic_closed_form(R: float) -> tuple[float, float] | None:
     return (0.0, s)
 
 
-# r-rows per evaluation block of scan_grid: each temporary an evaluator
-# makes is one block in size, not one grid.
+# r-rows per evaluation block: each temporary an evaluator makes, and
+# each array a consumer of the blocks holds, is one block in size.
 _SCAN_ROWS = 32
+
+
+def _grid_nodes(surface: ParamSurface, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    # The r- and s-nodes of the closed parameter rectangle.
+    n_r, n_s = grid
+    if n_r < 2 or n_s < 2:
+        raise ValueError("grid must have at least 2 nodes per axis")
+    return np.linspace(*surface.r_range, n_r), np.linspace(*surface.s_range, n_s)
+
+
+def _scan_blocks(surface: ParamSurface, grid: tuple[int, int], lo: int = 0,
+                 hi: int | None = None) -> Iterator[tuple[np.ndarray, tuple]]:
+    """Yield (r-nodes, (N1, N2, N3)) for the r-rows lo..hi-1, block by block.
+
+    Blocks are `_SCAN_ROWS` r-rows, aligned at row 0, and each is
+    evaluated whole on broadcast axes: r as a (rows, 1) column, s as a
+    (1, n_s) row.  A range that starts or ends inside a block drops the
+    rows outside it, so every row comes from the same numpy call
+    wherever the range is cut.  Each component is a float (rows, n_s)
+    array, which may be a broadcast view of a constant or a one-axis
+    one.
+    """
+    r_nodes, s_nodes = _grid_nodes(surface, grid)
+    n_r, n_s = grid
+    hi = n_r if hi is None else hi
+    normal = surface_normal(surface)
+    s_row = s_nodes[np.newaxis, :]
+    for start in range(lo - lo % _SCAN_ROWS, hi, _SCAN_ROWS):
+        r_block = r_nodes[start:start + _SCAN_ROWS]
+        shape = (len(r_block), n_s)
+        keep = slice(max(lo - start, 0), min(hi - start, _SCAN_ROWS))
+        values = normal(r_block[:, np.newaxis], s_row)
+        yield r_block[keep], tuple(
+            np.broadcast_to(np.asarray(v, dtype=float), shape)[keep] for v in values)
 
 
 def scan_grid(surface: ParamSurface, grid: tuple[int, int]) -> dict:
@@ -290,27 +319,20 @@ def scan_grid(surface: ParamSurface, grid: tuple[int, int]) -> dict:
     (n_r, n_s), indexed [i_r, i_s]).  Both closed intervals are sampled,
     so seam columns are seen exactly.
 
-    The normal is evaluated on broadcast axes, one block of `_SCAN_ROWS`
-    r-rows at a time: r as a (rows, 1) column, s as a (1, n_s) row.  A
-    factor that depends on r alone is then computed once per r-node, and
-    the temporaries stay one block in size.  Each block is written into
-    preallocated grids, so a component that is constant, or depends on
-    one parameter only, still fills its full 2-D array.
+    The grids are filled from the blocks of `_scan_blocks`, the one
+    evaluation path the search and the command line's CSV read too;
+    neither of those holds a grid.  A factor that depends on r alone is
+    computed once per r-node, and a component that is constant, or
+    depends on one parameter only, still fills its full 2-D array.
     """
-    n_r, n_s = grid
-    if n_r < 2 or n_s < 2:
-        raise ValueError("grid must have at least 2 nodes per axis")
-    r0, r1 = surface.r_range
-    s0, s1 = surface.s_range
-    r_nodes = np.linspace(r0, r1, n_r)
-    s_nodes = np.linspace(s0, s1, n_s)
-    normal = surface_normal(surface)
-    n1, n2, n3 = (np.empty((n_r, n_s)) for _ in range(3))
-    s_row = s_nodes[np.newaxis, :]
-    for lo in range(0, n_r, _SCAN_ROWS):
-        rows = slice(lo, lo + _SCAN_ROWS)
-        for dest, values in zip((n1, n2, n3), normal(r_nodes[rows, np.newaxis], s_row)):
-            dest[rows] = values
+    r_nodes, s_nodes = _grid_nodes(surface, grid)
+    n1, n2, n3 = (np.empty(grid) for _ in range(3))
+    lo = 0
+    for r_block, values in _scan_blocks(surface, grid):
+        hi = lo + len(r_block)
+        for dest, block in zip((n1, n2, n3), values):
+            dest[lo:hi] = block
+        lo = hi
     return {"r": r_nodes, "s": s_nodes, "N1": n1, "N2": n2, "N3": n3}
 
 
@@ -376,19 +398,28 @@ def find_characteristic_points(
     within 1e-6 in parameters and by ambient position, and flagged as
     boundary points when |s| is within tol of the strip edge.
     Non-convergent candidates are returned in `failures` rather than
-    dropped, and the scanned grid is returned in `grid`.
+    dropped.  The scan is read in blocks of `_SCAN_ROWS` r-rows and only
+    the candidate cells are kept, so no grid-sized array is held.
     """
     n_r, n_s = grid
     if n_r < 64 or n_s < 64:
         raise ValueError("grid must be at least 64 x 64")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    data = scan_grid(surface, grid)
-    r_nodes, s_nodes = data["r"], data["s"]
-    n1, n2 = data["N1"], data["N2"]
+    r_nodes, s_nodes = _grid_nodes(surface, grid)
 
-    candidates = _sign_span(n1) & _sign_span(n2)
-    cells = [(int(i), int(j)) for i, j in zip(*np.nonzero(candidates))]
+    # Cells are found block by block, in row-major order.  The previous
+    # block's last row of N1 and N2 is carried, so the cells across a
+    # block junction are tested too.
+    cells: list[tuple[int, int]] = []
+    top, carried = 0, None
+    for _, (n1, n2, _n3) in _scan_blocks(surface, grid):
+        if carried is not None:
+            n1, n2 = np.concatenate((carried[0], n1)), np.concatenate((carried[1], n2))
+        candidates = _sign_span(n1) & _sign_span(n2)
+        cells.extend((int(i) + top, int(j)) for i, j in zip(*np.nonzero(candidates)))
+        top += len(n1) - 1
+        carried = n1[-1:], n2[-1:]
 
     normal = surface_normal(surface)
     r0, r1 = surface.r_range
@@ -428,7 +459,7 @@ def find_characteristic_points(
                 break
         if not duplicate:
             kept.append(p)
-    return ScanResult(points=tuple(kept), failures=tuple(failures), grid=data)
+    return ScanResult(points=tuple(kept), failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -575,9 +576,10 @@ def test_scan_csv_parts_byte_identical(tmp_path, grid, parts):
     from heiscalc.cli import _write_scan_csv
     from heiscalc.surface import mobius_surface, scan_grid
 
-    data = scan_grid(mobius_surface(0.2, 0.15), grid)
+    surface = mobius_surface(0.2, 0.15)
+    data = scan_grid(surface, grid)
     path = tmp_path / "mobius_scan.csv"
-    _write_scan_csv(str(path), data, parts)
+    _write_scan_csv(str(path), surface, grid, parts)
     assert path.read_bytes() == _reference_scan_csv(data)
     assert os.listdir(tmp_path) == ["mobius_scan.csv"]
 
@@ -595,7 +597,7 @@ def test_scan_csv_writes_one_axis_components(tmp_path):
     )
     data = scan_grid(plane, (64, 64))
     path = tmp_path / "mobius_scan.csv"
-    _write_scan_csv(str(path), data, 2)
+    _write_scan_csv(str(path), plane, (64, 64), 2)
     assert path.read_bytes() == _reference_scan_csv(data)
     assert path.read_text().splitlines()[1].endswith(",1.0")
 
@@ -621,11 +623,11 @@ def test_mobius_scan_csv_failure_cleans_up(run_cli, tmp_path, monkeypatch, bad_r
 
     format_rows = cli._write_scan_rows
 
-    def failing(handle, data, lo, hi):
+    def failing(handle, surface, grid, lo, hi):
         if lo <= bad_row < hi:
-            format_rows(handle, data, lo, bad_row)
+            format_rows(handle, surface, grid, lo, bad_row)
             raise RuntimeError(f"injected failure at r-row {bad_row}")
-        format_rows(handle, data, lo, hi)
+        format_rows(handle, surface, grid, lo, hi)
 
     forked = []
     fork = os.fork
@@ -824,6 +826,37 @@ def test_mobius_grid_node_bound(run_cli, tmp_path, monkeypatch):
     result = run_cli([*args, "--grid", "65x65"])
     assert result.exit_code == 2
     assert "has more than 4160 nodes" in result.stderr
+
+
+# Runs `python -m heiscalc.cli ARGS` in a child of this small interpreter
+# and prints the child's exit code and peak RSS in KiB.  A child spawned
+# straight from pytest would report at least pytest's own peak, which a
+# vfork-exec carries over.
+_PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, "-m", "heiscalc.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_mobius_memory_does_not_grow_with_the_grid(tmp_path, fresh_python):
+    # The scan, the search and the CSV parts read the grid in blocks of
+    # r-rows, so 32 times the nodes costs well under 4 MB more.  Holding
+    # the three result grids cost about 17 MB more at 1024x512.
+    peaks = []
+    for grid in ("128x128", "1024x512"):
+        args = ["mobius", "-R", "0.2", "-w", "0.15", "--grid", grid, "--out", str(tmp_path)]
+        result = fresh_python(["-c", _PEAK_RSS, *args], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == 0
+        peaks.append(peak_kib / 1024)
+    assert peaks[1] - peaks[0] < 4, peaks
 
 
 def test_mobius_leaves_symbolic_layers_unloaded(tmp_path, fresh_python):

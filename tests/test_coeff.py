@@ -280,6 +280,15 @@ def test_ring_ops_match_fraction_reference(data, n):
     _assert_matches(PolyCoeff.combine(n, [(c, a), (1, b)], d), n, expected)
 
 
+def test_combine_returns_a_lone_unit_entry_itself():
+    p = PolyCoeff(2, {(1, 0, 0, 0, 2): Fraction(3, 4), (0, 0, 1, 0, 0): 5})
+    assert PolyCoeff.combine(2, [(7, PolyCoeff.zero(2)), (1, p)]) is p
+    assert PolyCoeff.combine(2, [(2, p)]) == p.scale(Fraction(2))
+    assert PolyCoeff.combine(2, [(1, p)], 3) == p.scale(Fraction(1, 3))
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        PolyCoeff.combine(1, [(1, p)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([1, 2]))
 def test_substitute_matches_fraction_reference(data, n):

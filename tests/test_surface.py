@@ -306,15 +306,53 @@ def test_grid_minimum_enforced():
         find_characteristic_points(mobius_surface(0.2, 0.15), grid=(32, 128))
 
 
-def test_scan_result_carries_its_grid():
-    surf = mobius_surface(0.2, 0.15)
-    result = find_characteristic_points(surf, grid=(128, 64))
-    data = scan_grid(surf, (128, 64))
-    assert sorted(result.grid) == sorted(data)
-    for key, values in data.items():
-        assert np.array_equal(result.grid[key], values)
-    assert result == ScanResult(points=result.points, failures=result.failures)
-    assert "grid" not in repr(result)
+def _junction_plane(n_r: int, junction: int) -> ParamSurface:
+    # The plane t = 0 has horizontal normal (-s/2, r/2): its one zero,
+    # (0, 0), lies midway between r-rows junction - 1 and junction and
+    # between the middle s-columns of a 64-node axis.
+    step = 1 / 64
+    return ParamSurface(
+        r_range=((0.5 - junction) * step, (n_r - 0.5 - junction) * step),
+        s_range=(-1.0, 1.0),
+        gamma=lambda r, s: (r + 0 * s, s + 0 * r, 0.0 * r * s),
+        gamma_r=lambda r, s: (1.0, 0.0, 0.0 * r),
+        gamma_s=lambda r, s: (0.0, 1.0, 0.0 * s),
+        name="junction plane",
+    )
+
+
+@pytest.mark.parametrize("surf, grid", [
+    (mobius_surface(0.2, 0.15), (128, 64)),
+    (mobius_surface(0.2, 0.15), (97, 70)),
+    (mobius_surface(0.24, 0.18), (65, 64)),
+    (mobius_surface(0.1, 0.09), (200, 100)),
+    (_junction_plane(64, 32), (64, 64)),
+    (_junction_plane(97, 64), (97, 64)),
+], ids=["mobius-128", "mobius-97", "mobius-65", "mobius-200", "plane-31|32", "plane-63|64"])
+def test_streamed_candidates_match_full_grid(surf, grid, monkeypatch):
+    # The search keeps no grid: its Newton starts must be those of the
+    # sign-change cells of scan_grid's full arrays, in the same order.
+    from heiscalc import surface as surface_module
+    from heiscalc.surface import _sign_span
+
+    newton = surface_module._newton_2d
+    starts = []
+
+    def recording(func, r, s, tol):
+        starts.append((r, s))
+        return newton(func, r, s, tol)
+
+    monkeypatch.setattr(surface_module, "_newton_2d", recording)
+    result = find_characteristic_points(surf, grid)
+    data = scan_grid(surf, grid)
+    r_nodes, s_nodes = data["r"], data["s"]
+    dr, ds = float(r_nodes[1] - r_nodes[0]), float(s_nodes[1] - s_nodes[0])
+    cells = np.nonzero(_sign_span(data["N1"]) & _sign_span(data["N2"]))
+    expected = [(float(r_nodes[i]) + dr / 2, float(s_nodes[j]) + ds / 2) for i, j in zip(*cells)]
+    assert expected and starts == expected
+    if surf.name == "junction plane":  # its one zero is found in the junction cell
+        assert [(p.r, p.s) for p in result.points] == [(pytest.approx(0.0, abs=1e-12),
+                                                        pytest.approx(0.0, abs=1e-12))]
 
 
 def test_char_point_json_shape():
