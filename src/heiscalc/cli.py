@@ -388,9 +388,11 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     raise ValueError(f"cannot parse grid {spec!r}; expected e.g. 1024x512")
 
 
-# The scan is streamed in blocks of r-rows, so memory does not grow with
-# the number of r-rows; what the bound caps is the CSV, about 100 bytes a
-# node: 2^24 nodes write 1.7 GB.
+# The scan is streamed in tiles of a fixed number of nodes, so memory
+# grows with neither axis but for about 34 bytes an s-node (the search's
+# carried row and the node arrays: 37.5 MB peak RSS at 64x262144); what
+# the bound caps is the CSV, about 100 bytes a node: 2^24 nodes write
+# 1.7 GB.
 _MAX_GRID_NODES = 2**24
 
 
@@ -413,22 +415,35 @@ def _import_surface():
     return surface
 
 
+# CSV lines joined into one string for one write: an r-row of a grid
+# 256 wide.  Joining the 2048-line r-rows of a wider grid's tiles raised
+# the peak RSS of `--grid 64x16384` by 0.9 MB.
+_CSV_LINES = 256
+
+
 def _write_scan_rows(handle, surface: ParamSurface, grid: tuple[int, int],
                      lo: int, hi: int) -> None:
-    # r-rows lo..hi-1 as 5-column lines, one writelines per r-row, with
-    # shortest round-trip reprs, from the scan's blocks of this range.  No
-    # field holds a comma or quote, so the bytes are those csv.writer
-    # would write.
+    # r-rows lo..hi-1 as 5-column lines with shortest round-trip reprs,
+    # from the scan's tiles of this range, which come in row-major order.
+    # The s-reprs are made once when a tile spans the row, else per tile,
+    # so no list of reprs grows with n_s.  No field holds a comma or
+    # quote, so the bytes are those csv.writer would write.
     from .surface import _grid_nodes, _scan_blocks
 
-    s_texts = [repr(s) for s in _grid_nodes(surface, grid)[1].tolist()]
-    for r_block, (n1, n2, n3) in _scan_blocks(surface, grid, lo, hi):
-        for k, r in enumerate(r_block.tolist()):
+    r_nodes, s_nodes = _grid_nodes(surface, grid)
+    texts_at, s_texts = None, []
+    for i, j, (n1, n2, n3) in _scan_blocks(surface, grid, lo, hi):
+        rows, cols = n1.shape
+        if j != texts_at:
+            texts_at, s_texts = j, [repr(s) for s in s_nodes[j:j + cols].tolist()]
+        for k, r in enumerate(r_nodes[i:i + rows].tolist()):
             r_text = repr(r)
-            handle.writelines(
-                f"{r_text},{s},{a!r},{b!r},{c!r}\n"
-                for s, a, b, c in zip(s_texts, n1[k].tolist(), n2[k].tolist(), n3[k].tolist())
-            )
+            for start in range(0, cols, _CSV_LINES):
+                run = slice(start, start + _CSV_LINES)
+                handle.write("".join([
+                    f"{r_text},{s},{a!r},{b!r},{c!r}\n" for s, a, b, c in zip(
+                        s_texts[run], n1[k, run].tolist(), n2[k, run].tolist(), n3[k, run].tolist())
+                ]))
 
 
 def _scan_csv_parts(rows: int) -> int:

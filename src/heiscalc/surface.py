@@ -273,9 +273,12 @@ def mobius_characteristic_closed_form(R: float) -> tuple[float, float] | None:
     return (0.0, s)
 
 
-# r-rows per evaluation block: each temporary an evaluator makes, and
-# each array a consumer of the blocks holds, is one block in size.
-_SCAN_ROWS = 32
+# Nodes per evaluation tile: each temporary an evaluator makes, and each
+# array a consumer of the tiles holds, is at most one tile in size, at
+# any grid width.  On `mobius -R 0.2 -w 0.15 --grid 512x256` (8-row
+# tiles, 2 vCPU), 1024, 2048 and 4096 nodes gave a peak RSS of 28.7,
+# 28.8 and 29.0 MB and a search of 14, 10 and 7 ms.
+_SCAN_NODES = 2048
 
 
 def _grid_nodes(surface: ParamSurface, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -287,29 +290,36 @@ def _grid_nodes(surface: ParamSurface, grid: tuple[int, int]) -> tuple[np.ndarra
 
 
 def _scan_blocks(surface: ParamSurface, grid: tuple[int, int], lo: int = 0,
-                 hi: int | None = None) -> Iterator[tuple[np.ndarray, tuple]]:
-    """Yield (r-nodes, (N1, N2, N3)) for the r-rows lo..hi-1, block by block.
+                 hi: int | None = None) -> Iterator[tuple[int, int, tuple]]:
+    """Yield (i, j, (N1, N2, N3)) for the r-rows lo..hi-1, tile by tile.
 
-    Blocks are `_SCAN_ROWS` r-rows, aligned at row 0, and each is
-    evaluated whole on broadcast axes: r as a (rows, 1) column, s as a
-    (1, n_s) row.  A range that starts or ends inside a block drops the
-    rows outside it, so every row comes from the same numpy call
-    wherever the range is cut.  Each component is a float (rows, n_s)
-    array, which may be a broadcast view of a constant or a one-axis
-    one.
+    Tiles hold at most `_SCAN_NODES` nodes and are aligned at (row 0,
+    column 0): bands of `_SCAN_NODES // n_s` whole r-rows when a row
+    fits, else single r-rows cut into runs of `_SCAN_NODES` s-columns.
+    So the tiles come in row-major order of the nodes, and what one
+    tile costs does not grow with the grid in either axis.  (i, j) is
+    the grid index of a tile's first node.  Each tile is evaluated on
+    broadcast axes, r as a (rows, 1) column and s as a (1, cols) row.
+    A range that starts or ends inside a band evaluates the whole band
+    and drops the rows outside it, so every node comes from the same
+    numpy call wherever the range is cut.  Each component is a float
+    (rows, cols) array, which may be a broadcast view of a constant or
+    a one-axis one.
     """
     r_nodes, s_nodes = _grid_nodes(surface, grid)
     n_r, n_s = grid
     hi = n_r if hi is None else hi
+    rows, cols = max(_SCAN_NODES // n_s, 1), min(n_s, _SCAN_NODES)
     normal = surface_normal(surface)
-    s_row = s_nodes[np.newaxis, :]
-    for start in range(lo - lo % _SCAN_ROWS, hi, _SCAN_ROWS):
-        r_block = r_nodes[start:start + _SCAN_ROWS]
-        shape = (len(r_block), n_s)
-        keep = slice(max(lo - start, 0), min(hi - start, _SCAN_ROWS))
-        values = normal(r_block[:, np.newaxis], s_row)
-        yield r_block[keep], tuple(
-            np.broadcast_to(np.asarray(v, dtype=float), shape)[keep] for v in values)
+    for start in range(lo - lo % rows, hi, rows):
+        r_col = r_nodes[start:start + rows, np.newaxis]
+        keep = slice(max(lo - start, 0), min(hi - start, rows))
+        for j in range(0, n_s, cols):
+            s_row = s_nodes[np.newaxis, j:j + cols]
+            shape = (len(r_col), s_row.shape[1])
+            yield start + keep.start, j, tuple(
+                np.broadcast_to(np.asarray(v, dtype=float), shape)[keep]
+                for v in normal(r_col, s_row))
 
 
 def scan_grid(surface: ParamSurface, grid: tuple[int, int]) -> dict:
@@ -319,20 +329,19 @@ def scan_grid(surface: ParamSurface, grid: tuple[int, int]) -> dict:
     (n_r, n_s), indexed [i_r, i_s]).  Both closed intervals are sampled,
     so seam columns are seen exactly.
 
-    The grids are filled from the blocks of `_scan_blocks`, the one
+    The grids are filled from the tiles of `_scan_blocks`, the one
     evaluation path the search and the command line's CSV read too;
     neither of those holds a grid.  A factor that depends on r alone is
-    computed once per r-node, and a component that is constant, or
-    depends on one parameter only, still fills its full 2-D array.
+    computed once per r-node of a tile, and a component that is
+    constant, or depends on one parameter only, still fills its full
+    2-D array.
     """
     r_nodes, s_nodes = _grid_nodes(surface, grid)
     n1, n2, n3 = (np.empty(grid) for _ in range(3))
-    lo = 0
-    for r_block, values in _scan_blocks(surface, grid):
-        hi = lo + len(r_block)
-        for dest, block in zip((n1, n2, n3), values):
-            dest[lo:hi] = block
-        lo = hi
+    for i, j, values in _scan_blocks(surface, grid):
+        rows, cols = values[0].shape
+        for dest, tile in zip((n1, n2, n3), values):
+            dest[i:i + rows, j:j + cols] = tile
     return {"r": r_nodes, "s": s_nodes, "N1": n1, "N2": n2, "N3": n3}
 
 
@@ -398,29 +407,38 @@ def find_characteristic_points(
     within 1e-6 in parameters and by ambient position, and flagged as
     boundary points when |s| is within tol of the strip edge.
     Non-convergent candidates are returned in `failures` rather than
-    dropped.  The scan is read in blocks of `_SCAN_ROWS` r-rows and only
-    the candidate cells are kept, so no grid-sized array is held.
+    dropped.  The scan is read in tiles of at most `_SCAN_NODES` nodes
+    and only the candidate cells are kept, so no grid-sized array is
+    held: from tile to tile the search carries one row of N1 and N2 and
+    the previous tile's last column.
     """
     n_r, n_s = grid
     if n_r < 64 or n_s < 64:
         raise ValueError("grid must be at least 64 x 64")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    r_nodes, s_nodes = _grid_nodes(surface, grid)
 
-    # Cells are found block by block, in row-major order.  The previous
-    # block's last row of N1 and N2 is carried, so the cells across a
-    # block junction are tested too.
+    # Cells are found tile by tile, in row-major order.  The last row of
+    # N1 and N2 already scanned is carried for every column, and so is
+    # the previous tile's last column with the row above it, so the
+    # cells across every tile edge are tested too.
     cells: list[tuple[int, int]] = []
-    top, carried = 0, None
-    for _, (n1, n2, _n3) in _scan_blocks(surface, grid):
-        if carried is not None:
-            n1, n2 = np.concatenate((carried[0], n1)), np.concatenate((carried[1], n2))
-        candidates = _sign_span(n1) & _sign_span(n2)
-        cells.extend((int(i) + top, int(j)) for i, j in zip(*np.nonzero(candidates)))
-        top += len(n1) - 1
-        carried = n1[-1:], n2[-1:]
+    above = np.empty((2, n_s))
+    left = None
+    for i, j, (n1, n2, _n3) in _scan_blocks(surface, grid):
+        cols = n1.shape[1]
+        tile = np.stack((n1, n2))
+        if i:
+            tile = np.concatenate((above[:, np.newaxis, j:j + cols], tile), axis=1)
+        if j:
+            tile = np.concatenate((left, tile), axis=2)
+        candidates = _sign_span(tile[0]) & _sign_span(tile[1])
+        top, first = i - (i > 0), j - (j > 0)
+        cells.extend((int(a) + top, int(b) + first) for a, b in zip(*np.nonzero(candidates)))
+        left = tile[:, :, -1:]
+        above[:, j:j + cols] = tile[:, -1, -cols:]
 
+    r_nodes, s_nodes = _grid_nodes(surface, grid)
     normal = surface_normal(surface)
     r0, r1 = surface.r_range
     s0, s1 = surface.s_range

@@ -150,8 +150,11 @@ def _meshgrid_scan(surface, grid):
 
 
 @pytest.mark.parametrize("R", [0.18, 0.2, 0.22, 0.3])
-@pytest.mark.parametrize("grid", [(64, 64), (65, 64), (511, 257), (512, 256)])
+@pytest.mark.parametrize("grid", [(64, 64), (65, 64), (511, 257), (512, 256),
+                                  (5, 4100), (3, 2049)])
 def test_scan_grid_matches_full_meshgrid_bits(R, grid):
+    # The last two grids are wider than a tile: each r-row is evaluated
+    # in runs of _SCAN_NODES s-columns, the last one short.
     surf = mobius_surface(R, 0.75 * R)
     data = scan_grid(surf, grid)
     for key, expected in zip(("N1", "N2", "N3"), _meshgrid_scan(surf, grid)):
@@ -214,19 +217,21 @@ def test_sign_span_matches_corner_reduce(seed):
 
 
 def test_find_peak_memory_stays_under_six_grids():
-    # Three result grids, one corner buffer and the boolean spans; an
-    # evaluation on the full meshgrid needs about 15 grids.
+    # One tile's temporaries, the carried row of N1 and N2 (16 bytes an
+    # s-node) and the node arrays: under one float64 grid of 512x256,
+    # at that grid and at one 64 times as wide.  Evaluating whole rows
+    # of 64x16384 took about 60 MB.
     import tracemalloc
 
     surf = mobius_surface(0.2, 0.15)
-    grid = (512, 256)
-    tracemalloc.start()
-    try:
-        find_characteristic_points(surf, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * grid[0] * grid[1] * 8
+    for grid in ((512, 256), (64, 16384)):
+        tracemalloc.start()
+        try:
+            find_characteristic_points(surf, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 256 * 8, grid
 
 
 def test_find_characteristic_points_mobius():
@@ -306,14 +311,14 @@ def test_grid_minimum_enforced():
         find_characteristic_points(mobius_surface(0.2, 0.15), grid=(32, 128))
 
 
-def _junction_plane(n_r: int, junction: int) -> ParamSurface:
+def _junction_plane(n_r: int, row: float, n_s: int = 64, col: float = 31.5) -> ParamSurface:
     # The plane t = 0 has horizontal normal (-s/2, r/2): its one zero,
-    # (0, 0), lies midway between r-rows junction - 1 and junction and
-    # between the middle s-columns of a 64-node axis.
+    # (0, 0), lies at r-row `row` and s-column `col` of the grid, midway
+    # between two nodes for a half-integer and on a node for an integer.
     step = 1 / 64
     return ParamSurface(
-        r_range=((0.5 - junction) * step, (n_r - 0.5 - junction) * step),
-        s_range=(-1.0, 1.0),
+        r_range=(-row * step, (n_r - 1 - row) * step),
+        s_range=(-col * step, (n_s - 1 - col) * step),
         gamma=lambda r, s: (r + 0 * s, s + 0 * r, 0.0 * r * s),
         gamma_r=lambda r, s: (1.0, 0.0, 0.0 * r),
         gamma_s=lambda r, s: (0.0, 1.0, 0.0 * s),
@@ -321,20 +326,30 @@ def _junction_plane(n_r: int, junction: int) -> ParamSurface:
     )
 
 
-@pytest.mark.parametrize("surf, grid", [
-    (mobius_surface(0.2, 0.15), (128, 64)),
-    (mobius_surface(0.2, 0.15), (97, 70)),
-    (mobius_surface(0.24, 0.18), (65, 64)),
-    (mobius_surface(0.1, 0.09), (200, 100)),
-    (_junction_plane(64, 32), (64, 64)),
-    (_junction_plane(97, 64), (97, 64)),
-], ids=["mobius-128", "mobius-97", "mobius-65", "mobius-200", "plane-31|32", "plane-63|64"])
-def test_streamed_candidates_match_full_grid(surf, grid, monkeypatch):
+@pytest.mark.parametrize("surf, grid, nodes", [
+    (mobius_surface(0.2, 0.15), (128, 64), None),
+    (mobius_surface(0.2, 0.15), (97, 70), None),
+    (mobius_surface(0.24, 0.18), (65, 64), None),
+    (mobius_surface(0.1, 0.09), (200, 100), None),
+    (_junction_plane(64, 31.5), (64, 64), None),
+    (_junction_plane(97, 63.5), (97, 64), None),
+    (mobius_surface(0.2, 0.15), (97, 70), 32),
+    (_junction_plane(64, 40.5, 70, 31.5), (64, 70), 32),
+    (_junction_plane(64, 40, 70, 32), (64, 70), 32),
+    (_junction_plane(64, 0.5, 70, 63.5), (64, 70), 32),
+], ids=["mobius-128", "mobius-97", "mobius-65", "mobius-200", "plane-31|32", "plane-63|64",
+        "mobius-97-tiles-of-32", "plane-cols-31|32", "plane-corner-40,32", "plane-row-0|1-cols-63|64"])
+def test_streamed_candidates_match_full_grid(surf, grid, nodes, monkeypatch):
     # The search keeps no grid: its Newton starts must be those of the
     # sign-change cells of scan_grid's full arrays, in the same order.
+    # By default a 64-wide grid is scanned in bands of 32 r-rows.  With
+    # tiles of `nodes` = 32, each r-row of a 70-wide grid is three tiles,
+    # 32, 32 and 6 columns wide.
     from heiscalc import surface as surface_module
     from heiscalc.surface import _sign_span
 
+    if nodes is not None:
+        monkeypatch.setattr(surface_module, "_SCAN_NODES", nodes)
     newton = surface_module._newton_2d
     starts = []
 
@@ -350,7 +365,7 @@ def test_streamed_candidates_match_full_grid(surf, grid, monkeypatch):
     cells = np.nonzero(_sign_span(data["N1"]) & _sign_span(data["N2"]))
     expected = [(float(r_nodes[i]) + dr / 2, float(s_nodes[j]) + ds / 2) for i, j in zip(*cells)]
     assert expected and starts == expected
-    if surf.name == "junction plane":  # its one zero is found in the junction cell
+    if surf.name == "junction plane":  # its one zero is found from the cells at the edge
         assert [(p.r, p.s) for p in result.points] == [(pytest.approx(0.0, abs=1e-12),
                                                         pytest.approx(0.0, abs=1e-12))]
 
