@@ -421,22 +421,28 @@ def _import_surface():
 _CSV_LINES = 256
 
 
-def _write_scan_rows(handle, surface: ParamSurface, grid: tuple[int, int],
-                     lo: int, hi: int) -> None:
-    # r-rows lo..hi-1 as 5-column lines with shortest round-trip reprs,
-    # from the scan's tiles of this range, which come in row-major order.
-    # The s-reprs are made once when a tile spans the row, else per tile,
-    # so no list of reprs grows with n_s.  No field holds a comma or
-    # quote, so the bytes are those csv.writer would write.
-    from .surface import _grid_nodes, _scan_blocks
+def _scan_rows_writer(handle, surface: ParamSurface, grid: tuple[int, int],
+                      hi: int) -> Callable[[int, int, tuple], None]:
+    # A consumer of the scan's (i, j, (N1, N2, N3)) tiles, which come in
+    # row-major order: it writes their r-rows below hi as 5-column lines
+    # with shortest round-trip reprs.  The s-reprs are made once when a
+    # tile spans the row, else per tile, so no list of reprs grows with
+    # n_s.  No field holds a comma or quote, so the bytes are those
+    # csv.writer would write.
+    from .surface import _grid_nodes
 
     r_nodes, s_nodes = _grid_nodes(surface, grid)
     texts_at, s_texts = None, []
-    for i, j, (n1, n2, n3) in _scan_blocks(surface, grid, lo, hi):
-        rows, cols = n1.shape
+
+    def write(i: int, j: int, values: tuple) -> None:
+        nonlocal texts_at, s_texts
+        if i >= hi:
+            return
+        n1, n2, n3 = values
+        cols = n1.shape[1]
         if j != texts_at:
             texts_at, s_texts = j, [repr(s) for s in s_nodes[j:j + cols].tolist()]
-        for k, r in enumerate(r_nodes[i:i + rows].tolist()):
+        for k, r in enumerate(r_nodes[i:min(i + len(n1), hi)].tolist()):
             r_text = repr(r)
             for start in range(0, cols, _CSV_LINES):
                 run = slice(start, start + _CSV_LINES)
@@ -445,6 +451,8 @@ def _write_scan_rows(handle, surface: ParamSurface, grid: tuple[int, int],
                         s_texts[run], n1[k, run].tolist(), n2[k, run].tolist(), n3[k, run].tolist())
                 ]))
 
+    return write
+
 
 def _scan_csv_parts(rows: int) -> int:
     # One part per CPU this process may run on, never more than rows.
@@ -452,18 +460,23 @@ def _scan_csv_parts(rows: int) -> int:
 
 
 def _write_scan_csv(path: str, surface: ParamSurface, grid: tuple[int, int],
-                    parts: int | None = None) -> None:
+                    parts: int | None = None, search: Callable | None = None):
     """Write the scan of `surface` on `grid` as CSV, formatting contiguous
-    r-row parts in parallel.
+    r-row parts in parallel, and return what `search` returns.
 
     Float reprs dominate the cost, so each part but the first is
     formatted by a forked worker (`_forked`) into a temporary file next
-    to `path` while this process formats the first straight into
-    `path`.  Every part evaluates its own rows, block by block, so no
-    process holds the grid.  The workers start before `path` is opened,
-    so they overlap the truncation of an earlier CSV.  `parts` defaults
-    to one per available CPU.  If anything fails, the partial CSV is
-    removed.
+    to `path`.  The workers start first; then this process opens `path`
+    and formats the first part straight into it while `search(on_tile)`
+    runs here.  `search` must hand `on_tile` every tile of the scan, as
+    `find_characteristic_points` does, so the first part is written
+    from the search's own pass and no node is evaluated twice here;
+    without a search, this process reads the first part's own tiles.
+    Every part evaluates its rows tile by tile, so no process holds the
+    grid, and a band that a part bound cuts is evaluated whole on both
+    sides, so the bytes do not depend on the split.  `parts` defaults to
+    one per available CPU.  If anything fails, every worker is reaped
+    and the partial CSV is removed.
     """
     rows = grid[0]
     if parts is None:
@@ -471,23 +484,33 @@ def _write_scan_csv(path: str, surface: ParamSurface, grid: tuple[int, int],
     bounds = [rows * k // parts for k in range(parts + 1)]
     workers = [(f"r-rows {lo}..{hi - 1}", partial(_scan_csv_part, surface, grid, lo, hi))
                for lo, hi in zip(bounds[1:], bounds[2:])]
-    try:
-        with _forked(f"writing {path}", workers, os.path.dirname(path) or ".") as append_to, \
-                open(path, "wb") as out:
+    with _forked(f"writing {path}", workers, os.path.dirname(path) or ".") as append_to, \
+            open(path, "wb") as out:
+        try:
             out.write(b"r,s,N1,N2,N3\n")
-            _scan_csv_part(surface, grid, 0, bounds[1], out)
+            result = _scan_csv_part(surface, grid, 0, bounds[1], out, search)
             append_to(out)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path)
-        raise
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+            raise
+    return result
 
 
 def _scan_csv_part(surface: ParamSurface, grid: tuple[int, int], lo: int, hi: int,
-                   out: BinaryIO) -> None:
+                   out: BinaryIO, search: Callable | None = None):
+    # Formats the r-rows lo..hi-1 into `out`, from the tiles that
+    # search(on_tile) hands over or else from this part's own, and
+    # returns what search returns.
     text = io.TextIOWrapper(out, encoding="ascii")
     try:
-        _write_scan_rows(text, surface, grid, lo, hi)
+        write = _scan_rows_writer(text, surface, grid, hi)
+        if search is not None:
+            return search(write)
+        from .surface import _scan_blocks
+
+        for i, j, values in _scan_blocks(surface, grid, lo, hi):
+            write(i, j, values)
     finally:
         text.detach()  # flushes, and leaves `out` open
 
@@ -495,6 +518,9 @@ def _scan_csv_part(surface: ParamSurface, grid: tuple[int, int], lo: int, hi: in
 def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
            out: str, fmt: str) -> None:
     """Scan the Mobius strip for characteristic points and write scan artifacts."""
+    # The CSV workers fork as soon as the surface is built, and the
+    # search here writes the first part of the CSV from its own tiles
+    # (`_write_scan_csv`), so its Newton steps overlap their formatting.
     if not 0 < half_width < radius:
         raise _Failure(f"need 0 < w < R, got R={radius}, w={half_width}", 2)
     if not (math.isfinite(radius) and math.isfinite(half_width)):
@@ -513,12 +539,12 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
         raise _Failure("tolerance must be finite", 2)
     surface = _import_surface()
     surf = surface.mobius_surface(radius, half_width)
-    result = surface.find_characteristic_points(surf, grid=grid, tol=tol)
 
     os.makedirs(out, exist_ok=True)
     scan_path = os.path.join(out, "mobius_scan.csv")
     points_path = os.path.join(out, "mobius_points.json")
-    _write_scan_csv(scan_path, surf, grid)
+    result = _write_scan_csv(scan_path, surf, grid, search=lambda on_tile: (
+        surface.find_characteristic_points(surf, grid=grid, tol=tol, on_tile=on_tile)))
     with open(points_path, "w") as handle:
         handle.write(_json_dump(result.to_json()))
 
@@ -551,18 +577,34 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
 
 
 def _file_path(text: str) -> str:
-    # --out of dims, complex, verify and commute: a file, maybe not there yet
+    # --out of dims, complex, verify and commute: a file, maybe not there
+    # yet, in a directory that is there
+    if not text:
+        raise argparse.ArgumentTypeError("The path is empty.")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"File {text!r} is a directory.")
     if os.path.exists(text) and not os.access(text, os.W_OK):
         raise argparse.ArgumentTypeError(f"File {text!r} is not writable.")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"Directory {parent!r} does not exist.")
     return text
 
 
 def _dir_path(text: str) -> str:
-    # --out of mobius: a directory, maybe not there yet
-    if os.path.exists(text) and not os.path.isdir(text):
-        raise argparse.ArgumentTypeError(f"Directory {text!r} is a file.")
+    # --out of mobius: a directory, maybe not there yet, whose nearest
+    # existing ancestor is a directory, and in which neither artifact is
+    # a directory
+    if not text:
+        raise argparse.ArgumentTypeError("The path is empty.")
+    ancestor = os.path.abspath(text)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise argparse.ArgumentTypeError(f"{ancestor!r} is a file, not a directory.")
+    for name in ("mobius_scan.csv", "mobius_points.json"):
+        if os.path.isdir(os.path.join(text, name)):
+            raise argparse.ArgumentTypeError(f"{os.path.join(text, name)!r} is a directory.")
     return text
 
 

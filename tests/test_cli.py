@@ -575,14 +575,23 @@ def test_scan_csv_parts_byte_identical(tmp_path, grid, parts):
     # must be the single-writer bytes whatever the split.  The scan's
     # tiles are bands of 32 r-rows at n_s = 64 and of 6 at n_s = 300, so
     # most part bounds fall inside a band; 4100 s-nodes are three tiles
-    # per r-row.
+    # per r-row.  The first part is written from its own tiles, and then
+    # from a search's pass over every tile of the grid, as mobius does.
     from heiscalc.cli import _write_scan_csv
-    from heiscalc.surface import mobius_surface, scan_grid
+    from heiscalc.surface import _scan_blocks, mobius_surface, scan_grid
+
+    def search(on_tile):
+        for tile in _scan_blocks(surface, grid):
+            on_tile(*tile)
+        return "searched"
 
     surface = mobius_surface(0.2, 0.15)
     data = scan_grid(surface, grid)
     path = tmp_path / "mobius_scan.csv"
     _write_scan_csv(str(path), surface, grid, parts)
+    assert path.read_bytes() == _reference_scan_csv(data)
+    assert os.listdir(tmp_path) == ["mobius_scan.csv"]
+    assert _write_scan_csv(str(path), surface, grid, parts, search) == "searched"
     assert path.read_bytes() == _reference_scan_csv(data)
     assert os.listdir(tmp_path) == ["mobius_scan.csv"]
 
@@ -618,19 +627,31 @@ def test_scan_csv_parts_follow_affinity(monkeypatch):
     assert cli._scan_csv_parts(512) == 1
 
 
-@pytest.mark.parametrize("bad_row", [100, 10], ids=["worker", "parent"])
-def test_mobius_scan_csv_failure_cleans_up(run_cli, tmp_path, monkeypatch, bad_row):
-    # 128 r-rows in 3 parts: rows 0..41 are formatted in this process,
-    # 42..84 and 85..127 by forked workers.
-    from heiscalc import cli
+@pytest.mark.parametrize("bad_row, search_step", [
+    (100, None), (10, None), (None, "_newton_2d"), (None, "_sign_span"),
+], ids=["worker", "parent", "search", "search-scan"])
+def test_mobius_scan_csv_failure_cleans_up(run_cli, tmp_path, monkeypatch, bad_row, search_step):
+    # 128 r-rows in 3 parts: rows 0..41 are formatted in this process from
+    # the search's tiles, 42..84 and 85..127 by forked workers.  The
+    # search fails in its Newton step, after it has written rows 0..41,
+    # or in the sign test of its first tile.
+    from heiscalc import cli, surface
 
-    format_rows = cli._write_scan_rows
+    make_writer = cli._scan_rows_writer
 
-    def failing(handle, surface, grid, lo, hi):
-        if lo <= bad_row < hi:
-            format_rows(handle, surface, grid, lo, bad_row)
-            raise RuntimeError(f"injected failure at r-row {bad_row}")
-        format_rows(handle, surface, grid, lo, hi)
+    def failing(handle, surface, grid, hi):
+        write = make_writer(handle, surface, grid, hi)
+
+        def write_until_bad_row(i, j, values):
+            if bad_row is not None and i <= bad_row < min(i + len(values[0]), hi):
+                write(i, j, tuple(v[:bad_row - i] for v in values))
+                raise RuntimeError(f"injected failure at r-row {bad_row}")
+            write(i, j, values)
+
+        return write_until_bad_row
+
+    def failing_step(*args):
+        raise RuntimeError(f"injected failure in {search_step}")
 
     forked = []
     fork = os.fork
@@ -641,7 +662,9 @@ def test_mobius_scan_csv_failure_cleans_up(run_cli, tmp_path, monkeypatch, bad_r
             forked.append(pid)
         return pid
 
-    monkeypatch.setattr(cli, "_write_scan_rows", failing)
+    monkeypatch.setattr(cli, "_scan_rows_writer", failing)
+    if search_step:
+        monkeypatch.setattr(surface, search_step, failing_step)
     monkeypatch.setattr(cli, "_scan_csv_parts", lambda rows: 3)
     monkeypatch.setattr(os, "fork", recording_fork)
     (tmp_path / "kept.txt").write_text("written before the run\n")
@@ -658,6 +681,91 @@ def test_mobius_scan_csv_failure_cleans_up(run_cli, tmp_path, monkeypatch, bad_r
         assert "r-rows 85..127" in result.stderr
     else:
         assert isinstance(result.exception, RuntimeError)
+        assert "injected failure" in str(result.exception)
+
+
+def test_mobius_evaluates_each_node_once(run_cli, tmp_path, monkeypatch):
+    # On one CPU the single CSV part is written from the search's own
+    # tiles, so the normal evaluator receives each of the n_r * n_s nodes
+    # once; a CSV that scanned the grid again would double that.  Newton
+    # evaluates at scalar points, which are not nodes.
+    import numpy as np
+
+    from heiscalc import cli, surface
+
+    grid = (128, 64)
+    expected = _reference_scan_csv(surface.scan_grid(surface.mobius_surface(0.2, 0.15), grid))
+    make_normal = surface.surface_normal
+    nodes = []
+
+    def counting_normal(surf):
+        normal = make_normal(surf)
+
+        def counted(r, s):
+            if np.ndim(r) or np.ndim(s):
+                nodes.append(np.broadcast(r, s).size)
+            return normal(r, s)
+
+        return counted
+
+    monkeypatch.setattr(surface, "surface_normal", counting_normal)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    result = run_cli(["mobius", "-R", "0.2", "-w", "0.15", "--grid", "128x64",
+                      "--out", str(tmp_path), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(result.stdout)["points"]) == 1
+    assert sum(nodes) == grid[0] * grid[1]
+    assert (tmp_path / "mobius_scan.csv").read_bytes() == expected
+
+
+# Each case: the command, with OUT for the test's directory, and the
+# directories and the file it makes there first.
+_UNUSABLE_OUT = {
+    "mobius-scan-csv-is-a-directory": (
+        "mobius -R 0.2 -w 0.15 --grid 64x64 --out OUT/d", ["d/mobius_scan.csv"], None),
+    "mobius-points-json-is-a-directory": (
+        "mobius -R 0.2 -w 0.15 --grid 64x64 --out OUT/d", ["d/mobius_points.json"], None),
+    "mobius-below-a-file": ("mobius -R 0.2 -w 0.15 --grid 64x64 --out OUT/f/sub", [], "f"),
+    "mobius-deep-below-a-file": ("mobius -R 0.2 -w 0.15 --grid 64x64 --out OUT/f/a/b", [], "f"),
+    "mobius-empty": ("mobius -R 0.2 -w 0.15 --grid 64x64 --out=", [], None),
+    "dims-missing-directory": ("dims --out OUT/missing/dir/x", [], None),
+    "complex-missing-directory": ("complex --n 1 --out OUT/missing/dir/x", [], None),
+    "verify-missing-directory": ("verify --n 1 --trials 1 --out OUT/missing/dir/x", [], None),
+    "commute-missing-directory": (
+        "commute --map dilation:r=2 --n 1 --trials 1 --out OUT/missing/dir/x", [], None),
+    "verify-below-a-file": ("verify --n 1 --trials 1 --out OUT/f/x", [], "f"),
+    "dims-empty": ("dims --out=", [], None),
+}
+
+
+@pytest.mark.parametrize("case", _UNUSABLE_OUT)
+def test_unusable_out_exits_two_before_any_work(run_cli, tmp_path, monkeypatch, case):
+    # The parser refuses the path, so no command runs and nothing is
+    # written: one usage error line, exit 2, no traceback.
+    from heiscalc import cli
+
+    command, directories, file = _UNUSABLE_OUT[case]
+    for directory in directories:
+        (tmp_path / directory).mkdir(parents=True)
+    if file:
+        (tmp_path / file).write_text("kept\n")
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+
+    def no_work(**options):
+        raise AssertionError("the command ran")
+
+    for name in ("dims", "complex_cmd", "verify", "commute", "mobius"):
+        monkeypatch.setattr(cli, name, no_work)
+    result = run_cli(command.replace("OUT", str(tmp_path)).split(" "))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.stderr
+    assert [line for line in result.stderr.splitlines() if "error:" in line.lower()] == [
+        result.stderr.splitlines()[-1]]
+    assert "argument --out: " in result.stderr
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    if file:
+        assert (tmp_path / file).read_text() == "kept\n"
 
 
 def test_mobius_below_quarter_with_root_outside_strip(run_cli, tmp_path):
