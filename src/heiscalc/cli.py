@@ -281,6 +281,16 @@ def complex_cmd(n: int, k: int | None, fmt: str, out: str | None) -> None:
 # verify
 
 
+def _require_representable(what: str, degree: int) -> None:
+    """Exit 2 unless a polynomial of total degree `degree` fits the
+    ring's monomial keys; `what` names where that degree comes from."""
+    from .coeff import MAX_EXPONENT
+
+    if degree > MAX_EXPONENT:
+        raise _Failure(f"{what} = {degree} passes {MAX_EXPONENT}, "
+                       "the largest exponent a monomial key holds", 2)
+
+
 def verify(n: int, trials: int, seed: int, degree: int, fmt: str, out: str | None) -> int:
     """Run the exactness, lifting, subspace-preservation, and d_c suites."""
     if n not in (1, 2, 3):
@@ -288,6 +298,9 @@ def verify(n: int, trials: int, seed: int, degree: int, fmt: str, out: str | Non
     if trials < 1 or degree < 0:
         raise _Failure("trials must be >= 1 and degree >= 0", 2)
     from . import contact, rumin
+
+    # The suites' operators never raise a total degree past the inputs'.
+    _require_representable("--degree", degree)
 
     sampled = {"trials": trials, "seed": seed, "degree": degree}
     jobs = [
@@ -342,6 +355,12 @@ def commute(map_literal: str, n: int, k: int | None, trials: int, seed: int,
         f = contact.parse_map(map_literal, n)
     except ValueError as exc:
         raise _Failure(str(exc), 2)
+    # A frame matrix entry has degree at most 2m for a map of degree m,
+    # so a pulled-back input at most m (degree + 2 (2n+1)); the
+    # operators never raise a total degree.
+    _require_representable("--degree", degree)
+    m = max(c.total_degree() for c in f.components)
+    _require_representable(f"the map's degree {m} times (--degree + {4 * n + 2})", m * (degree + 4 * n + 2))
     try:
         contact._require_contact(f)
     except ValueError as exc:
@@ -425,13 +444,15 @@ def _scan_rows_writer(handle, surface: ParamSurface, grid: tuple[int, int],
                       hi: int) -> Callable[[int, int, tuple], None]:
     # A consumer of the scan's (i, j, (N1, N2, N3)) tiles, which come in
     # row-major order: it writes their r-rows below hi as 5-column lines
-    # with shortest round-trip reprs.  The s-reprs are made once when a
-    # tile spans the row, else per tile, so no list of reprs grows with
-    # n_s.  No field holds a comma or quote, so the bytes are those
-    # csv.writer would write.
+    # with shortest round-trip reprs.  The s-reprs of a tile's columns
+    # are made once and kept as one comma-joined string, about 20 bytes
+    # an s-node, which is split into a list only while the writer is on
+    # that tile's columns.  No field holds a comma or quote, so the bytes
+    # are those csv.writer would write.
     from .surface import _grid_nodes
 
     r_nodes, s_nodes = _grid_nodes(surface, grid)
+    joined: dict[int, str] = {}
     texts_at, s_texts = None, []
 
     def write(i: int, j: int, values: tuple) -> None:
@@ -441,7 +462,9 @@ def _scan_rows_writer(handle, surface: ParamSurface, grid: tuple[int, int],
         n1, n2, n3 = values
         cols = n1.shape[1]
         if j != texts_at:
-            texts_at, s_texts = j, [repr(s) for s in s_nodes[j:j + cols].tolist()]
+            if j not in joined:
+                joined[j] = ",".join(map(repr, s_nodes[j:j + cols].tolist()))
+            texts_at, s_texts = j, joined[j].split(",")
         for k, r in enumerate(r_nodes[i:min(i + len(n1), hi)].tolist()):
             r_text = repr(r)
             for start in range(0, cols, _CSV_LINES):

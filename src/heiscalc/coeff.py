@@ -6,26 +6,83 @@ t = w_{2n+1}.  Every operation is exact; nothing in this module ever
 rounds.
 
 A polynomial is stored as integer numerators over one shared
-denominator: `num` maps dense exponent tuples (length 2n+1) to nonzero
-ints and `den` is a positive int, so the coefficient of a monomial is
-num[exps] / den.  The ring operations work on ints only and reduce the
-result once, by the gcd of the denominator and every numerator.  The
-canonical term order used for printing is graded lexicographic, highest
-total degree first.
+denominator: `num` maps monomial keys to nonzero ints and `den` is a
+positive int, so the coefficient of a monomial is num[key] / den.  A key
+packs a monomial's exponent vector into one int: the exponent of w_i
+fills the _BITS-bit field at bits _BITS*(i-1) .. _BITS*i - 1.  A product
+of monomials is then the sum of their keys, and lowering the exponent
+of w_i subtracts that field's unit.  Every field stays below its top
+bit, so an exponent is at most MAX_EXPONENT = 2^(_BITS-1) - 1 and a sum
+of two keys never carries into the next field.  Each operation that can
+raise an exponent tests that top bit in its result and raises
+ValueError, naming the limit, rather than return a key it cannot hold.
+Keys are packed and unpacked only where exponents enter or leave: the
+constructor, `var`, `terms`, printing, degrees, evaluation and
+substitution.
+
+The ring operations work on ints only and reduce the result once, by
+the gcd of the denominator and every numerator.  The canonical term
+order used for printing is graded lexicographic, highest total degree
+first.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd, lcm
+from operator import index, or_
 from typing import Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["PolyCoeff", "Point", "evaluate_at"]
+__all__ = ["MAX_EXPONENT", "PolyCoeff", "Point", "evaluate_at"]
+
+# The width of one exponent field of a monomial key.  Its top bit stays
+# clear, so exponents run up to MAX_EXPONENT = 2^24 - 1, which holds
+# `commute`'s degree bound for w1^1000000 at n = 1 (9,000,000); no width
+# from 21 to 40 bits ran the symbolic commands measurably faster.
+_BITS = 25
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
+
+
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    """The key of w_i at index i - 1, for i = 1..2n+1."""
+    return tuple(1 << (_BITS * i) for i in range(2 * n + 1))
+
+
+@lru_cache(maxsize=None)
+def _guard(n: int) -> int:
+    """The top bit of every exponent field of a key in H^n."""
+    return sum(_units(n)) << (_BITS - 1)
+
+
+def _check_exponents(n: int, keys: Iterable[int]) -> None:
+    """Raise ValueError if a key has an exponent past MAX_EXPONENT.
+
+    The keys are sums of valid keys, so no field has carried and a
+    field past the limit shows as its top bit."""
+    if reduce(or_, keys, 0) & _guard(n):
+        raise ValueError(f"an exponent would pass {MAX_EXPONENT}, "
+                         "the largest a monomial key holds")
+
+
+def _unpack(key: int, width: int) -> tuple[int, ...]:
+    return tuple([key >> shift & _FIELD for shift in range(0, _BITS * width, _BITS)])
+
+
+def _fields(key: int) -> Iterator[tuple[int, int]]:
+    """(i - 1, exponent of w_i) for each w_i in the key, i ascending;
+    zero fields are skipped, not visited."""
+    while key:
+        shift = ((key & -key).bit_length() - 1) // _BITS * _BITS
+        e = (key >> shift) & _FIELD
+        yield shift // _BITS, e
+        key -= e << shift
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -62,18 +119,21 @@ def _check_n(n: int) -> None:
 class PolyCoeff:
     """A polynomial in w1..w_{2n+1} with rational coefficients.
 
-    Stored as `num`, a dict from exponent tuples to nonzero int
-    numerators, over the shared positive denominator `den`.  The form is
-    canonical: gcd(den, *num.values()) == 1 and den == 1 for zero, so
-    equality compares (n, den, num).
+    Stored as `num`, a dict from packed monomial keys (see the module
+    docstring) to nonzero int numerators, over the shared positive
+    denominator `den`.  Each key holds 2n+1 exponent fields of _BITS
+    bits, none past MAX_EXPONENT.  The form is canonical:
+    gcd(den, *num.values()) == 1 and den == 1 for zero, so equality
+    compares (n, den, num).
 
     Instances are immutable by convention: no method mutates `num`
     after construction, so values can be shared freely.
 
-    The public constructor validates every exponent tuple and coerces
-    and filters every coefficient.  Ring operations whose results are
-    canonical by construction go through the trusted `_from_clean`,
-    after one reduction by the gcd where the denominator exceeds 1.
+    The public constructor takes {exponent tuple: coefficient}; it
+    validates and packs every tuple and coerces and filters every
+    coefficient.  Ring operations whose results are canonical by
+    construction go through the trusted `_from_clean`, after one
+    reduction by the gcd where the denominator exceeds 1.
     """
 
     __slots__ = ("n", "num", "den")
@@ -82,7 +142,7 @@ class PolyCoeff:
         _check_n(n)
         self.n = n
         width = 2 * n + 1
-        fracs: dict[tuple[int, ...], Fraction] = {}
+        fracs: dict[int, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != width:
@@ -91,21 +151,25 @@ class PolyCoeff:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
+                if any(e > MAX_EXPONENT for e in exps):
+                    raise ValueError(
+                        f"exponent in {exps} passes {MAX_EXPONENT}, the largest a monomial key holds"
+                    )
                 frac = _as_fraction(coeff)
                 if frac != 0:
-                    fracs[tuple(exps)] = frac
+                    fracs[sum(index(e) << (_BITS * i) for i, e in enumerate(exps))] = frac
         # Over the lcm of reduced denominators the numerators share no
         # factor with it, so the result is canonical without a gcd pass.
         den = lcm(*(f.denominator for f in fracs.values()))
-        self.num = {exps: f.numerator * (den // f.denominator) for exps, f in fracs.items()}
+        self.num = {key: f.numerator * (den // f.denominator) for key, f in fracs.items()}
         self.den = den
 
     @classmethod
-    def _from_clean(cls, n: int, num: dict[tuple[int, ...], int], den: int = 1) -> PolyCoeff:
+    def _from_clean(cls, n: int, num: dict[int, int], den: int = 1) -> PolyCoeff:
         """Wrap canonical numerators without validation.
 
-        The caller guarantees that every key is a tuple of 2n+1
-        non-negative ints, every value a nonzero int, den >= 1 and
+        The caller guarantees that every key packs 2n+1 exponents none
+        past MAX_EXPONENT, every value a nonzero int, den >= 1 and
         gcd(den, *num.values()) == 1; the dict is taken over, not copied.
         """
         self = cls.__new__(cls)
@@ -115,27 +179,28 @@ class PolyCoeff:
         return self
 
     @classmethod
-    def _reduced(cls, n: int, num: dict[tuple[int, ...], int], den: int) -> PolyCoeff:
+    def _reduced(cls, n: int, num: dict[int, int], den: int) -> PolyCoeff:
         """Wrap nonzero int numerators over den >= 1, dividing out their
         common factor; the zero polynomial gets den 1."""
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
-                num = {exps: c // g for exps, c in num.items()}
+                num = {key: c // g for key, c in num.items()}
                 den //= g
         return cls._from_clean(n, num, den)
 
     def _constant(self) -> Fraction | None:
         """The value of a constant polynomial (0 for zero), or None when
         a term has a variable."""
-        if len(self.num) > 1 or any(next(iter(self.num), ())):
+        if len(self.num) > 1 or next(iter(self.num), 0):
             return None
         return Fraction(sum(self.num.values()), self.den)
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """A {exps: Fraction} copy; only the bench tracer reads it."""
-        return {exps: Fraction(c, self.den) for exps, c in self.num.items()}
+        """A {exponent tuple: Fraction} copy; only the bench tracer reads it."""
+        width = 2 * self.n + 1
+        return {_unpack(key, width): Fraction(c, self.den) for key, c in self.num.items()}
 
     # -- constructors ------------------------------------------------
 
@@ -150,7 +215,7 @@ class PolyCoeff:
         frac = _as_fraction(value)
         if frac == 0:
             return cls._from_clean(n, {})
-        return cls._from_clean(n, {(0,) * (2 * n + 1): frac.numerator}, frac.denominator)
+        return cls._from_clean(n, {0: frac.numerator}, frac.denominator)
 
     @classmethod
     def var(cls, n: int, i: int) -> PolyCoeff:
@@ -159,9 +224,7 @@ class PolyCoeff:
         width = 2 * n + 1
         if not 1 <= i <= width:
             raise IndexError(f"coordinate index {i} out of range 1..{width}")
-        exps = [0] * width
-        exps[i - 1] = 1
-        return cls._from_clean(n, {tuple(exps): 1})
+        return cls._from_clean(n, {_units(n)[i - 1]: 1})
 
     @classmethod
     def combine(cls, n: int, pairs: Iterable[tuple[int, PolyCoeff]], den: int = 1) -> PolyCoeff:
@@ -179,15 +242,15 @@ class PolyCoeff:
         if len(pairs) == 1 and pairs[0][0] == 1 and den == 1 and pairs[0][1].n == n:
             return pairs[0][1]  # a lone unit entry: the polynomial itself
         common = lcm(*(p.den for _, p in pairs))
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for c, p in pairs:
             if p.n != n:
                 raise ValueError(f"ambient dimension mismatch: n={p.n} vs n={n}")
             factor = c * (common // p.den)
-            for exps, v in p.num.items():
-                acc[exps] = get(exps, 0) + factor * v
-        return cls._reduced(n, {exps: v for exps, v in acc.items() if v}, common * den)
+            for key, v in p.num.items():
+                acc[key] = get(key, 0) + factor * v
+        return cls._reduced(n, {key: v for key, v in acc.items() if v}, common * den)
 
     # -- ring structure ----------------------------------------------
 
@@ -215,26 +278,26 @@ class PolyCoeff:
         da, db = self.den, rhs.den
         den = da if da == db else lcm(da, db)
         fa, fb = den // da, den // db
-        num = dict(self.num) if fa == 1 else {exps: c * fa for exps, c in self.num.items()}
+        num = dict(self.num) if fa == 1 else {key: c * fa for key, c in self.num.items()}
         get = num.get
-        for exps, c in rhs.num.items():
+        for key, c in rhs.num.items():
             if fb != 1:
                 c *= fb
-            acc = get(exps)
+            acc = get(key)
             if acc is None:
-                num[exps] = c
+                num[key] = c
             else:
                 acc += c
                 if acc:
-                    num[exps] = acc
+                    num[key] = acc
                 else:
-                    del num[exps]
+                    del num[key]
         return PolyCoeff._reduced(self.n, num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> PolyCoeff:
-        return PolyCoeff._from_clean(self.n, {exps: -c for exps, c in self.num.items()}, self.den)
+        return PolyCoeff._from_clean(self.n, {key: -c for key, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> PolyCoeff:
         rhs = self._coerce(other)
@@ -254,15 +317,15 @@ class PolyCoeff:
         if not isinstance(other, PolyCoeff):
             return NotImplemented
         self._check_same_n(other)
-        add = operator.add
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         rhs_items = other.num.items()
-        for ea, ca in self.num.items():
-            for eb, cb in rhs_items:
-                exps = tuple(map(add, ea, eb))
-                acc[exps] = get(exps, 0) + ca * cb
-        num = {exps: c for exps, c in acc.items() if c}
+        for ka, ca in self.num.items():
+            for kb, cb in rhs_items:
+                key = ka + kb
+                acc[key] = get(key, 0) + ca * cb
+        num = {key: c for key, c in acc.items() if c}
+        _check_exponents(self.n, num)
         return PolyCoeff._reduced(self.n, num, self.den * other.den)
 
     def __rmul__(self, other) -> PolyCoeff:
@@ -277,7 +340,7 @@ class PolyCoeff:
         p, q = frac.numerator, frac.denominator
         if p == 1 and q == 1:
             return self
-        num = {exps: c * p for exps, c in self.num.items()}
+        num = {key: c * p for key, c in self.num.items()}
         return PolyCoeff._reduced(self.n, num, self.den * q)
 
     def __pow__(self, power: int) -> PolyCoeff:
@@ -306,7 +369,7 @@ class PolyCoeff:
         """Max total degree of any term; -1 for the zero polynomial."""
         if not self.num:
             return -1
-        return max(sum(exps) for exps in self.num)
+        return max(sum(e for _, e in _fields(key)) for key in self.num)
 
     # -- calculus -----------------------------------------------------
 
@@ -315,14 +378,15 @@ class PolyCoeff:
         width = 2 * self.n + 1
         if not 1 <= i <= width:
             raise IndexError(f"coordinate index {i} out of range 1..{width}")
-        pos = i - 1
+        shift = _BITS * (i - 1)
+        unit = 1 << shift
         # Lowering one exponent maps distinct terms to distinct keys, so
         # nothing cancels; only the new factors e can share one with den.
-        num: dict[tuple[int, ...], int] = {}
-        for exps, c in self.num.items():
-            e = exps[pos]
+        num: dict[int, int] = {}
+        for key, c in self.num.items():
+            e = (key >> shift) & _FIELD
             if e:
-                num[exps[:pos] + (e - 1,) + exps[pos + 1:]] = c * e
+                num[key - unit] = c * e
         return PolyCoeff._reduced(self.n, num, self.den)
 
     def eval_exact(self, coords: Sequence[Scalar]) -> Fraction:
@@ -332,11 +396,10 @@ class PolyCoeff:
             raise ValueError(f"expected {width} coordinates, got {len(coords)}")
         values = [_as_fraction(c) for c in coords]
         total = Fraction(0)
-        for exps, c in self.num.items():
+        for key, c in self.num.items():
             term = Fraction(c)
-            for value, e in zip(values, exps):
-                if e:
-                    term *= value**e
+            for i, e in _fields(key):
+                term *= values[i] ** e
             total += term
         return total / self.den
 
@@ -346,12 +409,11 @@ class PolyCoeff:
             raise ValueError(f"expected {width} coordinates, got {len(coords)}")
         total = 0.0
         den = self.den
-        for exps, c in self.num.items():
+        for key, c in self.num.items():
             # int / int rounds the exact quotient once, as float(Fraction) does.
             term = c / den
-            for value, e in zip(coords, exps):
-                if e:
-                    term *= float(value) ** e
+            for i, e in _fields(key):
+                term *= float(coords[i]) ** e
             total += term
         return total
 
@@ -369,17 +431,17 @@ class PolyCoeff:
         for comp in components:
             if comp.n != m:
                 raise ValueError("replacement polynomials disagree on ambient dimension")
-        one = PolyCoeff._from_clean(m, {(0,) * (2 * m + 1): 1})
+        one = PolyCoeff._from_clean(m, {0: 1})
         powers: dict[tuple[int, int], PolyCoeff] = {}
         pairs = []
-        for exps, c in self.num.items():
+        for key, c in self.num.items():
             term = one
-            for idx, e in enumerate(exps):
-                if e:
-                    factor = powers.get((idx, e))
-                    if factor is None:
-                        factor = powers[idx, e] = components[idx] ** e
-                    term = factor if term is one else term * factor
+            for field in _fields(key):
+                factor = powers.get(field)
+                if factor is None:
+                    idx, e = field
+                    factor = powers[field] = components[idx] ** e
+                term = factor if term is one else term * factor
             pairs.append((c, term))
         return PolyCoeff.combine(m, pairs, self.den)
 
@@ -387,10 +449,11 @@ class PolyCoeff:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lex order, highest degree first."""
-        den = self.den
+        den, width = self.den, 2 * self.n + 1
+        terms = [(_unpack(key, width), c) for key, c in self.num.items()]
         return [
             (exps, Fraction(c, den))
-            for exps, c in sorted(self.num.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+            for exps, c in sorted(terms, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
         ]
 
     def to_text(self) -> str:
@@ -430,7 +493,7 @@ def _power_size(base: PolyCoeff, e: int) -> int:
     t = len(base.num)
     terms = 1
     if t > 1:
-        v = sum(map(any, zip(*base.num)))
+        v = sum(1 for _ in _fields(reduce(or_, base.num)))
         terms = min(math.comb(e + t - 1, t - 1), math.comb(e * base.total_degree() + v, v))
     return terms * e * max(sum(map(abs, base.num.values())), base.den).bit_length()
 

@@ -126,17 +126,17 @@ class SmoothMap(_Frozen):
         return image
 
     @cached_property
-    def _monomial_images(self) -> dict[tuple[int, ...], PolyCoeff]:
-        """exponent tuple -> that monomial substituted through the
+    def _monomial_images(self) -> dict[int, PolyCoeff]:
+        """packed monomial key -> that monomial substituted through the
         components, filled by `_monomial_image`."""
         return {}
 
-    def _monomial_image(self, exps: tuple[int, ...]) -> PolyCoeff:
-        image = self._monomial_images.get(exps)
+    def _monomial_image(self, key: int) -> PolyCoeff:
+        image = self._monomial_images.get(key)
         if image is None:
-            monomial = PolyCoeff._from_clean(self.n, {exps: 1})
+            monomial = PolyCoeff._from_clean(self.n, {key: 1})
             image = monomial.substitute(self.components)
-            self._monomial_images[exps] = image
+            self._monomial_images[key] = image
         return image
 
     def label(self) -> str:
@@ -250,7 +250,7 @@ def pullback_form(f: SmoothMap, alpha: Form) -> Form:
     image = f._monomial_image
     columns: dict[Blade, list[tuple[int, PolyCoeff]]] = {}
     for blade, coeff in alpha.coeffs.items():
-        pulled = PolyCoeff.combine(n, [(c, image(exps)) for exps, c in coeff.num.items()], coeff.den)
+        pulled = PolyCoeff.combine(n, [(c, image(key)) for key, c in coeff.num.items()], coeff.den)
         if pulled.is_zero():
             continue
         for out_blade, b in f._blade_image(blade).coeffs.items():

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Type, TypeVar, Union
 
-from .coeff import PolyCoeff, _check_n
+from .coeff import _BITS, _FIELD, PolyCoeff, _check_exponents, _check_n, _units
 
 Blade = tuple[int, ...]
 CoeffLike = Union[PolyCoeff, int, Fraction]
@@ -326,7 +326,7 @@ def d_contact_form(n: int) -> Form:
     return Form(n, 2, coeffs)
 
 
-_Front = tuple[int, Blade, int, int, int]
+_Front = tuple[int, int, Blade, int, int, int]
 _DTable = tuple[tuple[_Front, ...], tuple[tuple[Blade, int], ...]]
 
 
@@ -335,29 +335,30 @@ def _d_table(n: int, blade: Blade) -> _DTable:
     """Where d sends the terms of c . blade, as (fronts, tails).
 
     fronts holds one entry for every frame index i not in the blade:
-    the coordinate position i - 1 of d_i, the merged blade and sign with
-    theta_i ^ blade = sign . merged, and the position and sign of the
-    twist variable, wtilde_i = +w_{n+i} (i <= n) or -w_{i-n} (n < i <= 2n),
-    so that W_i = d_i - (1/2) wtilde_i d_t; T = d_t has no twist and
-    twist position -1.  tails is empty unless the blade ends in theta;
-    then it holds (merged blade, sign) for each rest ^ dx_j ^ dy_j that
-    survives, where rest is the blade without theta, with the Koszul sign
-    (-1)^|rest| of splitting theta off and the minus sign of
-    dtheta = -sum_j dx_j ^ dy_j folded in.
+    the bit shift and unit of w_i's field in a monomial key, the merged
+    blade and sign with theta_i ^ blade = sign . merged, and the key
+    unit and sign of the twist variable, wtilde_i = +w_{n+i} (i <= n) or
+    -w_{i-n} (n < i <= 2n), so that W_i = d_i - (1/2) wtilde_i d_t;
+    T = d_t has no twist, and twist unit and sign 0.  tails is empty
+    unless the blade ends in theta; then it holds (merged blade, sign)
+    for each rest ^ dx_j ^ dy_j that survives, where rest is the blade
+    without theta, with the Koszul sign (-1)^|rest| of splitting theta
+    off and the minus sign of dtheta = -sum_j dx_j ^ dy_j folded in.
     """
     width = 2 * n + 1
+    units = _units(n)
     fronts = []
     for i in range(1, width + 1):
         merged = _merge_blades((i,), blade)
         if merged is None:
             continue
         if i <= n:
-            twist = (n + i - 1, 1)
+            twist = (units[n + i - 1], 1)
         elif i <= 2 * n:
-            twist = (i - n - 1, -1)
+            twist = (units[i - n - 1], -1)
         else:
-            twist = (-1, 0)
-        fronts.append((i - 1, merged[0], merged[1]) + twist)
+            twist = (0, 0)
+        fronts.append((_BITS * (i - 1), units[i - 1], merged[0], merged[1]) + twist)
     tails = []
     if blade and blade[-1] == width:
         rest = blade[:-1]
@@ -382,43 +383,48 @@ def exterior_derivative(a: Form) -> Form:
     denominator 2 lcm(input denominators); every rescaled input numerator
     is even there, so halving it for the twist stays an exact integer.
     Each output coefficient is reduced once, and zeros are dropped.
+    On packed monomial keys a d_i term is key - unit_i and a twist term
+    key - unit_t + unit_twist; the twist raises an exponent, so each
+    output is checked against the exponent limit.
     """
     if not isinstance(a, Form):
         raise TypeError(f"exterior_derivative expects a Form, got {type(a).__name__}")
     n = a.n
-    t_pos = 2 * n
+    t_shift = _BITS * 2 * n  # t's field is the key's highest
+    t_unit = 1 << t_shift
     den = 2 * lcm(*(c.den for c in a.coeffs.values()))
-    acc: dict[Blade, dict[tuple[int, ...], int]] = {}
+    acc: dict[Blade, dict[int, int]] = {}
     for blade, coeff in a.coeffs.items():
         fronts, tails = _d_table(n, blade)
         scale = den // coeff.den
-        # (exps, numerator over den, exps with t lowered or None, d_t factor)
+        # (key, numerator over den, key with t lowered or None, d_t factor)
         terms = []
-        for exps, c in coeff.num.items():
+        for key, c in coeff.num.items():
             c *= scale
-            e_t = exps[t_pos]
-            terms.append((exps, c, exps[:t_pos] + (e_t - 1,) if e_t else None, e_t * (c // 2)))
-        for pos, merged, sign, tw_pos, tw_sign in fronts:
+            e_t = key >> t_shift
+            terms.append((key, c, key - t_unit if e_t else None, e_t * (c // 2)))
+        for shift, unit, merged, sign, tw_unit, tw_sign in fronts:
             out = acc.setdefault(merged, {})
             get = out.get
             twist = -sign * tw_sign
-            for exps, c, dt_exps, half_dt in terms:
-                e = exps[pos]
+            for key, c, dt_key, half_dt in terms:
+                e = (key >> shift) & _FIELD
                 if e:
-                    key = exps[:pos] + (e - 1,) + exps[pos + 1:]
-                    out[key] = get(key, 0) + sign * e * c
-                if twist and dt_exps is not None:
-                    key = dt_exps[:tw_pos] + (dt_exps[tw_pos] + 1,) + dt_exps[tw_pos + 1:]
-                    out[key] = get(key, 0) + twist * half_dt
+                    lowered = key - unit
+                    out[lowered] = get(lowered, 0) + sign * e * c
+                if twist and dt_key is not None:
+                    twisted = dt_key + tw_unit
+                    out[twisted] = get(twisted, 0) + twist * half_dt
         for merged, sign in tails:
             out = acc.setdefault(merged, {})
             get = out.get
-            for exps, c, _, _ in terms:
-                out[exps] = get(exps, 0) + sign * c
+            for key, c, _, _ in terms:
+                out[key] = get(key, 0) + sign * c
     coeffs: dict[Blade, PolyCoeff] = {}
     for blade, out in acc.items():
-        num = {exps: c for exps, c in out.items() if c}
+        num = {key: c for key, c in out.items() if c}
         if num:
+            _check_exponents(n, num)
             coeffs[blade] = PolyCoeff._reduced(n, num, den)
     return Form._from_clean(n, a.degree + 1, coeffs)
 

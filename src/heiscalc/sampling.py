@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .coeff import PolyCoeff
+from .coeff import MAX_EXPONENT, PolyCoeff, _units
 from .frame import Blade, Form, _IntRow, _int_row, _rows_times
 
 COEFF_RANGE = (-5, 5)
@@ -37,18 +37,24 @@ def random_poly(rng: random.Random, n: int, max_degree: int = 3) -> PolyCoeff:
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    if max_degree > MAX_EXPONENT:
+        # No exponent a draw makes passes max_degree.
+        raise ValueError(
+            f"max_degree {max_degree} passes {MAX_EXPONENT}, the largest exponent a monomial key holds"
+        )
     bits = rng.getrandbits
-    width = 2 * n + 1
+    units = _units(n)
+    width = len(units)
     low, high = COEFF_RANGE
     span = high - low + 1
     terms_bits, degree_bits = MAX_TERMS.bit_length(), (max_degree + 1).bit_length()
     width_bits, span_bits = width.bit_length(), span.bit_length()
-    terms: dict[tuple[int, ...], int] = {}
+    terms: dict[int, int] = {}
     count = bits(terms_bits)  # randint(1, MAX_TERMS) - 1
     while count >= MAX_TERMS:
         count = bits(terms_bits)
     for _ in range(count + 1):
-        exponents = [0] * width
+        key = 0
         degree = bits(degree_bits)  # randint(0, max_degree)
         while degree > max_degree:
             degree = bits(degree_bits)
@@ -56,11 +62,10 @@ def random_poly(rng: random.Random, n: int, max_degree: int = 3) -> PolyCoeff:
             slot = bits(width_bits)  # randrange(width)
             while slot >= width:
                 slot = bits(width_bits)
-            exponents[slot] += 1
+            key += units[slot]
         value = bits(span_bits)  # randint(*COEFF_RANGE) - low
         while value >= span:
             value = bits(span_bits)
-        key = tuple(exponents)
         terms[key] = terms.get(key, 0) + low + value
     return PolyCoeff._from_clean(n, {key: value for key, value in terms.items() if value})
 

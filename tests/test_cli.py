@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+from heiscalc.coeff import MAX_EXPONENT
+
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "cli-schema.json"
 
 
@@ -445,6 +447,24 @@ def test_failing_worker_exits_one(run_cli, forks, monkeypatch, command):
 def test_bad_input_exits_two_before_forking(run_cli, forks, command):
     result = run_cli(command.split(" "))
     assert result.exit_code == 2
+    assert forks == []
+
+
+@pytest.mark.parametrize("command", [
+    # the literal itself: w1^(10^8) is past the limit
+    ["commute", "--map", "poly:[(w1^10000)^10000, w2, w3]", "--n", "1"],
+    # a representable map whose checks would pass the limit
+    ["commute", "--map", "poly:[w1^1000000*w1^1000000, w2, w3, w4, w5]", "--n", "2"],
+    ["commute", "--map", "dilation:r=2", "--n", "1", "--degree", str(MAX_EXPONENT + 1)],
+    ["verify", "--n", "1", "--degree", str(MAX_EXPONENT + 1)],
+])
+def test_unrepresentable_exponent_exits_two_before_forking(run_cli, forks, command):
+    result = run_cli(command)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Error: ") and result.stderr.count("\n") == 1
+    assert f"{MAX_EXPONENT}, the largest" in result.stderr
+    assert result.stdout == ""
     assert forks == []
 
 

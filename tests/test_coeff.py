@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heiscalc.coeff import Point, PolyCoeff, evaluate_at
+from heiscalc.coeff import _BITS, MAX_EXPONENT, Point, PolyCoeff, evaluate_at
 from heiscalc.contact import parse_map
 from heiscalc.frame import Form, all_blades, exterior_derivative, form_from_json
+from heiscalc.sampling import random_poly, seeded_rng
 
 
 def _poly_terms(n: int, max_degree: int = 2, max_terms: int = 3):
@@ -139,17 +140,21 @@ def test_substitute_oracle():
 
 
 def _assert_canonical_poly(p: PolyCoeff, n: int) -> None:
-    """Width 2n+1 keys, nonzero int numerators over a reduced positive
-    denominator; equal to a validated rebuild from its Fraction values."""
+    """Keys packing 2n+1 exponents, none negative or past the limit;
+    nonzero int numerators over a reduced positive denominator; equal to
+    a validated rebuild from its `terms`."""
     assert type(p) is PolyCoeff and p.n == n
     assert type(p.den) is int and p.den >= 1
     assert math.gcd(p.den, *p.num.values()) == 1
     assert p.num or p.den == 1
-    for exps, c in p.num.items():
-        assert type(exps) is tuple and len(exps) == 2 * n + 1
-        assert all(type(e) is int and e >= 0 for e in exps)
+    width = 2 * n + 1
+    for key, c in p.num.items():
+        assert type(key) is int and 0 <= key < 1 << (_BITS * width)
         assert type(c) is int and c != 0
-    terms = {exps: Fraction(c, p.den) for exps, c in p.num.items()}
+    terms = p.terms
+    for exps in terms:
+        assert type(exps) is tuple and len(exps) == width
+        assert all(type(e) is int and 0 <= e <= MAX_EXPONENT for e in exps)
     rebuilt = PolyCoeff(n, terms)
     assert rebuilt == p and (rebuilt.num, rebuilt.den) == (p.num, p.den)
 
@@ -256,7 +261,7 @@ def _nonzero(raw: dict) -> dict:
 
 def _assert_matches(p: PolyCoeff, n: int, ref: dict) -> None:
     _assert_canonical_poly(p, n)
-    assert {exps: Fraction(c, p.den) for exps, c in p.num.items()} == ref
+    assert p.terms == ref
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,6 +309,86 @@ def test_substitute_takes_high_powers_without_recursion():
     w1, w2, w3 = (PolyCoeff.var(1, i) for i in (1, 2, 3))
     expected = PolyCoeff(1, {(1500, 0, 0): 2 ** 1500})
     assert (w1 ** 1500).substitute((2 * w1, w2, w3)) == expected
+
+
+# -- packed monomial keys -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_terms_returns_exponent_tuples(n):
+    # The bench tracer sums the keys of `terms` for its degree metric.
+    width = 2 * n + 1
+    raw = {tuple((i * j + j) % 4 for j in range(width)): Fraction(i - 2, i + 1) for i in range(5)}
+    p = PolyCoeff(n, raw) * PolyCoeff.var(n, width)
+    terms = p.terms
+    assert type(terms) is dict and terms
+    for exps, c in terms.items():
+        assert type(exps) is tuple and len(exps) == width
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+    assert terms == {exps[:-1] + (exps[-1] + 1,): c for exps, c in raw.items() if c}
+    assert max(map(sum, terms)) == p.total_degree()
+
+
+def _top(n: int, i: int, e: int = MAX_EXPONENT) -> PolyCoeff:
+    """w_i^e, built by the public constructor."""
+    exps = [0] * (2 * n + 1)
+    exps[i - 1] = e
+    return PolyCoeff(n, {tuple(exps): 1})
+
+
+_PAST_LIMIT = f"pass(es)? {MAX_EXPONENT}, the largest"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exponents_past_the_limit_raise(n):
+    # Every operation that can raise an exponent refuses to reach
+    # 2^(_BITS-1), the top bit of a field, and names the limit; one
+    # below it every operation succeeds and the result reads back.
+    width = 2 * n + 1
+    assert MAX_EXPONENT == (1 << (_BITS - 1)) - 1
+    for i in range(1, width + 1):
+        w = PolyCoeff.var(n, i)
+        top = _top(n, i)
+        with pytest.raises(ValueError, match=_PAST_LIMIT):
+            _top(n, i, MAX_EXPONENT + 1)
+        with pytest.raises(ValueError, match=_PAST_LIMIT):
+            top * w
+        with pytest.raises(ValueError, match=_PAST_LIMIT):
+            (top + 1) * (w + 1)
+        with pytest.raises(ValueError, match=_PAST_LIMIT):
+            w ** (MAX_EXPONENT + 1)
+        with pytest.raises(ValueError, match=_PAST_LIMIT):
+            (w * w) ** (MAX_EXPONENT // 2 + 1)
+        # w_i^(2^(_BITS-2)) with w_i -> w_i^2 lands exactly on the top bit.
+        comps = [PolyCoeff.var(n, j) ** 2 for j in range(1, width + 1)]
+        with pytest.raises(ValueError, match=_PAST_LIMIT):
+            _top(n, i, 1 << (_BITS - 2)).substitute(comps)
+        for p in (_top(n, i, MAX_EXPONENT - 1) * w, w ** MAX_EXPONENT,
+                  _top(n, i, (1 << (_BITS - 2)) - 1).substitute(comps) * w):
+            assert p == top and p.terms == top.terms
+            _assert_canonical_poly(p, n)
+        assert top.partial(i) == _top(n, i, MAX_EXPONENT - 1).scale(MAX_EXPONENT)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exterior_derivative_twist_past_the_limit_raises(n):
+    # W_i = d_i - (1/2) wtilde_i d_t: on wtilde_i^MAX . t the twist term
+    # raises wtilde_i's exponent by one.
+    t = PolyCoeff.var(n, 2 * n + 1)
+    for i in range(1, 2 * n + 1):
+        twist = n + i if i <= n else i - n
+        with pytest.raises(ValueError, match=_PAST_LIMIT):
+            exterior_derivative(Form.function(_top(n, twist) * t))
+        d = exterior_derivative(Form.function(_top(n, twist, MAX_EXPONENT - 1) * t))
+        for coeff in d.coeffs.values():
+            _assert_canonical_poly(coeff, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_draw_past_the_limit_raises(n):
+    with pytest.raises(ValueError, match=_PAST_LIMIT):
+        random_poly(seeded_rng(0), n, MAX_EXPONENT + 1)
 
 
 # -- text format --------------------------------------------------------
