@@ -483,7 +483,7 @@ def _scan_csv_parts(rows: int) -> int:
 
 
 def _write_scan_csv(path: str, surface: ParamSurface, grid: tuple[int, int],
-                    parts: int | None = None, search: Callable | None = None):
+                    search: Callable | None = None):
     """Write the scan of `surface` on `grid` as CSV, formatting contiguous
     r-row parts in parallel, and return what `search` returns.
 
@@ -497,13 +497,12 @@ def _write_scan_csv(path: str, surface: ParamSurface, grid: tuple[int, int],
     without a search, this process reads the first part's own tiles.
     Every part evaluates its rows tile by tile, so no process holds the
     grid, and a band that a part bound cuts is evaluated whole on both
-    sides, so the bytes do not depend on the split.  `parts` defaults to
-    one per available CPU.  If anything fails, every worker is reaped
-    and the partial CSV is removed.
+    sides, so the bytes do not depend on the split.  There is one part
+    per available CPU (`_scan_csv_parts`).  If anything fails, every
+    worker is reaped and the partial CSV is removed.
     """
     rows = grid[0]
-    if parts is None:
-        parts = _scan_csv_parts(rows)
+    parts = _scan_csv_parts(rows)
     bounds = [rows * k // parts for k in range(parts + 1)]
     workers = [(f"r-rows {lo}..{hi - 1}", partial(_scan_csv_part, surface, grid, lo, hi))
                for lo, hi in zip(bounds[1:], bounds[2:])]

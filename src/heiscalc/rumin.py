@@ -33,7 +33,7 @@ from math import comb
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import _linalg
-from ._linalg import Mat, Vec
+from ._linalg import Mat
 from .coeff import PolyCoeff, _check_n
 from .frame import (
     Blade,
@@ -54,14 +54,12 @@ from .sampling import CombinationRows, combination_rows, random_combination, see
 
 __all__ = [
     "SubspaceBasis",
-    "QuotientClass",
     "dims",
     "basis_I",
     "basis_J",
     "basis_quotient",
     "basis_E0",
     "project_quotient",
-    "theta_class",
     "L_apply",
     "L_inverse",
     "lift",
@@ -84,19 +82,6 @@ __all__ = [
 
 
 # -- vector translation ----------------------------------------------------
-
-
-def _const_value(p: PolyCoeff) -> Fraction:
-    """The value of a constant polynomial; rejects genuine polynomials."""
-    value = p._constant()
-    if value is None:
-        raise ValueError(f"expected a constant coefficient, got {p.to_text()}")
-    return value
-
-
-def _const_vector(a: Form, blades: Sequence[Blade]) -> Vec:
-    lookup = {blade: _const_value(c) for blade, c in a.coeffs.items()}
-    return [lookup.get(blade, Fraction(0)) for blade in blades]
 
 
 class _ConstOp(NamedTuple):
@@ -152,10 +137,6 @@ class SubspaceBasis(NamedTuple):
     @property
     def dim(self) -> int:
         return len(self.elements)
-
-    def matrix(self) -> Mat:
-        blades = _blade_tuple(self.n, self.degree)
-        return [_const_vector(element, blades) for element in self.elements]
 
 
 def dims(k: int, n: int) -> tuple[int, int, int, int]:
@@ -396,36 +377,22 @@ def in_subspace(kind: str, k: int, n: int, alpha: Form) -> bool:
 
 
 # -- quotient classes --------------------------------------------------------
+#
+# A form of degree k <= n stands for its class in Omega^k/I^k: every
+# operator below gives the same result on every representative.
 
 
-class QuotientClass(NamedTuple):
-    """A class in Omega^k/I^k (relation "I") or modulo {gamma^theta}
-    (relation "theta"), stored through its canonical representative."""
-
-    n: int
-    k: int
-    representative: Form
-    relation: Literal["I", "theta"] = "I"
-
-    def is_zero(self) -> bool:
-        return self.representative.is_zero()
-
-
-def project_quotient(alpha: Form, k: int | None = None, n: int | None = None) -> QuotientClass:
-    """Class of alpha in Omega^k/I^k; representative orthogonal to I^k."""
-    n = alpha.n if n is None else n
-    k = alpha.degree if k is None else k
-    if alpha.n != n:
-        raise ValueError(f"ambient mismatch: form has n={alpha.n}, requested n={n}")
-    if alpha.degree != k and not alpha.is_zero():
-        raise ValueError(f"degree mismatch: form degree {alpha.degree}, requested k={k}")
+def project_quotient(alpha: Form) -> Form:
+    """The canonical representative of alpha's class in Omega^k/I^k, the
+    one orthogonal to I^k."""
+    n, k = alpha.n, alpha.degree
     if not 0 <= k <= n:
         raise ValueError(f"quotient degree k={k} out of range 0..{n}")
     if k == 0:
-        return QuotientClass(n, 0, alpha)
+        return alpha
     # Below the middle E0^k is the orthogonal complement of I^k, so this
     # is alpha minus its projection onto I^k.
-    return QuotientClass(n, k, _apply(_pi_E0(n, k), alpha, k))
+    return _apply(_pi_E0(n, k), alpha, k)
 
 
 def strip_theta(alpha: Form) -> Form:
@@ -434,11 +401,6 @@ def strip_theta(alpha: Form) -> Form:
     t_idx = theta_index(alpha.n)
     kept = {blade: c for blade, c in alpha.coeffs.items() if t_idx not in blade}
     return Form(alpha.n, alpha.degree, kept)
-
-
-def theta_class(alpha: Form) -> QuotientClass:
-    """The class of alpha modulo {gamma ^ theta}."""
-    return QuotientClass(alpha.n, alpha.degree, strip_theta(alpha), relation="theta")
 
 
 # -- the isomorphism L and the lifting ---------------------------------------
@@ -472,8 +434,9 @@ def L_inverse(gamma: Form) -> Form:
     return Form._from_clean(n, n - 1, {b[:-1]: c if n % 2 else -c for b, c in image.coeffs.items()})
 
 
-def lift(cls: QuotientClass) -> Form:
-    """The unique representative whose differential lands in J^{n+1}.
+def lift(alpha: Form) -> Form:
+    """The representative of alpha's class whose differential lands in
+    J^{n+1}, alpha's theta-free part plus a theta blade.
 
     Write the lift as alpha + b ^ theta, with alpha the theta-free
     representative of the class and b theta-free of degree n-1.  Since
@@ -482,23 +445,25 @@ def lift(cls: QuotientClass) -> Form:
     keeps only the theta-free blades.  Killing it forces
     b = L^{-1}((-1)^n (d alpha)|_h), and by `L_inverse` that makes
     b ^ theta = -d0+ (d alpha)|_h.  d0+ ignores theta blades, so the lift
-    is alpha - d0+ (d alpha).
+    is alpha - d0+ (d alpha).  d kills the lift of every form in I^n, so
+    d of the lift does not depend on the representative.
     """
-    n = cls.n
-    if cls.k != n:
-        raise ValueError(f"lifting is defined at degree n={n}, got k={cls.k}")
-    alpha = strip_theta(cls.representative)
+    n = alpha.n
+    if alpha.degree != n:
+        raise ValueError(f"lifting is defined at degree n={n}, got k={alpha.degree}")
+    alpha = strip_theta(alpha)
     return alpha - _apply(_d0_pseudo_inverse(n, n), exterior_derivative(alpha), n)
 
 
 # -- the Rumin differentials --------------------------------------------------
 
 
-def d_Q_low(cls: QuotientClass) -> QuotientClass:
-    """d_Q on Omega^k/I^k for k < n: the class of d(representative)."""
-    if cls.k >= cls.n:
-        raise ValueError(f"d_Q_low needs k < n, got k={cls.k}, n={cls.n}")
-    return project_quotient(exterior_derivative(cls.representative), cls.k + 1, cls.n)
+def d_Q_low(alpha: Form) -> Form:
+    """d_Q on Omega^k/I^k for k < n: the canonical representative of d
+    alpha's class.  d maps I^k into I^{k+1}, so any representative serves."""
+    if alpha.degree >= alpha.n:
+        raise ValueError(f"d_Q_low needs k < n, got k={alpha.degree}, n={alpha.n}")
+    return project_quotient(exterior_derivative(alpha))
 
 
 def d_Q_high(alpha: Form) -> Form:
@@ -515,26 +480,24 @@ def d_Q_high(alpha: Form) -> Form:
     return result
 
 
-def D_second_order(cls: QuotientClass) -> Form:
+def D_second_order(alpha: Form) -> Form:
     """The second-order middle operator: d of the lift; lands in J^{n+1}."""
-    n = cls.n
-    if cls.k != n:
-        raise ValueError(f"D is defined at degree n={n}, got k={cls.k}")
-    result = exterior_derivative(lift(cls))
+    n = alpha.n
+    if alpha.degree != n:
+        raise ValueError(f"D is defined at degree n={n}, got k={alpha.degree}")
+    result = exterior_derivative(lift(alpha))
     if not in_subspace("J", n + 1, n, result):
         raise AssertionError("D output escaped J^{n+1}; the lifting is broken")
     return result
 
 
-def rumin_operator(value: QuotientClass | Form):
+def rumin_operator(alpha: Form) -> Form:
     """Apply the Rumin differential appropriate to the input's degree."""
-    if isinstance(value, QuotientClass):
-        if value.k < value.n:
-            return d_Q_low(value)
-        if value.k == value.n:
-            return D_second_order(value)
-        raise ValueError("quotient classes only live at degrees k <= n")
-    return d_Q_high(value)
+    if alpha.degree < alpha.n:
+        return d_Q_low(alpha)
+    if alpha.degree == alpha.n:
+        return D_second_order(alpha)
+    return d_Q_high(alpha)
 
 
 # -- weights and the d0 machinery ---------------------------------------------
@@ -647,19 +610,14 @@ def dc_operator(alpha: Form) -> Form:
 
 @lru_cache(maxsize=None)
 def _chain_rows(n: int, k: int) -> CombinationRows:
-    """The rows of the degree-k chain basis: the quotient's below the
-    middle, J^k's above it."""
-    return combination_rows((basis_quotient(k, n) if k <= n else basis_J(k, n)).elements)
+    """The rows of the degree-k chain basis E0^k: the quotient's
+    representatives below the middle, J^k above it."""
+    return combination_rows(basis_E0(k, n).elements)
 
 
-def _random_chain_input(rng, n: int, k: int, degree: int):
-    """A random element of the degree-k chain space (class or J-form)."""
-    rep = random_combination(rng, _chain_rows(n, k), max_degree=degree)
-    return QuotientClass(n, k, rep) if k <= n else rep
-
-
-def _result_form(value) -> Form:
-    return value.representative if isinstance(value, QuotientClass) else value
+def _random_chain_input(rng, n: int, k: int, degree: int) -> Form:
+    """A random element of the degree-k chain space E0^k."""
+    return random_combination(rng, _chain_rows(n, k), max_degree=degree)
 
 
 def _first_counterexample(trials: int, check) -> dict | None:
@@ -696,9 +654,9 @@ def verify_complex(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -
 
     def check(k: int, trial: int) -> dict | None:
         start = _random_chain_input(rng, n, k, degree)
-        composed = _result_form(rumin_operator(rumin_operator(start)))
+        composed = rumin_operator(rumin_operator(start))
         if not composed.is_zero():
-            return {"input": form_to_json(_result_form(start)), "residual": form_to_json(composed)}
+            return {"input": form_to_json(start), "residual": form_to_json(composed)}
 
     checks = []
     for k in range(0, 2 * n):
@@ -714,11 +672,11 @@ def verify_lifting(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -
     theta, dtheta = contact_form(n), d_contact_form(n)
 
     def check(trial: int) -> dict | None:
-        cls = _random_chain_input(rng, n, n, degree)
-        lifted = lift(cls)
+        alpha = _random_chain_input(rng, n, n, degree)
+        lifted = lift(alpha)
         differential = exterior_derivative(lifted)
         if not differential.wedge(theta).is_zero() or not differential.wedge(dtheta).is_zero():
-            return {"input": form_to_json(cls.representative), "lift": form_to_json(lifted)}
+            return {"input": form_to_json(alpha), "lift": form_to_json(lifted)}
 
     failure = _first_counterexample(trials, check)
     return _suite_report("lifting", n, seed, [_check_report("lift lands in J^{n+1}", failure)], trials=trials)
@@ -736,10 +694,9 @@ def verify_dc(n: int, trials: int = 50, seed: int = 42, degree: int = 3) -> dict
     rng = seeded_rng(seed)
 
     def check(k: int, trial: int) -> dict | None:
-        value = _random_chain_input(rng, n, k, degree)
-        alpha = _result_form(value)
+        alpha = _random_chain_input(rng, n, k, degree)
         via_dc = dc_operator(alpha)
-        expected = exterior_derivative(alpha) if k > n else _result_form(rumin_operator(value))
+        expected = exterior_derivative(alpha) if k > n else rumin_operator(alpha)
         if via_dc != expected:
             return {"input": form_to_json(alpha), "dc": form_to_json(via_dc), "expected": form_to_json(expected)}
 

@@ -85,8 +85,8 @@ class CombinationRows(NamedTuple):
 
 
 def combination_rows(elements: Sequence[Form]) -> CombinationRows:
-    """The rows `random_combination` draws with, for drawing from the
-    same elements many times.
+    """The rows `random_combination` draws with, built once for drawing
+    from the same elements many times.
 
     A non-constant element coefficient, no elements at all, or elements
     of another n or degree raise ValueError.
@@ -107,20 +107,14 @@ def combination_rows(elements: Sequence[Form]) -> CombinationRows:
     return CombinationRows(n, degree, len(elements), tuple(entries), tuple(map(_int_row, entries.values())))
 
 
-def random_combination(
-    rng: random.Random,
-    elements: Sequence[Form] | CombinationRows,
-    max_degree: int = 3,
-) -> Form:
-    """A random polynomial combination of the given constant forms, or
-    of the forms `combination_rows` was given.
+def random_combination(rng: random.Random, table: CombinationRows, max_degree: int = 3) -> Form:
+    """A random polynomial combination of the forms `combination_rows`
+    was given.
 
     One random polynomial is drawn per element, in order.  Each blade's
     coefficient is the row of the elements' constant coefficients on it
-    times those polynomials.  Elements are checked as `combination_rows`
-    checks them, before anything is drawn.
+    times those polynomials.
     """
-    table = elements if isinstance(elements, CombinationRows) else combination_rows(elements)
     n = table.n
     polys = [random_poly(rng, n, max_degree) for _ in range(table.size)]
     sums = zip(table.blades, _rows_times(n, table.rows, polys))

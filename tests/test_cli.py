@@ -380,11 +380,11 @@ def test_failing_report_is_unchanged_from_a_worker(forks, monkeypatch):
     import heiscalc.rumin as rumin_mod
     from heiscalc.contact import builtin_dilation, commute_check
     from heiscalc.frame import dx
-    from heiscalc.rumin import QuotientClass, d_Q_low as real
+    from heiscalc.rumin import d_Q_low as real
 
-    def broken(cls):
-        out = real(cls)
-        return QuotientClass(out.n, out.k, out.representative + dx(out.n))
+    def broken(alpha):
+        out = real(alpha)
+        return out + dx(out.n)
 
     monkeypatch.setattr(rumin_mod, "d_Q_low", broken)
     job = ("k=0", lambda: commute_check(builtin_dilation(2, 1), 0, trials=10, seed=42, degree=3))
@@ -590,14 +590,14 @@ def test_mobius_scan_csv_bytes_pinned(run_cli, tmp_path):
 
 @pytest.mark.parametrize("grid", [(65, 64), (128, 64), (100, 300), (7, 4100)])
 @pytest.mark.parametrize("parts", [1, 2, 3, 7])
-def test_scan_csv_parts_byte_identical(tmp_path, grid, parts):
+def test_scan_csv_parts_byte_identical(tmp_path, monkeypatch, grid, parts):
     # Forked workers format all parts but the first; the appended file
     # must be the single-writer bytes whatever the split.  The scan's
     # tiles are bands of 32 r-rows at n_s = 64 and of 6 at n_s = 300, so
     # most part bounds fall inside a band; 4100 s-nodes are three tiles
     # per r-row.  The first part is written from its own tiles, and then
     # from a search's pass over every tile of the grid, as mobius does.
-    from heiscalc.cli import _write_scan_csv
+    from heiscalc import cli
     from heiscalc.surface import _scan_blocks, mobius_surface, scan_grid
 
     def search(on_tile):
@@ -608,17 +608,18 @@ def test_scan_csv_parts_byte_identical(tmp_path, grid, parts):
     surface = mobius_surface(0.2, 0.15)
     data = scan_grid(surface, grid)
     path = tmp_path / "mobius_scan.csv"
-    _write_scan_csv(str(path), surface, grid, parts)
+    monkeypatch.setattr(cli, "_scan_csv_parts", lambda rows: parts)
+    cli._write_scan_csv(str(path), surface, grid)
     assert path.read_bytes() == _reference_scan_csv(data)
     assert os.listdir(tmp_path) == ["mobius_scan.csv"]
-    assert _write_scan_csv(str(path), surface, grid, parts, search) == "searched"
+    assert cli._write_scan_csv(str(path), surface, grid, search) == "searched"
     assert path.read_bytes() == _reference_scan_csv(data)
     assert os.listdir(tmp_path) == ["mobius_scan.csv"]
 
 
-def test_scan_csv_writes_one_axis_components(tmp_path):
+def test_scan_csv_writes_one_axis_components(tmp_path, monkeypatch):
     # The plane t = 0 has the constant normal component N3 = 1.
-    from heiscalc.cli import _write_scan_csv
+    from heiscalc import cli
     from heiscalc.surface import ParamSurface, scan_grid
 
     plane = ParamSurface(
@@ -629,7 +630,8 @@ def test_scan_csv_writes_one_axis_components(tmp_path):
     )
     data = scan_grid(plane, (64, 64))
     path = tmp_path / "mobius_scan.csv"
-    _write_scan_csv(str(path), plane, (64, 64), 2)
+    monkeypatch.setattr(cli, "_scan_csv_parts", lambda rows: 2)
+    cli._write_scan_csv(str(path), plane, (64, 64))
     assert path.read_bytes() == _reference_scan_csv(data)
     assert path.read_text().splitlines()[1].endswith(",1.0")
 

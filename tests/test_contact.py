@@ -332,6 +332,28 @@ def test_pullback_quotient_well_defined():
     assert pullback_quotient(f, project_quotient(a)) == pullback_quotient(f, project_quotient(shifted))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_pullback_quotient_is_a_function_of_the_class(n):
+    # alpha, alpha + i with i in I^k, and alpha's canonical representative
+    # pull back to one class, under a dilation and a translation
+    from heiscalc.rumin import basis_I
+    from heiscalc.sampling import combination_rows, random_combination
+
+    rng = seeded_rng(41 + n)
+    maps = [builtin_dilation(Fraction(3, 2), n),
+            builtin_left_translation([Fraction(1, 2), -1, 2, Fraction(-1, 3), 1][:2 * n + 1], n)]
+    for k in range(1, n + 1):
+        rows = combination_rows(basis_I(k, n).elements)
+        for _ in range(3):
+            alpha = random_form(rng, n, k, max_degree=2)
+            i = random_combination(rng, rows, max_degree=2)
+            for f in maps:
+                expected = pullback_quotient(f, alpha)
+                assert expected == project_quotient(expected)
+                assert pullback_quotient(f, project_quotient(alpha)) == expected, (f.label(), k)
+                assert pullback_quotient(f, alpha + i) == expected, (f.label(), k)
+
+
 def test_pullback_J_oracle():
     # the dilation multiplies dx^theta by r * r^2
     n, r = 1, 3
@@ -455,11 +477,11 @@ def test_commute_check_detects_a_broken_operator(monkeypatch):
     # sabotage the low operator with a constant offset; a dilation rescales
     # the offset on one side of the square but not the other
     import heiscalc.rumin as rumin_mod
-    from heiscalc.rumin import QuotientClass, d_Q_low as real
+    from heiscalc.rumin import d_Q_low as real
 
-    def broken(cls):
-        out = real(cls)
-        return QuotientClass(out.n, out.k, out.representative + dx(out.n))
+    def broken(alpha):
+        out = real(alpha)
+        return out + dx(out.n)
 
     monkeypatch.setattr(rumin_mod, "d_Q_low", broken)
     report = commute_check(builtin_dilation(2, 1), 0, trials=10, seed=42, degree=3)
@@ -472,11 +494,11 @@ def test_commute_check_failing_report_is_pinned(monkeypatch):
     # the same sabotage; the whole report, serialized, keeps the digest
     # it had before the sampled suites shared one runner
     import heiscalc.rumin as rumin_mod
-    from heiscalc.rumin import QuotientClass, d_Q_low as real
+    from heiscalc.rumin import d_Q_low as real
 
-    def broken(cls):
-        out = real(cls)
-        return QuotientClass(out.n, out.k, out.representative + dx(out.n))
+    def broken(alpha):
+        out = real(alpha)
+        return out + dx(out.n)
 
     monkeypatch.setattr(rumin_mod, "d_Q_low", broken)
     report = commute_check(builtin_dilation(2, 1), 0, trials=10, seed=42, degree=3)
@@ -546,25 +568,23 @@ def test_suite_maps_contents():
     assert [f.components for f in maps] == [g.components for g in again]
 
 
-# -- the five records -----------------------------------------------------------
+# -- the four records -----------------------------------------------------------
 
 
 def _records():
     from heiscalc.coeff import Point
-    from heiscalc.rumin import QuotientClass, SubspaceBasis
+    from heiscalc.rumin import SubspaceBasis
 
     f = builtin_dilation(2, 1)
     return {
         "Point": (Point((1.0, 2.0, 3.0)), ["coords", "n"]),
         "SubspaceBasis": (basis_J(2, 1), ["n", "degree", "kind", "elements"]),
-        "QuotientClass": (QuotientClass(1, 0, Form.function(_var(1, 1))),
-                          ["n", "k", "representative", "relation"]),
         "SmoothMap": (f, ["n", "components", "description", "frame_matrix"]),
         "FrameMatrix": (f.frame_matrix, ["n", "entries"]),
     }
 
 
-@pytest.mark.parametrize("name", ["Point", "SubspaceBasis", "QuotientClass", "SmoothMap", "FrameMatrix"])
+@pytest.mark.parametrize("name", ["Point", "SubspaceBasis", "SmoothMap", "FrameMatrix"])
 def test_record_fields_cannot_be_assigned(name):
     record, fields = _records()[name]
     for field in fields:
@@ -600,18 +620,6 @@ def test_maps_and_frame_matrices_compare_by_identity():
     assert len({f, g}) == 2
     assert f.frame_matrix.entries == g.frame_matrix.entries
     assert f.frame_matrix != g.frame_matrix and f.frame_matrix == f.frame_matrix
-
-
-def test_quotient_class_equality_sees_relation():
-    from heiscalc.rumin import QuotientClass
-
-    rep = Form.function(_var(1, 1))
-    assert QuotientClass(1, 0, rep) == QuotientClass(1, 0, rep, "I")
-    assert QuotientClass(1, 0, rep).relation == "I"
-    for other in (QuotientClass(1, 0, rep, relation="theta"),
-                  QuotientClass(1, 0, Form.function(_var(1, 2)))):
-        assert not QuotientClass(1, 0, rep) == other
-        assert QuotientClass(1, 0, rep) != other
 
 
 def test_frame_matrix_is_computed_once_per_map(monkeypatch):

@@ -27,7 +27,6 @@ from heiscalc.rumin import (
     D_second_order,
     L_apply,
     L_inverse,
-    QuotientClass,
     basis_E0,
     basis_I,
     basis_J,
@@ -44,13 +43,12 @@ from heiscalc.rumin import (
     project_quotient,
     rumin_operator,
     strip_theta,
-    theta_class,
     verify_complex,
     verify_dc,
     verify_lifting,
     weight_of,
 )
-from heiscalc.sampling import random_combination, random_poly, seeded_rng
+from heiscalc.sampling import combination_rows, random_combination, random_poly, seeded_rng
 
 from conftest import random_form
 
@@ -135,7 +133,15 @@ def _solve(rows, rhs):
 
 
 def _vector(alpha, blades):
-    return [rumin._const_value(alpha.coeffs[b]) if b in alpha.coeffs else Fraction(0) for b in blades]
+    """alpha's constant coefficients on the given blades."""
+    vector = [alpha.coeffs[b]._constant() if b in alpha.coeffs else Fraction(0) for b in blades]
+    assert None not in vector, f"{alpha} has a non-constant coefficient"
+    return vector
+
+
+def _matrix(basis):
+    """The basis elements as rows over every blade of their degree."""
+    return [_vector(element, all_blades(basis.n, basis.degree)) for element in basis.elements]
 
 
 def _columns_to_matrix(columns, height):
@@ -344,7 +350,7 @@ def _residual_rule(kind: str, k: int, n: int, alpha: Form) -> bool:
     blades = all_blades(n, k)
     vec = [alpha.coeffs.get(blade, PolyCoeff.zero(n)) for blade in blades]
     projection = Form.zero(n, k)
-    for row in _gram_schmidt(basis.matrix()):
+    for row in _gram_schmidt(_matrix(basis)):
         norm = _dot(row, row)
         coeff = PolyCoeff.zero(n)
         for entry, poly in zip(row, vec):
@@ -384,7 +390,7 @@ def test_in_subspace_matches_residual_rule(kind, k, n):
         return PolyCoeff.const(n, 1) if p.is_zero() else p
 
     for _ in range(3):
-        member = random_combination(rng, elements, max_degree=2) if elements else Form.zero(n, k)
+        member = random_combination(rng, combination_rows(elements), max_degree=2) if elements else Form.zero(n, k)
         assert in_subspace(kind, k, n, member) and _residual_rule(kind, k, n, member)
         for blade in blades:
             perturbed = member + Form.from_blade(n, blade, bump())
@@ -420,18 +426,18 @@ def test_project_quotient_idempotent():
     rng = seeded_rng(7)
     a = random_form(rng, n, 2, max_degree=2)
     cls = project_quotient(a)
-    assert project_quotient(cls.representative) == cls
+    assert project_quotient(cls) == cls
     # representative is theta-free
-    assert strip_theta(cls.representative) == cls.representative
+    assert strip_theta(cls) == cls
 
 
 def test_theta_class():
     # canonical representative modulo {gamma ^ theta} is the theta-free part
     n = 1
     a = wedge(dx(n), contact_form(n)) + wedge(dx(n), dy(n))
-    cls = theta_class(a)
-    assert cls.representative == wedge(dx(n), dy(n))
-    assert cls == theta_class(wedge(dx(n), dy(n)))
+    cls = strip_theta(a)
+    assert cls == wedge(dx(n), dy(n))
+    assert cls == strip_theta(wedge(dx(n), dy(n)))
 
 
 # -- Lefschetz maps ----------------------------------------------------------
@@ -496,7 +502,7 @@ def test_block_kernel_matches_dense_construction(n):
             dense = _dense_basis(kind, k, n)
             basis = rumin._basis(kind, k, n)
             assert (basis.n, basis.degree, basis.kind) == (n, k, kind)
-            assert basis.matrix() == dense, (kind, k)
+            assert _matrix(basis) == dense, (kind, k)
             annihilator = rumin._annihilator(kind, k, n)
             assert annihilator.inputs == blades
             assert _rref(_op_matrix(annihilator))[0] == _rref(_perp(dense, width))[0], (kind, k)
@@ -533,9 +539,8 @@ def test_lift_defining_property(n):
     theta = contact_form(n)
     dtheta = d_contact_form(n)
     for _ in range(10):
-        rep = random_combination(rng, basis_quotient(n, n).elements, max_degree=3)
-        cls = QuotientClass(n, n, rep)
-        lifted = lift(cls)
+        rep = random_combination(rng, combination_rows(basis_quotient(n, n).elements), max_degree=3)
+        lifted = lift(rep)
         differential = exterior_derivative(lifted)
         assert differential.wedge(theta).is_zero()
         assert differential.wedge(dtheta).is_zero()
@@ -548,7 +553,7 @@ def test_lift_defining_property(n):
 def test_d_Q_low_on_functions():
     n = 1
     f = _var(n, 1) ** 2 * _var(n, 2)
-    cls = d_Q_low(QuotientClass(n, 0, Form.function(f)))
+    cls = d_Q_low(Form.function(f))
     expected = dx(n).scale(frame_apply(1, f)) + dy(n).scale(frame_apply(2, f))
     assert cls == project_quotient(expected)
 
@@ -598,7 +603,7 @@ def test_d_Q_high_stays_in_J():
         for k in range(n + 1, 2 * n + 1):
             basis = basis_J(k, n).elements
             for _ in range(5):
-                a = random_combination(rng, basis, max_degree=3)
+                a = random_combination(rng, combination_rows(basis), max_degree=3)
                 out = d_Q_high(a)
                 assert in_subspace("J", k + 1, n, out)
 
@@ -654,14 +659,52 @@ def test_suites_reject_n_below_one(suite, n):
 
 def test_rumin_operator_dispatch():
     n = 1
-    f = QuotientClass(n, 0, Form.function(_var(n, 1)))
+    f = Form.function(_var(n, 1))
     assert rumin_operator(f) == d_Q_low(f)
     mid = project_quotient(dy(n).scale(_var(n, 1) ** 2))
     assert rumin_operator(mid) == D_second_order(mid)
     j2 = wedge(dx(n), contact_form(n))
     assert rumin_operator(j2) == d_Q_high(j2)
-    with pytest.raises((TypeError, ValueError)):
-        rumin_operator(dx(n))  # a raw form below the middle is ambiguous
+    # a form below the middle stands for its class
+    assert rumin_operator(dx(n)) == D_second_order(project_quotient(dx(n)))
+
+
+def _class_operators(n, k):
+    """The operators a form of degree k <= n is handed to, by name."""
+    own = ("d_Q_low", d_Q_low) if k < n else ("D", D_second_order)
+    return [own, ("rumin_operator", rumin_operator)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_operators_are_functions_of_the_class(n):
+    # Every monomial of degree <= 2 times every element of I^k: the
+    # operators have order <= 2, so by the jet argument below (see
+    # `_jets`) this decides that they kill I^k, and with it that every
+    # representative of a class gives the same form.
+    rng = seeded_rng(31 + n)
+    for k in range(0, n + 1):
+        alpha = random_form(rng, n, k, max_degree=2)
+        canonical = project_quotient(alpha)
+        shifts = [e.scale(m) for m in _jets(n, 2) for e in basis_I(k, n).elements] if k else []
+        for name, op in _class_operators(n, k):
+            expected = op(alpha)
+            assert op(canonical) == expected, (name, k)
+            for i in shifts:
+                assert op(alpha + i) == expected, (name, k, i)
+
+
+def test_operators_are_functions_of_the_class_n3():
+    n = 3
+    rng = seeded_rng(37)
+    for k in range(1, n + 1):
+        rows = combination_rows(basis_I(k, n).elements)
+        for _ in range(3):
+            alpha = random_form(rng, n, k, max_degree=2)
+            i = random_combination(rng, rows, max_degree=2)
+            for name, op in _class_operators(n, k):
+                expected = op(alpha)
+                assert op(project_quotient(alpha)) == expected, (name, k)
+                assert op(alpha + i) == expected, (name, k)
 
 
 # -- weight grading and d0 ----------------------------------------------------
@@ -839,5 +882,5 @@ def test_dc_equals_d_at_top_degree():
         k = 2 * n
         basis = basis_J(k, n).elements
         for _ in range(10):
-            a = random_combination(rng, basis, max_degree=3)
+            a = random_combination(rng, combination_rows(basis), max_degree=3)
             assert dc_operator(a) == exterior_derivative(a)

@@ -8,8 +8,8 @@ import pytest
 
 from heiscalc.coeff import PolyCoeff
 from heiscalc.frame import Form
-from heiscalc.rumin import QuotientClass, _random_chain_input, basis_E0, basis_I, basis_J, basis_quotient
-from heiscalc.sampling import COEFF_RANGE, random_combination, random_poly, seeded_rng
+from heiscalc.rumin import _random_chain_input, basis_E0, basis_I, basis_J, basis_quotient
+from heiscalc.sampling import COEFF_RANGE, combination_rows, random_combination, random_poly, seeded_rng
 
 
 def _poly_by_fractions(rng, n, max_degree=3, max_terms=4, coeff_range=COEFF_RANGE):
@@ -75,7 +75,7 @@ def test_random_combination_draws_are_unchanged(n):
         for seed in range(25):
             rng, old = seeded_rng(seed), seeded_rng(seed)
             for max_degree in (0, 3):
-                new = random_combination(rng, elements, max_degree)
+                new = random_combination(rng, combination_rows(elements), max_degree)
                 assert new == _combination_by_scaling(old, elements, max_degree)
                 assert new.degree == elements[0].degree
             assert rng.getstate() == old.getstate()
@@ -92,22 +92,18 @@ def test_chain_inputs_draw_from_their_basis(n):
             for max_degree in (0, 3):
                 value = _random_chain_input(rng, n, k, max_degree)
                 expected = _combination_by_scaling(old, basis.elements, max_degree)
-                if k <= n:
-                    assert isinstance(value, QuotientClass)
-                    assert (value.n, value.k) == (n, k)
-                    value = value.representative
-                assert value == expected and value.degree == k
+                assert value == expected and (value.n, value.degree) == (n, k)
             assert rng.getstate() == old.getstate()
 
 
 def test_random_combination_rejects_bad_elements():
     rng = seeded_rng(0)
     with pytest.raises(ValueError, match="empty"):
-        random_combination(rng, [])
+        combination_rows([])
     polynomial = Form.from_blade(1, (1,), PolyCoeff.var(1, 2))
     with pytest.raises(ValueError, match="not constant"):
-        random_combination(rng, [Form.from_blade(1, (2,)), polynomial])
+        combination_rows([Form.from_blade(1, (2,)), polynomial])
     with pytest.raises(ValueError):
-        random_combination(rng, [Form.from_blade(1, (1,)), Form.from_blade(1, (1, 2))])
+        combination_rows([Form.from_blade(1, (1,)), Form.from_blade(1, (1, 2))])
     with pytest.raises(ValueError, match="max_degree"):
         random_poly(rng, 1, -1)

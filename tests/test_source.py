@@ -11,6 +11,22 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "heiscalc"
 TESTS = Path(__file__).resolve().parent
 
 
+def _assert_statements(tree: ast.Module) -> list[int]:
+    """Lines of the module's assert statements, which `python -O` strips."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # An output check must hold under -O too, so it raises AssertionError.
+    assert _assert_statements(ast.parse(path.read_text())) == []
+
+
+def test_assert_statement_detector():
+    tree = ast.parse("assert x\nif y:\n    assert z, 'msg'\nraise AssertionError('kept')\n")
+    assert _assert_statements(tree) == [1, 3]
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never reads; names listed in __all__
     count as read."""
