@@ -231,18 +231,17 @@ def _blocks(n: int, k: int) -> tuple[_Block, ...]:
 
 
 def _span_rows(kind: str, block: _Block) -> Mat:
-    """Rows spanning the block's share of I^k, J^k, the quotient or E0^k.
+    """Rows spanning the block's share of I^k or E0^k.
 
     I^k = theta ^ Omega^{k-1} + dtheta ^ Omega^{k-2} takes every theta
-    blade and the L-images; E0^k takes Ker K on every block, and J^k and
-    the quotient are its theta and theta-free halves.
+    blade and the L-images; E0^k takes Ker K on every block.
     """
     width = len(block.blades)
     if kind == "I":
         return [[Fraction(int(i == j)) for j in range(width)] for i in range(width)] if block.theta else block.K
-    if (kind == "J" and not block.theta) or (kind == "quotient" and block.theta):
-        return []
-    return _linalg.nullspace(block.K, width)
+    if kind == "E0":
+        return _linalg.nullspace(block.K, width)
+    raise ValueError(f"unknown subspace kind {kind!r}")
 
 
 def _block_basis(kind: str, k: int, n: int) -> SubspaceBasis:
@@ -281,16 +280,16 @@ def basis_I(k: int, n: int) -> SubspaceBasis:
 
 @lru_cache(maxsize=None)
 def basis_J(k: int, n: int) -> SubspaceBasis:
-    """Basis of J^k = {alpha : alpha^theta = 0, alpha^dtheta = 0}.
+    """Basis of J^k = {alpha : alpha^theta = 0, alpha^dtheta = 0}, read off E0^k.
 
     alpha^theta = 0 forces alpha = beta^theta with beta theta-free, and
-    then alpha^dtheta = 0 asks L beta = 0.  The complex lives on the range
-    k >= n+1 where the dimension is C(2n+1, k) - C(2n+1, k+1); below the
-    middle degree L is injective and J^k = 0.
+    then alpha^dtheta = 0 asks L beta = 0: J^k is E0^k's theta half.
+    Below the middle L is injective and J^k = 0; above it E0^k has no
+    theta-free half, so J^k = E0^k, of dimension C(2n+1, k) - C(2n+1, k+1).
     """
     if not 1 <= k <= 2 * n + 1:
         raise ValueError(f"degree k={k} out of range 1..{2 * n + 1} for J^k")
-    basis = _block_basis("J", k, n)
+    basis = SubspaceBasis(n, k, "J", basis_E0(k, n).elements if k > n else ())
     expected = max(0, comb(2 * n + 1, k) - comb(2 * n + 1, k + 1))
     if basis.dim != expected:
         raise AssertionError(f"dim J^{k} = {basis.dim}, closed form says {expected}")
@@ -300,10 +299,11 @@ def basis_J(k: int, n: int) -> SubspaceBasis:
 @lru_cache(maxsize=None)
 def basis_quotient(k: int, n: int) -> SubspaceBasis:
     """Orthogonal complement of I^k inside Omega^k; representatives of
-    the quotient.  k = 0 is allowed and gives the span of 1."""
+    the quotient, E0^k's theta-free half, which is all of E0^k up to the
+    middle.  k = 0 is allowed and gives the span of 1."""
     if not 0 <= k <= n:
         raise ValueError(f"degree k={k} out of range 0..{n} for the quotient")
-    basis = _block_basis("quotient", k, n)
+    basis = SubspaceBasis(n, k, "quotient", basis_E0(k, n).elements)
     if k and basis.dim != dims(k, n)[2]:
         raise AssertionError(f"dim Omega^{k}/I^{k} basis mismatch at n={n}")
     return basis
@@ -311,37 +311,27 @@ def basis_quotient(k: int, n: int) -> SubspaceBasis:
 
 @lru_cache(maxsize=None)
 def basis_E0(k: int, n: int) -> SubspaceBasis:
-    """E0^k = Ker d0 at degree k, intersected with (Im d0 at k-1)^perp.
+    """E0^k = Ker d0 at degree k, intersected with (Im d0 at k-1)^perp:
+    Ker K on every block, the one chain space row-reduced here.
 
-    Coincides with the quotient complement for k <= n and with J^k for
-    k > n.
+    It is the quotient complement for k <= n and J^k for k > n.
     """
     if not 0 <= k <= 2 * n + 1:
         raise ValueError(f"degree k={k} out of range 0..{2 * n + 1}")
     return _block_basis("E0", k, n)
 
 
-def _basis(kind: str, k: int, n: int) -> SubspaceBasis:
-    if kind == "I":
-        return basis_I(k, n)
-    if kind == "J":
-        return basis_J(k, n)
-    if kind == "quotient":
-        return basis_quotient(k, n)
-    if kind == "E0":
-        return basis_E0(k, n)
-    raise ValueError(f"unknown basis kind {kind!r}")
-
-
 @lru_cache(maxsize=None)
 def _annihilator(kind: str, k: int, n: int) -> _ConstOp:
-    """Rows spanning the orthogonal complement of a cached subspace S,
-    block by block.
+    """Rows spanning the orthogonal complement of S = I^k or E0^k, block
+    by block.
 
     A form lies in S exactly when every row pairs with it to zero, since
     S = (S-perp)-perp over the rationals.  The rows label no blades.
     """
-    _basis(kind, k, n)  # validates kind and degree
+    lowest = int(kind == "I")
+    if not lowest <= k <= 2 * n + 1:
+        raise ValueError(f"degree k={k} out of range {lowest}..{2 * n + 1} for {kind}^k")
     blades = _blade_tuple(n, k)
     position = {blade: i for i, blade in enumerate(blades)}
     rows = []
@@ -364,10 +354,10 @@ def _pi_E0(n: int, k: int) -> _ConstOp:
     return _block_op(blades, pieces)
 
 
-def in_subspace(kind: str, k: int, n: int, alpha: Form) -> bool:
-    """Exact membership: every row of the complement's basis pairs to zero.
-
-    Stops at the first row that does not.
+def in_subspace(kind: Literal["I", "E0"], k: int, n: int, alpha: Form) -> bool:
+    """Exact membership in S = I^k or E0^k (J^k and the quotient
+    complement are E0^k on their ranges): every row of the complement's
+    basis pairs to zero.  Stops at the first row that does not.
     """
     if alpha.is_zero():
         return True
@@ -388,11 +378,9 @@ def project_quotient(alpha: Form) -> Form:
     n, k = alpha.n, alpha.degree
     if not 0 <= k <= n:
         raise ValueError(f"quotient degree k={k} out of range 0..{n}")
-    if k == 0:
-        return alpha
-    # Below the middle E0^k is the orthogonal complement of I^k, so this
+    # Up to the middle E0^k is the orthogonal complement of I^k, so this
     # is alpha minus its projection onto I^k.
-    return _apply(_pi_E0(n, k), alpha, k)
+    return Pi_E0(alpha)
 
 
 def strip_theta(alpha: Form) -> Form:
@@ -438,20 +426,20 @@ def lift(alpha: Form) -> Form:
     """The representative of alpha's class whose differential lands in
     J^{n+1}, alpha's theta-free part plus a theta blade.
 
-    Write the lift as alpha + b ^ theta, with alpha the theta-free
-    representative of the class and b theta-free of degree n-1.  Since
+    Write the lift as alpha_h + b ^ theta, with alpha_h alpha's theta-free
+    part and b theta-free of degree n-1.  Since
     d(b ^ theta) = db ^ theta + (-1)^(n-1) b ^ dtheta, the theta-free part
-    of its differential is (d alpha)|_h + (-1)^(n-1) L b, where (.)|_h
+    of its differential is (d alpha_h)|_h + (-1)^(n-1) L b, where (.)|_h
     keeps only the theta-free blades.  Killing it forces
-    b = L^{-1}((-1)^n (d alpha)|_h), and by `L_inverse` that makes
-    b ^ theta = -d0+ (d alpha)|_h.  d0+ ignores theta blades, so the lift
-    is alpha - d0+ (d alpha).  d kills the lift of every form in I^n, so
+    b = L^{-1}((-1)^n (d alpha_h)|_h), and by `L_inverse` that makes
+    b ^ theta = -d0+ (d alpha_h)|_h.  d0+ ignores theta blades, and d0+ d0
+    is the identity on the theta blades of degree n, so the lift is
+    alpha - d0+ (d alpha).  d kills the lift of every form in I^n, so
     d of the lift does not depend on the representative.
     """
     n = alpha.n
     if alpha.degree != n:
         raise ValueError(f"lifting is defined at degree n={n}, got k={alpha.degree}")
-    alpha = strip_theta(alpha)
     return alpha - _apply(_d0_pseudo_inverse(n, n), exterior_derivative(alpha), n)
 
 
@@ -467,15 +455,15 @@ def d_Q_low(alpha: Form) -> Form:
 
 
 def d_Q_high(alpha: Form) -> Form:
-    """d_Q = d restricted to J^k for k >= n+1; output verified in J^{k+1}."""
+    """d_Q = d restricted to J^k = E0^k for k >= n+1; output verified in J^{k+1}."""
     n = alpha.n
     k = alpha.degree
     if not n + 1 <= k <= 2 * n + 1:
         raise ValueError(f"d_Q_high needs degree in {n + 1}..{2 * n + 1}, got {k}")
-    if not in_subspace("J", k, n, alpha):
+    if not in_subspace("E0", k, n, alpha):
         raise ValueError("d_Q_high input does not lie in J^k")
     result = exterior_derivative(alpha)
-    if k + 1 <= 2 * n + 1 and not in_subspace("J", k + 1, n, result):
+    if k + 1 <= 2 * n + 1 and not in_subspace("E0", k + 1, n, result):
         raise AssertionError("d(J^k) escaped J^{k+1}; the complex is broken")
     return result
 
@@ -486,7 +474,7 @@ def D_second_order(alpha: Form) -> Form:
     if alpha.degree != n:
         raise ValueError(f"D is defined at degree n={n}, got k={alpha.degree}")
     result = exterior_derivative(lift(alpha))
-    if not in_subspace("J", n + 1, n, result):
+    if not in_subspace("E0", n + 1, n, result):
         raise AssertionError("D output escaped J^{n+1}; the lifting is broken")
     return result
 

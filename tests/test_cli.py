@@ -182,6 +182,36 @@ def test_commute_rejects_non_contact_map(run_cli):
     assert "-1/2·w2" in result.stderr
 
 
+# Strict contactomorphisms (f* theta = theta) that are neither group
+# translations nor dilations: the shears S_phi, y -> y + grad phi(x),
+# t -> t + <x, grad phi(x)>/2 - phi(x), and one composed after the
+# symplectic swap (x, y) -> (y, -x).
+_STRICT_CONTACT_MAPS = {
+    "shear x1^4": "poly:[w1, w2, w3 + 4*w1^3, w4, w5 + w1^4]",
+    "shear x1^2 x2": "poly:[w1, w2, w3 + 2*w1*w2, w4 + w1^2, w5 + w1^2*w2/2]",
+    "shear x1^2 x2 after swap": (
+        "compose:poly:[w1, w2, w3 + 2*w1*w2, w4 + w1^2, w5 + w1^2*w2/2];poly:[w3, w4, -w1, -w2, w5]"
+    ),
+}
+
+
+@pytest.mark.parametrize("literal", list(_STRICT_CONTACT_MAPS.values()), ids=list(_STRICT_CONTACT_MAPS))
+def test_commute_passes_on_strict_contactomorphisms(run_cli, literal):
+    result = run_cli(["commute", "--map", literal, "--n", "2", "--trials", "10", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["passed"] is True
+    assert [r["k"] for r in payload["reports"]] == [0, 1, 2, 3, 4]
+
+
+def test_commute_rejects_a_shear_without_its_y_term(run_cli):
+    # the t-term of S_phi for phi = x^3/3 without its y-term y + x^2:
+    # f* theta picks up a dx term
+    result = run_cli(["commute", "--map", "poly:[w1, w2, w3 + w1^3/6]", "--n", "1"])
+    assert result.exit_code == 2
+    assert "is not contact" in result.stderr
+
+
 @pytest.mark.parametrize("n", ["0", "4"])
 def test_commute_rejects_n_out_of_range(run_cli, n):
     result = run_cli(["commute", "--map", "dilation:r=2", "--n", n])
@@ -315,6 +345,9 @@ _PINNED_STDOUT = {
         "157828b0518a47c48508945d8fbe3736ecb5749ef9b7c8b23962f1c55eb8e8f3"
     ),
     "complex --n 3 --format json": "68f20869aca253754506f9253fe2e2d6a902d9901e61f6086dd3f3580f154c6b",
+    "complex --n 4 --format json": "406d5c988f7456ed597472431aea10ba525b74887ddaf39377a842cd8dc3beb7",
+    "complex --n 2 --format csv": "d0d32dffe4631a7a3ad8c76b07c917022d41adeb6944020f28349b249040e613",
+    "complex --n 2 --format text": "d287c2364011cfef81de5e5214e02838b6ab4dabfd4e3299e5695f6a7850162b",
     "dims --format csv": "3fb8b68015c20c2db9b579e2ae93d2b0cc593efafd546740a8887f05935e0ca6",
 }
 

@@ -322,6 +322,39 @@ def test_E0_matches_rumin_spaces():
                 assert e0 == 1  # constants at k = 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_E0_halves_vanish_across_the_middle(n):
+    # L = dtheta ^ is injective below the middle and onto above it, so
+    # Ker K = 0 on every theta block of degree k <= n and on every
+    # theta-free block of degree k > n: E0^k is the quotient complement
+    # up to the middle and J^k above it, which `basis_J` and
+    # `basis_quotient` rely on.
+    for k in range(0, 2 * n + 2):
+        for block in rumin._blocks(n, k):
+            if block.theta == (k <= n):
+                assert rumin._span_rows("E0", block) == [], (k, block.blades)
+
+
+def _monomial_count(n, m):
+    """Monomials of weighted degree m on H^n (x, y weigh 1, t weighs 2)."""
+    return sum(comb(m - 2 * j + 2 * n - 1, 2 * n - 1) for j in range(m // 2 + 1)) if m >= 0 else 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_E0_weighted_euler_characteristic(n):
+    # Every chain operator preserves the total weight W, the weighted
+    # degree of the coefficient plus the blade weight w_k (k below the
+    # middle, k + 1 above it, where E0^k carries theta), and the chain is
+    # acyclic but for the constants.  So the alternating sum of the
+    # dimensions of its weight-W pieces is [W = 0].
+    for weight in range(0, 2 * n + 8):
+        euler = sum(
+            (-1) ** k * basis_E0(k, n).dim * _monomial_count(n, weight - (k if k <= n else k + 1))
+            for k in range(0, 2 * n + 2)
+        )
+        assert euler == int(weight == 0), weight
+
+
 def test_I_membership():
     n = 2
     theta = contact_form(n)
@@ -361,12 +394,16 @@ def _residual_rule(kind: str, k: int, n: int, alpha: Form) -> bool:
     return (alpha - projection).is_zero()
 
 
+# J^k (nonzero only above the middle) and the quotient complement are
+# E0^k on their ranges, so `in_subspace` asks E0 for their membership.
+_MEMBERSHIP_KIND = {"I": "I", "J": "E0", "quotient": "E0", "E0": "E0"}
+
 _MEMBERSHIP_CASES = [
-    (kind, k, n)
+    (space, k, n)
     for n in (1, 2)
-    for kind, degrees in (
+    for space, degrees in (
         ("I", range(1, 2 * n + 2)),
-        ("J", range(1, 2 * n + 2)),
+        ("J", range(n + 1, 2 * n + 2)),
         ("quotient", range(0, n + 1)),
         ("E0", range(0, 2 * n + 2)),
     )
@@ -374,15 +411,18 @@ _MEMBERSHIP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("kind, k, n", _MEMBERSHIP_CASES)
-def test_in_subspace_matches_residual_rule(kind, k, n):
-    rng = seeded_rng(1000 * n + 10 * k + len(kind))
-    elements = _BASES[kind](k, n).elements
+@pytest.mark.parametrize("space, k, n", _MEMBERSHIP_CASES)
+def test_in_subspace_matches_residual_rule(space, k, n):
+    """`in_subspace` agrees with the projection residual onto the space's
+    basis; space names the basis, and the membership is asked of I or E0."""
+    rng = seeded_rng(1000 * n + 10 * k + len(space))
+    kind = _MEMBERSHIP_KIND[space]
+    elements = _BASES[space](k, n).elements
     blades = all_blades(n, k)
     # S has constant coefficients, so p . blade lies in S for a nonzero
     # polynomial p exactly when the blade does: these perturbations
     # always leave S.
-    outside = [b for b in blades if not _residual_rule(kind, k, n, Form.from_blade(n, b))]
+    outside = [b for b in blades if not _residual_rule(space, k, n, Form.from_blade(n, b))]
     assert bool(outside) == (len(elements) < len(blades))
 
     def bump() -> PolyCoeff:
@@ -391,10 +431,10 @@ def test_in_subspace_matches_residual_rule(kind, k, n):
 
     for _ in range(3):
         member = random_combination(rng, combination_rows(elements), max_degree=2) if elements else Form.zero(n, k)
-        assert in_subspace(kind, k, n, member) and _residual_rule(kind, k, n, member)
+        assert in_subspace(kind, k, n, member) and _residual_rule(space, k, n, member)
         for blade in blades:
             perturbed = member + Form.from_blade(n, blade, bump())
-            assert in_subspace(kind, k, n, perturbed) == _residual_rule(kind, k, n, perturbed)
+            assert in_subspace(kind, k, n, perturbed) == _residual_rule(space, k, n, perturbed)
         for blade in outside:
             assert not in_subspace(kind, k, n, member + Form.from_blade(n, blade, bump()))
 
@@ -500,12 +540,13 @@ def test_block_kernel_matches_dense_construction(n):
         kinds = (["I", "J"] if k else []) + (["quotient"] if k <= n else []) + ["E0"]
         for kind in kinds:
             dense = _dense_basis(kind, k, n)
-            basis = rumin._basis(kind, k, n)
+            basis = _BASES[kind](k, n)
             assert (basis.n, basis.degree, basis.kind) == (n, k, kind)
             assert _matrix(basis) == dense, (kind, k)
-            annihilator = rumin._annihilator(kind, k, n)
-            assert annihilator.inputs == blades
-            assert _rref(_op_matrix(annihilator))[0] == _rref(_perp(dense, width))[0], (kind, k)
+            if kind in ("I", "E0"):
+                annihilator = rumin._annihilator(kind, k, n)
+                assert annihilator.inputs == blades
+                assert _rref(_op_matrix(annihilator))[0] == _rref(_perp(dense, width))[0], (kind, k)
         pi = rumin._pi_E0(n, k)
         assert pi.inputs == blades
         assert _op_matrix(pi, blades) == _dense_pi_E0(n, k), k
@@ -545,6 +586,19 @@ def test_lift_defining_property(n):
         assert differential.wedge(theta).is_zero()
         assert differential.wedge(dtheta).is_zero()
         assert in_subspace("I", n, n, lifted - rep)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lift_ignores_the_theta_part(n):
+    # u -> lift(u) - lift(strip_theta(u)) has order 1, so by the jet
+    # argument (see `_jets`) killing every monomial of degree <= 1 times
+    # every degree-n blade proves lift(alpha + beta ^ theta) = lift(alpha)
+    # on every smooth form, and with it D(alpha + beta ^ theta) = D(alpha).
+    for blade in all_blades(n, n):
+        for m in _jets(n, 1):
+            a = Form.from_blade(n, blade, m)
+            assert lift(a) == lift(strip_theta(a)), (blade, m)
+            assert D_second_order(a) == D_second_order(strip_theta(a)), (blade, m)
 
 
 # -- the chain ---------------------------------------------------------------
@@ -605,7 +659,7 @@ def test_d_Q_high_stays_in_J():
             for _ in range(5):
                 a = random_combination(rng, combination_rows(basis), max_degree=3)
                 out = d_Q_high(a)
-                assert in_subspace("J", k + 1, n, out)
+                assert in_subspace("E0", k + 1, n, out)
 
 
 def test_complex_is_exact():
