@@ -543,10 +543,6 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
     # The CSV workers fork as soon as the surface is built, and the
     # search here writes the first part of the CSV from its own tiles
     # (`_write_scan_csv`), so its Newton steps overlap their formatting.
-    if not 0 < half_width < radius:
-        raise _Failure(f"need 0 < w < R, got R={radius}, w={half_width}", 2)
-    if not (math.isfinite(radius) and math.isfinite(half_width)):
-        raise _Failure(f"R and w must be finite, got R={radius}, w={half_width}", 2)
     try:
         grid = _parse_grid(grid_spec)
     except ValueError as exc:
@@ -560,7 +556,10 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
     if not math.isfinite(tol):
         raise _Failure("tolerance must be finite", 2)
     surface = _import_surface()
-    surf = surface.mobius_surface(radius, half_width)
+    try:
+        surf = surface.mobius_surface(radius, half_width)
+    except ValueError as exc:
+        raise _Failure(str(exc), 2)
 
     os.makedirs(out, exist_ok=True)
     scan_path = os.path.join(out, "mobius_scan.csv")

@@ -38,7 +38,7 @@ from typing import Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["MAX_EXPONENT", "PolyCoeff", "Point", "evaluate_at"]
+__all__ = ["MAX_EXPONENT", "PolyCoeff", "Point"]
 
 # The width of one exponent field of a monomial key.  Its top bit stays
 # clear, so exponents run up to MAX_EXPONENT = 2^24 - 1, which holds
@@ -649,9 +649,3 @@ class Point(_Frozen):
     @property
     def n(self) -> int:
         return (len(self.coords) - 1) // 2
-
-
-def evaluate_at(p: PolyCoeff, pt: Point | Iterable[float]) -> float:
-    """Evaluate a polynomial at a point, returning a float."""
-    coords = pt.coords if isinstance(pt, Point) else tuple(pt)
-    return p.evaluate(coords)

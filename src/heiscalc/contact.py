@@ -27,9 +27,9 @@ from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _check_n, _decimal, _
 from .frame import Blade, Form, form_to_json, frame_apply, theta_index
 from .rumin import (
     _check_report,
+    _chain_draws,
     _first_counterexample,
     _operator_name,
-    _random_chain_input,
     _suite_report,
     basis_E0,
     basis_I,
@@ -222,11 +222,6 @@ def _brief_text(p: PolyCoeff) -> str:
         return p.to_text()
     terms = len(p.num)
     return f"<{terms} term{'s' * (terms > 1)} of degree {p.total_degree()}, too long to print>"
-
-
-def pushforward(f: SmoothMap) -> FrameMatrix:
-    """Frame derivative of f; column j expands f_* W_j = sum_l W_j f^l W_l + A(j, f) T."""
-    return f.frame_matrix
 
 
 def pullback_form(f: SmoothMap, alpha: Form) -> Form:
@@ -432,8 +427,8 @@ def commute_check(f: SmoothMap, k: int, trials: int = 50, seed: int = 42, degree
         raise ValueError(f"degree k={k} out of range 0..{2 * n}")
     rng = seeded_rng(seed)
 
-    def check(trial: int) -> dict | None:
-        alpha = _random_chain_input(rng, n, k, degree)
+    def check(drawn: tuple[int, Form]) -> dict | None:
+        trial, alpha = drawn
         lhs = _pullback_chain(f, rumin_operator(alpha))  # refuses a non-contact map
         rhs = rumin_operator(_pullback_chain(f, alpha))
         if lhs != rhs:
@@ -444,7 +439,7 @@ def commute_check(f: SmoothMap, k: int, trials: int = 50, seed: int = 42, degree
                 "operator_then_pullback": form_to_json(lhs),
             }
 
-    counterexample = _first_counterexample(trials, check)
+    counterexample = _first_counterexample(enumerate(_chain_draws(rng, n, k, degree, trials)), check)
     return {
         "suite": "pullback-commutation",
         "map": f.label(),
@@ -489,12 +484,12 @@ def verify_subspaces(n: int, seed: int = 42) -> dict:
         for name, kind, basis_fn, lowest in (("I", "I", basis_I, 1), ("J", "E0", basis_E0, n + 1)):
             elements = [(k, element) for k in range(lowest, 2 * n + 2) for element in basis_fn(k, n).elements]
 
-            def check(i: int) -> dict | None:
-                k, element = elements[i]
+            def check(item: tuple[int, Form]) -> dict | None:
+                k, element = item
                 pulled = pullback_form(f, element)
                 if not in_subspace(kind, k, n, pulled):
                     return {"k": k, "element": form_to_json(element), "image": form_to_json(pulled)}
 
-            failure = _first_counterexample(len(elements), check)
+            failure = _first_counterexample(elements, check)
             checks.append(_check_report(f"{f.label()} preserves {name}", failure))
     return _suite_report("subspace-preservation", n, seed, checks)

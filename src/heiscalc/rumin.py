@@ -28,9 +28,9 @@ fraction-exact; no floating tolerance appears anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from . import _linalg
 from ._linalg import Mat
@@ -177,34 +177,27 @@ def _h1_blocks(n: int, j: int) -> dict[tuple[int, ...], tuple[Blade, ...]]:
     return {key: tuple(blades) for key, blades in groups.items()}
 
 
-def _L_rows(n: int, sources: Sequence[Blade], targets: Sequence[Blade]) -> Mat:
-    """L = dtheta ^ as one row per theta-free source blade, over targets.
-
-    dtheta ^ b = -sum_j dx_j ^ dy_j ^ b over the pairs j that b leaves
-    empty, and moving dx_j ^ dy_j into place costs (-1)^m, where m counts
-    the indices of b strictly between j and n + j.
-    """
-    column = {blade: c for c, blade in enumerate(targets)}
-    rows = []
-    for b in sources:
-        row = [Fraction(0)] * len(targets)
-        for j in range(1, n + 1):
-            if j not in b and n + j not in b:
-                between = sum(1 for i in b if j < i < n + j)
-                row[column[tuple(sorted(b + (j, n + j)))]] = Fraction(1 if between % 2 else -1)
-        rows.append(row)
-    return rows
+def _d0_block(n: int, rests: Sequence[Blade], targets: Sequence[Blade]) -> Mat:
+    """d0 from the blades rest ^ theta to the targets, one row per target,
+    read off the tails of `_d_table`, the exterior derivative's own table."""
+    t_idx = theta_index(n)
+    row = {blade: r for r, blade in enumerate(targets)}
+    K = [[Fraction(0)] * len(rests) for _ in targets]
+    for c, rest in enumerate(rests):
+        for merged, sign in _d_table(n, rest + (t_idx,))[1]:
+            K[row[merged]][c] = Fraction(sign)
+    return K
 
 
 class _Block(NamedTuple):
-    """One Lefschetz block of the degree-k blades.
+    """One Lefschetz block of the degree-k blades, and d0's share of it.
 
-    A theta-free block holds the blades with one set of unpaired indices,
-    and K has one row per L-image of a (k-2)-blade with that set.  A theta
-    block holds rest ^ theta over the (k-1)-rests with one set, and K is
-    the matrix of L from those rests to the (k+1)-blades of the set, its
-    targets; d0 on the block is (-1)^(k-1) K.  Either way E0^k meets the
-    block in Ker K and the rows of K span the rest of it.
+    A theta block holds rest ^ theta over the (k-1)-rests with one set of
+    unpaired indices, and K is d0 from it to the (k+1)-blades of the set,
+    its targets.  A theta-free block holds the k-blades with one set, and
+    K is the transpose of d0 into it from the theta block of degree k-1.
+    Either way E0^k = Ker d0 cap (Im d0)^perp meets the block in Ker K,
+    and the rows of K span the rest of it.
     """
 
     theta: bool
@@ -216,16 +209,16 @@ class _Block(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _blocks(n: int, k: int) -> tuple[_Block, ...]:
-    """The Lefschetz blocks of the degree-k blades.  L, d0 and every
-    projection and inverse built from them are block-diagonal."""
+    """The Lefschetz blocks of the degree-k blades.  d0 and every
+    projection and inverse built from it are block-diagonal."""
     t_idx = theta_index(n)
     blocks = []
     for key, blades in _h1_blocks(n, k).items():
-        K = _L_rows(n, _h1_blocks(n, k - 2).get(key, ()), blades)
+        K = _linalg.transpose(_d0_block(n, _h1_blocks(n, k - 2).get(key, ()), blades))
         blocks.append(_Block(False, blades, (), K, _linalg.pinv(K, len(blades))))
     for key, rests in _h1_blocks(n, k - 1).items():
         targets = _h1_blocks(n, k + 1).get(key, ())
-        K = _linalg.transpose(_L_rows(n, rests, targets))
+        K = _d0_block(n, rests, targets)
         blocks.append(_Block(True, tuple(r + (t_idx,) for r in rests), targets, K, _linalg.pinv(K, len(rests))))
     return tuple(blocks)
 
@@ -234,7 +227,8 @@ def _span_rows(kind: str, block: _Block) -> Mat:
     """Rows spanning the block's share of I^k or E0^k.
 
     I^k = theta ^ Omega^{k-1} + dtheta ^ Omega^{k-2} takes every theta
-    blade and the L-images; E0^k takes Ker K on every block.
+    blade and the images of d0, the dtheta-multiples up to sign; E0^k
+    takes Ker K on every block.
     """
     width = len(block.blades)
     if kind == "I":
@@ -504,16 +498,10 @@ def weight_of(alpha: Form) -> int | Literal["mixed"]:
 
 @lru_cache(maxsize=None)
 def _d0_table(n: int, k: int) -> _ConstOp:
-    """d0 from degree k to k+1, read off the tails of the exterior
-    derivative's per-blade table `_d_table`, so d and d0 share one
-    definition of d(blade)."""
-    inputs = _blade_tuple(n, k)
-    entries: dict[Blade, list[tuple[int, int]]] = {}
-    for i, blade in enumerate(inputs):
-        for merged, sign in _d_table(n, blade)[1]:
-            entries.setdefault(merged, []).append((i, sign))
-    outputs = tuple(sorted(entries))
-    return _ConstOp(inputs, outputs, tuple(_int_row(entries[blade]) for blade in outputs))
+    """d0 from degree k to k+1: the K of every theta block, so d and d0
+    share `_d_table`'s one definition of d(blade)."""
+    pieces = [(block.targets, block.blades, block.K) for block in _blocks(n, k) if block.theta]
+    return _block_op(_blade_tuple(n, k), pieces)
 
 
 def d0_part(alpha: Form) -> Form:
@@ -528,14 +516,8 @@ def d0_part(alpha: Form) -> Form:
 @lru_cache(maxsize=None)
 def _d0_pseudo_inverse(n: int, k: int) -> _ConstOp:
     """Exact pseudo-inverse of d0^{(k)}: kills (Im d0)^perp and returns
-    the unique preimage orthogonal to Ker d0.  d0 is (-1)^(k-1) K on each
-    theta block at degree k, so its pseudo-inverse is (-1)^(k-1) K+."""
-    sign = 1 if k % 2 else -1
-    pieces = [
-        (block.blades, block.targets, [[sign * v for v in row] for row in block.K_pinv])
-        for block in _blocks(n, k)
-        if block.theta
-    ]
+    the unique preimage orthogonal to Ker d0; K+ on every theta block."""
+    pieces = [(block.blades, block.targets, block.K_pinv) for block in _blocks(n, k) if block.theta]
     return _block_op(_blade_tuple(n, k + 1), pieces)
 
 
@@ -603,17 +585,18 @@ def _chain_rows(n: int, k: int) -> CombinationRows:
     return combination_rows(basis_E0(k, n).elements)
 
 
-def _random_chain_input(rng, n: int, k: int, degree: int) -> Form:
-    """A random element of the degree-k chain space E0^k."""
-    return random_combination(rng, _chain_rows(n, k), max_degree=degree)
-
-
-def _first_counterexample(trials: int, check) -> dict | None:
-    """The first counterexample check(trial) reports for trial = 0, 1, ...,
-    trials - 1, or None.  Nothing is drawn after it, so the seed fixes it."""
+def _chain_draws(rng, n: int, k: int, degree: int, trials: int) -> Iterator[Form]:
+    """trials random elements of the degree-k chain space E0^k, drawn
+    lazily from rng one at a time."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return next((failure for failure in map(check, range(trials)) if failure is not None), None)
+    return (random_combination(rng, _chain_rows(n, k), max_degree=degree) for _ in range(trials))
+
+
+def _first_counterexample(inputs: Iterable, check) -> dict | None:
+    """The first counterexample check(input) reports over inputs, or None.
+    Nothing is drawn after it, so the seed fixes it."""
+    return next((failure for failure in map(check, inputs) if failure is not None), None)
 
 
 def _check_report(name: str, failure: dict | None, **extra) -> dict:
@@ -640,15 +623,14 @@ def verify_complex(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -
     _check_n(n)
     rng = seeded_rng(seed)
 
-    def check(k: int, trial: int) -> dict | None:
-        start = _random_chain_input(rng, n, k, degree)
+    def check(start: Form) -> dict | None:
         composed = rumin_operator(rumin_operator(start))
         if not composed.is_zero():
             return {"input": form_to_json(start), "residual": form_to_json(composed)}
 
     checks = []
     for k in range(0, 2 * n):
-        failure = _first_counterexample(trials, partial(check, k))
+        failure = _first_counterexample(_chain_draws(rng, n, k, degree, trials), check)
         checks.append(_check_report(f"{_operator_name(n, k + 1)} o {_operator_name(n, k)}", failure, degree=k))
     return _suite_report("complex-exactness", n, seed, checks, trials=trials)
 
@@ -659,14 +641,13 @@ def verify_lifting(n: int, trials: int = 100, seed: int = 42, degree: int = 3) -
     rng = seeded_rng(seed)
     theta, dtheta = contact_form(n), d_contact_form(n)
 
-    def check(trial: int) -> dict | None:
-        alpha = _random_chain_input(rng, n, n, degree)
+    def check(alpha: Form) -> dict | None:
         lifted = lift(alpha)
         differential = exterior_derivative(lifted)
         if not differential.wedge(theta).is_zero() or not differential.wedge(dtheta).is_zero():
             return {"input": form_to_json(alpha), "lift": form_to_json(lifted)}
 
-    failure = _first_counterexample(trials, check)
+    failure = _first_counterexample(_chain_draws(rng, n, n, degree, trials), check)
     return _suite_report("lifting", n, seed, [_check_report("lift lands in J^{n+1}", failure)], trials=trials)
 
 
@@ -681,15 +662,14 @@ def verify_dc(n: int, trials: int = 50, seed: int = 42, degree: int = 3) -> dict
     _check_n(n)
     rng = seeded_rng(seed)
 
-    def check(k: int, trial: int) -> dict | None:
-        alpha = _random_chain_input(rng, n, k, degree)
+    def check(alpha: Form) -> dict | None:
         via_dc = dc_operator(alpha)
-        expected = exterior_derivative(alpha) if k > n else rumin_operator(alpha)
+        expected = exterior_derivative(alpha) if alpha.degree > n else rumin_operator(alpha)
         if via_dc != expected:
             return {"input": form_to_json(alpha), "dc": form_to_json(via_dc), "expected": form_to_json(expected)}
 
     checks = []
     for k in range(0, 2 * n + 1):
-        failure = _first_counterexample(trials, partial(check, k))
+        failure = _first_counterexample(_chain_draws(rng, n, k, degree, trials), check)
         checks.append(_check_report(f"d_c({k}) = {'d' if k > n else _operator_name(n, k)}", failure, degree=k))
     return _suite_report("dc-agreement", n, seed, checks, trials=trials)

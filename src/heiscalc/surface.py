@@ -38,6 +38,8 @@ if TYPE_CHECKING:
 Triple = tuple  # (x, y, t) triples of floats or numpy arrays
 
 # Sample points and tolerance of the finite-difference check of partials.
+# The tolerance scales with max(1, the largest |gamma| component at the two
+# points differenced), whose rounding reaches the quotient as eps |gamma| / h.
 _PARTIALS_SAMPLES = 100
 _PARTIALS_TOL = 1e-6
 _NEWTON_MAX_ITER = 60  # Newton steps before a candidate counts as a failure
@@ -147,9 +149,10 @@ class ParamSurface:
                 else:
                     plus, minus = self.gamma(r, s + h), self.gamma(r, s - h)
                 exact = partial(r, s)
+                scale = max(1.0, *map(abs, plus), *map(abs, minus))
                 for comp in range(3):
                     fd = (plus[comp] - minus[comp]) / (2 * h)
-                    if abs(fd - exact[comp]) > _PARTIALS_TOL:
+                    if abs(fd - exact[comp]) > _PARTIALS_TOL * scale:
                         raise ValueError(
                             f"{which} component {comp} disagrees with finite differences "
                             f"at (r, s) = ({r:.6f}, {s:.6f}): {exact[comp]!r} vs {fd!r}"

@@ -582,6 +582,30 @@ def test_mobius_rejects_non_finite_input(run_cli, tmp_path, args, message):
     assert not out.exists()  # rejected before any artifact is written
 
 
+def test_mobius_accepts_a_wide_strip(run_cli, tmp_path):
+    result = run_cli(["mobius", "-R", "1e4", "-w", "7.5e3", "--grid", "64x64", "--out", str(tmp_path),
+                      "--format", "json"])
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.stdout)["R"] == 1e4
+
+
+def test_mobius_surface_refused_exits_two(run_cli, tmp_path, monkeypatch):
+    from heiscalc import surface
+
+    def wrong_partials(R, w):
+        return surface.ParamSurface((0.0, 1.0), (0.0, 1.0), gamma=lambda r, s: (r * r, s, 0.0 * r),
+                                    gamma_r=lambda r, s: (1.0 + 0 * r, 0.0 * r, 0.0 * r),
+                                    gamma_s=lambda r, s: (0.0 * s, 1.0 + 0 * s, 0.0 * s))
+
+    monkeypatch.setattr(surface, "mobius_surface", wrong_partials)
+    out = tmp_path / "out"
+    result = run_cli(["mobius", "-R", "0.2", "-w", "0.15", "--grid", "64x64", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "disagrees with finite differences" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
 def test_mobius_deterministic_across_runs(run_cli, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     out1.mkdir(), out2.mkdir()

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heiscalc.coeff import _BITS, MAX_EXPONENT, Point, PolyCoeff, evaluate_at
+from heiscalc.coeff import _BITS, MAX_EXPONENT, Point, PolyCoeff
 from heiscalc.contact import parse_map
 from heiscalc.frame import Form, all_blades, exterior_derivative, form_from_json
 from heiscalc.sampling import random_poly, seeded_rng
@@ -474,5 +474,5 @@ def test_point_validation():
 
 def test_evaluate_at_point():
     p = PolyCoeff.var(1, 1) * PolyCoeff.var(1, 2)
-    assert evaluate_at(p, Point((2.0, 3.0, 0.0))) == pytest.approx(6.0)
-    assert evaluate_at(p, (2.0, 3.0, 0.0)) == pytest.approx(6.0)
+    assert p.evaluate(Point((2.0, 3.0, 0.0)).coords) == pytest.approx(6.0)
+    assert p.evaluate((2.0, 3.0, 0.0)) == pytest.approx(6.0)

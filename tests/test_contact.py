@@ -24,7 +24,6 @@ from heiscalc.contact import (
     pullback_J,
     pullback_form,
     pullback_quotient,
-    pushforward,
     suite_maps,
     verify_subspaces,
 )
@@ -162,11 +161,6 @@ def test_lambda_multiplicative_under_composition():
 # -- pushforward and chain rule ----------------------------------------------
 
 
-def test_pushforward_returns_frame_matrix():
-    f = builtin_dilation(2, 1)
-    assert pushforward(f) is f.frame_matrix
-
-
 def test_chain_rule():
     # M_{g o f}(p) = M_g(f(p)) . M_f(p)
     n = 1
@@ -236,7 +230,7 @@ def _fresh_pullback(f: SmoothMap, alpha: Form) -> Form:
     """Pullback rebuilt per call: a fresh `substitute` for every coefficient
     and the coframe images read from the frame matrix."""
     n = f.n
-    mat = pushforward(f)
+    mat = f.frame_matrix
     gens = [
         Form(n, 1, {(j,): mat.entry(m, j) for j in range(1, 2 * n + 2)})
         for m in range(1, 2 * n + 2)
@@ -636,7 +630,7 @@ def test_frame_matrix_is_computed_once_per_map(monkeypatch):
     f = builtin_left_translation((1, 2, 3), 1)
     first = f.frame_matrix
     assert len(calls) == 9  # W_j f^l for j, l = 1..3
-    assert f.frame_matrix is first and pushforward(f) is first
+    assert f.frame_matrix is first
     assert len(calls) == 9
     builtin_left_translation((1, 2, 3), 1).frame_matrix  # a second map builds its own
     assert len(calls) == 18

@@ -177,9 +177,17 @@ def _dense_basis(kind, k, n):
 
 
 def _dense_d0(n, k):
-    """The matrix of d0 from degree k to k+1, rows on the (k+1)-blades."""
+    """The matrix of d0 from degree k to k+1, rows on the (k+1)-blades,
+    by wedging: d0(rest ^ theta) = (-1)^|rest| rest ^ dtheta, and d0
+    kills the theta-free blades.  No table of the library is read."""
     source, target = all_blades(n, k), all_blades(n, k + 1)
-    columns = [_vector(d0_part(Form.from_blade(n, b)), target) for b in source]
+    columns = []
+    for b in source:
+        if theta_index(n) in b:
+            image = Form.from_blade(n, b[:-1], (-1) ** (k - 1)).wedge(d_contact_form(n))
+        else:
+            image = Form.zero(n, k + 1)
+        columns.append(_vector(image, target))
     return _columns_to_matrix(columns, len(target))
 
 
@@ -552,6 +560,7 @@ def test_block_kernel_matches_dense_construction(n):
         assert _op_matrix(pi, blades) == _dense_pi_E0(n, k), k
         if 1 <= k <= n:
             assert _op_matrix(pi, blades) == _dense_projector(_dense_basis("quotient", k, n), width), k
+        assert _op_matrix(rumin._d0_table(n, k), all_blades(n, k + 1)) == _dense_d0(n, k), k
         pinv = rumin._d0_pseudo_inverse(n, k)
         assert pinv.inputs == tuple(all_blades(n, k + 1))
         assert _op_matrix(pinv, blades) == _dense_d0_pinv(n, k), k
@@ -683,13 +692,13 @@ def test_first_counterexample_stops_at_the_first_failure():
         seen.append(trial)
         return {"trial": trial} if trial >= 2 else None
 
-    assert rumin._first_counterexample(10, check) == {"trial": 2}
+    assert rumin._first_counterexample(range(10), check) == {"trial": 2}
     assert seen == [0, 1, 2]
     seen.clear()
-    assert rumin._first_counterexample(5, lambda trial: seen.append(trial)) is None
+    assert rumin._first_counterexample(range(5), lambda trial: seen.append(trial)) is None
     assert seen == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        rumin._first_counterexample(0, check)
+        rumin._chain_draws(seeded_rng(0), 1, 1, 3, 0)
     assert seen == [0, 1, 2, 3, 4]
 
 

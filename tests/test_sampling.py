@@ -8,7 +8,7 @@ import pytest
 
 from heiscalc.coeff import PolyCoeff
 from heiscalc.frame import Form
-from heiscalc.rumin import _random_chain_input, basis_E0, basis_I, basis_J, basis_quotient
+from heiscalc.rumin import _chain_draws, basis_E0, basis_I, basis_J, basis_quotient
 from heiscalc.sampling import COEFF_RANGE, combination_rows, random_combination, random_poly, seeded_rng
 
 
@@ -83,14 +83,14 @@ def test_random_combination_draws_are_unchanged(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chain_inputs_draw_from_their_basis(n):
-    # Every draw of the suites goes through _random_chain_input, which
+    # Every draw of the suites goes through _chain_draws, which
     # reads the basis rows from a table cached per (n, k).
     for k in range(0, 2 * n + 1):
         basis = basis_quotient(k, n) if k <= n else basis_J(k, n)
         for seed in range(20):
             rng, old = seeded_rng(seed), seeded_rng(seed)
             for max_degree in (0, 3):
-                value = _random_chain_input(rng, n, k, max_degree)
+                value = next(_chain_draws(rng, n, k, max_degree, 1))
                 expected = _combination_by_scaling(old, basis.elements, max_degree)
                 assert value == expected and (value.n, value.degree) == (n, k)
             assert rng.getstate() == old.getstate()

@@ -407,6 +407,26 @@ def test_partial_validation_rejects_wrong_derivative():
         )
 
 
+def test_partial_validation_rejects_wrong_derivative_at_scale():
+    # The tolerance grows with |gamma|, but a wrong partial of a large
+    # surface is off by far more than that.
+    with pytest.raises(ValueError, match="finite differences"):
+        ParamSurface(
+            r_range=(0.0, 1.0),
+            s_range=(0.0, 1.0),
+            gamma=lambda r, s: (1e4 * r * r, 1e4 * s, 0.0 * r),
+            gamma_r=lambda r, s: (1e4 + 0 * r, 0.0 * r, 0.0 * r),  # should be 2e4 r
+            gamma_s=lambda r, s: (0.0 * s, 1e4 + 0 * s, 0.0 * s),
+        )
+
+
+@pytest.mark.parametrize("R, w", [(1e4, 7.5e3), (1e6, 7.5e5)])
+def test_wide_mobius_strips_pass_partial_validation(R, w):
+    # The rounding error of the finite differences grows like eps R / h.
+    surface = mobius_surface(R, w)
+    assert surface.s_range == (-w, w)
+
+
 
 @pytest.mark.parametrize("which", ["gamma", "gamma_r", "gamma_s"])
 def test_construction_rejects_scalar_only_evaluators(which):
