@@ -49,21 +49,6 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
     return mat[:r], pivots
 
 
-def nullspace(rows: Mat, width: int) -> Mat:
-    """Basis of {x : A x = 0} for the matrix with the given rows; the
-    identity when there are no rows."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(width) if c not in pivots]
-    basis: Mat = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
-
-
 def pinv(rows: Mat, width: int) -> Mat:
     """The Moore-Penrose pseudo-inverse, width x len(rows), of the matrix A.
 

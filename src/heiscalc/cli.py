@@ -564,8 +564,11 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
     os.makedirs(out, exist_ok=True)
     scan_path = os.path.join(out, "mobius_scan.csv")
     points_path = os.path.join(out, "mobius_points.json")
-    result = _write_scan_csv(scan_path, surf, grid, search=lambda on_tile: (
-        surface.find_characteristic_points(surf, grid=grid, tol=tol, on_tile=on_tile)))
+    try:
+        result = _write_scan_csv(scan_path, surf, grid, search=lambda on_tile: (
+            surface.find_characteristic_points(surf, grid=grid, tol=tol, on_tile=on_tile)))
+    except ValueError as exc:
+        raise _Failure(str(exc), 2)
     with open(points_path, "w") as handle:
         handle.write(_json_dump(result.to_json()))
 

@@ -475,14 +475,16 @@ def verify_subspaces(n: int, seed: int = 42) -> dict:
     """Check that contact pullback preserves I^k and J^k exactly.
 
     Pulls back every basis element of both families of subspaces by
-    each built-in map and tests membership with zero residual; J^k is
-    E0^k above the middle and zero up to it.
+    each built-in map and tests membership with zero residual.  I^k is
+    all of Omega^k above the middle and J^k is zero up to it, so I is
+    checked for k = 1..n and J, which is E0^k, for k = n+1..2n+1.
     """
     _check_n(n)
     checks = []
     for f in suite_maps(n, seed):
-        for name, kind, basis_fn, lowest in (("I", "I", basis_I, 1), ("J", "E0", basis_E0, n + 1)):
-            elements = [(k, element) for k in range(lowest, 2 * n + 2) for element in basis_fn(k, n).elements]
+        for name, kind, basis_fn, degrees in (("I", "I", basis_I, range(1, n + 1)),
+                                              ("J", "E0", basis_E0, range(n + 1, 2 * n + 2))):
+            elements = [(k, element) for k in degrees for element in basis_fn(k, n).elements]
 
             def check(item: tuple[int, Form]) -> dict | None:
                 k, element = item

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
@@ -197,7 +198,8 @@ class _Block(NamedTuple):
     its targets.  A theta-free block holds the k-blades with one set, and
     K is the transpose of d0 into it from the theta block of degree k-1.
     Either way E0^k = Ker d0 cap (Im d0)^perp meets the block in Ker K,
-    and the rows of K span the rest of it.
+    and the rows of K span the rest of it.  P = 1 - K+ K is the
+    orthogonal projection onto Ker K.
     """
 
     theta: bool
@@ -205,6 +207,7 @@ class _Block(NamedTuple):
     targets: tuple[Blade, ...]
     K: Mat
     K_pinv: Mat
+    P: Mat
 
 
 @lru_cache(maxsize=None)
@@ -212,14 +215,18 @@ def _blocks(n: int, k: int) -> tuple[_Block, ...]:
     """The Lefschetz blocks of the degree-k blades.  d0 and every
     projection and inverse built from it are block-diagonal."""
     t_idx = theta_index(n)
-    blocks = []
-    for key, blades in _h1_blocks(n, k).items():
-        K = _linalg.transpose(_d0_block(n, _h1_blocks(n, k - 2).get(key, ()), blades))
-        blocks.append(_Block(False, blades, (), K, _linalg.pinv(K, len(blades))))
+    shares = [(False, blades, (), _linalg.transpose(_d0_block(n, _h1_blocks(n, k - 2).get(key, ()), blades)))
+              for key, blades in _h1_blocks(n, k).items()]
     for key, rests in _h1_blocks(n, k - 1).items():
         targets = _h1_blocks(n, k + 1).get(key, ())
-        K = _d0_block(n, rests, targets)
-        blocks.append(_Block(True, tuple(r + (t_idx,) for r in rests), targets, K, _linalg.pinv(K, len(rests))))
+        shares.append((True, tuple(r + (t_idx,) for r in rests), targets, _d0_block(n, rests, targets)))
+    blocks = []
+    for theta, blades, targets, K in shares:
+        size = len(blades)
+        K_pinv = _linalg.pinv(K, size)
+        P = [[int(i == j) - sum((a * row[j] for a, row in zip(K_pinv[i], K)), Fraction(0)) for j in range(size)]
+             for i in range(size)]
+        blocks.append(_Block(theta, blades, targets, K, K_pinv, P))
     return tuple(blocks)
 
 
@@ -228,13 +235,13 @@ def _span_rows(kind: str, block: _Block) -> Mat:
 
     I^k = theta ^ Omega^{k-1} + dtheta ^ Omega^{k-2} takes every theta
     blade and the images of d0, the dtheta-multiples up to sign; E0^k
-    takes Ker K on every block.
+    takes Ker K, the rows of P, on every block.
     """
     width = len(block.blades)
     if kind == "I":
         return [[Fraction(int(i == j)) for j in range(width)] for i in range(width)] if block.theta else block.K
     if kind == "E0":
-        return _linalg.nullspace(block.K, width)
+        return block.P
     raise ValueError(f"unknown subspace kind {kind!r}")
 
 
@@ -258,17 +265,16 @@ def basis_I(k: int, n: int) -> SubspaceBasis:
     """Row-reduced basis of I^k = {alpha^theta + beta^dtheta}.
 
     Defined for every 1 <= k <= 2n+1; the complex quotients by it only
-    up to k = n.  The count C(2n+1, k-1) is exact while multiplication
-    by dtheta is injective on the theta-free part, i.e. for k <= n+1;
-    above that the rank drops and only the computed basis is trusted.
+    up to k = n.  L = dtheta ^ is injective below the middle and onto
+    above it, so dim I^k = min(C(2n+1, k-1), C(2n+1, k)): I^k is all of
+    Omega^k from k = n+1 on.
     """
     if not 1 <= k <= 2 * n + 1:
         raise ValueError(f"degree k={k} out of range 1..{2 * n + 1} for I^k")
     basis = _block_basis("I", k, n)
-    if k <= n + 1:
-        expected = comb(2 * n + 1, k - 1)
-        if basis.dim != expected:
-            raise AssertionError(f"dim I^{k} = {basis.dim}, closed form says {expected}")
+    expected = min(comb(2 * n + 1, k - 1), comb(2 * n + 1, k))
+    if basis.dim != expected:
+        raise AssertionError(f"dim I^{k} = {basis.dim}, closed form says {expected}")
     return basis
 
 
@@ -306,7 +312,8 @@ def basis_quotient(k: int, n: int) -> SubspaceBasis:
 @lru_cache(maxsize=None)
 def basis_E0(k: int, n: int) -> SubspaceBasis:
     """E0^k = Ker d0 at degree k, intersected with (Im d0 at k-1)^perp:
-    Ker K on every block, the one chain space row-reduced here.
+    Ker K, the row space of P, on every block, the one chain space
+    row-reduced here.
 
     It is the quotient complement for k <= n and J^k for k > n.
     """
@@ -316,48 +323,34 @@ def basis_E0(k: int, n: int) -> SubspaceBasis:
 
 
 @lru_cache(maxsize=None)
-def _annihilator(kind: str, k: int, n: int) -> _ConstOp:
-    """Rows spanning the orthogonal complement of S = I^k or E0^k, block
-    by block.
-
-    A form lies in S exactly when every row pairs with it to zero, since
-    S = (S-perp)-perp over the rationals.  The rows label no blades.
-    """
-    lowest = int(kind == "I")
-    if not lowest <= k <= 2 * n + 1:
-        raise ValueError(f"degree k={k} out of range {lowest}..{2 * n + 1} for {kind}^k")
-    blades = _blade_tuple(n, k)
-    position = {blade: i for i, blade in enumerate(blades)}
-    rows = []
-    for block in _blocks(n, k):
-        for row in _linalg.nullspace(_span_rows(kind, block), len(block.blades)):
-            rows.append(_int_row([(position[b], v) for b, v in zip(block.blades, row) if v]))
-    return _ConstOp(blades, (), tuple(rows))
-
-
-@lru_cache(maxsize=None)
 def _pi_E0(n: int, k: int) -> _ConstOp:
     """Pi_E0 = 1 - d0+ d0 - d0 d0+ at degree k, the orthogonal projection
-    onto E0^k: I - K+ K on each block."""
-    blades = _blade_tuple(n, k)
-    pieces = []
-    for block in _blocks(n, k):
-        size = len(block.blades)
-        kk = _linalg.matmul(block.K_pinv, block.K) if block.K else [[0] * size] * size
-        pieces.append((block.blades, block.blades, [[(i == j) - kk[i][j] for j in range(size)] for i in range(size)]))
-    return _block_op(blades, pieces)
+    onto E0^k: P on each block."""
+    return _block_op(_blade_tuple(n, k), [(block.blades, block.blades, block.P) for block in _blocks(n, k)])
 
 
 def in_subspace(kind: Literal["I", "E0"], k: int, n: int, alpha: Form) -> bool:
     """Exact membership in S = I^k or E0^k (J^k and the quotient
-    complement are E0^k on their ranges): every row of the complement's
-    basis pairs to zero.  Stops at the first row that does not.
+    complement are E0^k on their ranges).  Stops at the first nonzero
+    row.
+
+    E0^k is Ker d0 cap Ker d0+, since Ker d0+ = (Im d0)^perp.  Up to the
+    middle I^k is the orthogonal complement of E0^k, so alpha lies in it
+    when Pi_E0 kills it; above the middle I^k is all of Omega^k.
     """
     if alpha.is_zero():
         return True
     if alpha.degree != k:
         return False
-    return all(p.is_zero() for p in _op_times(_annihilator(kind, k, n), alpha))
+    lowest = int(kind == "I")
+    if not lowest <= k <= 2 * n + 1:
+        raise ValueError(f"degree k={k} out of range {lowest}..{2 * n + 1} for {kind}^k")
+    if kind == "I":
+        return k > n or all(p.is_zero() for p in _op_times(_pi_E0(n, k), alpha))
+    if kind != "E0":
+        raise ValueError(f"unknown subspace kind {kind!r}")
+    d0_plus = _op_times(_d0_pseudo_inverse(n, k - 1), alpha) if k else ()
+    return all(p.is_zero() for p in chain(_op_times(_d0_table(n, k), alpha), d0_plus))
 
 
 # -- quotient classes --------------------------------------------------------

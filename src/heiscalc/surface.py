@@ -307,7 +307,8 @@ def _scan_blocks(surface: ParamSurface, grid: tuple[int, int], lo: int = 0,
     and drops the rows outside it, so every node comes from the same
     numpy call wherever the range is cut.  Each component is a float
     (rows, cols) array, which may be a broadcast view of a constant or
-    a one-axis one.
+    a one-axis one.  Overflow is not warned about: a component may be
+    inf or nan, and the search refuses such a tile.
     """
     r_nodes, s_nodes = _grid_nodes(surface, grid)
     n_r, n_s = grid
@@ -320,9 +321,10 @@ def _scan_blocks(surface: ParamSurface, grid: tuple[int, int], lo: int = 0,
         for j in range(0, n_s, cols):
             s_row = s_nodes[np.newaxis, j:j + cols]
             shape = (len(r_col), s_row.shape[1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = normal(r_col, s_row)
             yield start + keep.start, j, tuple(
-                np.broadcast_to(np.asarray(v, dtype=float), shape)[keep]
-                for v in normal(r_col, s_row))
+                np.broadcast_to(np.asarray(v, dtype=float), shape)[keep] for v in values)
 
 
 def scan_grid(surface: ParamSurface, grid: tuple[int, int]) -> dict:
@@ -411,10 +413,12 @@ def find_characteristic_points(
     within 1e-6 in parameters and by ambient position, and flagged as
     boundary points when |s| is within tol of the strip edge.
     Non-convergent candidates are returned in `failures` rather than
-    dropped.  The scan is read in tiles of at most `_SCAN_NODES` nodes
-    and only the candidate cells are kept, so no grid-sized array is
-    held: from tile to tile the search carries one row of N1 and N2 and
-    the previous tile's last column.  `on_tile`, if given, is called
+    dropped.  A tile with a non-finite N1, N2 or N3, where the surface's
+    scale overflows floats, raises a ValueError naming the node.  The
+    scan is read in tiles of at most `_SCAN_NODES` nodes and only the
+    candidate cells are kept, so no grid-sized array is held: from tile
+    to tile the search carries one row of N1 and N2 and the previous
+    tile's last column.  `on_tile`, if given, is called
     with each (i, j, (N1, N2, N3)) tile once its cells are tested, so a
     caller can consume the scan without evaluating it a second time.
     """
@@ -428,10 +432,19 @@ def find_characteristic_points(
     # N1 and N2 already scanned is carried for every column, and so is
     # the previous tile's last column with the row above it, so the
     # cells across every tile edge are tested too.
+    r_nodes, s_nodes = _grid_nodes(surface, grid)
     cells: list[tuple[int, int]] = []
     above = np.empty((2, n_s))
     left = None
     for i, j, values in _scan_blocks(surface, grid):
+        for name, component in zip(("N1", "N2", "N3"), values):
+            # nan and inf show in the extremes; np.isfinite on every tile
+            # raised the peak RSS of `mobius --grid 512x256` by 0.1 MB.
+            if not (math.isfinite(component.min()) and math.isfinite(component.max())):
+                a, b = (int(x) for x in np.argwhere(~np.isfinite(component))[0])
+                raise ValueError(f"{name} is not finite at grid node ({i + a}, {j + b}), (r, s) = "
+                                 f"({float(r_nodes[i + a])!r}, {float(s_nodes[j + b])!r}): "
+                                 "the surface overflows floats")
         n1, n2 = values[:2]
         cols = n1.shape[1]
         tile = np.stack((n1, n2))
@@ -451,7 +464,6 @@ def find_characteristic_points(
         if on_tile is not None:
             on_tile(i, j, values)
 
-    r_nodes, s_nodes = _grid_nodes(surface, grid)
     normal = surface_normal(surface)
     r0, r1 = surface.r_range
     s0, s1 = surface.s_range

@@ -589,6 +589,27 @@ def test_mobius_accepts_a_wide_strip(run_cli, tmp_path):
     assert json.loads(result.stdout)["R"] == 1e4
 
 
+def test_mobius_refuses_a_strip_whose_normal_overflows(fresh_python, tmp_path):
+    # A fresh process, so numpy's warnings, the forked workers' too, would
+    # reach the stderr captured here.
+    out = tmp_path / "huge"
+    result = fresh_python(["-m", "heiscalc.cli", "mobius", "-R", "1e160", "-w", "1e10", "--grid", "64x64",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("Error: N1 is not finite at grid node (0, 0)")
+    assert result.stderr.count("\n") == 1
+    assert not (out / "mobius_scan.csv").exists()
+    assert not (out / "mobius_points.json").exists()
+
+
+def test_mobius_accepts_a_strip_just_below_overflow(run_cli, tmp_path):
+    result = run_cli(["mobius", "-R", "1e154", "-w", "1e10", "--grid", "64x64", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.stderr
+    assert "0 characteristic point(s)" in result.stdout
+    assert (tmp_path / "mobius_scan.csv").exists()
+
+
 def test_mobius_surface_refused_exits_two(run_cli, tmp_path, monkeypatch):
     from heiscalc import surface
 

@@ -550,6 +550,29 @@ def test_verify_subspaces_passes():
         assert report["checks"]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_subspaces_pulls_back_no_I_element_above_the_middle(monkeypatch, n):
+    # I^k is all of Omega^k for k > n, so a pullback there cannot leave
+    # it: above the middle only the elements of J^k = E0^k are pulled back.
+    import heiscalc.contact as contact_mod
+    from heiscalc.rumin import basis_E0, basis_I
+
+    degrees = []
+    real = contact_mod.pullback_form
+
+    def counting(f, alpha):
+        degrees.append(alpha.degree)
+        return real(f, alpha)
+
+    monkeypatch.setattr(contact_mod, "pullback_form", counting)
+    report = verify_subspaces(n, seed=42)
+    assert report["passed"], report
+    maps = len(suite_maps(n, seed=42))
+    for k in range(1, 2 * n + 2):
+        expected = basis_I(k, n).dim if k <= n else basis_E0(k, n).dim
+        assert degrees.count(k) == maps * expected, k
+
+
 def test_suite_maps_contents():
     maps = suite_maps(2, seed=42)
     labels = [f.label() for f in maps]

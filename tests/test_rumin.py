@@ -317,6 +317,21 @@ def test_basis_dimensions(n):
         assert len(basis_J(width - k, n).elements) == dims(k, n)[2]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_I_holds_every_blade_above_the_middle(n):
+    # dtheta ^ maps onto Omega^k from the middle up, so the theta- and
+    # dtheta-multiples span all of Omega^k for k >= n + 1, and
+    # dim I^k = min(C(2n+1, k-1), C(2n+1, k)) at every degree.
+    width = 2 * n + 1
+    for k in range(1, width + 1):
+        assert basis_I(k, n).dim == min(comb(width, k - 1), comb(width, k)), k
+    for k in range(n + 1, width + 1):
+        size = comb(width, k)
+        identity = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+        assert _dense_basis("I", k, n) == identity, k
+        assert _matrix(basis_I(k, n)) == identity, k
+
+
 def test_E0_matches_rumin_spaces():
     # E0 realizes the quotient below the middle and J above it
     for n in (1, 2):
@@ -340,7 +355,7 @@ def test_E0_halves_vanish_across_the_middle(n):
     for k in range(0, 2 * n + 2):
         for block in rumin._blocks(n, k):
             if block.theta == (k <= n):
-                assert rumin._span_rows("E0", block) == [], (k, block.blades)
+                assert _rref(rumin._span_rows("E0", block))[0] == [], (k, block.blades)
 
 
 def _monomial_count(n, m):
@@ -447,6 +462,22 @@ def test_in_subspace_matches_residual_rule(space, k, n):
             assert not in_subspace(kind, k, n, member + Form.from_blade(n, blade, bump()))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_E0_membership_needs_both_halves(n):
+    # E0 = Ker d0 cap Ker d0+.  dtheta = d0(-theta) is theta-free, so d0
+    # kills it, but it lies in Im d0 and d0+ does not; d0+ kills every
+    # 1-form, theta included, but d0 theta = dtheta.  Membership must ask
+    # both halves, also of a form that is an E0 element plus one of these.
+    theta, dtheta = contact_form(n), d_contact_form(n)
+    assert d0_part(dtheta).is_zero() and not d0_inverse(dtheta).is_zero()
+    assert d0_inverse(theta).is_zero() and not d0_part(theta).is_zero()
+    for outsider in (theta, dtheta):
+        k = outsider.degree
+        assert not in_subspace("E0", k, n, outsider)
+        for element in basis_E0(k, n).elements:
+            assert not in_subspace("E0", k, n, element + outsider)
+
+
 def test_J_annihilator_property():
     # J^k elements are killed by wedging with theta and dtheta
     for n in (1, 2):
@@ -551,10 +582,6 @@ def test_block_kernel_matches_dense_construction(n):
             basis = _BASES[kind](k, n)
             assert (basis.n, basis.degree, basis.kind) == (n, k, kind)
             assert _matrix(basis) == dense, (kind, k)
-            if kind in ("I", "E0"):
-                annihilator = rumin._annihilator(kind, k, n)
-                assert annihilator.inputs == blades
-                assert _rref(_op_matrix(annihilator))[0] == _rref(_perp(dense, width))[0], (kind, k)
         pi = rumin._pi_E0(n, k)
         assert pi.inputs == blades
         assert _op_matrix(pi, blades) == _dense_pi_E0(n, k), k

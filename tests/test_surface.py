@@ -427,6 +427,13 @@ def test_wide_mobius_strips_pass_partial_validation(R, w):
     assert surface.s_range == (-w, w)
 
 
+def test_search_refuses_a_normal_that_overflows():
+    # At R = 1e160 the frame components reach 1e320: N is inf or nan on
+    # every node, and the search names the first one, not "0 points".
+    with pytest.raises(ValueError, match=r"N1 is not finite at grid node \(0, 0\)"):
+        find_characteristic_points(mobius_surface(1e160, 1e10), grid=(64, 64))
+    assert find_characteristic_points(mobius_surface(1e154, 1e10), grid=(64, 64)).points == ()
+
 
 @pytest.mark.parametrize("which", ["gamma", "gamma_r", "gamma_s"])
 def test_construction_rejects_scalar_only_evaluators(which):
