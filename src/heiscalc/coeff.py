@@ -38,7 +38,7 @@ from typing import Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["MAX_EXPONENT", "PolyCoeff", "Point"]
+__all__ = ["MAX_EXPONENT", "PolyCoeff"]
 
 # The width of one exponent field of a monomial key.  Its top bit stays
 # clear, so exponents run up to MAX_EXPONENT = 2^24 - 1, which holds
@@ -627,25 +627,3 @@ class _Frozen:
 
     __delattr__ = __setattr__
 
-
-class Point(_Frozen):
-    """A numeric point of H^n; 2n+1 finite coordinates, equal by value."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[float, ...]) -> None:
-        if len(coords) % 2 == 0 or len(coords) < 3:
-            raise ValueError(f"a point of H^n needs an odd number >= 3 of coordinates, got {len(coords)}")
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"non-finite coordinate in {coords}")
-        self._set(coords=coords)
-
-    def __eq__(self, other):
-        return self.coords == other.coords if isinstance(other, Point) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    @property
-    def n(self) -> int:
-        return (len(self.coords) - 1) // 2

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .coeff import PolyCoeff, Point, Scalar, _as_fraction, _check_n, _decimal, _Frozen
+from .coeff import PolyCoeff, Scalar, _as_fraction, _check_n, _decimal, _Frozen
 from .frame import Blade, Form, form_to_json, frame_apply, theta_index
 from .rumin import (
     _check_report,
@@ -66,18 +66,16 @@ class SmoothMap(_Frozen):
                 raise ValueError(f"component {l} lives in H^{c.n}, map in H^{n}")
         self._set(n=n, components=comps, description=description)
 
-    def component(self, l: int) -> PolyCoeff:
-        """The l-th coordinate component, 1-indexed."""
-        if not 1 <= l <= theta_index(self.n):
-            raise ValueError(f"component index {l} out of range")
-        return self.components[l - 1]
-
     @cached_property
-    def frame_matrix(self) -> FrameMatrix:
-        """Rows W_j f^l for l <= 2n, then the theta row A(j, f).
+    def frame_matrix(self) -> tuple[tuple[PolyCoeff, ...], ...]:
+        """The derivative of the map in the frame basis, as its tuple of rows.
 
-        The A row is read from W_j f^{2n+1} and the horizontal rows, so
-        each W_j f^l is computed once.
+        Rows follow the target frame W_1..W_2n, T and columns the source
+        frame, so entry [l - 1][j - 1] is the coefficient of W_l in
+        f_* W_j: W_j f^l for l <= 2n, and A(j, f), not the naive
+        t-derivative, in the last row.  The A row is read from
+        W_j f^{2n+1} and the horizontal rows, so each W_j f^l is
+        computed once.
         """
         n = self.n
         dim = theta_index(n)
@@ -93,14 +91,14 @@ class SmoothMap(_Frozen):
                 total = total + (twist * row[j]).scale(half)
             a_row.append(total)
         rows.append(tuple(a_row))
-        return FrameMatrix(n, tuple(rows))
+        return tuple(rows)
 
     @cached_property
     def _coframe_pullbacks(self) -> tuple[Form, ...]:
         """f* theta_m for m = 1..2n+1: row m of the frame matrix as a 1-form."""
         return tuple(
             Form(self.n, 1, {(j,): c for j, c in enumerate(row, start=1) if not c.is_zero()})
-            for row in self.frame_matrix.entries
+            for row in self.frame_matrix
         )
 
     @cached_property
@@ -143,31 +141,6 @@ class SmoothMap(_Frozen):
         return "poly:[" + ", ".join(c.to_text() for c in self.components) + "]"
 
 
-class FrameMatrix(_Frozen):
-    """Derivative of a map in the frame basis.
-
-    Rows follow the target frame W_1..W_2n, T and columns the source
-    frame, so column j lists the coefficients of f_* W_j.  The last row
-    therefore holds A(j, f), not the naive t-derivative.
-    """
-
-    def __init__(self, n: int, entries: tuple[tuple[PolyCoeff, ...], ...]) -> None:
-        self._set(n=n, entries=entries)
-
-    def entry(self, l: int, j: int) -> PolyCoeff:
-        """Coefficient of W_l in f_* W_j (1-indexed; l = 2n+1 means T)."""
-        dim = theta_index(self.n)
-        if not (1 <= l <= dim and 1 <= j <= dim):
-            raise ValueError(f"entry ({l}, {j}) out of range for H^{self.n}")
-        return self.entries[l - 1][j - 1]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [[p.to_text() for p in row] for row in self.entries],
-        }
-
-
 def A_coefficient(j: int, f: SmoothMap) -> PolyCoeff:
     """Theta component of f_* W_j, the last row of the frame matrix.
 
@@ -177,7 +150,7 @@ def A_coefficient(j: int, f: SmoothMap) -> PolyCoeff:
     """
     if not 1 <= j <= theta_index(f.n):
         raise ValueError(f"frame index {j} out of range for H^{f.n}")
-    return f.frame_matrix.entries[-1][j - 1]
+    return f.frame_matrix[-1][j - 1]
 
 
 def lambda_coefficient(j: int, f: SmoothMap) -> PolyCoeff:
@@ -189,7 +162,7 @@ def lambda_coefficient(j: int, f: SmoothMap) -> PolyCoeff:
     n = f.n
     if not 1 <= j <= n:
         raise ValueError(f"lambda index {j} out of range (1..{n})")
-    rows = f.frame_matrix.entries  # rows[l - 1][j - 1] = W_j f^l
+    rows = f.frame_matrix  # rows[l - 1][j - 1] = W_j f^l
     total = PolyCoeff.zero(n)
     for x, y in zip(rows[:n], rows[n:2 * n]):
         total = total + x[j - 1] * y[n + j - 1] - x[n + j - 1] * y[j - 1]
@@ -198,7 +171,7 @@ def lambda_coefficient(j: int, f: SmoothMap) -> PolyCoeff:
 
 def _horizontal_A(f: SmoothMap) -> tuple[PolyCoeff, ...]:
     # A(j, f) for j <= 2n: the last row of the cached frame matrix.
-    return f.frame_matrix.entries[-1][:-1]
+    return f.frame_matrix[-1][:-1]
 
 
 def is_contact(f: SmoothMap) -> bool:
@@ -296,13 +269,13 @@ def builtin_dilation(r: Scalar, n: int) -> SmoothMap:
     return SmoothMap(n, tuple(comps), description=f"dilation:r={_decimal(r)}")
 
 
-def builtin_left_translation(q: Point | Sequence[Scalar], n: int) -> SmoothMap:
+def builtin_left_translation(q: Sequence[Scalar], n: int) -> SmoothMap:
     """Left translation w -> q * w in the group product.
 
     The horizontal components shift by constants; the t component picks
     up the bilinear correction 1/2 sum_j (x_{q,j} y_j - y_{q,j} x_j).
     """
-    coords = tuple(_as_fraction(c) for c in (q.coords if isinstance(q, Point) else q))
+    coords = tuple(_as_fraction(c) for c in q)
     dim = theta_index(n)
     if len(coords) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(coords)}")

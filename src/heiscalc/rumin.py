@@ -338,17 +338,17 @@ def in_subspace(kind: Literal["I", "E0"], k: int, n: int, alpha: Form) -> bool:
     middle I^k is the orthogonal complement of E0^k, so alpha lies in it
     when Pi_E0 kills it; above the middle I^k is all of Omega^k.
     """
+    if kind not in ("I", "E0"):
+        raise ValueError(f"unknown subspace kind {kind!r}")
+    lowest = int(kind == "I")
+    if not lowest <= k <= 2 * n + 1:
+        raise ValueError(f"degree k={k} out of range {lowest}..{2 * n + 1} for {kind}^k")
     if alpha.is_zero():
         return True
     if alpha.degree != k:
         return False
-    lowest = int(kind == "I")
-    if not lowest <= k <= 2 * n + 1:
-        raise ValueError(f"degree k={k} out of range {lowest}..{2 * n + 1} for {kind}^k")
     if kind == "I":
         return k > n or all(p.is_zero() for p in _op_times(_pi_E0(n, k), alpha))
-    if kind != "E0":
-        raise ValueError(f"unknown subspace kind {kind!r}")
     d0_plus = _op_times(_d0_pseudo_inverse(n, k - 1), alpha) if k else ()
     return all(p.is_zero() for p in chain(_op_times(_d0_table(n, k), alpha), d0_plus))
 

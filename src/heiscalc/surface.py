@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 if TYPE_CHECKING:
-    from .coeff import Point, PolyCoeff
+    from .coeff import PolyCoeff
     from .frame import MultiVector
 
 Triple = tuple  # (x, y, t) triples of floats or numpy arrays
@@ -43,23 +43,6 @@ Triple = tuple  # (x, y, t) triples of floats or numpy arrays
 _PARTIALS_SAMPLES = 100
 _PARTIALS_TOL = 1e-6
 _NEWTON_MAX_ITER = 60  # Newton steps before a candidate counts as a failure
-
-
-@dataclass(frozen=True)
-class HeisVector:
-    """Tangent vector written in the left-invariant frame (X, Y, T)."""
-
-    c_X: object
-    c_Y: object
-    c_T: object
-
-    def __post_init__(self) -> None:
-        for c in (self.c_X, self.c_Y, self.c_T):
-            if isinstance(c, (int, float)) and not math.isfinite(c):
-                raise ValueError(f"non-finite frame component {c!r}")
-
-    def as_tuple(self) -> tuple:
-        return (self.c_X, self.c_Y, self.c_T)
 
 
 @dataclass(frozen=True)
@@ -152,30 +135,29 @@ class ParamSurface:
                 scale = max(1.0, *map(abs, plus), *map(abs, minus))
                 for comp in range(3):
                     fd = (plus[comp] - minus[comp]) / (2 * h)
-                    if abs(fd - exact[comp]) > _PARTIALS_TOL * scale:
+                    if not abs(fd - exact[comp]) <= _PARTIALS_TOL * scale:  # nan fails too
                         raise ValueError(
                             f"{which} component {comp} disagrees with finite differences "
                             f"at (r, s) = ({r:.6f}, {s:.6f}): {exact[comp]!r} vs {fd!r}"
                         )
 
 
-def heis_frame_components(v: Sequence, p: Point | Sequence) -> HeisVector:
-    """Rewrite an ambient tangent vector (v_x, v_y, v_t) at p in the frame.
+def heis_frame_components(v: Sequence, p: Sequence) -> Triple:
+    """Rewrite an ambient tangent vector (v_x, v_y, v_t) at the point p
+    (x, y, t) as its frame components (c_X, c_Y, c_T).
 
     X and Y share the horizontal components; the vertical one picks up
     c_T = v_t + y v_x / 2 - x v_y / 2 because the frame fields tilt out
     of the coordinate planes away from the origin.
     """
-    coords = tuple(getattr(p, "coords", p))  # a coeff.Point or a plain sequence
-    x, y = coords[0], coords[1]
-    return HeisVector(v[0], v[1], v[2] + y * v[0] / 2 - x * v[1] / 2)
+    x, y = p[0], p[1]
+    return (v[0], v[1], v[2] + y * v[0] / 2 - x * v[1] / 2)
 
 
-def heis_cross(u: HeisVector | Sequence, v: HeisVector | Sequence) -> HeisVector:
-    """Formal determinant cross product with first row (X, Y, T)."""
-    a = u.as_tuple() if isinstance(u, HeisVector) else tuple(u)
-    b = v.as_tuple() if isinstance(v, HeisVector) else tuple(v)
-    return HeisVector(
+def heis_cross(a: Sequence, b: Sequence) -> Triple:
+    """Formal determinant cross product with first row (X, Y, T) of
+    two frame triples."""
+    return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
@@ -189,7 +171,7 @@ def surface_normal(surface: ParamSurface) -> Callable:
         p = surface.gamma(r, s)
         u = heis_frame_components(surface.gamma_r(r, s), p)
         v = heis_frame_components(surface.gamma_s(r, s), p)
-        return heis_cross(u, v).as_tuple()
+        return heis_cross(u, v)
 
     return normal
 
@@ -369,8 +351,10 @@ def _sign_span(values: np.ndarray) -> np.ndarray:
 def _newton_2d(func: Callable, r: float, s: float, tol: float) -> tuple[float, float, float, bool]:
     h = 1e-6
     best = math.inf
-    for _ in range(_NEWTON_MAX_ITER):
-        try:
+    # An overflow in the normal shows as a non-finite det or step below,
+    # which ends the candidate as a failure; numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
             f1, f2, _ = func(r, s)
             res = max(abs(float(f1)), abs(float(f2)))
             best = min(best, res)
@@ -380,22 +364,18 @@ def _newton_2d(func: Callable, r: float, s: float, tol: float) -> tuple[float, f
             a1m, a2m, _ = func(r - h, s)
             b1p, b2p, _ = func(r, s + h)
             b1m, b2m, _ = func(r, s - h)
-        except ValueError:
-            # A HeisVector refused a non-finite frame component: the same
-            # dead end as a non-finite determinant below.
-            return r, s, best, False
-        j11 = (a1p - a1m) / (2 * h)
-        j12 = (b1p - b1m) / (2 * h)
-        j21 = (a2p - a2m) / (2 * h)
-        j22 = (b2p - b2m) / (2 * h)
-        det = j11 * j22 - j12 * j21
-        if det == 0 or not math.isfinite(det):
-            return r, s, best, False
-        dr = (f1 * j22 - f2 * j12) / det
-        ds = (j11 * f2 - j21 * f1) / det
-        r, s = r - float(dr), s - float(ds)
-        if not (math.isfinite(r) and math.isfinite(s)):
-            return r, s, best, False
+            j11 = (a1p - a1m) / (2 * h)
+            j12 = (b1p - b1m) / (2 * h)
+            j21 = (a2p - a2m) / (2 * h)
+            j22 = (b2p - b2m) / (2 * h)
+            det = j11 * j22 - j12 * j21
+            if det == 0 or not math.isfinite(det):
+                return r, s, best, False
+            dr = (f1 * j22 - f2 * j12) / det
+            ds = (j11 * f2 - j21 * f1) / det
+            r, s = r - float(dr), s - float(ds)
+            if not (math.isfinite(r) and math.isfinite(s)):
+                return r, s, best, False
     return r, s, best, False
 
 
@@ -523,11 +503,10 @@ def _conversion_vars(components: Sequence, p) -> tuple:
         x = [PolyCoeff.var(n, i) for i in range(1, n + 1)]
         y = [PolyCoeff.var(n, n + i) for i in range(1, n + 1)]
         return n, x, y
-    coords = tuple(getattr(p, "coords", p))
-    if len(coords) % 2 == 0 or len(coords) < 3:
+    if len(p) % 2 == 0 or len(p) < 3:
         raise ValueError("a point of H^n has an odd number >= 3 of coordinates")
-    n = (len(coords) - 1) // 2
-    return n, list(coords[:n]), list(coords[n:2 * n])
+    n = (len(p) - 1) // 2
+    return n, list(p[:n]), list(p[n:2 * n])
 
 
 def _halve(value):
@@ -540,7 +519,7 @@ def _halve(value):
     return value / 2
 
 
-def orientability_e_to_h(nE: Sequence, p: Point | Sequence | None = None) -> tuple:
+def orientability_e_to_h(nE: Sequence, p: Sequence | None = None) -> tuple:
     """Convert a Euclidean normal to its horizontal projection components.
 
     n_{H,i} = n_{E,i} - y_i n_{E,2n+1} / 2 and n_{H,n+i} = n_{E,n+i} +

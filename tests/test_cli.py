@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -349,12 +350,14 @@ _PINNED_STDOUT = {
     "complex --n 2 --format csv": "d0d32dffe4631a7a3ad8c76b07c917022d41adeb6944020f28349b249040e613",
     "complex --n 2 --format text": "d287c2364011cfef81de5e5214e02838b6ab4dabfd4e3299e5695f6a7850162b",
     "dims --format csv": "3fb8b68015c20c2db9b579e2ae93d2b0cc593efafd546740a8887f05935e0ca6",
+    "commute --map 'compose:translate:q=1/2,1,3/2,2,1/3;poly:[w1, w2, w3 + w1^2, w4, w5 + w1^3/6]' "
+    "--n 2 --trials 5 --format json": "4d61f3f936574660c3515b91c158a43af53992bf94cb0af02cd35ef2d8238bfb",
 }
 
 
 @pytest.mark.parametrize("command", list(_PINNED_STDOUT))
 def test_stdout_matches_pinned_digest(run_cli, command):
-    result = run_cli(command.split(" "))
+    result = run_cli(shlex.split(command))
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == _PINNED_STDOUT[command]
 

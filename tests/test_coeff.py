@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heiscalc.coeff import _BITS, MAX_EXPONENT, Point, PolyCoeff
+from heiscalc.coeff import _BITS, MAX_EXPONENT, PolyCoeff
 from heiscalc.contact import parse_map
 from heiscalc.frame import Form, all_blades, exterior_derivative, form_from_json
 from heiscalc.sampling import random_poly, seeded_rng
@@ -464,15 +464,14 @@ def test_form_from_json_reads_the_poly_grammar():
 
 
 def test_point_validation():
-    assert Point((1.0, 2.0, 3.0)).n == 1
-    assert Point((0.0,) * 5).n == 2
-    with pytest.raises(ValueError):
-        Point((1.0, 2.0))
-    with pytest.raises(ValueError):
-        Point((1.0, float("nan"), 0.0))
+    # a point is a plain coordinate sequence; evaluation refuses one of
+    # the wrong length for the ring's H^n
+    p = PolyCoeff.var(2, 1)
+    for evaluate in (p.evaluate, p.eval_exact):
+        with pytest.raises(ValueError, match=r"^expected 5 coordinates, got 3$"):
+            evaluate((1, 2, 3))
 
 
 def test_evaluate_at_point():
     p = PolyCoeff.var(1, 1) * PolyCoeff.var(1, 2)
-    assert p.evaluate(Point((2.0, 3.0, 0.0)).coords) == pytest.approx(6.0)
     assert p.evaluate((2.0, 3.0, 0.0)) == pytest.approx(6.0)

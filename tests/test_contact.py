@@ -63,34 +63,34 @@ def test_smooth_map_validation():
 def test_identity_map():
     f = identity_map(2)
     for l in range(1, 6):
-        assert f.component(l) == _var(2, l)
-    m = f.frame_matrix
+        assert f.components[l - 1] == _var(2, l)
+    rows = f.frame_matrix
     for l in range(1, 6):
         for j in range(1, 6):
-            assert m.entry(l, j) == _const(2, 1 if l == j else 0)
+            assert rows[l - 1][j - 1] == _const(2, 1 if l == j else 0)
 
 
 def test_dilation_frame_matrix():
     # the anisotropic dilation acts diagonally: r on the horizontal rows,
     # r^2 on the vertical one
     n, r = 2, Fraction(3, 2)
-    m = builtin_dilation(r, n).frame_matrix
-    for l in range(1, 2 * n + 1):
-        for j in range(1, 2 * n + 2):
-            assert m.entry(l, j) == _const(n, r if l == j else 0)
-    for j in range(1, 2 * n + 1):
-        assert m.entry(2 * n + 1, j).is_zero()
-    assert m.entry(2 * n + 1, 2 * n + 1) == _const(n, r * r)
+    rows = builtin_dilation(r, n).frame_matrix
+    for l in range(2 * n):
+        for j in range(2 * n + 1):
+            assert rows[l][j] == _const(n, r if l == j else 0)
+    for j in range(2 * n):
+        assert rows[2 * n][j].is_zero()
+    assert rows[2 * n][2 * n] == _const(n, r * r)
 
 
 def test_translation_frame_matrix_is_identity():
     # left translations leave the left-invariant frame unchanged
     n = 2
     f = builtin_left_translation([Fraction(1, 2), 1, -2, Fraction(2, 3), 3], n)
-    m = f.frame_matrix
-    for l in range(1, 2 * n + 2):
-        for j in range(1, 2 * n + 2):
-            assert m.entry(l, j) == _const(n, 1 if l == j else 0)
+    rows = f.frame_matrix
+    for l in range(2 * n + 1):
+        for j in range(2 * n + 1):
+            assert rows[l][j] == _const(n, 1 if l == j else 0)
 
 
 def test_dilation_requires_positive_ratio():
@@ -169,19 +169,12 @@ def test_chain_rule():
     gf = compose(g, f)
     mg, mf, mgf = g.frame_matrix, f.frame_matrix, gf.frame_matrix
     width = 2 * n + 1
-    for l in range(1, width + 1):
-        for j in range(1, width + 1):
+    for l in range(width):
+        for j in range(width):
             acc = PolyCoeff.zero(n)
-            for m in range(1, width + 1):
-                acc = acc + mg.entry(l, m).substitute(f.components) * mf.entry(m, j)
-            assert mgf.entry(l, j) == acc
-
-
-def test_frame_matrix_json():
-    data = builtin_dilation(2, 1).frame_matrix.to_json()
-    assert data["n"] == 1
-    assert len(data["entries"]) == 3
-    assert data["entries"][0][0] == "2/1"
+            for m in range(width):
+                acc = acc + mg[l][m].substitute(f.components) * mf[m][j]
+            assert mgf[l][j] == acc
 
 
 # -- pullback ----------------------------------------------------------------
@@ -230,11 +223,7 @@ def _fresh_pullback(f: SmoothMap, alpha: Form) -> Form:
     """Pullback rebuilt per call: a fresh `substitute` for every coefficient
     and the coframe images read from the frame matrix."""
     n = f.n
-    mat = f.frame_matrix
-    gens = [
-        Form(n, 1, {(j,): mat.entry(m, j) for j in range(1, 2 * n + 2)})
-        for m in range(1, 2 * n + 2)
-    ]
+    gens = [Form(n, 1, {(j,): c for j, c in enumerate(row, start=1)}) for row in f.frame_matrix]
     out = Form.zero(n, alpha.degree)
     for blade, coeff in alpha.coeffs.items():
         piece = Form.function(coeff.substitute(f.components))
@@ -378,29 +367,29 @@ def test_parse_identity_and_dilation():
     f = parse_map("identity", 2)
     assert f.components == identity_map(2).components
     g = parse_map("dilation:r=2", 1)
-    assert g.component(3) == _var(1, 3).scale(4)
+    assert g.components[2] == _var(1, 3).scale(4)
     h = parse_map("dilation:r=1/3", 1)
-    assert h.component(1) == _var(1, 1).scale(Fraction(1, 3))
+    assert h.components[0] == _var(1, 1).scale(Fraction(1, 3))
 
 
 def test_parse_translation():
     f = parse_map("translate:q=1/2,0,3", 1)
-    assert f.component(1) == _var(1, 1) + _const(1, Fraction(1, 2))
-    assert f.component(2) == _var(1, 2)
+    assert f.components[0] == _var(1, 1) + _const(1, Fraction(1, 2))
+    assert f.components[1] == _var(1, 2)
     # t-component carries the group cocycle
     expected_t = _var(1, 3) + _const(1, 3) + (
         _var(1, 2).scale(Fraction(1, 4)) - _var(1, 1).scale(0)
     )
-    assert f.component(3) == expected_t
+    assert f.components[2] == expected_t
 
 
 def test_parse_poly_and_expression_grammar():
     f = parse_map("poly:[w1, w2, 2*w3]", 1)
-    assert f.component(3) == _var(1, 3).scale(2)
+    assert f.components[2] == _var(1, 3).scale(2)
     g = parse_map("poly:[w1 + w2^2, -w2, (w3 - w1)/2]", 1)
-    assert g.component(1) == _var(1, 1) + _var(1, 2) ** 2
-    assert g.component(2) == -_var(1, 2)
-    assert g.component(3) == (_var(1, 3) - _var(1, 1)).scale(Fraction(1, 2))
+    assert g.components[0] == _var(1, 1) + _var(1, 2) ** 2
+    assert g.components[1] == -_var(1, 2)
+    assert g.components[2] == (_var(1, 3) - _var(1, 1)).scale(Fraction(1, 2))
 
 
 def test_parse_compose_applies_rightmost_first():
@@ -415,8 +404,8 @@ def test_parse_compose_applies_rightmost_first():
 
 def test_parse_compose_n_ary():
     f = parse_map("compose:dilation:r=2;dilation:r=3;dilation:r=1/6", 1)
-    assert f.component(1) == _var(1, 1)
-    assert f.component(3) == _var(1, 3)
+    assert f.components[0] == _var(1, 1)
+    assert f.components[2] == _var(1, 3)
 
 
 def test_parse_map_errors():
@@ -585,23 +574,17 @@ def test_suite_maps_contents():
     assert [f.components for f in maps] == [g.components for g in again]
 
 
-# -- the four records -----------------------------------------------------------
+# -- the two records ------------------------------------------------------------
 
 
 def _records():
-    from heiscalc.coeff import Point
-    from heiscalc.rumin import SubspaceBasis
-
-    f = builtin_dilation(2, 1)
     return {
-        "Point": (Point((1.0, 2.0, 3.0)), ["coords", "n"]),
         "SubspaceBasis": (basis_J(2, 1), ["n", "degree", "kind", "elements"]),
-        "SmoothMap": (f, ["n", "components", "description", "frame_matrix"]),
-        "FrameMatrix": (f.frame_matrix, ["n", "entries"]),
+        "SmoothMap": (builtin_dilation(2, 1), ["n", "components", "description", "frame_matrix"]),
     }
 
 
-@pytest.mark.parametrize("name", ["Point", "SubspaceBasis", "SmoothMap", "FrameMatrix"])
+@pytest.mark.parametrize("name", ["SubspaceBasis", "SmoothMap"])
 def test_record_fields_cannot_be_assigned(name):
     record, fields = _records()[name]
     for field in fields:
@@ -615,28 +598,12 @@ def test_record_fields_cannot_be_assigned(name):
         del record.n
 
 
-def test_point_compares_and_hashes_by_coords():
-    from heiscalc.coeff import Point
-
-    a, b = Point((1.0, 2.0, 3.0)), Point((1.0, 2.0, 3.0))
-    assert a == b and a is not b and hash(a) == hash(b)
-    assert len({a, b, Point((1.0, 2.0, 4.0))}) == 2
-    assert a != Point((1.0, 2.0, 4.0))
-    assert a != (1.0, 2.0, 3.0)
-    assert Point(coords=(0.0,) * 5).n == 2
-    with pytest.raises(ValueError, match=r"^a point of H\^n needs an odd number >= 3 of coordinates, got 2$"):
-        Point((1.0, 2.0))
-    with pytest.raises(ValueError, match=r"^non-finite coordinate in \(1\.0, inf, 0\.0\)$"):
-        Point((1.0, float("inf"), 0.0))
-
-
-def test_maps_and_frame_matrices_compare_by_identity():
+def test_maps_compare_by_identity():
     f, g = builtin_dilation(2, 1), builtin_dilation(2, 1)
     assert f.components == g.components and f.label() == g.label()
     assert f != g and f == f
     assert len({f, g}) == 2
-    assert f.frame_matrix.entries == g.frame_matrix.entries
-    assert f.frame_matrix != g.frame_matrix and f.frame_matrix == f.frame_matrix
+    assert f.frame_matrix == g.frame_matrix
 
 
 def test_frame_matrix_is_computed_once_per_map(monkeypatch):

@@ -478,6 +478,17 @@ def test_E0_membership_needs_both_halves(n):
             assert not in_subspace("E0", k, n, element + outsider)
 
 
+@pytest.mark.parametrize("kind, k, message", [
+    ("X", 1, r"^unknown subspace kind 'X'$"),
+    ("I", 0, r"^degree k=0 out of range 1\.\.3 for I\^k$"),
+    ("E0", 9, r"^degree k=9 out of range 0\.\.3 for E0\^k$"),
+])
+def test_in_subspace_checks_its_arguments_before_the_form(kind, k, message):
+    # a zero form, which every subspace holds, must not hide a bad kind or k
+    with pytest.raises(ValueError, match=message):
+        in_subspace(kind, k, 1, Form.zero(1, 1))
+
+
 def test_J_annihilator_property():
     # J^k elements are killed by wedging with theta and dtheta
     for n in (1, 2):

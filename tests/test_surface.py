@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from heiscalc.coeff import Point, PolyCoeff
+from heiscalc.coeff import PolyCoeff
 from heiscalc.frame import MultiVector, frame_apply, wedge
 from heiscalc.surface import (
     CharPoint,
-    HeisVector,
     ParamSurface,
     ScanResult,
     find_characteristic_points,
@@ -38,28 +38,20 @@ def _var(i):
 # -- frame conversion of tangent vectors --------------------------------------
 
 
-def test_heis_vector_validation():
-    HeisVector(1.0, 2.0, 3.0)
-    with pytest.raises(ValueError):
-        HeisVector(float("inf"), 0.0, 0.0)
-
-
 def test_heis_frame_components_oracle():
     # v = v_x dx + v_y dy + v_t dt at p has T-component v_t + y v_x / 2 - x v_y / 2
-    v = heis_frame_components((1.0, 2.0, 3.0), (10.0, 20.0, 0.0))
-    assert v.c_X == 1.0
-    assert v.c_Y == 2.0
-    assert v.c_T == pytest.approx(3.0 + 20.0 * 1.0 / 2 - 10.0 * 2.0 / 2)
+    c_X, c_Y, c_T = heis_frame_components((1.0, 2.0, 3.0), (10.0, 20.0, 0.0))
+    assert c_X == 1.0
+    assert c_Y == 2.0
+    assert c_T == pytest.approx(3.0 + 20.0 * 1.0 / 2 - 10.0 * 2.0 / 2)
 
 
 def test_heis_cross_frame_basis():
-    X = HeisVector(1.0, 0.0, 0.0)
-    Y = HeisVector(0.0, 1.0, 0.0)
-    T = HeisVector(0.0, 0.0, 1.0)
-    assert heis_cross(X, Y).as_tuple() == (0.0, 0.0, 1.0)
-    assert heis_cross(Y, T).as_tuple() == (1.0, 0.0, 0.0)
-    assert heis_cross(T, X).as_tuple() == (0.0, 1.0, 0.0)
-    assert heis_cross(X, X).as_tuple() == (0.0, 0.0, 0.0)
+    X, Y, T = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    assert heis_cross(X, Y) == (0.0, 0.0, 1.0)
+    assert heis_cross(Y, T) == (1.0, 0.0, 0.0)
+    assert heis_cross(T, X) == (0.0, 1.0, 0.0)
+    assert heis_cross(X, X) == (0.0, 0.0, 0.0)
 
 
 # -- the Mobius strip ----------------------------------------------------------
@@ -292,18 +284,18 @@ def test_scan_near_root_merge(R):
 
 
 def test_newton_reports_non_finite_normal_as_failure():
-    # Far out in s the frame component c_T overflows; HeisVector refuses
-    # it, and Newton must report a failed candidate, not raise.
+    # Far out in s the frame component c_T overflows, and N with it;
+    # Newton must report a failed candidate, neither raise nor make
+    # numpy warn.
     from heiscalc.surface import _newton_2d
 
     normal = surface_normal(mobius_surface(0.2, 0.15))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError):
-            normal(1.0, 1e160)
-        r, s, residual, ok = _newton_2d(normal, 1.0, 1e160, 1e-10)
-    assert not ok
-    assert (r, s) == (1.0, 1e160)
-    assert residual == math.inf
+        assert not math.isfinite(normal(1.0, 1e160)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _newton_2d(normal, 1.0, 1e160, 1e-10)
+    assert result == (1.0, 1e160, math.inf, False)
 
 
 def test_grid_minimum_enforced():
@@ -420,6 +412,18 @@ def test_partial_validation_rejects_wrong_derivative_at_scale():
         )
 
 
+def test_partial_validation_rejects_a_nan_partial():
+    # nan compares false with any tolerance, so it must fail the test
+    with pytest.raises(ValueError, match="^gamma_r component 0 disagrees with finite differences"):
+        ParamSurface(
+            r_range=(0.0, 1.0),
+            s_range=(0.0, 1.0),
+            gamma=lambda r, s: (r + 0 * s, s + 0 * r, 0.0 * r * s),
+            gamma_r=lambda r, s: (np.nan + 0 * r * s, 0.0 * r, 0.0 * r),
+            gamma_s=lambda r, s: (0.0 * s, 1.0 + 0 * s, 0.0 * s),
+        )
+
+
 @pytest.mark.parametrize("R, w", [(1e4, 7.5e3), (1e6, 7.5e5)])
 def test_wide_mobius_strips_pass_partial_validation(R, w):
     # The rounding error of the finite differences grows like eps R / h.
@@ -484,7 +488,7 @@ def test_h_to_e_reconstructs_euclidean_gradient():
 
 def test_e_to_h_numeric():
     # numeric tilt at a concrete point: n_H = (n_x - y n_t / 2, n_y + x n_t / 2)
-    nH = orientability_e_to_h((1.0, 0.0, 2.0), p=Point((3.0, 5.0, 0.0)))
+    nH = orientability_e_to_h((1.0, 0.0, 2.0), p=(3.0, 5.0, 0.0))
     assert nH[0] == pytest.approx(1.0 - 5.0 * 2.0 / 2)
     assert nH[1] == pytest.approx(0.0 + 3.0 * 2.0 / 2)
 
