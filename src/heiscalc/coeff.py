@@ -403,20 +403,6 @@ class PolyCoeff:
             total += term
         return total / self.den
 
-    def evaluate(self, coords: Sequence[float]) -> float:
-        width = 2 * self.n + 1
-        if len(coords) != width:
-            raise ValueError(f"expected {width} coordinates, got {len(coords)}")
-        total = 0.0
-        den = self.den
-        for key, c in self.num.items():
-            # int / int rounds the exact quotient once, as float(Fraction) does.
-            term = c / den
-            for i, e in _fields(key):
-                term *= float(coords[i]) ** e
-            total += term
-        return total
-
     def substitute(self, components: Sequence[PolyCoeff]) -> PolyCoeff:
         """Compose: plug the given polynomials in for w1..w_{2n+1}.
 

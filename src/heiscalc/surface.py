@@ -14,7 +14,7 @@ independent oracle for the constructive path.
 Root finding is the one deliberately numeric corner of the package
 (the zero set involves radicals in cos(r/2), not rationals); the exact
 symbolic machinery still owns the normal-conversion formulas, which
-accept polynomial components and are checked symbolically.
+take polynomial components only and are checked symbolically.
 
 The scan samples the closed parameter rectangle, so a root on a seam
 is seen on both edge columns, and the two parameter preimages are
@@ -492,52 +492,41 @@ def find_characteristic_points(
 # the numeric scan above runs without loading them.
 
 
-def _conversion_vars(components: Sequence, p) -> tuple:
+def _field_n(components: Sequence, label: str, vertical: bool) -> int:
+    """The n of the H^n a normal field lives on: its components are 2n
+    PolyCoeff of ambient H^n, n >= 1, plus the vertical one if asked."""
     from .coeff import PolyCoeff
 
-    if p is None:
-        polys = [c for c in components if isinstance(c, PolyCoeff)]
-        if not polys:
-            raise ValueError("symbolic conversion needs PolyCoeff components or a point")
-        n = polys[0].n
-        x = [PolyCoeff.var(n, i) for i in range(1, n + 1)]
-        y = [PolyCoeff.var(n, n + i) for i in range(1, n + 1)]
-        return n, x, y
-    if len(p) % 2 == 0 or len(p) < 3:
-        raise ValueError("a point of H^n has an odd number >= 3 of coordinates")
-    n = (len(p) - 1) // 2
-    return n, list(p[:n]), list(p[n:2 * n])
+    count = len(components) - vertical
+    if count % 2 != 0 or count < 2:
+        raise ValueError(f"expected 2n{' + 1' if vertical else ''} {label} components, "
+                         f"got {len(components)}")
+    n = count // 2
+    for c in components:
+        if not isinstance(c, PolyCoeff):
+            raise TypeError(f"{label} components must be PolyCoeff")
+        if c.n != n:
+            raise ValueError(f"component ambient H^{c.n} does not match 2n = {2 * n}")
+    return n
 
 
-def _halve(value):
+def orientability_e_to_h(nE: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
+    """Convert a Euclidean normal field to its horizontal components.
+
+    n_{H,i} = n_{E,i} - y_i n_{E,2n+1} / 2 and n_{H,n+i} = n_{E,n+i} +
+    x_i n_{E,2n+1} / 2, exactly: the 2n + 1 components must be PolyCoeff
+    fields of the coordinates of one H^n.  An all-zero result marks a
+    characteristic field; it is a value, not an error.
+    """
     from fractions import Fraction
 
     from .coeff import PolyCoeff
 
-    if isinstance(value, PolyCoeff):
-        return value.scale(Fraction(1, 2))
-    return value / 2
-
-
-def orientability_e_to_h(nE: Sequence, p: Sequence | None = None) -> tuple:
-    """Convert a Euclidean normal to its horizontal projection components.
-
-    n_{H,i} = n_{E,i} - y_i n_{E,2n+1} / 2 and n_{H,n+i} = n_{E,n+i} +
-    x_i n_{E,2n+1} / 2.  Pass a point for numeric components, or omit it
-    to treat PolyCoeff components as fields of the coordinates.  An
-    all-zero result marks a characteristic point; it is a value, not an
-    error.
-    """
-    n, xs, ys = _conversion_vars(nE, p)
-    if len(nE) != 2 * n + 1:
-        raise ValueError(f"expected {2 * n + 1} Euclidean components, got {len(nE)}")
-    last = nE[2 * n]
-    horiz = []
-    for i in range(n):
-        horiz.append(nE[i] - _halve(ys[i] * last))
-    for i in range(n):
-        horiz.append(nE[n + i] + _halve(xs[i] * last))
-    return tuple(horiz)
+    n = _field_n(nE, "Euclidean", vertical=True)
+    half = nE[2 * n].scale(Fraction(1, 2))
+    xs = [PolyCoeff.var(n, i) for i in range(1, n + 1)]
+    ys = [PolyCoeff.var(n, n + i) for i in range(1, n + 1)]
+    return (*(e - y * half for e, y in zip(nE, ys)), *(e + x * half for e, x in zip(nE[n:], xs)))
 
 
 def orientability_h_to_e(nH: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
@@ -553,14 +542,7 @@ def orientability_h_to_e(nH: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
     from .coeff import PolyCoeff
     from .frame import frame_apply
 
-    if len(nH) % 2 != 0 or not nH:
-        raise ValueError(f"expected 2n horizontal components, got {len(nH)}")
-    n = len(nH) // 2
-    for c in nH:
-        if not isinstance(c, PolyCoeff):
-            raise TypeError("horizontal components must be PolyCoeff")
-        if c.n != n:
-            raise ValueError(f"component ambient H^{c.n} does not match 2n = {2 * n}")
+    n = _field_n(nH, "horizontal", vertical=False)
     total = PolyCoeff.zero(n)
     for j in range(1, n + 1):
         total = total + frame_apply(j, nH[n + j - 1]) - frame_apply(n + j, nH[j - 1])
@@ -576,17 +558,12 @@ def orientability_h_to_e(nH: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
     return tuple(out)
 
 
-def is_characteristic_normal(nH: Sequence, tol: float = 0.0) -> bool:
-    """Whether a converted horizontal normal vanishes (all components)."""
-    from .coeff import PolyCoeff
-
-    for c in nH:
-        if isinstance(c, PolyCoeff):
-            if not c.is_zero():
-                return False
-        elif abs(c) > tol:
-            return False
-    return True
+def is_characteristic_normal(nH: Sequence[PolyCoeff]) -> bool:
+    """Whether a horizontal normal field vanishes identically: each of
+    its 2n PolyCoeff components is the zero polynomial.  Components are
+    checked as `orientability_h_to_e` checks them."""
+    _field_n(nH, "horizontal", vertical=False)
+    return all(c.is_zero() for c in nH)
 
 
 def heis_tangent_bivector(nH: Sequence) -> MultiVector:

@@ -7,10 +7,14 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
+from heiscalc.coeff import PolyCoeff
+from heiscalc.contact import SmoothMap, builtin_dilation, builtin_left_translation, compose
 from heiscalc.frame import Form, all_blades
 from heiscalc.sampling import random_poly
 
@@ -19,6 +23,98 @@ def random_form(rng, n: int, degree: int, max_degree: int = 3) -> Form:
     """A random form with a `random_poly` coefficient on every blade,
     drawn in blade order."""
     return Form(n, degree, {blade: random_poly(rng, n, max_degree) for blade in all_blades(n, degree)})
+
+
+# -- strict contactomorphisms -------------------------------------------------
+#
+# With x = w1..wn, y = w_{n+1}..w_{2n}, t = w_{2n+1} and theta = dt -
+# 1/2 sum (x dy - y dx), each generator below pulls theta back to itself
+# (lambda = 1), apart from the dilation, which scales it by r^2.
+#   - A linear symplectic map M, lifted as (x, y, t) -> (M(x, y), t):
+#     M preserves omega(u, u') = sum x y' - y x', hence sum x dy - y dx.
+#     The transvection u -> u + c omega(v, u) v and the swap
+#     (x, y) -> (y, -x) are such maps.
+#   - The shear S_phi: y -> y + grad phi(x), t -> t + 1/2 <x, grad phi> -
+#     phi.  Its theta picks up 1/2 d<x, grad phi> - dphi - 1/2 sum x_i
+#     d(d_i phi) + 1/2 sum d_i phi dx_i, and since d<x, grad phi> =
+#     sum d_i phi dx_i + sum x_i d(d_i phi), that is zero.
+
+_SMALL = st.builds(Fraction, st.integers(-2, 2).filter(bool), st.integers(1, 3))
+
+
+def _symplectic_lift(n: int, images, description: str) -> SmoothMap:
+    return SmoothMap(n, (*images, PolyCoeff.var(n, 2 * n + 1)), description=description)
+
+
+def _transvection(n: int, v, c: Fraction) -> SmoothMap:
+    w = [PolyCoeff.var(n, i) for i in range(1, 2 * n + 1)]
+    omega = PolyCoeff.zero(n)  # omega(v, w)
+    for i in range(n):
+        omega = omega + w[n + i].scale(v[i]) - w[i].scale(v[n + i])
+    return _symplectic_lift(n, [w_l + omega.scale(c * v_l) for w_l, v_l in zip(w, v)],
+                            f"transvection:v={list(v)},c={c}")
+
+
+def _swap(n: int) -> SmoothMap:
+    x = [PolyCoeff.var(n, i) for i in range(1, n + 1)]
+    y = [PolyCoeff.var(n, n + i) for i in range(1, n + 1)]
+    return _symplectic_lift(n, [*y, *(-c for c in x)], "swap")
+
+
+def _shear(n: int, phi: PolyCoeff) -> SmoothMap:
+    half = Fraction(1, 2)
+    grad = [phi.partial(i) for i in range(1, n + 1)]
+    x = [PolyCoeff.var(n, i) for i in range(1, n + 1)]
+    t = PolyCoeff.var(n, 2 * n + 1) - phi
+    for x_i, g_i in zip(x, grad):
+        t = t + (x_i * g_i).scale(half)
+    y = [PolyCoeff.var(n, n + i) + g_i for i, g_i in enumerate(grad, start=1)]
+    return SmoothMap(n, (*x, *y, t), description=f"shear:phi={phi.to_text()}")
+
+
+@st.composite
+def _phi(draw, n: int, degree: int) -> PolyCoeff:
+    """One or two monomials of x-degree 2..degree, small coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        factors = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=degree))
+        exps = [0] * (2 * n + 1)
+        for i in factors:
+            exps[i] += 1
+        terms[tuple(exps)] = draw(_SMALL)
+    return PolyCoeff(n, terms)
+
+
+@st.composite
+def contactomorphisms(draw, n: int, max_degree: int = 4, max_factors: int = 3):
+    """(f, lam): a composite of 1..max_factors strict contactomorphisms of
+    H^n, or dilations, whose components have total degree at most
+    max_degree, and lam = A(2n+1, f), the product of r^2 over its
+    dilations.  The generators are drawn from transvections, the swap,
+    shears S_phi, left translations and dilations."""
+    f, lam, degree = None, Fraction(1), 1
+    for _ in range(draw(st.integers(1, max_factors))):
+        kinds = ["transvection", "swap", "translation", "dilation"]
+        if 2 * degree <= max_degree:
+            kinds.append("shear")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "transvection":
+            v = draw(st.lists(st.integers(-1, 2), min_size=2 * n, max_size=2 * n).filter(any))
+            g = _transvection(n, v, draw(_SMALL))
+        elif kind == "swap":
+            g = _swap(n)
+        elif kind == "translation":
+            g = builtin_left_translation(draw(st.lists(_SMALL, min_size=2 * n + 1, max_size=2 * n + 1)), n)
+        elif kind == "dilation":
+            r = abs(draw(_SMALL))
+            g = builtin_dilation(r, n)
+            lam *= r * r
+        else:
+            phi_degree = min(3, max_degree // degree)
+            g = _shear(n, draw(_phi(n, phi_degree)))
+            degree *= phi_degree
+        f = g if f is None else compose(g, f)
+    return f, lam
 
 
 class CliResult:

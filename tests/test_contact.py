@@ -39,7 +39,7 @@ from heiscalc.frame import (
 from heiscalc.rumin import basis_J, in_subspace, project_quotient
 from heiscalc.sampling import random_poly, seeded_rng
 
-from conftest import random_form
+from conftest import contactomorphisms, random_form
 
 
 def _var(n, i):
@@ -305,6 +305,28 @@ def test_pullback_matches_untabled_reference(case):
     pulled = pullback_form(f, alpha)
     assert pulled == _fresh_pullback(f, alpha)
     assert pulled.degree == alpha.degree
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generated_contactomorphisms_commute_at_every_degree(n, data):
+    f, lam = data.draw(contactomorphisms(n))
+    assert is_contact(f)
+    assert A_coefficient(2 * n + 1, f) == PolyCoeff.const(n, lam)
+    for k in range(2 * n + 1):
+        assert commute_check(f, k, trials=2)["passed"], (f.label(), k)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_pullback_is_functorial(n, data, seed):
+    # (f o g)* = g* f*, on forms of every degree
+    f, _ = data.draw(contactomorphisms(n, max_degree=2, max_factors=2))
+    g, _ = data.draw(contactomorphisms(n, max_degree=2, max_factors=2))
+    alpha = random_form(seeded_rng(seed), n, data.draw(st.integers(0, 2 * n + 1)), max_degree=2)
+    assert pullback_form(compose(f, g), alpha) == pullback_form(g, pullback_form(f, alpha))
 
 
 def test_pullback_quotient_well_defined():

@@ -191,3 +191,58 @@ def test_nothing_imports_click():
     # The command line runs on argparse; click is no dependency.
     paths = sorted(SRC.parent.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
     assert [p.name for p in paths if "click" in _imported_modules(ast.parse(p.read_text()))] == []
+
+
+def _float_paths(nodes) -> list[str]:
+    """Float paths in the given syntax trees: a parameter named `tol`, a
+    `float` annotation or a `float(...)` call, each with its line, in
+    line order."""
+    found = []
+    for node in (sub for tree in nodes for sub in ast.walk(tree)):
+        if isinstance(node, ast.arg) and node.arg == "tol":
+            found.append((node.lineno, "parameter tol"))
+        annotation = (node.annotation if isinstance(node, (ast.arg, ast.AnnAssign))
+                      else node.returns if isinstance(node, _FUNCTIONS) else None)
+        if annotation is not None and any(isinstance(name, ast.Name) and name.id == "float"
+                                          for name in ast.walk(annotation)):
+            found.append((node.lineno, "float annotation"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "float call"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+# The exact layers: whole modules, and in the otherwise numeric surface
+# module the normal-field conversions with the private helpers they call.
+_EXACT_MODULES = ("coeff.py", "frame.py", "rumin.py", "contact.py", "sampling.py", "_linalg.py")
+_EXACT_CONVERSIONS = ("orientability_e_to_h", "orientability_h_to_e",
+                      "is_characteristic_normal", "heis_tangent_bivector")
+
+
+@pytest.mark.parametrize("name", _EXACT_MODULES)
+def test_exact_modules_have_no_float_path(name):
+    assert _float_paths([ast.parse((SRC / name).read_text())]) == []
+
+
+def test_normal_field_conversions_have_no_float_path():
+    tree = ast.parse((SRC / "surface.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, _FUNCTIONS)}
+    checked = [functions[name] for name in _EXACT_CONVERSIONS]
+    read = {node.id for f in checked for node in ast.walk(f) if isinstance(node, ast.Name)}
+    checked += [functions[name] for name in sorted(read & functions.keys()) if name.startswith("_")]
+    assert _float_paths(checked) == []
+
+
+def test_float_path_detector():
+    tree = ast.parse(
+        "def f(x: Sequence[float], tol=0.0) -> float:\n"
+        "    return float(x)\n"
+        "def g(*, tol: int | float) -> int:\n"
+        "    y: float = 1\n"
+        "    return int(y)\n"
+        "def h(floats: list, to: float | None = None): return x.float(floats)\n"
+    )
+    assert _float_paths([tree]) == [
+        "line 1: float annotation", "line 1: float annotation", "line 1: parameter tol",
+        "line 2: float call", "line 3: float annotation", "line 3: parameter tol",
+        "line 4: float annotation", "line 6: float annotation",
+    ]

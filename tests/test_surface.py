@@ -486,13 +486,6 @@ def test_h_to_e_reconstructs_euclidean_gradient():
         assert nE == tuple(g.partial(i) for i in (1, 2, 3))
 
 
-def test_e_to_h_numeric():
-    # numeric tilt at a concrete point: n_H = (n_x - y n_t / 2, n_y + x n_t / 2)
-    nH = orientability_e_to_h((1.0, 0.0, 2.0), p=(3.0, 5.0, 0.0))
-    assert nH[0] == pytest.approx(1.0 - 5.0 * 2.0 / 2)
-    assert nH[1] == pytest.approx(0.0 + 3.0 * 2.0 / 2)
-
-
 def test_round_trip_conversions():
     rng = seeded_rng(61)
     for _ in range(5):
@@ -505,8 +498,35 @@ def test_is_characteristic_normal():
     zero = (PolyCoeff.zero(1), PolyCoeff.zero(1))
     assert is_characteristic_normal(zero)
     assert not is_characteristic_normal((PolyCoeff.var(1, 1), PolyCoeff.zero(1)))
-    assert is_characteristic_normal((1e-14, -1e-13), tol=1e-12)
-    assert not is_characteristic_normal((1e-3, 0.0), tol=1e-12)
+    assert is_characteristic_normal(tuple(PolyCoeff.zero(2) for _ in range(4)))
+
+
+@pytest.mark.parametrize("components, error, message", [
+    ((), ValueError, "^expected 2n horizontal components, got 0$"),
+    ((PolyCoeff.zero(1),), ValueError, "^expected 2n horizontal components, got 1$"),
+    ((PolyCoeff.zero(1), PolyCoeff.zero(2)), ValueError,
+     r"^component ambient H\^2 does not match 2n = 2$"),
+    ((PolyCoeff.zero(1), 0.0), TypeError, "^horizontal components must be PolyCoeff$"),
+], ids=["empty", "odd", "mixed-n", "float"])
+def test_is_characteristic_normal_checks_its_components(components, error, message):
+    # the checks and errors of orientability_h_to_e, which reads the same fields
+    for check in (is_characteristic_normal, orientability_h_to_e):
+        with pytest.raises(error, match=message):
+            check(components)
+
+
+@pytest.mark.parametrize("components, error, message", [
+    ((PolyCoeff.zero(1), PolyCoeff.zero(1)), ValueError,
+     "^expected 2n \\+ 1 Euclidean components, got 2$"),
+    ((PolyCoeff.zero(1), PolyCoeff.zero(1), 2.0), TypeError,
+     "^Euclidean components must be PolyCoeff$"),
+    ((1.0, 0.0, 2.0), TypeError, "^Euclidean components must be PolyCoeff$"),
+    ((PolyCoeff.zero(1), PolyCoeff.zero(2), PolyCoeff.zero(1)), ValueError,
+     r"^component ambient H\^2 does not match 2n = 2$"),
+], ids=["even", "float-vertical", "all-float", "mixed-n"])
+def test_e_to_h_checks_its_components(components, error, message):
+    with pytest.raises(error, match=message):
+        orientability_e_to_h(components)
 
 
 def test_heis_tangent_bivector():
