@@ -403,7 +403,10 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     for sep in ("x", "X", ","):
         if sep in spec:
             a, b = spec.split(sep, 1)
-            return int(a), int(b)
+            try:
+                return int(a), int(b)
+            except ValueError:
+                break
     raise ValueError(f"cannot parse grid {spec!r}; expected e.g. 1024x512")
 
 

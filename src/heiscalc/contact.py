@@ -412,7 +412,8 @@ def commute_check(f: SmoothMap, k: int, trials: int = 50, seed: int = 42, degree
                 "operator_then_pullback": form_to_json(lhs),
             }
 
-    counterexample = _first_counterexample(enumerate(_chain_draws(rng, n, k, degree, trials)), check)
+    counterexample = _first_counterexample(enumerate(_chain_draws(rng, n, k, degree, trials)), check,
+                                           lambda drawn: {"trial": drawn[0], "input": form_to_json(drawn[1])})
     return {
         "suite": "pullback-commutation",
         "map": f.label(),
@@ -465,6 +466,7 @@ def verify_subspaces(n: int, seed: int = 42) -> dict:
                 if not in_subspace(kind, k, n, pulled):
                     return {"k": k, "element": form_to_json(element), "image": form_to_json(pulled)}
 
-            failure = _first_counterexample(elements, check)
+            failure = _first_counterexample(elements, check,
+                                            lambda item: {"k": item[0], "element": form_to_json(item[1])})
             checks.append(_check_report(f"{f.label()} preserves {name}", failure))
     return _suite_report("subspace-preservation", n, seed, checks)

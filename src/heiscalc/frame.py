@@ -12,8 +12,8 @@ dt - (1/2) sum_j (x_j dy_j - y_j dx_j), with dtheta = -sum_j dx_j^dy_j.
 
 Forms and multivectors are stored blade-sparsely: a mapping from strictly
 increasing index tuples to PolyCoeff coefficients.  The two algebras
-mirror each other but stay distinct types, since the Hodge star and the
-duality pairing treat them asymmetrically.
+mirror each other but stay distinct types, since the Hodge star acts on
+multivectors only and `inner` refuses to pair a form with a multivector.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ __all__ = [
     "wedge",
     "exterior_derivative",
     "hodge_star",
-    "horizontal_gradient",
-    "pairing",
     "inner",
     "dx",
     "dy",
@@ -457,19 +455,11 @@ def hodge_star(v: MultiVector) -> MultiVector:
     return MultiVector(n, 2 * n + 1 - v.degree, coeffs)
 
 
-def horizontal_gradient(f: PolyCoeff) -> MultiVector:
-    """grad_H f = sum_j (X_j f) X_j + (Y_j f) Y_j; no T component."""
-    n = f.n
-    coeffs: dict[Blade, PolyCoeff] = {}
-    for j in range(1, 2 * n + 1):
-        c = frame_apply(j, f)
-        if not c.is_zero():
-            coeffs[(j,)] = c
-    return MultiVector(n, 1, coeffs)
-
-
-def _blade_dot(a: _GradedElement, b: _GradedElement) -> PolyCoeff:
-    """Sum of coefficient products over shared blades (orthonormal blades)."""
+def inner(a: T_, b: T_) -> PolyCoeff:
+    """Blade-orthonormal inner product of two like-graded elements: the
+    sum of coefficient products over shared blades."""
+    if type(a) is not type(b):
+        raise TypeError(f"cannot pair {type(a).__name__} with {type(b).__name__}")
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: n={a.n} vs n={b.n}")
     if a.degree != b.degree and not (a.is_zero() or b.is_zero()):
@@ -480,20 +470,6 @@ def _blade_dot(a: _GradedElement, b: _GradedElement) -> PolyCoeff:
         if other is not None:
             total = total + coeff * other
     return total
-
-
-def pairing(omega: Form, v: MultiVector) -> PolyCoeff:
-    """Duality pairing; coframe and frame blades are orthonormal."""
-    if not isinstance(omega, Form) or not isinstance(v, MultiVector):
-        raise TypeError("pairing expects (Form, MultiVector)")
-    return _blade_dot(omega, v)
-
-
-def inner(a: T_, b: T_) -> PolyCoeff:
-    """Blade-orthonormal inner product of two like-graded elements."""
-    if type(a) is not type(b):
-        raise TypeError(f"cannot pair {type(a).__name__} with {type(b).__name__}")
-    return _blade_dot(a, b)
 
 
 @lru_cache(maxsize=None)

@@ -44,7 +44,6 @@ from .frame import (
     _d_table,
     _int_row,
     _rows_times,
-    blade_name,
     contact_form,
     d_contact_form,
     exterior_derivative,
@@ -61,13 +60,10 @@ __all__ = [
     "basis_quotient",
     "basis_E0",
     "project_quotient",
-    "L_apply",
-    "L_inverse",
     "lift",
     "d_Q_low",
     "d_Q_high",
     "D_second_order",
-    "weight_of",
     "d0_part",
     "d0_inverse",
     "d0_corrector",
@@ -370,43 +366,7 @@ def project_quotient(alpha: Form) -> Form:
     return Pi_E0(alpha)
 
 
-def strip_theta(alpha: Form) -> Form:
-    """Drop every blade containing theta; the canonical representative
-    modulo {gamma ^ theta}."""
-    t_idx = theta_index(alpha.n)
-    kept = {blade: c for blade, c in alpha.coeffs.items() if t_idx not in blade}
-    return Form(alpha.n, alpha.degree, kept)
-
-
-# -- the isomorphism L and the lifting ---------------------------------------
-
-
-def _check_horizontal(alpha: Form, expected_degree: int, label: str) -> None:
-    if alpha.degree != expected_degree and not alpha.is_zero():
-        raise ValueError(f"{label} expects degree {expected_degree}, got {alpha.degree}")
-    t_idx = theta_index(alpha.n)
-    for blade in alpha.coeffs:
-        if t_idx in blade:
-            raise ValueError(f"{label} expects no theta component, found {blade_name(alpha.n, blade)}")
-
-
-def L_apply(beta: Form) -> Form:
-    """L : Lambda^{n-1} h1 -> Lambda^{n+1} h1, beta -> dtheta ^ beta."""
-    n = beta.n
-    _check_horizontal(beta, n - 1, "L_apply")
-    return d_contact_form(n).wedge(beta)
-
-
-def L_inverse(gamma: Form) -> Form:
-    """Solve L beta = gamma for the unique theta-free beta.
-
-    At degree n, d0(b ^ theta) = (-1)^(n-1) L b, so beta ^ theta is
-    (-1)^(n-1) d0+ gamma; the pseudo-inverse lands on theta blades only.
-    """
-    n = gamma.n
-    _check_horizontal(gamma, n + 1, "L_inverse")
-    image = _apply(_d0_pseudo_inverse(n, n), gamma, n)
-    return Form._from_clean(n, n - 1, {b[:-1]: c if n % 2 else -c for b, c in image.coeffs.items()})
+# -- the lifting -------------------------------------------------------------
 
 
 def lift(alpha: Form) -> Form:
@@ -418,7 +378,9 @@ def lift(alpha: Form) -> Form:
     d(b ^ theta) = db ^ theta + (-1)^(n-1) b ^ dtheta, the theta-free part
     of its differential is (d alpha_h)|_h + (-1)^(n-1) L b, where (.)|_h
     keeps only the theta-free blades.  Killing it forces
-    b = L^{-1}((-1)^n (d alpha_h)|_h), and by `L_inverse` that makes
+    b = L^{-1}((-1)^n (d alpha_h)|_h).  At degree n,
+    d0(b ^ theta) = (-1)^(n-1) L b, so d0+ sends a theta-free gamma to
+    (-1)^(n-1) L^{-1} gamma ^ theta, and
     b ^ theta = -d0+ (d alpha_h)|_h.  d0+ ignores theta blades, and d0+ d0
     is the identity on the theta blades of degree n, so the lift is
     alpha - d0+ (d alpha).  d kills the lift of every form in I^n, so
@@ -475,18 +437,7 @@ def rumin_operator(alpha: Form) -> Form:
     return d_Q_high(alpha)
 
 
-# -- weights and the d0 machinery ---------------------------------------------
-
-
-def weight_of(alpha: Form) -> int | Literal["mixed"]:
-    """Total coframe weight when pure (theta weighs 2), else "mixed"."""
-    if alpha.is_zero():
-        raise ValueError("the zero form has no weight")
-    t_idx = theta_index(alpha.n)
-    weights = {len(blade) + (1 if t_idx in blade else 0) for blade in alpha.coeffs}
-    if len(weights) == 1:
-        return weights.pop()
-    return "mixed"
+# -- the d0 machinery ---------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -586,10 +537,21 @@ def _chain_draws(rng, n: int, k: int, degree: int, trials: int) -> Iterator[Form
     return (random_combination(rng, _chain_rows(n, k), max_degree=degree) for _ in range(trials))
 
 
-def _first_counterexample(inputs: Iterable, check) -> dict | None:
+def _first_counterexample(inputs: Iterable, check,
+                          named=lambda alpha: {"input": form_to_json(alpha)}) -> dict | None:
     """The first counterexample check(input) reports over inputs, or None.
-    Nothing is drawn after it, so the seed fixes it."""
-    return next((failure for failure in map(check, inputs) if failure is not None), None)
+    Nothing is drawn after it, so the seed fixes it.  An operator's own
+    AssertionError, a failed check of its output, is a counterexample
+    too: named(input), the input as the check's counterexamples name it,
+    with the error's message."""
+    for item in inputs:
+        try:
+            failure = check(item)
+        except AssertionError as exc:
+            failure = {**named(item), "error": str(exc)}
+        if failure is not None:
+            return failure
+    return None
 
 
 def _check_report(name: str, failure: dict | None, **extra) -> dict:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from heiscalc.coeff import PolyCoeff
 from heiscalc.contact import SmoothMap, builtin_dilation, builtin_left_translation, compose
-from heiscalc.frame import Form, all_blades
+from heiscalc.frame import Form, all_blades, d_contact_form
 from heiscalc.sampling import random_poly
 
 
@@ -23,6 +24,89 @@ def random_form(rng, n: int, degree: int, max_degree: int = 3) -> Form:
     """A random form with a `random_poly` coefficient on every blade,
     drawn in blade order."""
     return Form(n, degree, {blade: random_poly(rng, n, max_degree) for blade in all_blades(n, degree)})
+
+
+# -- exact dense linear algebra ---------------------------------------------
+
+
+def rref(rows):
+    """(reduced rows, pivot columns) of a Fraction matrix by plain
+    Gauss-Jordan elimination; zero rows are dropped."""
+    mat = [list(row) for row in rows]
+    if not mat:
+        return [], []
+    width = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        mat[r] = [value / mat[r][c] for value in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def solve(rows, rhs):
+    """One exact solution of A x = b, or None when inconsistent."""
+    width = len(rows[0])
+    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    solution = [Fraction(0)] * width
+    for row, p in zip(reduced, pivots):
+        if p == width:
+            return None
+        solution[p] = row[width]
+    return solution
+
+
+# -- an oracle for L^{-1} and the theta-free part -----------------------------
+#
+# L = dtheta ^ maps the theta-free (n-1)-forms one to one onto the
+# theta-free (n+1)-forms.  Its inverse is solved here from Form.wedge
+# alone, so a check of rumin's lift against it reads no table of rumin.
+
+
+def theta_free(alpha: Form) -> Form:
+    """alpha without its theta blades, its representative modulo {gamma ^ theta}."""
+    t_idx = 2 * alpha.n + 1
+    return Form(alpha.n, alpha.degree, {b: c for b, c in alpha.coeffs.items() if t_idx not in b})
+
+
+@lru_cache(maxsize=None)
+def dense_L_inverse(n: int):
+    """(source, target, matrix): the matrix of L^{-1} from the theta-free
+    (n+1)-blades (target, its columns) to the theta-free (n-1)-blades
+    (source, its rows), one solve of dtheta ^ b = gamma per target blade."""
+    t_idx = 2 * n + 1
+    source = tuple(b for b in all_blades(n, n - 1) if t_idx not in b)
+    target = tuple(b for b in all_blades(n, n + 1) if t_idx not in b)
+    L = [[Fraction(0)] * len(source) for _ in target]
+    for j, b in enumerate(source):
+        for blade, c in d_contact_form(n).wedge(Form.from_blade(n, b)).coeffs.items():
+            L[target.index(blade)][j] = c._constant()
+    columns = [solve(L, [Fraction(int(r == i)) for r in range(len(target))]) for i in range(len(target))]
+    return source, target, [[col[i] for col in columns] for i in range(len(source))]
+
+
+def L_inverse(gamma: Form) -> Form:
+    """The theta-free b of degree n - 1 with dtheta ^ b = gamma, for a
+    theta-free gamma of degree n + 1."""
+    n = gamma.n
+    source, target, matrix = dense_L_inverse(n)
+    if gamma.degree != n + 1 or not set(gamma.coeffs) <= set(target):
+        raise ValueError("L_inverse expects a theta-free form of degree n + 1")
+    zero = PolyCoeff.zero(n)
+    column = [gamma.coeffs.get(b, zero) for b in target]
+    return Form(n, n - 1, {b: sum((c.scale(v) for c, v in zip(column, row) if v), zero)
+                           for b, row in zip(source, matrix)})
 
 
 # -- strict contactomorphisms -------------------------------------------------

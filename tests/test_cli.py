@@ -151,6 +151,33 @@ def test_verify_exit_one_on_failure(run_cli, monkeypatch):
     assert "FAIL" in result.stdout
 
 
+def test_verify_reports_a_broken_lift_on_one_and_two_cpus(run_cli, validator, monkeypatch):
+    # D's own check of its output fires on the flipped lift correction;
+    # every suite reports it as a counterexample, in this process and in
+    # the forked worker alike, so the run exits 1 with no traceback.
+    import heiscalc.cli as cli_mod
+    import heiscalc.rumin as rumin_mod
+    from test_mutants import _lift_flipped
+
+    monkeypatch.setattr(rumin_mod, "lift", _lift_flipped)
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli_mod, "_cpus", lambda cpus=cpus: cpus)
+        result = run_cli(["verify", "--n", "2", "--trials", "3", "--seed", "1", "--format", "json"])
+        assert (result.exit_code, result.stderr) == (1, ""), cpus
+        assert isinstance(result.exception, SystemExit)
+        payload = json.loads(result.stdout)
+        _assert_valid(validator, payload)
+        assert payload["passed"] is False
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    failed = [c for s in payload["suites"] for c in s["checks"] if not c["passed"]]
+    # the lifting suite's own check fails first; every other failure is D's error
+    errors = {c["counterexample"].get("error") for c in failed}
+    assert errors == {None, "D output escaped J^{n+1}; the lifting is broken"}
+    assert all("input" in c["counterexample"] for c in failed)
+
+
 # -- commute --------------------------------------------------------------------
 
 
@@ -556,8 +583,12 @@ def test_mobius_grid_spellings(run_cli, tmp_path):
              "--out", str(tmp_path)],
         )
         assert result.exit_code == 0, spec
-    assert run_cli(["mobius", "--radius", "0.3", "--half-width", "0.2", "--grid", "junk",
-               "--out", str(tmp_path)]).exit_code == 2
+    # every refusal names the spec and the expected form
+    for spec in ("junk", "axb", "64x", "x64", "64xb", "1x2x3"):
+        result = run_cli(["mobius", "--radius", "0.3", "--half-width", "0.2", "--grid", spec,
+                          "--out", str(tmp_path)])
+        assert (result.exit_code, result.stderr) == (
+            2, f"Error: cannot parse grid {spec!r}; expected e.g. 1024x512\n"), spec
     assert run_cli(["mobius", "--radius", "0.3", "--half-width", "0.2", "--grid", "32x32",
                "--out", str(tmp_path)]).exit_code == 2
 

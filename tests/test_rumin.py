@@ -25,8 +25,6 @@ from heiscalc.frame import (
 from heiscalc import rumin
 from heiscalc.rumin import (
     D_second_order,
-    L_apply,
-    L_inverse,
     basis_E0,
     basis_I,
     basis_J,
@@ -42,15 +40,13 @@ from heiscalc.rumin import (
     lift,
     project_quotient,
     rumin_operator,
-    strip_theta,
     verify_complex,
     verify_dc,
     verify_lifting,
-    weight_of,
 )
 from heiscalc.sampling import combination_rows, random_combination, random_poly, seeded_rng
 
-from conftest import random_form
+from conftest import L_inverse, random_form, rref, solve, theta_free
 
 
 def _var(n, i):
@@ -61,41 +57,18 @@ def _var(n, i):
 #
 # The constant operators as rumin built them before the Lefschetz block
 # kernel: dense Gauss-Jordan over every blade of a degree, Gram-Schmidt,
-# and one solve per column, with d0 and L read off Form.wedge and
-# d0_part on unit forms.  The block kernel must reproduce them exactly.
+# and one solve per column, with d0 read off Form.wedge on unit forms
+# (L^-1 is conftest's dense oracle).  The block kernel must reproduce
+# them exactly.
 
 
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _rref(rows):
-    mat = [list(row) for row in rows]
-    if not mat:
-        return [], []
-    width = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        mat[r] = [value / mat[r][c] for value in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
 def _perp(rows, width):
     """Basis of the orthogonal complement of the row span."""
-    reduced, pivots = _rref(rows)
+    reduced, pivots = rref(rows)
     basis = []
     for f in (c for c in range(width) if c not in pivots):
         vec = [Fraction(0)] * width
@@ -118,18 +91,6 @@ def _gram_schmidt(rows):
         if any(value != 0 for value in vec):
             ortho.append(vec)
     return ortho
-
-
-def _solve(rows, rhs):
-    """One exact solution of A x = b, or None when inconsistent."""
-    width = len(rows[0])
-    reduced, pivots = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    solution = [Fraction(0)] * width
-    for row, p in zip(reduced, pivots):
-        if p == width:
-            return None
-        solution[p] = row[width]
-    return solution
 
 
 def _vector(alpha, blades):
@@ -173,7 +134,7 @@ def _dense_basis(kind, k, n):
             rows = _perp(_perp(kernel, width) + image, width)
         else:
             rows = kernel
-    return _rref(rows)[0]
+    return rref(rows)[0]
 
 
 def _dense_d0(n, k):
@@ -195,7 +156,7 @@ def _dense_d0_image(n, k):
     if k < 0:
         return []
     matrix = _dense_d0(n, k)
-    return _rref(list(zip(*matrix)))[0] if matrix else []
+    return rref(list(zip(*matrix)))[0] if matrix else []
 
 
 def _dense_d0_pinv(n, k):
@@ -215,7 +176,7 @@ def _dense_d0_pinv(n, k):
         if not any(projected) or not coker:
             columns.append([Fraction(0)] * len(source))
             continue
-        solution = _solve(stacked, projected)
+        solution = solve(stacked, projected)
         preimage = [Fraction(0)] * len(source)
         for c, vec in zip(solution, coker):
             preimage = [p + c * b for p, b in zip(preimage, vec)]
@@ -233,17 +194,6 @@ def _dense_projector(rows, width):
             for j in range(width):
                 matrix[i][j] += u[i] * u[j] / norm
     return matrix
-
-
-def _dense_L_inverse(n):
-    t_idx = 2 * n + 1
-    source = [b for b in all_blades(n, n - 1) if t_idx not in b]
-    target = [b for b in all_blades(n, n + 1) if t_idx not in b]
-    dtheta = d_contact_form(n)
-    rows = _columns_to_matrix([_vector(dtheta.wedge(Form.from_blade(n, b)), target) for b in source],
-                              len(target))
-    columns = [_solve(rows, [Fraction(int(r == i)) for r in range(len(target))]) for i in range(len(target))]
-    return _columns_to_matrix(columns, len(source))
 
 
 def _matmul(a, b, inner):
@@ -355,7 +305,7 @@ def test_E0_halves_vanish_across_the_middle(n):
     for k in range(0, 2 * n + 2):
         for block in rumin._blocks(n, k):
             if block.theta == (k <= n):
-                assert _rref(rumin._span_rows("E0", block))[0] == [], (k, block.blades)
+                assert rref(rumin._span_rows("E0", block))[0] == [], (k, block.blades)
 
 
 def _monomial_count(n, m):
@@ -518,16 +468,16 @@ def test_project_quotient_idempotent():
     cls = project_quotient(a)
     assert project_quotient(cls) == cls
     # representative is theta-free
-    assert strip_theta(cls) == cls
+    assert theta_free(cls) == cls
 
 
 def test_theta_class():
     # canonical representative modulo {gamma ^ theta} is the theta-free part
     n = 1
     a = wedge(dx(n), contact_form(n)) + wedge(dx(n), dy(n))
-    cls = strip_theta(a)
+    cls = theta_free(a)
     assert cls == wedge(dx(n), dy(n))
-    assert cls == strip_theta(wedge(dx(n), dy(n)))
+    assert cls == theta_free(wedge(dx(n), dy(n)))
 
 
 # -- Lefschetz maps ----------------------------------------------------------
@@ -535,19 +485,26 @@ def test_theta_class():
 
 def test_L_oracle_n2():
     n = 2
-    assert L_apply(dx(n, 1)) == -wedge(wedge(dx(n, 1), dx(n, 2)), dy(n, 2))
-    assert L_apply(dx(n, 2)) == wedge(wedge(dx(n, 1), dx(n, 2)), dy(n, 1))
-    assert L_apply(dy(n, 1)) == wedge(wedge(dx(n, 2), dy(n, 1)), dy(n, 2))
-    assert L_apply(dy(n, 2)) == -wedge(wedge(dx(n, 1), dy(n, 1)), dy(n, 2))
+    L = d_contact_form(n).wedge
+    assert L(dx(n, 1)) == -wedge(wedge(dx(n, 1), dx(n, 2)), dy(n, 2))
+    assert L(dx(n, 2)) == wedge(wedge(dx(n, 1), dx(n, 2)), dy(n, 1))
+    assert L(dy(n, 1)) == wedge(wedge(dx(n, 2), dy(n, 1)), dy(n, 2))
+    assert L(dy(n, 2)) == -wedge(wedge(dx(n, 1), dy(n, 1)), dy(n, 2))
 
 
 def test_L_inverse_inverts():
+    # d0+ at degree n inverts L up to the sign `lift` rests on:
+    # d0+ (dtheta ^ beta) = (-1)^(n-1) beta ^ theta for theta-free beta,
+    # and the oracle inverts L outright.
     rng = seeded_rng(11)
-    for n in (1, 2):
+    for n in (1, 2, 3):
+        d0_plus = rumin._d0_pseudo_inverse(n, n)
         for _ in range(10):
             # horizontal (n-1)-form
-            beta = strip_theta(random_form(rng, n, n - 1, max_degree=2))
-            assert L_inverse(L_apply(beta)) == beta
+            beta = theta_free(random_form(rng, n, n - 1, max_degree=2))
+            gamma = d_contact_form(n).wedge(beta)
+            assert rumin._apply(d0_plus, gamma, n) == beta.wedge(contact_form(n)).scale((-1) ** (n - 1))
+            assert L_inverse(gamma) == beta
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -602,10 +559,13 @@ def test_block_kernel_matches_dense_construction(n):
         pinv = rumin._d0_pseudo_inverse(n, k)
         assert pinv.inputs == tuple(all_blades(n, k + 1))
         assert _op_matrix(pinv, blades) == _dense_d0_pinv(n, k), k
-    source = [b for b in all_blades(n, n - 1) if 2 * n + 1 not in b]
-    target = [b for b in all_blades(n, n + 1) if 2 * n + 1 not in b]
-    columns = [_vector(L_inverse(Form.from_blade(n, b)), source) for b in target]
-    assert _columns_to_matrix(columns, len(source)) == _dense_L_inverse(n)
+    # d0+ sends each theta-free (n+1)-blade gamma to (-1)^(n-1) L^-1 gamma ^ theta
+    d0_plus = rumin._d0_pseudo_inverse(n, n)
+    for b in all_blades(n, n + 1):
+        if 2 * n + 1 not in b:
+            gamma = Form.from_blade(n, b)
+            expected = L_inverse(gamma).wedge(contact_form(n)).scale((-1) ** (n - 1))
+            assert rumin._apply(d0_plus, gamma, n) == expected, b
 
 
 # -- lifting -----------------------------------------------------------------
@@ -637,15 +597,15 @@ def test_lift_defining_property(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lift_ignores_the_theta_part(n):
-    # u -> lift(u) - lift(strip_theta(u)) has order 1, so by the jet
+    # u -> lift(u) - lift(theta_free(u)) has order 1, so by the jet
     # argument (see `_jets`) killing every monomial of degree <= 1 times
     # every degree-n blade proves lift(alpha + beta ^ theta) = lift(alpha)
     # on every smooth form, and with it D(alpha + beta ^ theta) = D(alpha).
     for blade in all_blades(n, n):
         for m in _jets(n, 1):
             a = Form.from_blade(n, blade, m)
-            assert lift(a) == lift(strip_theta(a)), (blade, m)
-            assert D_second_order(a) == D_second_order(strip_theta(a)), (blade, m)
+            assert lift(a) == lift(theta_free(a)), (blade, m)
+            assert D_second_order(a) == D_second_order(theta_free(a)), (blade, m)
 
 
 # -- the chain ---------------------------------------------------------------
@@ -738,6 +698,17 @@ def test_first_counterexample_stops_at_the_first_failure():
     with pytest.raises(ValueError, match="trials must be >= 1"):
         rumin._chain_draws(seeded_rng(0), 1, 1, 3, 0)
     assert seen == [0, 1, 2, 3, 4]
+    seen.clear()
+
+    def broken(trial):
+        # an operator's failed output check is the input's counterexample
+        seen.append(trial)
+        if trial == 3:
+            raise AssertionError("output escaped")
+
+    failure = rumin._first_counterexample(range(10), broken, lambda trial: {"trial": trial})
+    assert failure == {"trial": 3, "error": "output escaped"}
+    assert seen == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("suite", [verify_complex, verify_lifting, verify_dc])
@@ -809,14 +780,6 @@ def test_operators_are_functions_of_the_class_n3():
 
 
 # -- weight grading and d0 ----------------------------------------------------
-
-
-def test_weight_of():
-    n = 2
-    assert weight_of(dx(n, 1)) == 1
-    assert weight_of(contact_form(n)) == 2
-    assert weight_of(wedge(dx(n, 1), contact_form(n))) == 3
-    assert weight_of(dx(n, 1) + contact_form(n)) == "mixed"
 
 
 def test_d0_weight_preserving_and_nilpotent():

@@ -9,6 +9,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heiscalc"
 TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def _assert_statements(tree: ast.Module) -> list[int]:
@@ -107,11 +108,14 @@ def _owned_nodes(tree: ast.Module):
                 yield getattr(statement, "name", None), node
 
 
-def _unreferenced_private_functions(trees: dict[str, ast.Module]) -> list[str]:
-    """Private module-level functions, and private methods of module-level
-    classes, that no module of `trees` reads outside their own definition.
-    A method counts as read by any attribute of its name; assignment
-    targets are not reads."""
+def _unreferenced_definitions(trees: dict[str, ast.Module], public: bool = False,
+                              defined_in: dict[str, ast.Module] | None = None) -> list[str]:
+    """Module-level functions, and methods of module-level classes, of the
+    modules `defined_in` (default: all of `trees`) that no module of
+    `trees` reads outside their own definition: the private ones (one
+    leading underscore), or with `public` the public ones and the
+    module-level classes.  A method counts as read by any attribute of
+    its name; assignment targets are not reads."""
     # (module, owner of the read) per name read
     readers: dict[str, set] = {}
     for module, tree in trees.items():
@@ -127,24 +131,25 @@ def _unreferenced_private_functions(trees: dict[str, ast.Module]) -> list[str]:
             for name in names:
                 readers.setdefault(name, set()).add((module, owner))
     definitions = []  # (module, definition, its owner name)
-    for module, tree in sorted(trees.items()):
+    for module, tree in sorted((trees if defined_in is None else defined_in).items()):
         for statement in tree.body:
-            if isinstance(statement, _FUNCTIONS):
+            if isinstance(statement, _FUNCTIONS) or (public and isinstance(statement, ast.ClassDef)):
                 definitions.append((module, statement, statement.name))
-            elif isinstance(statement, ast.ClassDef):
+            if isinstance(statement, ast.ClassDef):
                 definitions.extend((module, member, f"{statement.name}.{member.name}")
                                    for member in statement.body if isinstance(member, _FUNCTIONS))
     return [
         f"{module}: {owner}"
         for module, node, owner in definitions
-        if node.name.startswith("_") and not node.name.startswith("__")
+        if (not node.name.startswith("_") if public else
+            node.name.startswith("_") and not node.name.startswith("__"))
         and not readers.get(node.name, set()) - {(module, owner)}
     ]
 
 
 def test_no_unreferenced_private_functions():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert _unreferenced_private_functions(trees) == []
+    assert _unreferenced_definitions(trees) == []
 
 
 def test_unreferenced_private_function_detector():
@@ -154,7 +159,7 @@ def test_unreferenced_private_function_detector():
         "b.py": ast.parse("from .a import _used as alias\nimport a\ndef _via_attribute(): pass\n"
                           "a._via_attribute\ndef _rebound(): pass\n_rebound = None\n"),
     }
-    assert _unreferenced_private_functions(trees) == ["a.py: _dead", "b.py: _rebound"]
+    assert _unreferenced_definitions(trees) == ["a.py: _dead", "b.py: _rebound"]
 
 
 def test_unreferenced_private_method_detector():
@@ -173,7 +178,49 @@ def test_unreferenced_private_method_detector():
         ),
         "b.py": ast.parse("def public(obj): return obj._used_elsewhere()\nC._dead = None\n"),
     }
-    assert _unreferenced_private_functions(trees) == ["a.py: C._dead"]
+    assert _unreferenced_definitions(trees) == ["a.py: C._dead"]
+
+
+# Public definitions that no module of src/ or bench/ reads, each kept
+# for the reason given.  An entry for a name that gains a reader is stale.
+_KEPT_PUBLIC = {
+    "coeff.py: PolyCoeff.eval_exact": "oracle: exact evaluation at a rational point",
+    "contact.py: A_coefficient": "claim c06, the contactness ledger",
+    "contact.py: lambda_coefficient": "claim c06, the contactness ledger",
+    "contact.py: is_contact": "tracer binding (bench/tracer.py) until ROADMAP item 11",
+    "frame.py: all_blades": "many test readers",
+    "frame.py: dx": "many test readers",
+    "frame.py: dy": "many test readers",
+    "frame.py: form_from_json": "planned caller: ROADMAP item 12",
+    "rumin.py: P_apply": "tracer binding (bench/tracer.py) until ROADMAP item 11",
+    "surface.py: scan_grid": "tracer binding (bench/tracer.py) until ROADMAP item 11",
+    "surface.py: mobius_normal_components": "oracle for claim c10; ROADMAP item 9 gives it a caller",
+    "surface.py: mobius_characteristic_closed_form": "claim c10, the closed-form characteristic point",
+    "surface.py: orientability_e_to_h": "claim c11, the surface conversions",
+    "surface.py: orientability_h_to_e": "claim c11, the surface conversions",
+    "surface.py: is_characteristic_normal": "claim c11, the surface conversions",
+    "surface.py: heis_tangent_bivector": "claim c11, the surface conversions",
+}
+
+
+def test_no_unreferenced_public_definitions():
+    src = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    bench = {f"bench/{path.name}": ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))}
+    unreferenced = _unreferenced_definitions({**src, **bench}, public=True, defined_in=src)
+    assert [name for name in unreferenced if name not in _KEPT_PUBLIC] == []
+    assert [name for name in _KEPT_PUBLIC if name not in unreferenced] == []  # stale entries
+
+
+def test_unreferenced_public_definition_detector():
+    src = {
+        "a.py": ast.parse("def used(): pass\ndef dead(): return dead()\ndef _private(): pass\n"
+                          "class Read:\n    def method(self): pass\n    def __repr__(self): pass\n"
+                          "class Unread:\n    def run(self): return self.run()\n"),
+        "b.py": ast.parse("from .a import used\nclass Base: pass\nclass Derived(Base): pass\n"),
+    }
+    bench = {"bench/c.py": ast.parse("import a\na.Read().method()\ndef unread_in_bench(): pass\n")}
+    assert _unreferenced_definitions({**src, **bench}, public=True, defined_in=src) == [
+        "a.py: dead", "a.py: Unread", "a.py: Unread.run", "b.py: Derived"]
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
