@@ -21,9 +21,11 @@ constructor, `var`, `terms`, printing, degrees, evaluation and
 substitution.
 
 The ring operations work on ints only and reduce the result once, by
-the gcd of the denominator and every numerator.  The canonical term
-order used for printing is graded lexicographic, highest total degree
-first.
+the gcd of the denominator and every numerator.  Every sum, difference
+and scaling of polynomials is one call of the kernel
+`PolyCoeff.combine`, an integer linear combination over a common
+denominator.  The canonical term order used for printing is graded
+lexicographic, highest total degree first.
 """
 
 from __future__ import annotations
@@ -133,7 +135,9 @@ class PolyCoeff:
     validates and packs every tuple and coerces and filters every
     coefficient.  Ring operations whose results are canonical by
     construction go through the trusted `_from_clean`, after one
-    reduction by the gcd where the denominator exceeds 1.
+    reduction by the gcd where the denominator exceeds 1.  `+`, `-`
+    and `scale` are each one `combine` call, the only code that sums
+    polynomials.
     """
 
     __slots__ = ("n", "num", "den")
@@ -231,32 +235,31 @@ class PolyCoeff:
         """The exact sum of c * p over the (int c, polynomial p) pairs, divided by den >= 1.
 
         Numerators accumulate as ints over the lcm of the polynomials'
-        denominators, and the sum is reduced once at the end.  Zero
-        polynomials are skipped; a zero c only adds zero numerators.  A
-        lone nonzero polynomial with c = 1 and den = 1 is returned as it
-        is, as `__add__` returns an operand: nothing mutates `num`.
+        denominators, and the sum is reduced once at the end.  Every
+        polynomial must live in H^n; zero ones are then skipped, and a
+        zero c only adds zero numerators.  A lone nonzero polynomial with
+        c = 1 and den = 1 is returned as it is: nothing mutates `num`.
         """
-        pairs = [(c, p) for c, p in pairs if p.num]
-        if not pairs:
-            return cls._from_clean(n, {})
-        if len(pairs) == 1 and pairs[0][0] == 1 and den == 1 and pairs[0][1].n == n:
-            return pairs[0][1]  # a lone unit entry: the polynomial itself
-        common = lcm(*(p.den for _, p in pairs))
-        acc: dict[int, int] = {}
-        get = acc.get
+        live = []
         for c, p in pairs:
             if p.n != n:
                 raise ValueError(f"ambient dimension mismatch: n={p.n} vs n={n}")
+            if p.num:
+                live.append((c, p))
+        if not live:
+            return cls._from_clean(n, {})
+        if len(live) == 1 and live[0][0] == 1 and den == 1:
+            return live[0][1]  # a lone unit entry: the polynomial itself
+        common = lcm(*(p.den for _, p in live))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for c, p in live:
             factor = c * (common // p.den)
             for key, v in p.num.items():
                 acc[key] = get(key, 0) + factor * v
         return cls._reduced(n, {key: v for key, v in acc.items() if v}, common * den)
 
     # -- ring structure ----------------------------------------------
-
-    def _check_same_n(self, other: PolyCoeff) -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient dimension mismatch: n={self.n} vs n={other.n}")
 
     def _coerce(self, other) -> PolyCoeff | None:
         if isinstance(other, PolyCoeff):
@@ -269,30 +272,7 @@ class PolyCoeff:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        self._check_same_n(rhs)
-        if not rhs.num:
-            return self
-        if not self.num:
-            return rhs
-        # Equal denominators, the common case, need no rescaling.
-        da, db = self.den, rhs.den
-        den = da if da == db else lcm(da, db)
-        fa, fb = den // da, den // db
-        num = dict(self.num) if fa == 1 else {key: c * fa for key, c in self.num.items()}
-        get = num.get
-        for key, c in rhs.num.items():
-            if fb != 1:
-                c *= fb
-            acc = get(key)
-            if acc is None:
-                num[key] = c
-            else:
-                acc += c
-                if acc:
-                    num[key] = acc
-                else:
-                    del num[key]
-        return PolyCoeff._reduced(self.n, num, den)
+        return PolyCoeff.combine(self.n, [(1, self), (1, rhs)])
 
     __radd__ = __add__
 
@@ -303,20 +283,21 @@ class PolyCoeff:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return PolyCoeff.combine(self.n, [(1, self), (-1, rhs)])
 
     def __rsub__(self, other) -> PolyCoeff:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return PolyCoeff.combine(self.n, [(1, rhs), (-1, self)])
 
     def __mul__(self, other) -> PolyCoeff:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, PolyCoeff):
             return NotImplemented
-        self._check_same_n(other)
+        if self.n != other.n:
+            raise ValueError(f"ambient dimension mismatch: n={self.n} vs n={other.n}")
         acc: dict[int, int] = {}
         get = acc.get
         rhs_items = other.num.items()
@@ -335,13 +316,7 @@ class PolyCoeff:
 
     def scale(self, value: Scalar) -> PolyCoeff:
         frac = _as_fraction(value)
-        if frac == 0:
-            return PolyCoeff._from_clean(self.n, {})
-        p, q = frac.numerator, frac.denominator
-        if p == 1 and q == 1:
-            return self
-        num = {key: c * p for key, c in self.num.items()}
-        return PolyCoeff._reduced(self.n, num, self.den * q)
+        return PolyCoeff.combine(self.n, [(frac.numerator, self)], frac.denominator)
 
     def __pow__(self, power: int) -> PolyCoeff:
         if not isinstance(power, int) or power < 0:

@@ -82,14 +82,11 @@ class SmoothMap(_Frozen):
         rows = [tuple(frame_apply(j, c) for j in range(1, dim + 1)) for c in self.components]
         t_row = rows.pop()
         # wtilde_l o f is +f^{n+l} for l <= n and -f^{l-n} above.
-        twists = [*self.components[n:2 * n], *(-c for c in self.components[:n])]
-        half = Fraction(1, 2)
+        twists = [*((1, c) for c in self.components[n:2 * n]), *((-1, c) for c in self.components[:n])]
         a_row = []
         for j in range(dim):
-            total = t_row[j]
-            for twist, row in zip(twists, rows):
-                total = total + (twist * row[j]).scale(half)
-            a_row.append(total)
+            twisted = [(sign, c * row[j]) for (sign, c), row in zip(twists, rows)]
+            a_row.append(PolyCoeff.combine(n, [(2, t_row[j]), *twisted], 2))
         rows.append(tuple(a_row))
         return tuple(rows)
 
@@ -163,10 +160,10 @@ def lambda_coefficient(j: int, f: SmoothMap) -> PolyCoeff:
     if not 1 <= j <= n:
         raise ValueError(f"lambda index {j} out of range (1..{n})")
     rows = f.frame_matrix  # rows[l - 1][j - 1] = W_j f^l
-    total = PolyCoeff.zero(n)
+    pairs = []
     for x, y in zip(rows[:n], rows[n:2 * n]):
-        total = total + x[j - 1] * y[n + j - 1] - x[n + j - 1] * y[j - 1]
-    return total
+        pairs += [(1, x[j - 1] * y[n + j - 1]), (-1, x[n + j - 1] * y[j - 1])]
+    return PolyCoeff.combine(n, pairs)
 
 
 def _horizontal_A(f: SmoothMap) -> tuple[PolyCoeff, ...]:
@@ -283,12 +280,13 @@ def builtin_left_translation(q: Sequence[Scalar], n: int) -> SmoothMap:
         PolyCoeff.var(n, i) + PolyCoeff.const(n, coords[i - 1])
         for i in range(1, 2 * n + 1)
     ]
-    t_comp = PolyCoeff.var(n, dim) + PolyCoeff.const(n, coords[dim - 1])
     half = Fraction(1, 2)
-    for j in range(1, n + 1):
-        t_comp = t_comp + PolyCoeff.var(n, n + j).scale(half * coords[j - 1])
-        t_comp = t_comp - PolyCoeff.var(n, j).scale(half * coords[n + j - 1])
-    comps.append(t_comp)
+    comps.append(PolyCoeff.combine(n, [
+        (1, PolyCoeff.var(n, dim)),
+        (1, PolyCoeff.const(n, coords[dim - 1])),
+        *((1, PolyCoeff.var(n, n + j).scale(half * coords[j - 1])) for j in range(1, n + 1)),
+        *((-1, PolyCoeff.var(n, j).scale(half * coords[n + j - 1])) for j in range(1, n + 1)),
+    ]))
     text = ",".join(map(_decimal, coords))
     return SmoothMap(n, tuple(comps), description=f"translate:q={text}")
 
@@ -398,11 +396,12 @@ def commute_check(f: SmoothMap, k: int, trials: int = 50, seed: int = 42, degree
     n = f.n
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree k={k} out of range 0..{2 * n}")
-    rng = seeded_rng(seed)
+    draws = enumerate(_chain_draws(seeded_rng(seed), n, k, degree, trials))
+    _require_contact(f)
 
     def check(drawn: tuple[int, Form]) -> dict | None:
         trial, alpha = drawn
-        lhs = _pullback_chain(f, rumin_operator(alpha))  # refuses a non-contact map
+        lhs = _pullback_chain(f, rumin_operator(alpha))
         rhs = rumin_operator(_pullback_chain(f, alpha))
         if lhs != rhs:
             return {
@@ -412,7 +411,7 @@ def commute_check(f: SmoothMap, k: int, trials: int = 50, seed: int = 42, degree
                 "operator_then_pullback": form_to_json(lhs),
             }
 
-    counterexample = _first_counterexample(enumerate(_chain_draws(rng, n, k, degree, trials)), check,
+    counterexample = _first_counterexample(draws, check,
                                            lambda drawn: {"trial": drawn[0], "input": form_to_json(drawn[1])})
     return {
         "suite": "pullback-commutation",

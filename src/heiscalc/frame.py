@@ -120,8 +120,9 @@ class _GradedElement:
 
     The public constructor validates every blade and coefficient.  `+`,
     `-` and `wedge` build canonical results (strictly increasing blades
-    of the right degree, nonzero PolyCoeff values of the same n) and
-    wrap them with the trusted `_from_clean` instead.
+    of the right degree, nonzero PolyCoeff values of the same n), each
+    blade's sum one `PolyCoeff.combine`, and wrap them with the trusted
+    `_from_clean` instead.
     """
 
     __slots__ = ("n", "degree", "coeffs")
@@ -185,29 +186,37 @@ class _GradedElement:
         if self.n != other.n:
             raise ValueError(f"ambient dimension mismatch: n={self.n} vs n={other.n}")
 
-    def __add__(self: T_, other: T_) -> T_:
+    def _plus(self: T_, sign: int, other: T_) -> T_:
+        """self + sign * other for sign = +-1.  Only a blade both hold
+        is summed, with one `PolyCoeff.combine`; the rest are copied."""
         self._check_compatible(other)
-        if self.is_zero():
-            return other
         if other.is_zero():
             return self
+        if self.is_zero():
+            return other if sign > 0 else -other
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         coeffs = dict(self.coeffs)
         for blade, coeff in other.coeffs.items():
             acc = coeffs.get(blade)
-            acc = coeff if acc is None else acc + coeff
+            if acc is None:
+                coeffs[blade] = coeff if sign > 0 else -coeff
+                continue
+            acc = PolyCoeff.combine(self.n, [(1, acc), (sign, coeff)])
             if acc.is_zero():
-                coeffs.pop(blade, None)
+                del coeffs[blade]
             else:
                 coeffs[blade] = acc
         return self._from_clean(self.n, self.degree, coeffs)
+
+    def __add__(self: T_, other: T_) -> T_:
+        return self._plus(1, other)
 
     def __neg__(self: T_) -> T_:
         return self._from_clean(self.n, self.degree, {b: -c for b, c in self.coeffs.items()})
 
     def __sub__(self: T_, other: T_) -> T_:
-        return self + (-other)
+        return self._plus(-1, other)
 
     def scale(self: T_, factor: CoeffLike) -> T_:
         if not isinstance(factor, PolyCoeff):
@@ -237,24 +246,16 @@ class _GradedElement:
 
     def wedge(self: T_, other: T_) -> T_:
         self._check_compatible(other)
-        out_degree = self.degree + other.degree
-        coeffs: dict[Blade, PolyCoeff] = {}
+        columns: dict[Blade, list[tuple[int, PolyCoeff]]] = {}
         for ba, ca in self.coeffs.items():
             for bb, cb in other.coeffs.items():
                 merged = _merge_blades(ba, bb)
-                if merged is None:
-                    continue
-                blade, sign = merged
-                term = ca * cb if sign > 0 else -(ca * cb)
-                acc = coeffs.get(blade)
-                acc = term if acc is None else acc + term
-                if acc.is_zero():
-                    coeffs.pop(blade, None)
-                else:
-                    coeffs[blade] = acc
-        if out_degree > 2 * self.n + 1:
-            return self._from_clean(self.n, out_degree, {})
-        return self._from_clean(self.n, out_degree, coeffs)
+                if merged is not None:
+                    blade, sign = merged
+                    columns.setdefault(blade, []).append((sign, ca * cb))
+        sums = {blade: PolyCoeff.combine(self.n, column) for blade, column in columns.items()}
+        return self._from_clean(self.n, self.degree + other.degree,
+                                {blade: p for blade, p in sums.items() if not p.is_zero()})
 
     def sorted_items(self) -> list[tuple[Blade, PolyCoeff]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
@@ -464,12 +465,8 @@ def inner(a: T_, b: T_) -> PolyCoeff:
         raise ValueError(f"ambient dimension mismatch: n={a.n} vs n={b.n}")
     if a.degree != b.degree and not (a.is_zero() or b.is_zero()):
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    total = PolyCoeff.zero(a.n)
-    for blade, coeff in a.coeffs.items():
-        other = b.coeffs.get(blade)
-        if other is not None:
-            total = total + coeff * other
-    return total
+    return PolyCoeff.combine(a.n, [(1, coeff * b.coeffs[blade]) for blade, coeff in a.coeffs.items()
+                                   if blade in b.coeffs])
 
 
 @lru_cache(maxsize=None)

@@ -541,13 +541,14 @@ def _first_counterexample(inputs: Iterable, check,
                           named=lambda alpha: {"input": form_to_json(alpha)}) -> dict | None:
     """The first counterexample check(input) reports over inputs, or None.
     Nothing is drawn after it, so the seed fixes it.  An operator's own
-    AssertionError, a failed check of its output, is a counterexample
-    too: named(input), the input as the check's counterexamples name it,
-    with the error's message."""
+    AssertionError or ValueError, a failed check of its output or input,
+    is a counterexample too: named(input), the input as the check's
+    counterexamples name it, with the error's message.  So the suites
+    refuse bad arguments before the first check."""
     for item in inputs:
         try:
             failure = check(item)
-        except AssertionError as exc:
+        except (AssertionError, ValueError) as exc:
             failure = {**named(item), "error": str(exc)}
         if failure is not None:
             return failure

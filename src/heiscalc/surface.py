@@ -510,6 +510,14 @@ def _field_n(components: Sequence, label: str, vertical: bool) -> int:
     return n
 
 
+def _tilts(n: int) -> list[tuple[int, PolyCoeff]]:
+    """(sign, w) for i = 1..2n, so that n_{H,i} = n_{E,i} + sign w n_{E,2n+1} / 2:
+    (-1, y_i) for i <= n and (+1, x_{i-n}) above."""
+    from .coeff import PolyCoeff
+
+    return [(sign, PolyCoeff.var(n, i + shift)) for sign, shift in ((-1, n), (1, 0)) for i in range(1, n + 1)]
+
+
 def orientability_e_to_h(nE: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
     """Convert a Euclidean normal field to its horizontal components.
 
@@ -518,15 +526,10 @@ def orientability_e_to_h(nE: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
     fields of the coordinates of one H^n.  An all-zero result marks a
     characteristic field; it is a value, not an error.
     """
-    from fractions import Fraction
-
     from .coeff import PolyCoeff
 
     n = _field_n(nE, "Euclidean", vertical=True)
-    half = nE[2 * n].scale(Fraction(1, 2))
-    xs = [PolyCoeff.var(n, i) for i in range(1, n + 1)]
-    ys = [PolyCoeff.var(n, n + i) for i in range(1, n + 1)]
-    return (*(e - y * half for e, y in zip(nE, ys)), *(e + x * half for e, x in zip(nE[n:], xs)))
+    return tuple(PolyCoeff.combine(n, [(2, e), (sign, w * nE[2 * n])], 2) for e, (sign, w) in zip(nE, _tilts(n)))
 
 
 def orientability_h_to_e(nH: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
@@ -537,25 +540,15 @@ def orientability_h_to_e(nH: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
     horizontal components are untilted.  Components must be polynomial
     so the derivatives are exact.
     """
-    from fractions import Fraction
-
     from .coeff import PolyCoeff
     from .frame import frame_apply
 
     n = _field_n(nH, "horizontal", vertical=False)
-    total = PolyCoeff.zero(n)
+    divergence = []
     for j in range(1, n + 1):
-        total = total + frame_apply(j, nH[n + j - 1]) - frame_apply(n + j, nH[j - 1])
-    last = total.scale(Fraction(1, n))
-    out = []
-    for i in range(1, n + 1):
-        y_i = PolyCoeff.var(n, n + i)
-        out.append(nH[i - 1] + (y_i * last).scale(Fraction(1, 2)))
-    for i in range(1, n + 1):
-        x_i = PolyCoeff.var(n, i)
-        out.append(nH[n + i - 1] - (x_i * last).scale(Fraction(1, 2)))
-    out.append(last)
-    return tuple(out)
+        divergence += [(1, frame_apply(j, nH[n + j - 1])), (-1, frame_apply(n + j, nH[j - 1]))]
+    last = PolyCoeff.combine(n, divergence, n)
+    return (*(PolyCoeff.combine(n, [(2, h), (-sign, w * last)], 2) for h, (sign, w) in zip(nH, _tilts(n))), last)
 
 
 def is_characteristic_normal(nH: Sequence[PolyCoeff]) -> bool:

@@ -151,15 +151,12 @@ def test_verify_exit_one_on_failure(run_cli, monkeypatch):
     assert "FAIL" in result.stdout
 
 
-def test_verify_reports_a_broken_lift_on_one_and_two_cpus(run_cli, validator, monkeypatch):
-    # D's own check of its output fires on the flipped lift correction;
-    # every suite reports it as a counterexample, in this process and in
-    # the forked worker alike, so the run exits 1 with no traceback.
+def _verify_n2_on_one_and_two_cpus(run_cli, validator, monkeypatch) -> dict:
+    """`verify --n 2 --trials 3 --seed 1 --format json` on one and then two
+    CPUs: both exit 1 with an empty stderr and the same schema-valid
+    failing JSON, which is returned."""
     import heiscalc.cli as cli_mod
-    import heiscalc.rumin as rumin_mod
-    from test_mutants import _lift_flipped
 
-    monkeypatch.setattr(rumin_mod, "lift", _lift_flipped)
     outputs = []
     for cpus in (1, 2):
         monkeypatch.setattr(cli_mod, "_cpus", lambda cpus=cpus: cpus)
@@ -171,11 +168,40 @@ def test_verify_reports_a_broken_lift_on_one_and_two_cpus(run_cli, validator, mo
         assert payload["passed"] is False
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
+    return payload
+
+
+def _failed_checks(payload: dict) -> list[dict]:
     failed = [c for s in payload["suites"] for c in s["checks"] if not c["passed"]]
+    assert all("input" in c["counterexample"] for c in failed)
+    return failed
+
+
+def test_verify_reports_a_broken_lift_on_one_and_two_cpus(run_cli, validator, monkeypatch):
+    # D's own check of its output fires on the flipped lift correction;
+    # every suite reports it as a counterexample, in this process and in
+    # the forked worker alike, so the run exits 1 with no traceback.
+    import heiscalc.rumin as rumin_mod
+    from test_mutants import _lift_flipped
+
+    monkeypatch.setattr(rumin_mod, "lift", _lift_flipped)
+    failed = _failed_checks(_verify_n2_on_one_and_two_cpus(run_cli, validator, monkeypatch))
     # the lifting suite's own check fails first; every other failure is D's error
     errors = {c["counterexample"].get("error") for c in failed}
     assert errors == {None, "D output escaped J^{n+1}; the lifting is broken"}
-    assert all("input" in c["counterexample"] for c in failed)
+
+
+def test_verify_reports_an_unlifted_D_on_one_and_two_cpus(run_cli, validator, monkeypatch):
+    # Plain d in place of D leaves J^{n+1}; d_Q_high's check of its input
+    # refuses the result, and the suite reports that refusal as the
+    # counterexample rather than letting it escape as a traceback.
+    import heiscalc.rumin as rumin_mod
+    from heiscalc.frame import exterior_derivative
+
+    monkeypatch.setattr(rumin_mod, "D_second_order", exterior_derivative)
+    failed = _failed_checks(_verify_n2_on_one_and_two_cpus(run_cli, validator, monkeypatch))
+    errors = {c["name"]: c["counterexample"].get("error") for c in failed}
+    assert errors["d_Q(3) o D"] == "d_Q_high input does not lie in J^k"
 
 
 # -- commute --------------------------------------------------------------------

@@ -269,24 +269,32 @@ def test_ring_ops_match_fraction_reference(data, n):
     _assert_matches(a, n, ra)
     _assert_matches(a + b, n, _ref_add(ra, rb))
     _assert_matches(a - b, n, _ref_add(ra, _ref_scale(rb, Fraction(-1))))
+    c = data.draw(st.integers(-5, 5))
+    _assert_matches(c - a, n, _ref_add({(0,) * (2 * n + 1): Fraction(c)} if c else {}, _ref_scale(ra, Fraction(-1))))
+    # sums that cancel, in part or in whole
+    _assert_matches(a - a, n, {})
+    _assert_matches((a + b) - b, n, ra)
+    _assert_matches(b + (-b), n, {})
     _assert_matches(-a, n, _ref_scale(ra, Fraction(-1)))
     _assert_matches(a * b, n, _ref_mul(ra, rb))
     _assert_matches(a.scale(factor), n, _ref_scale(ra, factor))
     for i in range(1, 2 * n + 2):
         _assert_matches(a.partial(i), n, _ref_partial(ra, i))
-    c = data.draw(st.integers(-5, 5))
     d = data.draw(st.integers(1, 6))
     expected = _ref_scale(_ref_add(_ref_scale(ra, Fraction(c)), rb), Fraction(1, d))
     _assert_matches(PolyCoeff.combine(n, [(c, a), (1, b)], d), n, expected)
 
 
 def test_combine_returns_a_lone_unit_entry_itself():
-    p = PolyCoeff(2, {(1, 0, 0, 0, 2): Fraction(3, 4), (0, 0, 1, 0, 0): 5})
+    raw = {(1, 0, 0, 0, 2): Fraction(3, 4), (0, 0, 1, 0, 0): Fraction(5)}
+    p = PolyCoeff(2, raw)
     assert PolyCoeff.combine(2, [(7, PolyCoeff.zero(2)), (1, p)]) is p
-    assert PolyCoeff.combine(2, [(2, p)]) == p.scale(Fraction(2))
-    assert PolyCoeff.combine(2, [(1, p)], 3) == p.scale(Fraction(1, 3))
+    _assert_matches(PolyCoeff.combine(2, [(2, p)]), 2, _ref_scale(raw, Fraction(2)))
+    _assert_matches(PolyCoeff.combine(2, [(1, p)], 3), 2, _ref_scale(raw, Fraction(1, 3)))
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
         PolyCoeff.combine(1, [(1, p)])
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        p + PolyCoeff.zero(1)  # a zero of another n is checked before it is skipped
 
 
 @settings(max_examples=60, deadline=None)

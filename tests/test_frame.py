@@ -31,6 +31,7 @@ from heiscalc.frame import (
 from heiscalc.sampling import random_poly, seeded_rng
 
 from conftest import random_form
+from test_coeff import _nonzero, _raw_terms, _ref_add, _ref_mul, _ref_scale
 
 
 def _var(n, i):
@@ -218,6 +219,76 @@ def test_d_matches_termwise_reference(a):
 @given(_forms(ns=(3,)))
 def test_d_squared_is_zero_n3(a):
     assert exterior_derivative(exterior_derivative(a)).is_zero()
+
+
+# -- +, - and wedge against a Fraction-dict reference ---------------------
+#
+# The reference keeps a form as {blade: {exps: Fraction}} with no zero
+# coefficient and no empty blade, and wedges blade by blade with the sign
+# of the permutation that sorts the concatenated blades.
+
+
+def _ref_form(raw: dict) -> dict:
+    ref = {blade: _nonzero(terms) for blade, terms in raw.items()}
+    return {blade: terms for blade, terms in ref.items() if terms}
+
+
+def _ref_form_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for blade, terms in b.items():
+        out[blade] = _ref_add(out.get(blade, {}), _ref_scale(terms, Fraction(sign)))
+    return {blade: terms for blade, terms in out.items() if terms}
+
+
+def _permutation_sign(seq: tuple[int, ...]) -> int:
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def _ref_wedge(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ba, ta in a.items():
+        for bb, tb in b.items():
+            seq = ba + bb
+            if len(set(seq)) == len(seq):
+                blade = tuple(sorted(seq))
+                product = _ref_scale(_ref_mul(ta, tb), Fraction(_permutation_sign(seq)))
+                out[blade] = _ref_add(out.get(blade, {}), product)
+    return {blade: terms for blade, terms in out.items() if terms}
+
+
+@st.composite
+def _raw_forms(draw):
+    """n, degrees k and l, and two raw degree-k forms and a raw degree-l
+    form as {blade: {exps: coefficient}}; coefficients may be zero, and
+    k + l may pass 2n + 1."""
+    n = draw(st.sampled_from([1, 2]))
+    k, l = draw(st.integers(0, 2 * n + 1)), draw(st.integers(0, 2 * n + 1))
+
+    def raw(degree: int) -> dict:
+        return draw(st.dictionaries(st.sampled_from(all_blades(n, degree)), _raw_terms(n), max_size=3))
+
+    return n, k, l, raw(k), raw(k), raw(l)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_forms())
+def test_form_sums_and_wedge_match_fraction_reference(drawn):
+    n, k, l, raw_a, raw_b, raw_c = drawn
+    a, b, c = (Form(n, degree, {blade: PolyCoeff(n, terms) for blade, terms in raw.items()})
+               for degree, raw in ((k, raw_a), (k, raw_b), (l, raw_c)))
+    ra, rb, rc = _ref_form(raw_a), _ref_form(raw_b), _ref_form(raw_c)
+
+    def terms(form: Form) -> dict:
+        return {blade: p.terms for blade, p in form.coeffs.items()}
+
+    assert terms(a + b) == _ref_form_add(ra, rb)
+    assert terms(a - b) == _ref_form_add(ra, rb, -1)
+    assert terms(b - a) == _ref_form_add(rb, ra, -1)
+    assert terms(a - a) == {}
+    assert terms((a + b) - b) == ra
+    assert terms(a.wedge(c)) == _ref_wedge(ra, rc)
+    assert terms(c.wedge(a)) == _ref_wedge(rc, ra)
 
 
 def test_d_theta_tail_sign():

@@ -2,8 +2,9 @@
 and the table below records what each verification suite makes of it.
 
 A suite either reports the mutant (`passed` False) or passes it.  An
-operator's own AssertionError on its output is reported too, as a
-counterexample carrying the error's message.  Every mutant but one known
+operator's own AssertionError on its output, or ValueError on its
+input, is reported too, as a counterexample carrying the error's
+message.  Every mutant but one known
 gap is reported by at least one suite.  The suites run at n = 2 with 3
 trials and seed 1; `commute` checks pullback by the dilation by 2 at
 every degree k = 0..2n.
@@ -77,6 +78,14 @@ CATALOGUE = {
     "lift correction sign flipped": ({"lift": _lift_flipped},
                                      {"complex": "fails", "lifting": "fails", "dc": "fails",
                                       "subspaces": "passes", "commute": "fails"}),
+    # d_Q_high refuses the unlifted D's output as not in J^{n+1}; that
+    # input check is reported as the check's counterexample too.
+    "D without the lift": ({"D_second_order": exterior_derivative},
+                           {"complex": "fails", "lifting": "passes", "dc": "fails", "subspaces": "passes",
+                            "commute": "fails"}),
+    "d_Q_low without the projection": ({"d_Q_low": exterior_derivative},
+                                       {"complex": "passes", "lifting": "passes", "dc": "fails",
+                                        "subspaces": "passes", "commute": "fails"}),
     # KNOWN_GAP: d_c and D agree on zero, and d o 0 = 0 o d = 0, so no
     # sampled suite sees it.  A suite that decides exactness, not only
     # d o d = 0, must report it.

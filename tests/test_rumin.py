@@ -709,6 +709,17 @@ def test_first_counterexample_stops_at_the_first_failure():
     failure = rumin._first_counterexample(range(10), broken, lambda trial: {"trial": trial})
     assert failure == {"trial": 3, "error": "output escaped"}
     assert seen == [0, 1, 2, 3]
+    seen.clear()
+
+    def refused(trial):
+        # so is an operator's refusal of what a broken operator fed it
+        seen.append(trial)
+        if trial == 1:
+            raise ValueError("input does not lie in J^k")
+
+    failure = rumin._first_counterexample(range(10), refused, lambda trial: {"trial": trial})
+    assert failure == {"trial": 1, "error": "input does not lie in J^k"}
+    assert seen == [0, 1]
 
 
 @pytest.mark.parametrize("suite", [verify_complex, verify_lifting, verify_dc])

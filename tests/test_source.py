@@ -88,24 +88,38 @@ def test_unbound_export_detector():
     assert _unbound_exports(tree) == ["gone", "q"]
 
 
+def _scoped_nodes(node: ast.AST, params: frozenset = frozenset()):
+    """(node, parameters) for `node` and every node below it, where
+    parameters holds the names the parameters of the functions and
+    lambdas around the node bind, the node's own included."""
+    if isinstance(node, (*_FUNCTIONS, ast.Lambda)):
+        args = node.args
+        params = params | {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                               args.vararg, args.kwarg) if arg}
+    yield node, params
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped_nodes(child, params)
+
+
 def _owned_nodes(tree: ast.Module):
-    """(owner, node) for every node of `tree`.  The owner is the
-    module-level function ('f') or the method of a module-level class
-    ('C.m') the node sits in; elsewhere in a class it is the class name,
-    and elsewhere in the module the statement's name or None."""
+    """(owner, node, parameters) for every node of `tree`, parameters as
+    `_scoped_nodes` gives them.  The owner is the module-level function
+    ('f') or the method of a module-level class ('C.m') the node sits in;
+    elsewhere in a class it is the class name, and elsewhere in the
+    module the statement's name or None."""
     for statement in tree.body:
         if isinstance(statement, ast.ClassDef):
             for member in statement.body:
                 owner = (f"{statement.name}.{member.name}" if isinstance(member, _FUNCTIONS)
                          else statement.name)
-                for node in ast.walk(member):
-                    yield owner, node
+                for node, params in _scoped_nodes(member):
+                    yield owner, node, params
             for part in (*statement.decorator_list, *statement.bases, *statement.keywords):
-                for node in ast.walk(part):
-                    yield statement.name, node
+                for node, params in _scoped_nodes(part):
+                    yield statement.name, node, params
         else:
-            for node in ast.walk(statement):
-                yield getattr(statement, "name", None), node
+            for node, params in _scoped_nodes(statement):
+                yield getattr(statement, "name", None), node, params
 
 
 def _unreferenced_definitions(trees: dict[str, ast.Module], public: bool = False,
@@ -114,22 +128,29 @@ def _unreferenced_definitions(trees: dict[str, ast.Module], public: bool = False
     modules `defined_in` (default: all of `trees`) that no module of
     `trees` reads outside their own definition: the private ones (one
     leading underscore), or with `public` the public ones and the
-    module-level classes.  A method counts as read by any attribute of
-    its name; assignment targets are not reads."""
-    # (module, owner of the read) per name read
+    module-level classes.  A method counts as read by any name or
+    attribute of its name.  A module-level definition counts as read
+    only by an import of its name, by `module.name` with `module` the
+    name of a module of `trees`, or by a name in its own module that no
+    parameter shadows.  Assignment targets are not reads."""
+    modules = {Path(module).stem for module in trees}
+    # (module, owner of the read, how) per name read; how is "import",
+    # "module" for `module.name`, "attribute" for any other attribute,
+    # "shadowed" for a name a parameter binds, and else the module's own
     readers: dict[str, set] = {}
     for module, tree in trees.items():
-        for owner, node in _owned_nodes(tree):
+        for owner, node, params in _owned_nodes(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names = [node.id]
+                reads = [(node.id, "shadowed" if node.id in params else module)]
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names = [node.attr]
+                qualified = isinstance(node.value, ast.Name) and node.value.id in modules
+                reads = [(node.attr, "module" if qualified else "attribute")]
             elif isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
+                reads = [(alias.name, "import") for alias in node.names]
             else:
                 continue
-            for name in names:
-                readers.setdefault(name, set()).add((module, owner))
+            for name, how in reads:
+                readers.setdefault(name, set()).add((module, owner, how))
     definitions = []  # (module, definition, its owner name)
     for module, tree in sorted((trees if defined_in is None else defined_in).items()):
         for statement in tree.body:
@@ -138,12 +159,18 @@ def _unreferenced_definitions(trees: dict[str, ast.Module], public: bool = False
             if isinstance(statement, ast.ClassDef):
                 definitions.extend((module, member, f"{statement.name}.{member.name}")
                                    for member in statement.body if isinstance(member, _FUNCTIONS))
+
+    def is_read(module: str, owner: str, name: str) -> bool:
+        method = "." in owner
+        return any((reader, by) != (module, owner) and (method or how in ("import", "module", module))
+                   for reader, by, how in readers.get(name, ()))
+
     return [
         f"{module}: {owner}"
         for module, node, owner in definitions
         if (not node.name.startswith("_") if public else
             node.name.startswith("_") and not node.name.startswith("__"))
-        and not readers.get(node.name, set()) - {(module, owner)}
+        and not is_read(module, owner, node.name)
     ]
 
 
@@ -192,6 +219,8 @@ _KEPT_PUBLIC = {
     "frame.py: dx": "many test readers",
     "frame.py: dy": "many test readers",
     "frame.py: form_from_json": "planned caller: ROADMAP item 12",
+    "frame.py: inner": "oracle: the blade-orthonormal inner product, read by 3 tests",
+    "frame.py: wedge": "the free form of Form.wedge: 75 test call sites in 5 test files",
     "rumin.py: P_apply": "tracer binding (bench/tracer.py) until ROADMAP item 11",
     "surface.py: scan_grid": "tracer binding (bench/tracer.py) until ROADMAP item 11",
     "surface.py: mobius_normal_components": "oracle for claim c10; ROADMAP item 9 gives it a caller",
@@ -221,6 +250,17 @@ def test_unreferenced_public_definition_detector():
     bench = {"bench/c.py": ast.parse("import a\na.Read().method()\ndef unread_in_bench(): pass\n")}
     assert _unreferenced_definitions({**src, **bench}, public=True, defined_in=src) == [
         "a.py: dead", "a.py: Unread", "a.py: Unread.run", "b.py: Derived"]
+    # a parameter or a method call of the same name in its own module, or
+    # a name another module does not import, is no read of a module-level
+    # function; `module.name` is
+    src["d.py"] = ast.parse("def shadowed(): pass\ndef lambda_shadowed(): pass\ndef method_named(): pass\n"
+                            "def unimported(): pass\ndef qualified(): pass\n"
+                            "def uses(shadowed, x): return shadowed, x.method_named()\n"
+                            "f = lambda lambda_shadowed: lambda_shadowed\n")
+    src["e.py"] = ast.parse("import d\ndef reader(): return unimported, d.qualified, d.uses\n")
+    assert _unreferenced_definitions({**src, **bench}, public=True, defined_in=src) == [
+        "a.py: dead", "a.py: Unread", "a.py: Unread.run", "b.py: Derived", "d.py: shadowed",
+        "d.py: lambda_shadowed", "d.py: method_named", "d.py: unimported", "e.py: reader"]
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
