@@ -8,6 +8,11 @@ JSON so nothing exact is rounded.  Exit codes: 0 success, 1 a
 verification check failed or a forked worker (verify, commute, the
 mobius scan CSV) failed, 2 bad input or precondition.
 
+Each command is a function from its arguments to (exit code, output
+text), the text rendered by `_render` in the chosen format; `main`
+alone writes it, to stdout or to the --out file.  A refusal raises
+_Failure, which `main` prints as one `Error: <message>` line.
+
 The parser is the standard library's argparse: it loads in a fraction
 of the time a third-party one would, and start-up is a large share of
 each short run.
@@ -27,7 +32,6 @@ from functools import partial
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn
 
 if TYPE_CHECKING:
-    from .frame import Form
     from .surface import ParamSurface
 
 # The symbolic layers (frame, rumin, contact) are imported inside the
@@ -43,25 +47,16 @@ class _Failure(Exception):
         self.code = code
 
 
-def _form_text(alpha: Form) -> str:
-    from .frame import _term_text
-
-    return " + ".join(_term_text(alpha.n, blade, coeff) for blade, coeff in alpha.sorted_items()) or "0"
+_MARK = {True: "pass", False: "FAIL"}
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _render(fmt: str, payload, header: list[str], rows: list[list], lines: list[str]) -> str:
+    """A command's output in `fmt`: `payload` as JSON, `header` and
+    `rows` as CSV, or `lines` as text."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "text":
+        return "\n".join(lines) + "\n"
     import csv
 
     buffer = io.StringIO()
@@ -194,7 +189,7 @@ def _parse_n_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def dims(n_spec: str, fmt: str, out: str | None) -> None:
+def dims(n_spec: str, fmt: str) -> tuple[int, str]:
     """Dimension table of the complex: rows (n, k, dim Omega, dim I, dim quotient)."""
     try:
         lo, hi = _parse_n_range(n_spec)
@@ -202,30 +197,18 @@ def dims(n_spec: str, fmt: str, out: str | None) -> None:
         raise _Failure(f"cannot parse n range {n_spec!r}", 2)
     from . import rumin
 
-    rows = []
-    for n in range(lo, hi + 1):
-        for k in range(1, n + 1):
-            dim_omega, dim_i, dim_quotient, _ = rumin.dims(k, n)
-            rows.append([n, k, dim_omega, dim_i, dim_quotient])
-    if fmt == "json":
-        payload = [
-            {"n": r[0], "k": r[1], "dim_omega": r[2], "dim_I": r[3], "dim_quotient": r[4]}
-            for r in rows
-        ]
-        _emit(_json_dump(payload), out)
-    elif fmt == "csv":
-        _emit(_csv_text(["n", "k", "dim_omega", "dim_I", "dim_quotient"], rows), out)
-    else:
-        lines = [f"{'n':>2} {'k':>2} {'dim Omega^k':>12} {'dim I^k':>8} {'dim Omega/I':>12}"]
-        lines += [f"{r[0]:>2} {r[1]:>2} {r[2]:>12} {r[3]:>8} {r[4]:>12}" for r in rows]
-        _emit("\n".join(lines) + "\n", out)
+    header = ["n", "k", "dim_omega", "dim_I", "dim_quotient"]
+    rows = [[n, k, *rumin.dims(k, n)[:3]] for n in range(lo, hi + 1) for k in range(1, n + 1)]
+    lines = [f"{'n':>2} {'k':>2} {'dim Omega^k':>12} {'dim I^k':>8} {'dim Omega/I':>12}"]
+    lines += [f"{r[0]:>2} {r[1]:>2} {r[2]:>12} {r[3]:>8} {r[4]:>12}" for r in rows]
+    return 0, _render(fmt, [dict(zip(header, r)) for r in rows], header, rows, lines)
 
 
 # ---------------------------------------------------------------------------
 # complex
 
 
-def complex_cmd(n: int, k: int | None, fmt: str, out: str | None) -> None:
+def complex_cmd(n: int, k: int | None, fmt: str) -> tuple[int, str]:
     """Bases of I^k, J^k, and the quotient complement per degree."""
     if n not in (1, 2, 3, 4):
         raise _Failure("complex listing supports n in {1, 2, 3, 4}", 2)
@@ -235,50 +218,30 @@ def complex_cmd(n: int, k: int | None, fmt: str, out: str | None) -> None:
     degrees = [k] if k is not None else list(range(1, top + 1))
     from . import rumin
 
-    entries = []
+    entries, rows, lines = [], [], [f"Rumin complex data for H^{n}"]
     for deg in degrees:
-        basis_i = rumin.basis_I(deg, n)
-        basis_j = rumin.basis_J(deg, n)
-        entry = {
-            "k": deg,
-            "dim_omega": math.comb(top, deg),
-            "dim_I": basis_i.dim,
-            "dim_J": basis_j.dim,
-            "I": [_form_text(e) for e in basis_i.elements],
-            "J": [_form_text(e) for e in basis_j.elements],
-        }
+        basis_i, basis_j = rumin.basis_I(deg, n), rumin.basis_J(deg, n)
+        spaces = {"I": [str(e) for e in basis_i.elements], "J": [str(e) for e in basis_j.elements]}
+        entry = {"k": deg, "dim_omega": math.comb(top, deg), "dim_I": basis_i.dim,
+                 "dim_J": basis_j.dim, **spaces}
+        summary = f"degree {deg}: dim Omega = {entry['dim_omega']}, dim I = {basis_i.dim}, dim J = {basis_j.dim}"
         if deg <= n:
             quotient = rumin.basis_quotient(deg, n)
-            entry["dim_quotient"] = quotient.dim
-            entry["quotient"] = [_form_text(e) for e in quotient.elements]
+            spaces["quotient"] = [str(e) for e in quotient.elements]
+            entry.update(dim_quotient=quotient.dim, quotient=spaces["quotient"])
+            summary += f", dim Omega/I = {quotient.dim}"
         entries.append(entry)
-    payload = {"n": n, "degrees": entries}
-    if fmt == "json":
-        _emit(_json_dump(payload), out)
-    elif fmt == "csv":
-        rows = []
-        for entry in entries:
-            for space in ("I", "J", "quotient"):
-                for idx, text in enumerate(entry.get(space, [])):
-                    rows.append([entry["k"], space, idx, text])
-        _emit(_csv_text(["k", "space", "index", "form"], rows), out)
-    else:
-        lines = [f"Rumin complex data for H^{n}"]
-        for entry in entries:
-            lines.append(
-                f"degree {entry['k']}: dim Omega = {entry['dim_omega']}, "
-                f"dim I = {entry['dim_I']}, dim J = {entry['dim_J']}"
-                + (f", dim Omega/I = {entry['dim_quotient']}" if "dim_quotient" in entry else "")
-            )
-            for space in ("I", "J", "quotient"):
-                if entry.get(space):
-                    lines.append(f"  {space}^{entry['k']}:")
-                    lines.extend(f"    {text}" for text in entry[space])
-        _emit("\n".join(lines) + "\n", out)
+        lines.append(summary)
+        for space, texts in spaces.items():
+            rows += [[deg, space, idx, text] for idx, text in enumerate(texts)]
+            if texts:
+                lines.append(f"  {space}^{deg}:")
+                lines += [f"    {text}" for text in texts]
+    return 0, _render(fmt, {"n": n, "degrees": entries}, ["k", "space", "index", "form"], rows, lines)
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify and commute
 
 
 def _require_representable(what: str, degree: int) -> None:
@@ -291,12 +254,18 @@ def _require_representable(what: str, degree: int) -> None:
                        "the largest exponent a monomial key holds", 2)
 
 
-def verify(n: int, trials: int, seed: int, degree: int, fmt: str, out: str | None) -> int:
-    """Run the exactness, lifting, subspace-preservation, and d_c suites."""
+def _check_sampling(what: str, n: int, trials: int, degree: int) -> None:
+    """Exit 2 unless n, trials and degree suit the sampled checks that
+    `what` names."""
     if n not in (1, 2, 3):
-        raise _Failure("verification suites support n in {1, 2, 3}", 2)
+        raise _Failure(f"{what} support n in {{1, 2, 3}}", 2)
     if trials < 1 or degree < 0:
         raise _Failure("trials must be >= 1 and degree >= 0", 2)
+
+
+def verify(n: int, trials: int, seed: int, degree: int, fmt: str) -> tuple[int, str]:
+    """Run the exactness, lifting, subspace-preservation, and d_c suites."""
+    _check_sampling("verification suites", n, trials, degree)
     from . import contact, rumin
 
     # The suites' operators never raise a total degree past the inputs'.
@@ -315,57 +284,36 @@ def verify(n: int, trials: int, seed: int, degree: int, fmt: str, out: str | Non
     passed = all(s["passed"] for s in suites)
     payload = {"command": "verify", "n": n, "trials": trials, "seed": seed,
                "passed": passed, "suites": suites}
-    if fmt == "json":
-        _emit(_json_dump(payload), out)
-    elif fmt == "csv":
-        rows = []
-        for s in suites:
-            for c in s.get("checks", [{"name": s["suite"], "passed": s["passed"]}]):
-                rows.append([s["suite"], c["name"], "pass" if c["passed"] else "FAIL"])
-        _emit(_csv_text(["suite", "check", "status"], rows), out)
-    else:
-        lines = []
-        for s in suites:
-            status = "pass" if s["passed"] else "FAIL"
-            lines.append(f"{s['suite']} (n={n}): {status}")
-            for c in s.get("checks", []):
-                mark = "pass" if c["passed"] else "FAIL"
-                lines.append(f"  {c['name']}: {mark}")
-                if not c["passed"] and c.get("counterexample"):
-                    lines.append(f"    counterexample: {json.dumps(c['counterexample'])}")
-        lines.append(f"overall: {'pass' if passed else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", out)
-    return 0 if passed else 1
-
-
-# ---------------------------------------------------------------------------
-# commute
+    rows, lines = [], []
+    for s in suites:
+        lines.append(f"{s['suite']} (n={n}): {_MARK[s['passed']]}")
+        for c in s["checks"]:
+            rows.append([s["suite"], c["name"], _MARK[c["passed"]]])
+            lines.append(f"  {c['name']}: {_MARK[c['passed']]}")
+            if not c["passed"]:
+                lines.append(f"    counterexample: {json.dumps(c['counterexample'])}")
+    lines.append(f"overall: {_MARK[passed]}")
+    return (0 if passed else 1), _render(fmt, payload, ["suite", "check", "status"], rows, lines)
 
 
 def commute(map_literal: str, n: int, k: int | None, trials: int, seed: int,
-            degree: int, fmt: str, out: str | None) -> int:
+            degree: int, fmt: str) -> tuple[int, str]:
     """Check that pullback by a contact map commutes with the Rumin operators."""
-    if n not in (1, 2, 3):
-        raise _Failure("commutation checks support n in {1, 2, 3}", 2)
-    if trials < 1 or degree < 0:
-        raise _Failure("trials must be >= 1 and degree >= 0", 2)
+    _check_sampling("commutation checks", n, trials, degree)
     from . import contact
 
     try:
         f = contact.parse_map(map_literal, n)
-    except ValueError as exc:
-        raise _Failure(str(exc), 2)
-    # A frame matrix entry has degree at most 2m for a map of degree m,
-    # so a pulled-back input at most m (degree + 2 (2n+1)); the
-    # operators never raise a total degree.
-    _require_representable("--degree", degree)
-    m = max(c.total_degree() for c in f.components)
-    _require_representable(f"the map's degree {m} times (--degree + {4 * n + 2})", m * (degree + 4 * n + 2))
-    try:
+        # A frame matrix entry has degree at most 2m for a map of degree
+        # m, so a pulled-back input at most m (degree + 2 (2n+1)); the
+        # operators never raise a total degree.
+        _require_representable("--degree", degree)
+        m = max(c.total_degree() for c in f.components)
+        _require_representable(f"the map's degree {m} times (--degree + {4 * n + 2})",
+                               m * (degree + 4 * n + 2))
         contact._require_contact(f)
     except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
+        raise _Failure(str(exc), 2)
     if k is not None and not 0 <= k <= 2 * n:
         raise _Failure(f"degree k must lie in 0..{2 * n}", 2)
     degrees = [k] if k is not None else list(range(0, 2 * n + 1))
@@ -376,23 +324,16 @@ def commute(map_literal: str, n: int, k: int | None, trials: int, seed: int,
     # Even k here and odd k in the worker cost about the same.
     reports = _run_jobs("commute", jobs, in_worker=list(range(1, len(jobs), 2)))
     passed = all(r["passed"] for r in reports)
-    payload = {"command": "commute", "map": f.label(), "n": n, "passed": passed,
-               "reports": reports}
-    if fmt == "json":
-        _emit(_json_dump(payload), out)
-    elif fmt == "csv":
-        rows = [[r["k"], r["operator"], "pass" if r["passed"] else "FAIL"] for r in reports]
-        _emit(_csv_text(["k", "operator", "status"], rows), out)
-    else:
-        lines = [f"commutation for {f.label()} on H^{n}:"]
-        for r in reports:
-            mark = "pass" if r["passed"] else "FAIL"
-            lines.append(f"  k={r['k']} ({r['operator']}): {mark}")
-            if not r["passed"]:
-                lines.append(f"    counterexample: {json.dumps(r['counterexample'])}")
-        lines.append(f"overall: {'pass' if passed else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", out)
-    return 0 if passed else 1
+    label = f.label()
+    payload = {"command": "commute", "map": label, "n": n, "passed": passed, "reports": reports}
+    rows, lines = [], [f"commutation for {label} on H^{n}:"]
+    for r in reports:
+        rows.append([r["k"], r["operator"], _MARK[r["passed"]]])
+        lines.append(f"  k={r['k']} ({r['operator']}): {_MARK[r['passed']]}")
+        if not r["passed"]:
+            lines.append(f"    counterexample: {json.dumps(r['counterexample'])}")
+    lines.append(f"overall: {_MARK[passed]}")
+    return (0 if passed else 1), _render(fmt, payload, ["k", "operator", "status"], rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +482,7 @@ def _scan_csv_part(surface: ParamSurface, grid: tuple[int, int], lo: int, hi: in
 
 
 def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
-           out: str, fmt: str) -> None:
+           directory: str, fmt: str) -> tuple[int, str]:
     """Scan the Mobius strip for characteristic points and write scan artifacts."""
     # The CSV workers fork as soon as the surface is built, and the
     # search here writes the first part of the CSV from its own tiles
@@ -564,39 +505,45 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
     except ValueError as exc:
         raise _Failure(str(exc), 2)
 
-    os.makedirs(out, exist_ok=True)
-    scan_path = os.path.join(out, "mobius_scan.csv")
-    points_path = os.path.join(out, "mobius_points.json")
+    # The directories this run makes, leaf first, up to the nearest one
+    # that exists: a failed scan leaves them empty, and they go again.
+    created, ancestor = [], os.path.abspath(directory)
+    while not os.path.lexists(ancestor):
+        created.append(ancestor)
+        ancestor = os.path.dirname(ancestor)
+    os.makedirs(directory, exist_ok=True)
+    scan_path = os.path.join(directory, "mobius_scan.csv")
+    points_path = os.path.join(directory, "mobius_points.json")
     try:
         result = _write_scan_csv(scan_path, surf, grid, search=lambda on_tile: (
             surface.find_characteristic_points(surf, grid=grid, tol=tol, on_tile=on_tile)))
-    except ValueError as exc:
-        raise _Failure(str(exc), 2)
+    except BaseException as exc:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        if isinstance(exc, ValueError):
+            raise _Failure(str(exc), 2)
+        raise
+    points = result.to_json()
     with open(points_path, "w") as handle:
-        handle.write(_json_dump(result.to_json()))
+        handle.write(json.dumps(points, indent=2) + "\n")
 
     payload = {
         "command": "mobius", "R": radius, "w": half_width,
         "grid": list(grid), "tol": tol,
-        "points": result.to_json(),
+        "points": points,
         "failures": list(result.failures),
         "scan_csv": scan_path, "points_json": points_path,
     }
-    if fmt == "json":
-        sys.stdout.write(_json_dump(payload))
-    elif fmt == "csv":
-        rows = [[p["r"], p["s"], p["residual"], p["boundary"]] for p in result.to_json()]
-        sys.stdout.write(_csv_text(["r", "s", "residual", "boundary"], rows))
-    else:
-        lines = [f"Mobius strip R={radius}, w={half_width}: "
-                 f"{len(result.points)} characteristic point(s)"]
-        for p in result.points:
-            lines.append(f"  (r, s) = ({p.r:.12g}, {p.s:.12g}), residual {p.residual:.3g}"
-                         + (", on boundary" if p.boundary else ""))
-        if result.failures:
-            lines.append(f"  {len(result.failures)} candidate cell(s) did not converge")
-        lines.append(f"scan written to {scan_path}, points to {points_path}")
-        sys.stdout.write("\n".join(lines) + "\n")
+    rows = [[p["r"], p["s"], p["residual"], p["boundary"]] for p in points]
+    lines = [f"Mobius strip R={radius}, w={half_width}: {len(result.points)} characteristic point(s)"]
+    for p in result.points:
+        lines.append(f"  (r, s) = ({p.r:.12g}, {p.s:.12g}), residual {p.residual:.3g}"
+                     + (", on boundary" if p.boundary else ""))
+    if result.failures:
+        lines.append(f"  {len(result.failures)} candidate cell(s) did not converge")
+    lines.append(f"scan written to {scan_path}, points to {points_path}")
+    return 0, _render(fmt, payload, ["r", "s", "residual", "boundary"], rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +640,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("-w", "--half-width", type=float, required=True, help="strip half-width w")
     sub.add_argument("--grid", dest="grid_spec", metavar="GRID", default="1024x512", help=_DEFAULT)
     sub.add_argument("--tol", type=float, default=1e-10, help=_DEFAULT)
-    sub.add_argument("--out", type=_dir_path, metavar="DIRECTORY", default=".",
+    sub.add_argument("--out", dest="directory", type=_dir_path, metavar="DIRECTORY", default=".",
                      help=f"directory receiving mobius_scan.csv and mobius_points.json {_DEFAULT}")
     formats(sub)
     return parser
@@ -702,10 +649,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
     """Run one command on `args` (default: sys.argv[1:]).
 
-    Exits the process with the command's code, or with standalone_mode
-    false returns it.  Usage errors the parser finds exit 2 either way,
-    and --help exits 0, as argparse does; an uncaught exception
-    propagates.
+    Writes the command's text to its --out file or to stdout, then exits
+    the process with its code, or with standalone_mode false returns it.
+    Usage errors the parser finds exit 2 either way, and --help exits 0,
+    as argparse does; an uncaught exception propagates.
 
     The exit flushes stdout and stderr and leaves through os._exit, as
     the forked workers do: every artifact is closed by its with-block
@@ -714,10 +661,15 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
     time.
     """
     options = vars(_parser().parse_args(args))
-    run = options.pop("run")
+    run, out = options.pop("run"), options.pop("out", None)
     try:
-        code = run(**options) or 0
-        sys.stdout.flush()
+        code, text = run(**options)
+        if out:
+            with open(out, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except _Failure as exc:
         sys.stderr.write(f"Error: {exc}\n")
         code = exc.code

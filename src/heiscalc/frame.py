@@ -260,12 +260,16 @@ class _GradedElement:
     def sorted_items(self) -> list[tuple[Blade, PolyCoeff]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return f"{type(self).__name__}(n={self.n}, 0)"
+    def __str__(self) -> str:
+        """The terms as "(coeff) blade", or "(coeff)" on the empty blade,
+        joined by " + "; "0" for zero."""
         vector = isinstance(self, MultiVector)
-        body = " + ".join(_term_text(self.n, blade, coeff, vector) for blade, coeff in self.sorted_items())
-        return f"{type(self).__name__}(n={self.n}, {body})"
+        terms = [f"({coeff.to_text()}) {blade_name(self.n, blade, vector)}" if blade else f"({coeff.to_text()})"
+                 for blade, coeff in self.sorted_items()]
+        return " + ".join(terms) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, {self})"
 
 
 class Form(_GradedElement):
@@ -500,12 +504,6 @@ def blade_name(n: int, blade: Blade, vector: bool = False) -> str:
         else:
             names.append("T" if vector else "theta")
     return "^".join(names)
-
-
-def _term_text(n: int, blade: Blade, coeff: PolyCoeff, vector: bool = False) -> str:
-    """One term as "(coeff) blade"; on the empty blade just "(coeff)"."""
-    text = f"({coeff.to_text()})"
-    return f"{text} {blade_name(n, blade, vector)}" if blade else text
 
 
 def form_to_json(a: Form) -> dict:

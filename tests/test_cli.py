@@ -74,6 +74,20 @@ def test_dims_out_file(run_cli, tmp_path):
     assert json.loads(target.read_text())[0]["n"] == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", ["dims", "complex --n 2", "verify --n 1 --trials 3",
+                                     "commute --map dilation:r=2 --n 1 --trials 3"])
+def test_out_file_holds_what_stdout_would(run_cli, tmp_path, command, fmt):
+    args = [*command.split(" "), "--format", fmt]
+    printed = run_cli(args)
+    assert printed.exit_code == 0, printed.output
+    target = tmp_path / "out.txt"
+    written = run_cli([*args, "--out", str(target)])
+    assert written.exit_code == 0, written.output
+    assert written.stdout == written.stderr == ""
+    assert target.read_bytes() == printed.stdout.encode()
+
+
 # -- complex ------------------------------------------------------------------
 
 
@@ -234,6 +248,9 @@ def test_commute_rejects_non_contact_map(run_cli):
     assert result.exit_code == 2
     assert "not contact" in result.stderr
     assert "-1/2·w2" in result.stderr
+    # one line, like every other refusal
+    assert result.stdout == ""
+    assert result.stderr == "Error: map poly:[w1, w2, 2*w3] is not contact: A(1, f) = -1/2·w2^1 != 0\n"
 
 
 # Strict contactomorphisms (f* theta = theta) that are neither group
@@ -661,6 +678,31 @@ def test_mobius_refuses_a_strip_whose_normal_overflows(fresh_python, tmp_path):
     assert result.stderr.count("\n") == 1
     assert not (out / "mobius_scan.csv").exists()
     assert not (out / "mobius_points.json").exists()
+
+
+@pytest.mark.parametrize("failure", ["overflow", "crash"])
+@pytest.mark.parametrize("existing", [None, "a"])
+def test_refused_mobius_removes_the_directories_it_made(run_cli, tmp_path, monkeypatch, existing, failure):
+    # --out a/b below tmp_path: a failed scan removes the directories this
+    # run made, leaf first, and only those; one that was there stays,
+    # empty or not.
+    from heiscalc import surface
+
+    if existing:
+        (tmp_path / existing).mkdir()
+    if failure == "crash":
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected failure in the search")
+
+        monkeypatch.setattr(surface, "find_characteristic_points", crash)
+    strip = {"overflow": ["-R", "1e160", "-w", "1e10"], "crash": ["-R", "0.2", "-w", "0.15"]}[failure]
+    result = run_cli(["mobius", *strip, "--grid", "64x64", "--out", str(tmp_path / "a" / "b")])
+    if failure == "overflow":
+        assert result.exit_code == 2
+        assert "N1 is not finite" in result.stderr
+    else:
+        assert isinstance(result.exception, RuntimeError)
+    assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == ([Path(existing)] if existing else [])
 
 
 def test_mobius_accepts_a_strip_just_below_overflow(run_cli, tmp_path):

@@ -386,6 +386,9 @@ def test_repr_terms():
     assert repr(Form(2, 2, coeffs)) == "Form(n=2, (3/1) dx1^dy1 + (1/1·w1^1) dx2^theta)"
     assert repr(MultiVector(2, 2, coeffs)) == "MultiVector(n=2, (3/1) X1^Y1 + (1/1·w1^1) X2^T)"
     assert repr(MultiVector.zero(2, 1)) == "MultiVector(n=2, 0)"
+    # str is the body of repr: what `complex` prints for a basis form
+    assert str(Form(2, 2, coeffs)) == "(3/1) dx1^dy1 + (1/1·w1^1) dx2^theta"
+    assert str(Form.zero(1, 2)) == "0"
 
 
 def test_all_blades_counts():
