@@ -1,10 +1,11 @@
 """Exact exterior calculus on the Heisenberg group H^n.
 
-Subpackages cover the polynomial coefficient ring (`coeff`), the
-left-invariant frame and exterior algebra (`frame`), the Rumin complex
-(`rumin`), smooth-map pushforward/pullback and contactness (`contact`),
-numeric characteristic-point location on parametrized surfaces
-(`surface`), and a command-line front end (`cli`).
+Modules cover the polynomial coefficient ring (`coeff`), the
+left-invariant frame, exterior algebra and exact normal-field
+conversions (`frame`), the Rumin complex (`rumin`), smooth-map
+pushforward/pullback and contactness (`contact`), numeric
+characteristic-point location on parametrized surfaces (`surface`,
+which imports no symbolic module), and a command-line front end (`cli`).
 """
 
 __version__ = "0.1.0"

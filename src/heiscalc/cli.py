@@ -505,12 +505,9 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
     except ValueError as exc:
         raise _Failure(str(exc), 2)
 
-    # The directories this run makes, leaf first, up to the nearest one
-    # that exists: a failed scan leaves them empty, and they go again.
-    created, ancestor = [], os.path.abspath(directory)
-    while not os.path.lexists(ancestor):
-        created.append(ancestor)
-        ancestor = os.path.dirname(ancestor)
+    # The directories this run makes: a failed scan leaves them empty,
+    # and they go again.
+    created, _ = _missing_directories(directory)
     os.makedirs(directory, exist_ok=True)
     scan_path = os.path.join(directory, "mobius_scan.csv")
     points_path = os.path.join(directory, "mobius_points.json")
@@ -565,15 +562,22 @@ def _file_path(text: str) -> str:
     return text
 
 
+def _missing_directories(path: str) -> tuple[list[str], str]:
+    """The directories from `path` up that do not exist, leaf first, as
+    absolute paths, and the nearest ancestor that does."""
+    walk = [os.path.abspath(path)]
+    while not os.path.lexists(walk[-1]):
+        walk.append(os.path.dirname(walk[-1]))
+    return walk[:-1], walk[-1]
+
+
 def _dir_path(text: str) -> str:
     # --out of mobius: a directory, maybe not there yet, whose nearest
     # existing ancestor is a directory, and in which neither artifact is
     # a directory
     if not text:
         raise argparse.ArgumentTypeError("The path is empty.")
-    ancestor = os.path.abspath(text)
-    while not os.path.lexists(ancestor):
-        ancestor = os.path.dirname(ancestor)
+    _, ancestor = _missing_directories(text)
     if not os.path.isdir(ancestor):
         raise argparse.ArgumentTypeError(f"{ancestor!r} is a file, not a directory.")
     for name in ("mobius_scan.csv", "mobius_points.json"):

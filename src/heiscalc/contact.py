@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .coeff import PolyCoeff, Scalar, _as_fraction, _check_n, _decimal, _Frozen
-from .frame import Blade, Form, form_to_json, frame_apply, theta_index
+from .frame import Blade, Form, form_to_json, frame_apply, theta_index, twist_polynomial
 from .rumin import (
     _check_report,
     _chain_draws,
@@ -81,11 +81,11 @@ class SmoothMap(_Frozen):
         dim = theta_index(n)
         rows = [tuple(frame_apply(j, c) for j in range(1, dim + 1)) for c in self.components]
         t_row = rows.pop()
-        # wtilde_l o f is +f^{n+l} for l <= n and -f^{l-n} above.
-        twists = [*((1, c) for c in self.components[n:2 * n]), *((-1, c) for c in self.components[:n])]
+        # wtilde_l o f for l = 1..2n
+        twists = [twist_polynomial(n, l).substitute(self.components) for l in range(1, 2 * n + 1)]
         a_row = []
         for j in range(dim):
-            twisted = [(sign, c * row[j]) for (sign, c), row in zip(twists, rows)]
+            twisted = [(1, c * row[j]) for c, row in zip(twists, rows)]
             a_row.append(PolyCoeff.combine(n, [(2, t_row[j]), *twisted], 2))
         rows.append(tuple(a_row))
         return tuple(rows)
@@ -270,23 +270,18 @@ def builtin_left_translation(q: Sequence[Scalar], n: int) -> SmoothMap:
     """Left translation w -> q * w in the group product.
 
     The horizontal components shift by constants; the t component picks
-    up the bilinear correction 1/2 sum_j (x_{q,j} y_j - y_{q,j} x_j).
+    up the bilinear correction 1/2 sum_i q_i wtilde_i, that is
+    1/2 sum_j (x_{q,j} y_j - y_{q,j} x_j).
     """
     coords = tuple(_as_fraction(c) for c in q)
     dim = theta_index(n)
     if len(coords) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(coords)}")
-    comps = [
-        PolyCoeff.var(n, i) + PolyCoeff.const(n, coords[i - 1])
-        for i in range(1, 2 * n + 1)
-    ]
-    half = Fraction(1, 2)
-    comps.append(PolyCoeff.combine(n, [
-        (1, PolyCoeff.var(n, dim)),
-        (1, PolyCoeff.const(n, coords[dim - 1])),
-        *((1, PolyCoeff.var(n, n + j).scale(half * coords[j - 1])) for j in range(1, n + 1)),
-        *((-1, PolyCoeff.var(n, j).scale(half * coords[n + j - 1])) for j in range(1, n + 1)),
-    ]))
+    comps = [PolyCoeff.var(n, i) + PolyCoeff.const(n, coords[i - 1]) for i in range(1, dim + 1)]
+    comps[-1] = PolyCoeff.combine(n, [
+        (2, comps[-1]),
+        *((1, twist_polynomial(n, i).scale(coords[i - 1])) for i in range(1, 2 * n + 1)),
+    ], 2)
     text = ",".join(map(_decimal, coords))
     return SmoothMap(n, tuple(comps), description=f"translate:q={text}")
 

@@ -10,10 +10,15 @@ wtilde_i = -w_{i-n} for n < i <= 2n.  The dual coframe is theta_i = dx_i
 (i <= n), theta_{n+i} = dy_i, and theta_{2n+1} = theta, the contact form
 dt - (1/2) sum_j (x_j dy_j - y_j dx_j), with dtheta = -sum_j dx_j^dy_j.
 
+`twist_polynomial` is the one symbolic source of the twist; only d's
+packed table `_d_table` keeps its own encoding, checked against
+`frame_apply` by the tests.
+
 Forms and multivectors are stored blade-sparsely: a mapping from strictly
 increasing index tuples to PolyCoeff coefficients.  The two algebras
 mirror each other but stay distinct types, since the Hodge star acts on
 multivectors only and `inner` refuses to pair a form with a multivector.
+The exact normal-field conversions of surfaces live here too.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ __all__ = [
     "all_blades",
     "form_to_json",
     "form_from_json",
+    "orientability_e_to_h",
+    "orientability_h_to_e",
+    "is_characteristic_normal",
+    "heis_tangent_bivector",
 ]
 
 
@@ -61,18 +70,11 @@ def twist_polynomial(n: int, i: int) -> PolyCoeff:
     return -PolyCoeff.var(n, i - n)
 
 
-@lru_cache(maxsize=None)
-def _half_twists(n: int) -> tuple[PolyCoeff, ...]:
-    """(1/2) wtilde_i for i = 1..2n, at index i - 1."""
-    half = Fraction(1, 2)
-    return tuple(twist_polynomial(n, i).scale(half) for i in range(1, 2 * n + 1))
-
-
 def frame_apply(i: int, p: PolyCoeff) -> PolyCoeff:
     """Apply the frame derivation W_i to a polynomial.
 
-    W_i p = d_i p - (1/2) wtilde_i d_t p, with the half-twists taken from
-    a per-n cache; the twist product is skipped when d_t p vanishes.
+    W_i p = d_i p - (1/2) wtilde_i d_t p; the twist product is skipped
+    when d_t p vanishes.
     """
     n = p.n
     width = 2 * n + 1
@@ -83,7 +85,7 @@ def frame_apply(i: int, p: PolyCoeff) -> PolyCoeff:
         return dt
     if dt.is_zero():
         return p.partial(i)
-    return p.partial(i) - _half_twists(n)[i - 1] * dt
+    return PolyCoeff.combine(n, [(2, p.partial(i)), (-1, twist_polynomial(n, i) * dt)], 2)
 
 
 def _merge_blades(a: Blade, b: Blade) -> tuple[Blade, int] | None:
@@ -526,3 +528,69 @@ def form_from_json(data: Mapping) -> Form:
         blade = tuple(int(i) for i in term["blade"])
         coeffs[blade] = PolyCoeff.from_text(n, term["coeff"])
     return Form(n, degree, coeffs)
+
+
+def _field_n(components: Sequence, label: str, vertical: bool) -> int:
+    """The n of the H^n a normal field lives on: its components are 2n
+    PolyCoeff of ambient H^n, n >= 1, plus the vertical one if asked."""
+    count = len(components) - vertical
+    if count % 2 != 0 or count < 2:
+        raise ValueError(f"expected 2n{' + 1' if vertical else ''} {label} components, "
+                         f"got {len(components)}")
+    n = count // 2
+    for c in components:
+        if not isinstance(c, PolyCoeff):
+            raise TypeError(f"{label} components must be PolyCoeff")
+        if c.n != n:
+            raise ValueError(f"component ambient H^{c.n} does not match 2n = {2 * n}")
+    return n
+
+
+def orientability_e_to_h(nE: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
+    """Convert a Euclidean normal field to its horizontal components.
+
+    n_{H,i} = n_{E,i} - wtilde_i n_{E,2n+1} / 2, that is n_{H,i} =
+    n_{E,i} - y_i n_{E,2n+1} / 2 and n_{H,n+i} = n_{E,n+i} + x_i
+    n_{E,2n+1} / 2, exactly: the 2n + 1 components must be PolyCoeff
+    fields of the coordinates of one H^n.  An all-zero result marks a
+    characteristic field; it is a value, not an error.
+    """
+    n = _field_n(nE, "Euclidean", vertical=True)
+    return tuple(PolyCoeff.combine(n, [(2, e), (-1, twist_polynomial(n, i) * nE[2 * n])], 2)
+                 for i, e in enumerate(nE[:2 * n], start=1))
+
+
+def orientability_h_to_e(nH: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
+    """Recover a Euclidean normal field from a horizontal one.
+
+    The vertical component is reconstructed from the frame divergence
+    n_{E,2n+1} = (1/n) sum_j (X_j n_{H,n+j} - Y_j n_{H,j}), then the
+    horizontal components are untilted.  Components must be polynomial
+    so the derivatives are exact.
+    """
+    n = _field_n(nH, "horizontal", vertical=False)
+    divergence = []
+    for j in range(1, n + 1):
+        divergence += [(1, frame_apply(j, nH[n + j - 1])), (-1, frame_apply(n + j, nH[j - 1]))]
+    last = PolyCoeff.combine(n, divergence, n)
+    return (*(PolyCoeff.combine(n, [(2, h), (1, twist_polynomial(n, i) * last)], 2)
+              for i, h in enumerate(nH, start=1)), last)
+
+
+def is_characteristic_normal(nH: Sequence[PolyCoeff]) -> bool:
+    """Whether a horizontal normal field vanishes identically: each of
+    its 2n PolyCoeff components is the zero polynomial.  Components are
+    checked as `orientability_h_to_e` checks them."""
+    _field_n(nH, "horizontal", vertical=False)
+    return all(c.is_zero() for c in nH)
+
+
+def heis_tangent_bivector(nH: Sequence) -> MultiVector:
+    """Tangent 2-vector of a noncharacteristic surface point in H^1.
+
+    The Hodge star of the horizontal normal n_{H,1} X + n_{H,2} Y,
+    which is n_{H,1} Y ^ T - n_{H,2} X ^ T.
+    """
+    if len(nH) != 2:
+        raise ValueError("expected 2 horizontal components (n = 1)")
+    return hodge_star(MultiVector(1, 1, {(1,): nH[0], (2,): nH[1]}))

@@ -339,6 +339,8 @@ def in_subspace(kind: Literal["I", "E0"], k: int, n: int, alpha: Form) -> bool:
     lowest = int(kind == "I")
     if not lowest <= k <= 2 * n + 1:
         raise ValueError(f"degree k={k} out of range {lowest}..{2 * n + 1} for {kind}^k")
+    if alpha.n != n:
+        raise ValueError(f"form lives in H^{alpha.n}, subspace in H^{n}")
     if alpha.is_zero():
         return True
     if alpha.degree != k:

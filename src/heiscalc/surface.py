@@ -12,9 +12,10 @@ analytic partials and closed-form normal components that double as an
 independent oracle for the constructive path.
 
 Root finding is the one deliberately numeric corner of the package
-(the zero set involves radicals in cos(r/2), not rationals); the exact
-symbolic machinery still owns the normal-conversion formulas, which
-take polynomial components only and are checked symbolically.
+(the zero set involves radicals in cos(r/2), not rationals), and this
+module holds only numeric code: it imports no symbolic layer.  The
+exact normal-field conversions between the Euclidean and horizontal
+frames live in `frame`.
 
 The scan samples the closed parameter rectangle, so a root on a seam
 is seen on both edge columns, and the two parameter preimages are
@@ -27,13 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .coeff import PolyCoeff
-    from .frame import MultiVector
 
 Triple = tuple  # (x, y, t) triples of floats or numpy arrays
 
@@ -483,91 +480,3 @@ def find_characteristic_points(
         if not duplicate:
             kept.append(p)
     return ScanResult(points=tuple(kept), failures=tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# Normal-field conversions between Euclidean and horizontal frames
-#
-# These helpers import the symbolic layers (coeff, frame) when called, so
-# the numeric scan above runs without loading them.
-
-
-def _field_n(components: Sequence, label: str, vertical: bool) -> int:
-    """The n of the H^n a normal field lives on: its components are 2n
-    PolyCoeff of ambient H^n, n >= 1, plus the vertical one if asked."""
-    from .coeff import PolyCoeff
-
-    count = len(components) - vertical
-    if count % 2 != 0 or count < 2:
-        raise ValueError(f"expected 2n{' + 1' if vertical else ''} {label} components, "
-                         f"got {len(components)}")
-    n = count // 2
-    for c in components:
-        if not isinstance(c, PolyCoeff):
-            raise TypeError(f"{label} components must be PolyCoeff")
-        if c.n != n:
-            raise ValueError(f"component ambient H^{c.n} does not match 2n = {2 * n}")
-    return n
-
-
-def _tilts(n: int) -> list[tuple[int, PolyCoeff]]:
-    """(sign, w) for i = 1..2n, so that n_{H,i} = n_{E,i} + sign w n_{E,2n+1} / 2:
-    (-1, y_i) for i <= n and (+1, x_{i-n}) above."""
-    from .coeff import PolyCoeff
-
-    return [(sign, PolyCoeff.var(n, i + shift)) for sign, shift in ((-1, n), (1, 0)) for i in range(1, n + 1)]
-
-
-def orientability_e_to_h(nE: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
-    """Convert a Euclidean normal field to its horizontal components.
-
-    n_{H,i} = n_{E,i} - y_i n_{E,2n+1} / 2 and n_{H,n+i} = n_{E,n+i} +
-    x_i n_{E,2n+1} / 2, exactly: the 2n + 1 components must be PolyCoeff
-    fields of the coordinates of one H^n.  An all-zero result marks a
-    characteristic field; it is a value, not an error.
-    """
-    from .coeff import PolyCoeff
-
-    n = _field_n(nE, "Euclidean", vertical=True)
-    return tuple(PolyCoeff.combine(n, [(2, e), (sign, w * nE[2 * n])], 2) for e, (sign, w) in zip(nE, _tilts(n)))
-
-
-def orientability_h_to_e(nH: Sequence[PolyCoeff]) -> tuple[PolyCoeff, ...]:
-    """Recover a Euclidean normal field from a horizontal one.
-
-    The vertical component is reconstructed from the frame divergence
-    n_{E,2n+1} = (1/n) sum_j (X_j n_{H,n+j} - Y_j n_{H,j}), then the
-    horizontal components are untilted.  Components must be polynomial
-    so the derivatives are exact.
-    """
-    from .coeff import PolyCoeff
-    from .frame import frame_apply
-
-    n = _field_n(nH, "horizontal", vertical=False)
-    divergence = []
-    for j in range(1, n + 1):
-        divergence += [(1, frame_apply(j, nH[n + j - 1])), (-1, frame_apply(n + j, nH[j - 1]))]
-    last = PolyCoeff.combine(n, divergence, n)
-    return (*(PolyCoeff.combine(n, [(2, h), (-sign, w * last)], 2) for h, (sign, w) in zip(nH, _tilts(n))), last)
-
-
-def is_characteristic_normal(nH: Sequence[PolyCoeff]) -> bool:
-    """Whether a horizontal normal field vanishes identically: each of
-    its 2n PolyCoeff components is the zero polynomial.  Components are
-    checked as `orientability_h_to_e` checks them."""
-    _field_n(nH, "horizontal", vertical=False)
-    return all(c.is_zero() for c in nH)
-
-
-def heis_tangent_bivector(nH: Sequence) -> MultiVector:
-    """Tangent 2-vector of a noncharacteristic surface point in H^1.
-
-    The Hodge star of the horizontal normal n_{H,1} X + n_{H,2} Y,
-    which is n_{H,1} Y ^ T - n_{H,2} X ^ T.
-    """
-    from .frame import MultiVector, hodge_star
-
-    if len(nH) != 2:
-        raise ValueError("expected 2 horizontal components (n = 1)")
-    vec = MultiVector(1, 1, {(1,): nH[0], (2,): nH[1]})
-    return hodge_star(vec)

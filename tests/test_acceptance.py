@@ -41,6 +41,8 @@ from heiscalc.frame import (
     frame_apply,
     hodge_star,
     inner,
+    orientability_e_to_h,
+    orientability_h_to_e,
     wedge,
 )
 from heiscalc.rumin import (
@@ -60,8 +62,6 @@ from heiscalc.surface import (
     find_characteristic_points,
     mobius_characteristic_closed_form,
     mobius_surface,
-    orientability_e_to_h,
-    orientability_h_to_e,
 )
 
 # c04 reads L^-1 and the theta-free part from the test-side oracle, so its

@@ -1,16 +1,19 @@
-"""A standing mutant catalogue: each mutant patches one Rumin operator,
-and the table below records what each verification suite makes of it.
+"""A standing mutant catalogue: each mutant patches a function of the
+frame or of the Rumin complex, in every module that binds it, and the
+table below records what each verification suite makes of it.
 
 A suite either reports the mutant (`passed` False) or passes it.  An
 operator's own AssertionError on its output, or ValueError on its
 input, is reported too, as a counterexample carrying the error's
 message.  Every mutant but one known
 gap is reported by at least one suite.  The suites run at n = 2 with 3
-trials and seed 1; `commute` checks pullback by the dilation by 2 at
-every degree k = 0..2n.
+trials and seed 1; `commute` checks pullback by the dilation by 2 and
+by a left translation at every degree k = 0..2n.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -21,8 +24,10 @@ N, TRIALS, SEED = 2, 3, 1
 
 
 def _commute(n: int, trials: int, seed: int) -> dict:
-    f = contact.builtin_dilation(2, n)
-    reports = [contact.commute_check(f, k, trials=trials, seed=seed) for k in range(2 * n + 1)]
+    # The maps are built here, after any patch, so their tables see it.
+    maps = (contact.builtin_dilation(2, n),
+            contact.builtin_left_translation([Fraction(1, 2), -1, 2, Fraction(-1, 3), 1][:2 * n + 1], n))
+    reports = [contact.commute_check(f, k, trials=trials, seed=seed) for f in maps for k in range(2 * n + 1)]
     return {"passed": all(r["passed"] for r in reports)}
 
 
@@ -34,7 +39,8 @@ SUITES = {
     "commute": _commute,
 }
 
-_original = {name: getattr(rumin, name) for name in ("D_second_order", "dc_operator")}
+_original = {"D_second_order": rumin.D_second_order, "dc_operator": rumin.dc_operator,
+             "twist_polynomial": frame.twist_polynomial, "_d_table": frame._d_table}
 
 
 def _D_doubled(alpha: Form) -> Form:
@@ -62,7 +68,17 @@ def _dc_zero_at_the_middle(alpha: Form) -> Form:
     return _original["dc_operator"](alpha)
 
 
-# mutant: (patches of rumin, {suite: "fails" or "passes"})
+def _twist_flipped(n: int, i: int):
+    return -_original["twist_polynomial"](n, i)
+
+
+def _d_table_tail_flipped(n: int, blade: tuple):
+    # the terms d(theta) adds, with the sign of dtheta = -sum_j dx_j ^ dy_j flipped
+    fronts, tails = _original["_d_table"](n, blade)
+    return fronts, tuple((merged, -sign) for merged, sign in tails)
+
+
+# mutant: (patches by name, {suite: "fails" or "passes"})
 CATALOGUE = {
     "D doubled": ({"D_second_order": _D_doubled},
                   {"complex": "passes", "lifting": "passes", "dc": "fails", "subspaces": "passes",
@@ -86,6 +102,16 @@ CATALOGUE = {
     "d_Q_low without the projection": ({"d_Q_low": exterior_derivative},
                                        {"complex": "passes", "lifting": "passes", "dc": "fails",
                                         "subspaces": "passes", "commute": "fails"}),
+    # frame_apply, the frame matrix and the translation all read the
+    # flipped twist and agree with one another; only d's own table keeps
+    # the right one, and pullback by the translation no longer commutes
+    # with the operators built on d.
+    "twist sign flipped in twist_polynomial": ({"twist_polynomial": _twist_flipped},
+                                               {"complex": "passes", "lifting": "passes", "dc": "passes",
+                                                "subspaces": "passes", "commute": "fails"}),
+    "dtheta tail sign flipped in _d_table": ({"_d_table": _d_table_tail_flipped},
+                                             {"complex": "fails", "lifting": "passes", "dc": "passes",
+                                              "subspaces": "passes", "commute": "passes"}),
     # KNOWN_GAP: d_c and D agree on zero, and d o 0 = 0 o d = 0, so no
     # sampled suite sees it.  A suite that decides exactness, not only
     # d o d = 0, must report it.
@@ -107,11 +133,13 @@ def _clear_caches() -> None:
 
 @pytest.fixture()
 def mutate(monkeypatch):
-    """`mutate(patches)` rebinds the named functions of rumin for one
-    test.  The rumin and frame caches are cleared before and after, so
-    no table built under a mutant outlives it."""
+    """`mutate(patches)` rebinds each named function, for one test, in
+    every module of frame, rumin and contact that binds it.  The rumin
+    and frame caches are cleared before and after, so no table built
+    under a mutant outlives it."""
     _clear_caches()
-    yield lambda patches: [monkeypatch.setattr(rumin, name, f) for name, f in patches.items()]
+    yield lambda patches: [monkeypatch.setattr(module, name, f) for name, f in patches.items()
+                           for module in (frame, rumin, contact) if name in vars(module)]
     monkeypatch.undo()
     _clear_caches()
 

@@ -439,6 +439,18 @@ def test_in_subspace_checks_its_arguments_before_the_form(kind, k, message):
         in_subspace(kind, k, 1, Form.zero(1, 1))
 
 
+@pytest.mark.parametrize("kind, alpha", [
+    ("E0", contact_form(2)),
+    ("I", contact_form(2)),
+    ("E0", Form.zero(2, 1)),
+])
+def test_in_subspace_refuses_a_form_of_another_n(kind, alpha):
+    # the H^1 tables never read H^2's blades, so a form of another n
+    # must not be answered, and a zero one must not slip through either
+    with pytest.raises(ValueError, match=r"^form lives in H\^2, subspace in H\^1$"):
+        in_subspace(kind, 1, 1, alpha)
+
+
 def test_J_annihilator_property():
     # J^k elements are killed by wedging with theta and dtheta
     for n in (1, 2):

@@ -221,14 +221,14 @@ _KEPT_PUBLIC = {
     "frame.py: form_from_json": "planned caller: ROADMAP item 12",
     "frame.py: inner": "oracle: the blade-orthonormal inner product, read by 3 tests",
     "frame.py: wedge": "the free form of Form.wedge: 75 test call sites in 5 test files",
+    "frame.py: orientability_e_to_h": "claim c11, the surface conversions",
+    "frame.py: orientability_h_to_e": "claim c11, the surface conversions",
+    "frame.py: is_characteristic_normal": "claim c11, the surface conversions",
+    "frame.py: heis_tangent_bivector": "claim c11, the surface conversions",
     "rumin.py: P_apply": "tracer binding (bench/tracer.py) until ROADMAP item 11",
     "surface.py: scan_grid": "tracer binding (bench/tracer.py) until ROADMAP item 11",
     "surface.py: mobius_normal_components": "oracle for claim c10; ROADMAP item 9 gives it a caller",
     "surface.py: mobius_characteristic_closed_form": "claim c10, the closed-form characteristic point",
-    "surface.py: orientability_e_to_h": "claim c11, the surface conversions",
-    "surface.py: orientability_h_to_e": "claim c11, the surface conversions",
-    "surface.py: is_characteristic_normal": "claim c11, the surface conversions",
-    "surface.py: heis_tangent_bivector": "claim c11, the surface conversions",
 }
 
 
@@ -298,8 +298,7 @@ def _float_paths(nodes) -> list[str]:
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
-# The exact layers: whole modules, and in the otherwise numeric surface
-# module the normal-field conversions with the private helpers they call.
+# The exact layers; `frame` holds the normal-field conversions too.
 _EXACT_MODULES = ("coeff.py", "frame.py", "rumin.py", "contact.py", "sampling.py", "_linalg.py")
 _EXACT_CONVERSIONS = ("orientability_e_to_h", "orientability_h_to_e",
                       "is_characteristic_normal", "heis_tangent_bivector")
@@ -311,12 +310,46 @@ def test_exact_modules_have_no_float_path(name):
 
 
 def test_normal_field_conversions_have_no_float_path():
-    tree = ast.parse((SRC / "surface.py").read_text())
+    # The conversions live in an exact module, with the private helpers they call.
+    tree = ast.parse((SRC / "frame.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, _FUNCTIONS)}
     checked = [functions[name] for name in _EXACT_CONVERSIONS]
     read = {node.id for f in checked for node in ast.walk(f) if isinstance(node, ast.Name)}
     checked += [functions[name] for name in sorted(read & functions.keys()) if name.startswith("_")]
     assert _float_paths(checked) == []
+
+
+def _package_imports(tree: ast.Module) -> list[str]:
+    """The package modules that `tree` imports, each with its line: at
+    any nesting level, `TYPE_CHECKING` blocks included, relative or
+    absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "heiscalc" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found.update((node.lineno, name.split(".")[1]) for name in names if name.startswith("heiscalc."))
+    return [f"line {line}: {module}" for line, module in sorted(found)]
+
+
+def test_surface_imports_no_symbolic_layer():
+    # The numeric scan runs without the exact layers, in any code path.
+    symbolic = ("coeff", "frame", "rumin", "contact", "sampling")
+    imports = _package_imports(ast.parse((SRC / "surface.py").read_text()))
+    assert [found for found in imports if found.split(": ")[1] in symbolic] == []
+
+
+def test_package_import_detector():
+    tree = ast.parse("import numpy\nfrom . import coeff, frame\nfrom .rumin import dims as coeff\n"
+                     "if TYPE_CHECKING:\n    from .contact import SmoothMap\n"
+                     "def f():\n    from heiscalc.sampling import seeded_rng\n    import heiscalc.coeff\n"
+                     "    from heiscalc import surface\n    from numpy import linalg\n")
+    assert _package_imports(tree) == ["line 2: coeff", "line 2: frame", "line 3: rumin", "line 5: contact",
+                                      "line 7: sampling", "line 8: coeff", "line 9: surface"]
 
 
 def test_float_path_detector():

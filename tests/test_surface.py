@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from heiscalc.coeff import PolyCoeff
-from heiscalc.frame import MultiVector, frame_apply, wedge
+from heiscalc.frame import (
+    MultiVector,
+    frame_apply,
+    heis_tangent_bivector,
+    is_characteristic_normal,
+    orientability_e_to_h,
+    orientability_h_to_e,
+    wedge,
+)
 from heiscalc.surface import (
     CharPoint,
     ParamSurface,
@@ -18,13 +26,9 @@ from heiscalc.surface import (
     find_characteristic_points,
     heis_cross,
     heis_frame_components,
-    heis_tangent_bivector,
-    is_characteristic_normal,
     mobius_characteristic_closed_form,
     mobius_normal_components,
     mobius_surface,
-    orientability_e_to_h,
-    orientability_h_to_e,
     scan_grid,
     surface_normal,
 )
