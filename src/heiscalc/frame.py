@@ -18,7 +18,8 @@ Forms and multivectors are stored blade-sparsely: a mapping from strictly
 increasing index tuples to PolyCoeff coefficients.  The two algebras
 mirror each other but stay distinct types, since the Hodge star acts on
 multivectors only and `inner` refuses to pair a form with a multivector.
-The exact normal-field conversions of surfaces live here too.
+The exact normal-field conversions of surfaces live here too.  Constant
+matrices acting on coefficient vectors are `rumin`'s, not this module's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Type, TypeVar, Union
+from typing import Mapping, Sequence, Type, TypeVar, Union
 
 from .coeff import _BITS, _FIELD, PolyCoeff, _check_exponents, _check_n, _units
 
@@ -290,25 +291,6 @@ def wedge(a: T_, b: T_) -> T_:
     return a.wedge(b)
 
 
-_IntRow = tuple[int, tuple[int, ...], tuple[int, ...]]
-
-
-def _int_row(entries: Sequence[tuple[int, Fraction | int]]) -> _IntRow:
-    """(den, columns, int numerators) of a constant row given by its
-    nonzero (column, value) entries: value = numerator / den."""
-    columns, values = zip(*entries)
-    den = lcm(*[v.denominator for v in values])
-    return den, columns, tuple([v.numerator * (den // v.denominator) for v in values])
-
-
-def _rows_times(n: int, rows: Iterable[_IntRow], vec: Sequence[PolyCoeff]) -> Iterator[PolyCoeff]:
-    """The constant rows times a vector of polynomials, each entry one
-    `PolyCoeff.combine`: the one place a constant matrix meets polynomials."""
-    pick = vec.__getitem__
-    for den, columns, nums in rows:
-        yield PolyCoeff.combine(n, zip(nums, map(pick, columns)), den)
-
-
 def dx(n: int, j: int = 1) -> Form:
     if not 1 <= j <= n:
         raise IndexError(f"dx index {j} out of range 1..{n}")
@@ -435,17 +417,13 @@ def exterior_derivative(a: Form) -> Form:
 
 
 def _complement(n: int, blade: Blade) -> tuple[Blade, int]:
-    """Complementary blade and the Hodge sign (-1)^sigma.
-
-    sigma counts the pairs (a, b) with a in the blade, b in the
-    complement, and a > b; equivalently the inversions of the shuffle
-    (blade, complement).
+    """Complementary blade and the Hodge sign (-1)^sigma, the sign of
+    the shuffle (blade, complement): sigma counts the pairs (a, b) with a
+    in the blade, b in the complement, and a > b.
     """
-    width = 2 * n + 1
     inside = set(blade)
-    comp = tuple(i for i in range(1, width + 1) if i not in inside)
-    sigma = sum(1 for a in blade for b in comp if a > b)
-    return comp, (-1 if sigma % 2 else 1)
+    comp = tuple(i for i in range(1, 2 * n + 2) if i not in inside)
+    return comp, _merge_blades(blade, comp)[1]
 
 
 def hodge_star(v: MultiVector) -> MultiVector:

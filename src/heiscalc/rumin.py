@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from . import _linalg
@@ -39,18 +39,15 @@ from .coeff import PolyCoeff, _check_n
 from .frame import (
     Blade,
     Form,
-    _IntRow,
     _blade_tuple,
     _d_table,
-    _int_row,
-    _rows_times,
     contact_form,
     d_contact_form,
     exterior_derivative,
     form_to_json,
     theta_index,
 )
-from .sampling import CombinationRows, combination_rows, random_combination, seeded_rng
+from .sampling import random_combination, seeded_rng
 
 __all__ = [
     "SubspaceBasis",
@@ -80,6 +77,16 @@ __all__ = [
 
 # -- vector translation ----------------------------------------------------
 
+_IntRow = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
+def _int_row(entries: Sequence[tuple[int, Fraction | int]]) -> _IntRow:
+    """(den, columns, int numerators) of a constant row given by its
+    nonzero (column, value) entries: value = numerator / den."""
+    columns, values = zip(*entries)
+    den = lcm(*[v.denominator for v in values])
+    return den, columns, tuple([v.numerator * (den // v.denominator) for v in values])
+
 
 class _ConstOp(NamedTuple):
     """A constant matrix acting on the coefficient vectors of forms.
@@ -95,9 +102,13 @@ class _ConstOp(NamedTuple):
 
 
 def _op_times(op: _ConstOp, alpha: Form) -> Iterator[PolyCoeff]:
-    """The rows of op times alpha's coefficient vector, one polynomial per row."""
-    zero = PolyCoeff.zero(alpha.n)
-    return _rows_times(alpha.n, op.rows, [alpha.coeffs.get(blade, zero) for blade in op.inputs])
+    """The rows of op times alpha's coefficient vector, each entry one
+    `PolyCoeff.combine`: the one place a constant matrix meets polynomials."""
+    n = alpha.n
+    zero = PolyCoeff.zero(n)
+    pick = [alpha.coeffs.get(blade, zero) for blade in op.inputs].__getitem__
+    for den, columns, nums in op.rows:
+        yield PolyCoeff.combine(n, zip(nums, map(pick, columns)), den)
 
 
 def _apply(op: _ConstOp, alpha: Form, degree: int) -> Form:
@@ -241,14 +252,19 @@ def _span_rows(kind: str, block: _Block) -> Mat:
     raise ValueError(f"unknown subspace kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
+def _reduced(kind: str, k: int, n: int) -> tuple[tuple[_Block, Mat, list[int]], ...]:
+    """Each block of the degree-k blades with the reduced rows spanning
+    its share of I^k or E0^k, and their pivot columns."""
+    return tuple((block, *_linalg.rref(_span_rows(kind, block))) for block in _blocks(n, k))
+
+
 def _block_basis(kind: str, k: int, n: int) -> SubspaceBasis:
     """The row-reduced basis, block by block.  Each reduced row vanishes
     off its block, so all of them, ordered by pivot blade, are the reduced
     row echelon form of the whole subspace."""
-    rows = []
-    for block in _blocks(n, k):
-        reduced, pivots = _linalg.rref(_span_rows(kind, block))
-        rows += [(block.blades[p], block.blades, row) for row, p in zip(reduced, pivots)]
+    rows = [(block.blades[p], block.blades, row)
+            for block, reduced, pivots in _reduced(kind, k, n) for row, p in zip(reduced, pivots)]
     rows.sort(key=lambda r: r[0])
     elements = tuple(
         Form(n, k, {b: PolyCoeff.const(n, v) for b, v in zip(blades, row) if v}) for _, blades, row in rows
@@ -525,18 +541,26 @@ def dc_operator(alpha: Form) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _chain_rows(n: int, k: int) -> CombinationRows:
-    """The rows of the degree-k chain basis E0^k: the quotient's
-    representatives below the middle, J^k above it."""
-    return combination_rows(basis_E0(k, n).elements)
+def _chain_span(n: int, k: int) -> _ConstOp:
+    """The span of the degree-k chain basis E0^k, the quotient's
+    representatives below the middle and J^k above it: input i is the
+    pivot blade of basis_E0(k, n).elements[i], and the output on a blade
+    is that blade's coefficient in the combination of the elements with
+    the inputs' coefficients.  The basis is row-reduced, so the output
+    keeps every input's coefficient on its pivot."""
+    pieces = [(block.blades, [block.blades[p] for p in pivots], _linalg.transpose(reduced))
+              for block, reduced, pivots in _reduced("E0", k, n)]
+    return _block_op(tuple(sorted(blade for _, ins, _ in pieces for blade in ins)), pieces)
 
 
 def _chain_draws(rng, n: int, k: int, degree: int, trials: int) -> Iterator[Form]:
     """trials random elements of the degree-k chain space E0^k, drawn
-    lazily from rng one at a time."""
+    lazily from rng one at a time: each spans a random form on the
+    basis' pivot blades."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return (random_combination(rng, _chain_rows(n, k), max_degree=degree) for _ in range(trials))
+    span = _chain_span(n, k)
+    return (_apply(span, random_combination(rng, n, k, span.inputs, degree), k) for _ in range(trials))
 
 
 def _first_counterexample(inputs: Iterable, check,

@@ -1,4 +1,4 @@
-"""Seeded random polynomials and combinations for the verification suites.
+"""Seeded random polynomials and forms for the verification suites.
 
 Everything here is driven by a caller-supplied random.Random so that
 suites are reproducible from a single seed; coefficients are small
@@ -14,11 +14,10 @@ keeps their stream: a seed gives the same polynomials as it did through
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .coeff import MAX_EXPONENT, PolyCoeff, _units
-from .frame import Blade, Form, _IntRow, _int_row, _rows_times
+from .frame import Blade, Form
 
 COEFF_RANGE = (-5, 5)
 MAX_TERMS = 4
@@ -70,52 +69,10 @@ def random_poly(rng: random.Random, n: int, max_degree: int = 3) -> PolyCoeff:
     return PolyCoeff._from_clean(n, {key: value for key, value in terms.items() if value})
 
 
-class CombinationRows(NamedTuple):
-    """The constant rows of a sequence of constant forms.
-
-    A combination draws `size` polynomials, one per element, and puts
-    rows[j] (stored as in `_int_row`) times them on blades[j].
-    """
-
-    n: int
-    degree: int
-    size: int
-    blades: tuple[Blade, ...]
-    rows: tuple[_IntRow, ...]
-
-
-def combination_rows(elements: Sequence[Form]) -> CombinationRows:
-    """The rows `random_combination` draws with, built once for drawing
-    from the same elements many times.
-
-    A non-constant element coefficient, no elements at all, or elements
-    of another n or degree raise ValueError.
-    """
-    if not elements:
-        raise ValueError("cannot combine an empty basis")
-    n = elements[0].n
-    degree = elements[0].degree
-    entries: dict[Blade, list[tuple[int, Fraction]]] = {}
-    for i, element in enumerate(elements):
-        if element.n != n or element.degree != degree:
-            raise ValueError("elements must share one n and one degree")
-        for blade, c in element.coeffs.items():
-            value = c._constant()
-            if value is None:
-                raise ValueError(f"element coefficient {c.to_text()} is not constant")
-            entries.setdefault(blade, []).append((i, value))
-    return CombinationRows(n, degree, len(elements), tuple(entries), tuple(map(_int_row, entries.values())))
-
-
-def random_combination(rng: random.Random, table: CombinationRows, max_degree: int = 3) -> Form:
-    """A random polynomial combination of the forms `combination_rows`
-    was given.
-
-    One random polynomial is drawn per element, in order.  Each blade's
-    coefficient is the row of the elements' constant coefficients on it
-    times those polynomials.
-    """
-    n = table.n
-    polys = [random_poly(rng, n, max_degree) for _ in range(table.size)]
-    sums = zip(table.blades, _rows_times(n, table.rows, polys))
-    return Form._from_clean(n, table.degree, {blade: p for blade, p in sums if not p.is_zero()})
+def random_combination(rng: random.Random, n: int, degree: int, blades: Sequence[Blade], max_degree: int) -> Form:
+    """A random form of the given degree on the given blades: one
+    `random_poly` per blade, drawn in order.  On a row-reduced basis'
+    pivot blades these are the coordinates of a random combination of
+    the basis (see `rumin._chain_span`)."""
+    polys = [(blade, random_poly(rng, n, max_degree)) for blade in blades]
+    return Form._from_clean(n, degree, {blade: p for blade, p in polys if not p.is_zero()})

@@ -469,14 +469,7 @@ def find_characteristic_points(
     points.sort(key=lambda p: (p.r, p.s))
     kept: list[CharPoint] = []
     for p in points:
-        duplicate = False
-        for q in kept:
-            if abs(p.r - q.r) <= 1e-6 and abs(p.s - q.s) <= 1e-6:
-                duplicate = True
-                break
-            if max(abs(a - b) for a, b in zip(p.ambient, q.ambient)) <= 1e-6:
-                duplicate = True
-                break
-        if not duplicate:
+        if not any((abs(p.r - q.r) <= 1e-6 and abs(p.s - q.s) <= 1e-6)
+                   or max(abs(a - b) for a, b in zip(p.ambient, q.ambient)) <= 1e-6 for q in kept):
             kept.append(p)
     return ScanResult(points=tuple(kept), failures=tuple(failures))

@@ -17,13 +17,38 @@ from hypothesis import strategies as st
 from heiscalc.coeff import PolyCoeff
 from heiscalc.contact import SmoothMap, builtin_dilation, builtin_left_translation, compose
 from heiscalc.frame import Form, all_blades, d_contact_form
-from heiscalc.sampling import random_poly
+from heiscalc.sampling import COEFF_RANGE, random_poly
 
 
 def random_form(rng, n: int, degree: int, max_degree: int = 3) -> Form:
     """A random form with a `random_poly` coefficient on every blade,
     drawn in blade order."""
     return Form(n, degree, {blade: random_poly(rng, n, max_degree) for blade in all_blades(n, degree)})
+
+
+def poly_by_fractions(rng, n, max_degree=3, max_terms=4, coeff_range=COEFF_RANGE):
+    """random_poly as first written: a Fraction per term, the public constructor."""
+    width = 2 * n + 1
+    terms: dict[tuple[int, ...], int] = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exponents = [0] * width
+        for _ in range(rng.randint(0, max_degree)):
+            exponents[rng.randrange(width)] += 1
+        value = rng.randint(*coeff_range)
+        key = tuple(exponents)
+        terms[key] = terms.get(key, 0) + value
+    return PolyCoeff(n, {key: Fraction(value) for key, value in terms.items() if value})
+
+
+def combination_by_scaling(rng, elements, max_degree=3):
+    """A random polynomial combination of the elements, as first
+    written: scale each element by its own polynomial, in order, and add
+    the Forms."""
+    n, degree = elements[0].n, elements[0].degree
+    result = Form.zero(n, degree)
+    for element in elements:
+        result = result + element.scale(poly_by_fractions(rng, n, max_degree))
+    return result
 
 
 # -- exact dense linear algebra ---------------------------------------------

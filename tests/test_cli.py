@@ -411,6 +411,7 @@ def test_help_names_every_option(run_cli, command):
 _PINNED_STDOUT = {
     "verify --n 2 --trials 20 --format json": "6f61bd8dd53f1706d0ffb801fa32cc49b616eb4ffdf2c1faeb53f29e2346aee4",
     "verify --n 1 --format text": "ea1e989d8efe9c85b14d062fc7d1e6a0e3956401bb687e30b8ecb5baedef3805",
+    "verify --n 3 --trials 5 --format json": "80f540cb3c110ab24260880d2a8df821646b639884c234ad45c846ab5be2b1d2",
     "commute --map dilation:r=2 --n 2 --format json": "d9f0d4083c2c215d3856013dc5d277991bb65bdb24782df8ac915f52b81d0e76",
     "commute --map compose:dilation:r=1/3;translate:q=1,2,3 --n 1 --format json": (
         "157828b0518a47c48508945d8fbe3736ecb5749ef9b7c8b23962f1c55eb8e8f3"

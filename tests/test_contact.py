@@ -39,7 +39,7 @@ from heiscalc.frame import (
 from heiscalc.rumin import basis_J, in_subspace, project_quotient
 from heiscalc.sampling import random_poly, seeded_rng
 
-from conftest import contactomorphisms, random_form
+from conftest import combination_by_scaling, contactomorphisms, random_form
 
 
 def _var(n, i):
@@ -342,16 +342,15 @@ def test_pullback_quotient_is_a_function_of_the_class(n):
     # alpha, alpha + i with i in I^k, and alpha's canonical representative
     # pull back to one class, under a dilation and a translation
     from heiscalc.rumin import basis_I
-    from heiscalc.sampling import combination_rows, random_combination
 
     rng = seeded_rng(41 + n)
     maps = [builtin_dilation(Fraction(3, 2), n),
             builtin_left_translation([Fraction(1, 2), -1, 2, Fraction(-1, 3), 1][:2 * n + 1], n)]
     for k in range(1, n + 1):
-        rows = combination_rows(basis_I(k, n).elements)
+        elements = basis_I(k, n).elements
         for _ in range(3):
             alpha = random_form(rng, n, k, max_degree=2)
-            i = random_combination(rng, rows, max_degree=2)
+            i = combination_by_scaling(rng, elements, 2)
             for f in maps:
                 expected = pullback_quotient(f, alpha)
                 assert expected == project_quotient(expected)

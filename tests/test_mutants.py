@@ -40,7 +40,8 @@ SUITES = {
 }
 
 _original = {"D_second_order": rumin.D_second_order, "dc_operator": rumin.dc_operator,
-             "twist_polynomial": frame.twist_polynomial, "_d_table": frame._d_table}
+             "twist_polynomial": frame.twist_polynomial, "_d_table": frame._d_table,
+             "_d0_pseudo_inverse": rumin._d0_pseudo_inverse}
 
 
 def _D_doubled(alpha: Form) -> Form:
@@ -78,6 +79,15 @@ def _d_table_tail_flipped(n: int, blade: tuple):
     return fronts, tuple((merged, -sign) for merged, sign in tails)
 
 
+def _d0_plus_theta_free_row(n: int, k: int):
+    # d0+ lands on theta blades; this one also writes a copy of its first
+    # row onto the first k-blade, dx_1 ^ ... , which is theta-free
+    op = _original["_d0_pseudo_inverse"](n, k)
+    if not op.rows:
+        return op
+    return op._replace(outputs=op.outputs + (frame._blade_tuple(n, k)[0],), rows=op.rows + op.rows[:1])
+
+
 # mutant: (patches by name, {suite: "fails" or "passes"})
 CATALOGUE = {
     "D doubled": ({"D_second_order": _D_doubled},
@@ -112,6 +122,9 @@ CATALOGUE = {
     "dtheta tail sign flipped in _d_table": ({"_d_table": _d_table_tail_flipped},
                                              {"complex": "fails", "lifting": "passes", "dc": "passes",
                                               "subspaces": "passes", "commute": "passes"}),
+    "theta-free row in d0+": ({"_d0_pseudo_inverse": _d0_plus_theta_free_row},
+                              {"complex": "fails", "lifting": "fails", "dc": "fails", "subspaces": "passes",
+                               "commute": "fails"}),
     # KNOWN_GAP: d_c and D agree on zero, and d o 0 = 0 o d = 0, so no
     # sampled suite sees it.  A suite that decides exactness, not only
     # d o d = 0, must report it.

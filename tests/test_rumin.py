@@ -44,9 +44,9 @@ from heiscalc.rumin import (
     verify_dc,
     verify_lifting,
 )
-from heiscalc.sampling import combination_rows, random_combination, random_poly, seeded_rng
+from heiscalc.sampling import random_combination, random_poly, seeded_rng
 
-from conftest import L_inverse, random_form, rref, solve, theta_free
+from conftest import L_inverse, combination_by_scaling, random_form, rref, solve, theta_free
 
 
 def _var(n, i):
@@ -403,7 +403,7 @@ def test_in_subspace_matches_residual_rule(space, k, n):
         return PolyCoeff.const(n, 1) if p.is_zero() else p
 
     for _ in range(3):
-        member = random_combination(rng, combination_rows(elements), max_degree=2) if elements else Form.zero(n, k)
+        member = combination_by_scaling(rng, elements, 2) if elements else Form.zero(n, k)
         assert in_subspace(kind, k, n, member) and _residual_rule(space, k, n, member)
         for blade in blades:
             perturbed = member + Form.from_blade(n, blade, bump())
@@ -426,6 +426,22 @@ def test_E0_membership_needs_both_halves(n):
         assert not in_subspace("E0", k, n, outsider)
         for element in basis_E0(k, n).elements:
             assert not in_subspace("E0", k, n, element + outsider)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_span_keeps_the_pivot_coordinates(n):
+    # The chain draws' coordinates: a form on the pivot blades of the
+    # row-reduced basis of E0^k spans an element of E0^k with the same
+    # coefficients on those blades.
+    rng = seeded_rng(47 + n)
+    for k in range(0, 2 * n + 2):
+        span = rumin._chain_span(n, k)
+        assert span.inputs == tuple(min(element.coeffs) for element in basis_E0(k, n).elements)
+        for _ in range(3):
+            coordinates = random_combination(rng, n, k, span.inputs, 2)
+            spanned = rumin._apply(span, coordinates, k)
+            assert in_subspace("E0", k, n, spanned)
+            assert {b: spanned.coeffs[b] for b in span.inputs if b in spanned.coeffs} == coordinates.coeffs
 
 
 @pytest.mark.parametrize("kind, k, message", [
@@ -599,7 +615,7 @@ def test_lift_defining_property(n):
     theta = contact_form(n)
     dtheta = d_contact_form(n)
     for _ in range(10):
-        rep = random_combination(rng, combination_rows(basis_quotient(n, n).elements), max_degree=3)
+        rep = combination_by_scaling(rng, basis_quotient(n, n).elements, 3)
         lifted = lift(rep)
         differential = exterior_derivative(lifted)
         assert differential.wedge(theta).is_zero()
@@ -676,7 +692,7 @@ def test_d_Q_high_stays_in_J():
         for k in range(n + 1, 2 * n + 1):
             basis = basis_J(k, n).elements
             for _ in range(5):
-                a = random_combination(rng, combination_rows(basis), max_degree=3)
+                a = combination_by_scaling(rng, basis, 3)
                 out = d_Q_high(a)
                 assert in_subspace("E0", k + 1, n, out)
 
@@ -792,10 +808,10 @@ def test_operators_are_functions_of_the_class_n3():
     n = 3
     rng = seeded_rng(37)
     for k in range(1, n + 1):
-        rows = combination_rows(basis_I(k, n).elements)
+        elements = basis_I(k, n).elements
         for _ in range(3):
             alpha = random_form(rng, n, k, max_degree=2)
-            i = random_combination(rng, rows, max_degree=2)
+            i = combination_by_scaling(rng, elements, 2)
             for name, op in _class_operators(n, k):
                 expected = op(alpha)
                 assert op(project_quotient(alpha)) == expected, (name, k)
@@ -969,5 +985,5 @@ def test_dc_equals_d_at_top_degree():
         k = 2 * n
         basis = basis_J(k, n).elements
         for _ in range(10):
-            a = random_combination(rng, combination_rows(basis), max_degree=3)
+            a = combination_by_scaling(rng, basis, 3)
             assert dc_operator(a) == exterior_derivative(a)
