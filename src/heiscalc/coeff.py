@@ -573,18 +573,3 @@ class _ExprParser:
             return PolyCoeff.var(self.n, idx)
         raise ValueError(f"unexpected token {tok!r} in polynomial expression")
 
-
-class _Frozen:
-    """Refuses to assign or delete attributes; __init__ sets each once through `_set`."""
-
-    __slots__ = ()
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot assign or delete field {name!r} of a {type(self).__name__}")
-
-    __delattr__ = __setattr__
-

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .coeff import PolyCoeff, Scalar, _as_fraction, _check_n, _decimal, _Frozen
+from .coeff import PolyCoeff, Scalar, _as_fraction, _check_n, _decimal
 from .frame import Blade, Form, form_to_json, frame_apply, theta_index, twist_polynomial
 from .rumin import (
     _check_report,
@@ -38,6 +38,21 @@ from .rumin import (
     rumin_operator,
 )
 from .sampling import seeded_rng
+
+
+class _Frozen:
+    """Refuses to assign or delete attributes; __init__ sets each once through `_set`."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
 
 
 class SmoothMap(_Frozen):

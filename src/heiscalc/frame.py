@@ -10,9 +10,8 @@ wtilde_i = -w_{i-n} for n < i <= 2n.  The dual coframe is theta_i = dx_i
 (i <= n), theta_{n+i} = dy_i, and theta_{2n+1} = theta, the contact form
 dt - (1/2) sum_j (x_j dy_j - y_j dx_j), with dtheta = -sum_j dx_j^dy_j.
 
-`twist_polynomial` is the one symbolic source of the twist; only d's
-packed table `_d_table` keeps its own encoding, checked against
-`frame_apply` by the tests.
+`twist_polynomial` and `d_contact_form` are the one source of each
+convention: d's packed table `_d_table` reads both.
 
 Forms and multivectors are stored blade-sparsely: a mapping from strictly
 increasing index tuples to PolyCoeff coefficients.  The two algebras
@@ -323,37 +322,30 @@ def _d_table(n: int, blade: Blade) -> _DTable:
 
     fronts holds one entry for every frame index i not in the blade:
     the bit shift and unit of w_i's field in a monomial key, the merged
-    blade and sign with theta_i ^ blade = sign . merged, and the key
-    unit and sign of the twist variable, wtilde_i = +w_{n+i} (i <= n) or
-    -w_{i-n} (n < i <= 2n), so that W_i = d_i - (1/2) wtilde_i d_t;
-    T = d_t has no twist, and twist unit and sign 0.  tails is empty
-    unless the blade ends in theta; then it holds (merged blade, sign)
-    for each rest ^ dx_j ^ dy_j that survives, where rest is the blade
-    without theta, with the Koszul sign (-1)^|rest| of splitting theta
-    off and the minus sign of dtheta = -sum_j dx_j ^ dy_j folded in.
+    blade and sign with theta_i ^ blade = sign . merged, and the key and
+    coefficient of `twist_polynomial(n, i)`'s one term; T = d_t has no
+    twist, and twist key and coefficient 0.  tails is empty unless the
+    blade ends in theta; then it holds (merged blade, sign) for each
+    term of rest ^ `d_contact_form(n)` that survives, where rest is the
+    blade without theta, with the Koszul sign (-1)^|rest| of splitting
+    theta off.
     """
     width = 2 * n + 1
     units = _units(n)
     fronts = []
     for i in range(1, width + 1):
         merged = _merge_blades((i,), blade)
-        if merged is None:
-            continue
-        if i <= n:
-            twist = (units[n + i - 1], 1)
-        elif i <= 2 * n:
-            twist = (units[i - n - 1], -1)
-        else:
-            twist = (0, 0)
-        fronts.append((_BITS * (i - 1), units[i - 1], merged[0], merged[1]) + twist)
+        if merged is not None:
+            twist, = twist_polynomial(n, i).num.items() if i < width else [(0, 0)]
+            fronts.append((_BITS * (i - 1), units[i - 1], *merged, *twist))
     tails = []
     if blade and blade[-1] == width:
         rest = blade[:-1]
         koszul = -1 if len(rest) % 2 else 1
-        for j in range(1, n + 1):
-            merged = _merge_blades(rest, (j, n + j))
+        for pair, c in d_contact_form(n).coeffs.items():
+            merged = _merge_blades(rest, pair)
             if merged is not None:
-                tails.append((merged[0], -koszul * merged[1]))
+                tails.append((merged[0], koszul * c.num[0] * merged[1]))
     return tuple(fronts), tuple(tails)
 
 

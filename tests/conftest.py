@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,81 @@ def L_inverse(gamma: Form) -> Form:
     column = [gamma.coeffs.get(b, zero) for b in target]
     return Form(n, n - 1, {b: sum((c.scale(v) for c, v in zip(column, row) if v), zero)
                            for b, row in zip(source, matrix)})
+
+
+# -- an independent coordinate chart ------------------------------------------
+#
+# A second, deliberately naive picture of the forms on H^n, in the
+# coordinates w_1..w_{2n+1} (x_j = w_j, y_j = w_{n+j}, t = w_{2n+1}).  A
+# chart form is a Form used as a container only: its blade (i_1, ..., i_k)
+# stands for dw_{i_1} ^ ... ^ dw_{i_k}.  The chart reads the contact form
+# from the paper, theta = dt - 1/2 sum_j (x_j dy_j - y_j dx_j), and
+# nothing of the frame: d is plain partial derivatives, pullback the plain
+# Jacobian, and blade signs count inversions.  A slip in the frame's
+# conventions, made in every place that reads them at once, still shows
+# against it.
+
+
+def _chart_form(n: int, degree: int, terms) -> Form:
+    """sum c dw_{l_1} ^ ... ^ dw_{l_k} over (l, c) in terms, l any index
+    sequence: its sign is the parity of the inversions that sort it, and
+    a repeated index gives zero."""
+    coeffs: dict[tuple[int, ...], PolyCoeff] = {}
+    for indices, c in terms:
+        if len(set(indices)) < len(indices):
+            continue
+        inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1:])
+        blade = tuple(sorted(indices))
+        coeffs[blade] = coeffs.get(blade, PolyCoeff.zero(n)) + (-c if inversions % 2 else c)
+    return Form(n, degree, coeffs)
+
+
+def _chart_image(alpha: Form, images, coefficient) -> Form:
+    """sum coefficient(c) images[i_1] ^ ... ^ images[i_k] over the terms
+    c e_{i_1} ^ ... ^ e_{i_k} of alpha, each image a chart 1-form given
+    as its (index, coefficient) pairs."""
+    terms = []
+    for blade, c in alpha.coeffs.items():
+        c = coefficient(c)
+        for factors in product(*(images[i - 1] for i in blade)):
+            value = c
+            for _, p in factors:
+                value = value * p
+            terms.append((tuple(index for index, _ in factors), value))
+    return _chart_form(alpha.n, alpha.degree, terms)
+
+
+def to_chart(alpha: Form) -> Form:
+    """A form of the frame's coframe in the chart: theta_i -> dw_i for
+    i <= 2n, and theta -> dw_{2n+1} - 1/2 sum_j (w_j dw_{n+j} - w_{n+j} dw_j)."""
+    n = alpha.n
+    one, half = PolyCoeff.const(n, 1), Fraction(1, 2)
+    theta = [(2 * n + 1, one)]
+    for j in range(1, n + 1):
+        theta += [(n + j, PolyCoeff.var(n, j).scale(-half)), (j, PolyCoeff.var(n, n + j).scale(half))]
+    return _chart_image(alpha, [*([(i, one)] for i in range(1, 2 * n + 1)), theta], lambda c: c)
+
+
+def wedge_chart(a: Form, b: Form) -> Form:
+    """a ^ b of two chart forms: every pair of terms, blades concatenated."""
+    return _chart_form(a.n, a.degree + b.degree, [(ia + ib, ca * cb) for ia, ca in a.coeffs.items()
+                                                  for ib, cb in b.coeffs.items()])
+
+
+def d_chart(alpha: Form) -> Form:
+    """d of a chart form: d(c dw_I) = sum_j (d c / d w_j) dw_j ^ dw_I."""
+    n = alpha.n
+    return _chart_form(n, alpha.degree + 1, [((j, *blade), c.partial(j)) for blade, c in alpha.coeffs.items()
+                                             for j in range(1, 2 * n + 2)])
+
+
+def pullback_chart(f, alpha: Form) -> Form:
+    """f* of a chart form: (c o f) df^{i_1} ^ ... ^ df^{i_k}, with
+    df^l = sum_j (d f^l / d w_j) dw_j."""
+    n = alpha.n
+    jacobian = [[(j, p) for j in range(1, 2 * n + 2) if not (p := component.partial(j)).is_zero()]
+                for component in f.components]
+    return _chart_image(alpha, jacobian, lambda c: c.substitute(f.components))
 
 
 # -- strict contactomorphisms -------------------------------------------------

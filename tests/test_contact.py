@@ -477,6 +477,18 @@ def test_commute_dilation_n1(k):
     assert report["passed"], report["counterexample"]
 
 
+# Contact maps with lambda = 0 whose horizontal components depend on t:
+# their pullback gives a horizontal form a theta term, which
+# pullback_quotient's projection removes.
+@pytest.mark.parametrize("n, literal", [(2, "poly:[w5, w5, w5, w5, 0]"), (1, "poly:[w3, 0, 0]")])
+def test_commute_passes_when_the_horizontal_part_depends_on_t(n, literal):
+    f = parse_map(literal, n)
+    assert is_contact(f) and A_coefficient(2 * n + 1, f).is_zero()
+    for k in range(2 * n + 1):
+        report = commute_check(f, k, trials=10, seed=42)
+        assert report["passed"], report["counterexample"]
+
+
 def test_commute_check_detects_a_broken_operator(monkeypatch):
     # sabotage the low operator with a constant offset; a dilation rescales
     # the offset on one side of the square but not the other

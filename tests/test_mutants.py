@@ -5,10 +5,14 @@ table below records what each verification suite makes of it.
 A suite either reports the mutant (`passed` False) or passes it.  An
 operator's own AssertionError on its output, or ValueError on its
 input, is reported too, as a counterexample carrying the error's
-message.  Every mutant but one known
-gap is reported by at least one suite.  The suites run at n = 2 with 3
-trials and seed 1; `commute` checks pullback by the dilation by 2 and
-by a left translation at every degree k = 0..2n.
+message.  Every mutant but one known gap is reported by at least one
+suite.  The suites run at n = 2 with 3 trials and seed 1.  `commute`
+checks pullback by the dilation by 2, a left translation and the
+contact map (t, ..., t, 0) at every degree k = 0..2n.  `derham` checks
+d o d = 0 and the Leibniz rule on random forms of every degree, and
+`chart` checks d and pullback by the first two maps against the
+coordinate chart of `conftest`, which reads theta from the paper and
+nothing of the frame.
 """
 
 from __future__ import annotations
@@ -18,17 +22,53 @@ from fractions import Fraction
 import pytest
 
 from heiscalc import contact, frame, rumin
+from heiscalc.coeff import PolyCoeff
 from heiscalc.frame import Form, exterior_derivative
+from heiscalc.sampling import seeded_rng
+
+from conftest import d_chart, pullback_chart, random_form, to_chart
 
 N, TRIALS, SEED = 2, 3, 1
 
 
-def _commute(n: int, trials: int, seed: int) -> dict:
-    # The maps are built here, after any patch, so their tables see it.
-    maps = (contact.builtin_dilation(2, n),
+def _maps(n: int) -> tuple[contact.SmoothMap, ...]:
+    # Built by each suite, after any patch, so their tables see it.
+    return (contact.builtin_dilation(2, n),
             contact.builtin_left_translation([Fraction(1, 2), -1, 2, Fraction(-1, 3), 1][:2 * n + 1], n))
+
+
+def _commute(n: int, trials: int, seed: int) -> dict:
+    # The contact map (t, ..., t, 0), with lambda = 0, has horizontal
+    # components that depend on t.
+    t = PolyCoeff.var(n, 2 * n + 1)
+    maps = (*_maps(n), contact.SmoothMap(n, (t,) * (2 * n) + (PolyCoeff.zero(n),)))
     reports = [contact.commute_check(f, k, trials=trials, seed=seed) for f in maps for k in range(2 * n + 1)]
     return {"passed": all(r["passed"] for r in reports)}
+
+
+def _derham(n: int, trials: int, seed: int) -> dict:
+    # d o d = 0 on all of Omega^k, and d(a ^ b) = da ^ b + (-1)^k a ^ db
+    # with b a 1-form, on random forms.
+    rng, d = seeded_rng(seed), exterior_derivative
+    for k in range(2 * n):
+        for _ in range(trials):
+            a, b = random_form(rng, n, k), random_form(rng, n, 1)
+            if not d(d(a)).is_zero() or d(a.wedge(b)) != d(a).wedge(b) + a.wedge(d(b)).scale((-1) ** k):
+                return {"passed": False}
+    return {"passed": True}
+
+
+def _chart(n: int, trials: int, seed: int) -> dict:
+    # d and pullback by the catalogue's maps against the coordinate chart.
+    rng, maps = seeded_rng(seed), _maps(n)
+    for k in range(2 * n + 1):
+        for _ in range(trials):
+            a = random_form(rng, n, k)
+            chart = to_chart(a)
+            if to_chart(exterior_derivative(a)) != d_chart(chart) or any(
+                    to_chart(contact.pullback_form(f, a)) != pullback_chart(f, chart) for f in maps):
+                return {"passed": False}
+    return {"passed": True}
 
 
 SUITES = {
@@ -37,11 +77,13 @@ SUITES = {
     "dc": rumin.verify_dc,
     "subspaces": lambda n, trials, seed: contact.verify_subspaces(n, seed=seed),
     "commute": _commute,
+    "derham": _derham,
+    "chart": _chart,
 }
 
 _original = {"D_second_order": rumin.D_second_order, "dc_operator": rumin.dc_operator,
-             "twist_polynomial": frame.twist_polynomial, "_d_table": frame._d_table,
-             "_d0_pseudo_inverse": rumin._d0_pseudo_inverse}
+             "twist_polynomial": frame.twist_polynomial, "d_contact_form": frame.d_contact_form,
+             "_d_table": frame._d_table, "_d0_pseudo_inverse": rumin._d0_pseudo_inverse}
 
 
 def _D_doubled(alpha: Form) -> Form:
@@ -73,6 +115,10 @@ def _twist_flipped(n: int, i: int):
     return -_original["twist_polynomial"](n, i)
 
 
+def _dtheta_flipped(n: int) -> Form:
+    return -_original["d_contact_form"](n)
+
+
 def _d_table_tail_flipped(n: int, blade: tuple):
     # the terms d(theta) adds, with the sign of dtheta = -sum_j dx_j ^ dy_j flipped
     fronts, tails = _original["_d_table"](n, blade)
@@ -88,50 +134,51 @@ def _d0_plus_theta_free_row(n: int, k: int):
     return op._replace(outputs=op.outputs + (frame._blade_tuple(n, k)[0],), rows=op.rows + op.rows[:1])
 
 
+def _reported_by(*suites: str) -> dict:
+    """The outcome of every suite: "fails" for those named, "passes" for the rest."""
+    return {name: "fails" if name in suites else "passes" for name in SUITES}
+
+
 # mutant: (patches by name, {suite: "fails" or "passes"})
 CATALOGUE = {
-    "D doubled": ({"D_second_order": _D_doubled},
-                  {"complex": "passes", "lifting": "passes", "dc": "fails", "subspaces": "passes",
-                   "commute": "passes"}),
-    "D zero in D_second_order alone": ({"D_second_order": _D_zero},
-                                       {"complex": "passes", "lifting": "passes", "dc": "fails",
-                                        "subspaces": "passes", "commute": "passes"}),
-    "d0+ sign flipped in Pi_E": ({"Pi_E": _Pi_E_flipped},
-                                 {"complex": "passes", "lifting": "passes", "dc": "fails",
-                                  "subspaces": "passes", "commute": "passes"}),
+    "D doubled": ({"D_second_order": _D_doubled}, _reported_by("dc")),
+    "D zero in D_second_order alone": ({"D_second_order": _D_zero}, _reported_by("dc")),
+    "d0+ sign flipped in Pi_E": ({"Pi_E": _Pi_E_flipped}, _reported_by("dc")),
     # D's own check that its output lies in J^{n+1} fires in every suite
     # that applies D, and is reported as that check's counterexample.
     "lift correction sign flipped": ({"lift": _lift_flipped},
-                                     {"complex": "fails", "lifting": "fails", "dc": "fails",
-                                      "subspaces": "passes", "commute": "fails"}),
+                                     _reported_by("complex", "lifting", "dc", "commute")),
     # d_Q_high refuses the unlifted D's output as not in J^{n+1}; that
     # input check is reported as the check's counterexample too.
-    "D without the lift": ({"D_second_order": exterior_derivative},
-                           {"complex": "fails", "lifting": "passes", "dc": "fails", "subspaces": "passes",
-                            "commute": "fails"}),
-    "d_Q_low without the projection": ({"d_Q_low": exterior_derivative},
-                                       {"complex": "passes", "lifting": "passes", "dc": "fails",
-                                        "subspaces": "passes", "commute": "fails"}),
-    # frame_apply, the frame matrix and the translation all read the
-    # flipped twist and agree with one another; only d's own table keeps
-    # the right one, and pullback by the translation no longer commutes
-    # with the operators built on d.
+    "D without the lift": ({"D_second_order": exterior_derivative}, _reported_by("complex", "dc", "commute")),
+    "d_Q_low without the projection": ({"d_Q_low": exterior_derivative}, _reported_by("dc", "commute")),
+    # d, frame_apply, the frame matrix and the translation all read the
+    # flipped twist and agree with one another, so commute passes; but
+    # the twist no longer matches dtheta, and d o d != 0.
     "twist sign flipped in twist_polynomial": ({"twist_polynomial": _twist_flipped},
-                                               {"complex": "passes", "lifting": "passes", "dc": "passes",
-                                                "subspaces": "passes", "commute": "fails"}),
+                                               _reported_by("complex", "derham", "chart")),
     "dtheta tail sign flipped in _d_table": ({"_d_table": _d_table_tail_flipped},
-                                             {"complex": "fails", "lifting": "passes", "dc": "passes",
-                                              "subspaces": "passes", "commute": "passes"}),
+                                             _reported_by("complex", "derham", "chart")),
+    "dtheta flipped in d_contact_form": ({"d_contact_form": _dtheta_flipped},
+                                         _reported_by("complex", "derham", "chart")),
+    # The two flips together are the conventions of another Heisenberg
+    # group, theta = dt + 1/2 sum_j (x_j dy_j - y_j dx_j), and every
+    # operator built on the frame is consistent with it; only the chart,
+    # which reads theta from the paper, sees the change.
+    "twist and dtheta both flipped": ({"twist_polynomial": _twist_flipped, "d_contact_form": _dtheta_flipped},
+                                      _reported_by("chart")),
     "theta-free row in d0+": ({"_d0_pseudo_inverse": _d0_plus_theta_free_row},
-                              {"complex": "fails", "lifting": "fails", "dc": "fails", "subspaces": "passes",
-                               "commute": "fails"}),
+                              _reported_by("complex", "lifting", "dc", "commute")),
+    # Only a map whose horizontal components depend on t gives the
+    # pullback of a horizontal form a theta term for the projection to
+    # remove; commute's third map does, and it reports the mutant at k = 0.
+    "pullback_quotient without the projection": ({"pullback_quotient": contact.pullback_form},
+                                                 _reported_by("commute")),
     # KNOWN_GAP: d_c and D agree on zero, and d o 0 = 0 o d = 0, so no
     # sampled suite sees it.  A suite that decides exactness, not only
     # d o d = 0, must report it.
     "D zero in D_second_order and dc_operator": (
-        {"D_second_order": _D_zero, "dc_operator": _dc_zero_at_the_middle},
-        {"complex": "passes", "lifting": "passes", "dc": "passes", "subspaces": "passes",
-         "commute": "passes"}),
+        {"D_second_order": _D_zero, "dc_operator": _dc_zero_at_the_middle}, _reported_by()),
 }
 
 KNOWN_GAP = "D zero in D_second_order and dc_operator"

@@ -366,3 +366,51 @@ def test_float_path_detector():
         "line 2: float call", "line 3: float annotation", "line 3: parameter tol",
         "line 4: float annotation", "line 6: float annotation",
     ]
+
+
+def _reads(tree: ast.Module, names) -> set[str]:
+    """The names and attributes that the module-level definitions `names`
+    of `tree` read, with what every module-level function, class or
+    assignment they read reads in turn; an import's names count as read."""
+    definitions = {}
+    for statement in tree.body:
+        if isinstance(statement, (*_FUNCTIONS, ast.ClassDef)):
+            definitions[statement.name] = statement
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            definitions.update((node.id, statement) for t in targets for node in ast.walk(t)
+                               if isinstance(node, ast.Name))
+    read, todo = set(), list(names)
+    while todo:
+        for node in ast.walk(definitions[todo.pop()]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found = {node.id}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found = {alias.name.split(".")[-1] for alias in node.names}
+            else:
+                continue
+            todo += [name for name in found - read if name in definitions and name not in names]
+            read |= found
+    return read
+
+
+# The coordinate chart of conftest checks the frame's conventions, so it
+# reads none of the code that carries them.
+_CHART = ("to_chart", "d_chart", "pullback_chart", "wedge_chart")
+_FRAME_CONVENTIONS = {"exterior_derivative", "frame_apply", "twist_polynomial", "d_contact_form", "_d_table",
+                      "pullback_form", "wedge", "_merge_blades"}
+
+
+def test_the_chart_reads_no_frame_convention():
+    tree = ast.parse((TESTS / "conftest.py").read_text())
+    assert sorted(_reads(tree, _CHART) & _FRAME_CONVENTIONS) == []
+
+
+def test_read_names_detector():
+    tree = ast.parse("import frame\nalias = frame.wedge\n"
+                     "def chart(x):\n    return helper(x).coeffs, alias\n"
+                     "def helper(y):\n    from m import twist as tw\n    return tw(y)\n"
+                     "def unread():\n    return d\n")
+    assert _reads(tree, ["chart"]) == {"helper", "x", "coeffs", "alias", "frame", "wedge", "twist", "tw", "y"}
