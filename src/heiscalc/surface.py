@@ -26,9 +26,8 @@ the Mobius strip's half twist, gamma(2 pi, s) = gamma(0, -s), alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +41,7 @@ _PARTIALS_TOL = 1e-6
 _NEWTON_MAX_ITER = 60  # Newton steps before a candidate counts as a failure
 
 
-@dataclass(frozen=True)
-class CharPoint:
+class CharPoint(NamedTuple):
     """A located characteristic point with its residual max(|N1|, |N2|)."""
 
     r: float
@@ -62,8 +60,7 @@ class CharPoint:
         }
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Characteristic points plus any Newton candidates that failed to converge."""
 
     points: tuple[CharPoint, ...]
@@ -73,7 +70,6 @@ class ScanResult:
         return [p.to_json() for p in self.points]
 
 
-@dataclass(frozen=True)
 class ParamSurface:
     """A parametrized surface (r, s) -> (x, y, t) with numeric partial evaluators.
 
@@ -87,21 +83,51 @@ class ParamSurface:
     Each evaluator is called once on such a column and row, and the
     partials are validated against central finite differences, on
     construction, so a surface that exists can be scanned and is
-    internally consistent.
+    internally consistent.  Every way to build one, copies and pickles
+    included, goes through `__init__`; the fields cannot be assigned or
+    deleted afterwards, and surfaces compare, hash and print by them.
     Seams need no declaration: the scan samples the closed rectangle.
     """
+
+    __slots__ = ("r_range", "s_range", "gamma", "gamma_r", "gamma_s", "name")
 
     r_range: tuple[float, float]
     s_range: tuple[float, float]
     gamma: Callable
     gamma_r: Callable
     gamma_s: Callable
-    name: str = "surface"
+    name: str
 
-    def __post_init__(self) -> None:
-        if not (self.r_range[0] < self.r_range[1] and self.s_range[0] < self.s_range[1]):
+    def __init__(self, r_range: tuple[float, float], s_range: tuple[float, float], gamma: Callable,
+                 gamma_r: Callable, gamma_s: Callable, name: str = "surface") -> None:
+        for field, value in zip(self.__slots__, (r_range, s_range, gamma, gamma_r, gamma_s, name)):
+            object.__setattr__(self, field, value)
+        if not (r_range[0] < r_range[1] and s_range[0] < s_range[1]):
             raise ValueError("parameter ranges must be nondegenerate")
         self._validate_partials()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={value!r}" for field, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
     def _validate_partials(self) -> None:
         # The scan passes arrays: refuse a scalar-only evaluator (one that

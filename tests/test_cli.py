@@ -1016,6 +1016,25 @@ def test_symbolic_commands_load_only_what_they_use(fresh_python):
     assert "\nk,space,index,form\n" in result.stdout
 
 
+def test_mobius_loads_neither_dataclasses_nor_copy(fresh_python, tmp_path):
+    # surface's records are NamedTuples and a slotted class, so mobius
+    # loads neither module; numpy itself brings inspect and pickle.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from heiscalc import cli\n"
+        "args = ['mobius', '-R', '0.2', '-w', '0.15', '--grid', '64x64', '--out', sys.argv[1]]\n"
+        "assert cli.main(args, standalone_mode=False) == 0\n"
+        "new = set(sys.modules) - before\n"
+        "assert 'heiscalc.surface' in new\n"
+        "loaded = [m for m in ('dataclasses', 'copy') if m in new]\n"
+        "assert not loaded, loaded\n"
+    )
+    result = fresh_python(["-c", code, str(tmp_path)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "mobius_scan.csv").exists()
+
+
 def test_unforked_run_loads_neither_shutil_nor_tempfile(fresh_python):
     # Importing cli loads neither module, and pinned to one CPU, verify
     # forks no worker and so never loads tempfile.  -S keeps site's .pth

@@ -7,12 +7,14 @@ operator's own AssertionError on its output, or ValueError on its
 input, is reported too, as a counterexample carrying the error's
 message.  Every mutant but one known gap is reported by at least one
 suite.  The suites run at n = 2 with 3 trials and seed 1.  `commute`
-checks pullback by the dilation by 2, a left translation and the
-contact map (t, ..., t, 0) at every degree k = 0..2n.  `derham` checks
-d o d = 0 and the Leibniz rule on random forms of every degree, and
-`chart` checks d and pullback by the first two maps against the
-coordinate chart of `conftest`, which reads theta from the paper and
-nothing of the frame.
+checks that the dilation by 2, a left translation and the contact map
+(t, ..., t, 0) are contact, and pullback by each at every degree
+k = 0..2n.  `derham` checks d o d = 0 and the Leibniz rule on random
+forms of every degree, and `chart` checks d and pullback by the first
+two maps against the coordinate chart of `conftest`, which reads theta
+from the paper and nothing of the frame.  Beside the hand-picked rows,
+a sweep flips each sign of d's kernel table `_d_table` in turn, and
+some column must report every flip.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ def _commute(n: int, trials: int, seed: int) -> dict:
     # components that depend on t.
     t = PolyCoeff.var(n, 2 * n + 1)
     maps = (*_maps(n), contact.SmoothMap(n, (t,) * (2 * n) + (PolyCoeff.zero(n),)))
+    # commute_check refuses a map that is not contact; these maps are,
+    # so a mutant that makes one look otherwise is reported here.
+    if not all(contact.is_contact(f) for f in maps):
+        return {"passed": False}
     reports = [contact.commute_check(f, k, trials=trials, seed=seed) for f in maps for k in range(2 * n + 1)]
     return {"passed": all(r["passed"] for r in reports)}
 
@@ -83,7 +89,8 @@ SUITES = {
 
 _original = {"D_second_order": rumin.D_second_order, "dc_operator": rumin.dc_operator,
              "twist_polynomial": frame.twist_polynomial, "d_contact_form": frame.d_contact_form,
-             "_d_table": frame._d_table, "_d0_pseudo_inverse": rumin._d0_pseudo_inverse}
+             "_d_table": frame._d_table, "_d0_pseudo_inverse": rumin._d0_pseudo_inverse,
+             "frame_matrix": contact.SmoothMap.frame_matrix.func}
 
 
 def _D_doubled(alpha: Form) -> Form:
@@ -134,6 +141,13 @@ def _d0_plus_theta_free_row(n: int, k: int):
     return op._replace(outputs=op.outputs + (frame._blade_tuple(n, k)[0],), rows=op.rows + op.rows[:1])
 
 
+def _frame_matrix_without_the_twist(f: contact.SmoothMap) -> tuple:
+    # A(j, f) read as the naive W_j f^{2n+1}: the last row drops its
+    # 1/2 sum_l wtilde_l(f) W_j f^l term
+    last = tuple(frame.frame_apply(j, f.components[-1]) for j in range(1, 2 * f.n + 2))
+    return _original["frame_matrix"](f)[:-1] + (last,)
+
+
 def _reported_by(*suites: str) -> dict:
     """The outcome of every suite: "fails" for those named, "passes" for the rest."""
     return {name: "fails" if name in suites else "passes" for name in SUITES}
@@ -174,6 +188,11 @@ CATALOGUE = {
     # remove; commute's third map does, and it reports the mutant at k = 0.
     "pullback_quotient without the projection": ({"pullback_quotient": contact.pullback_form},
                                                  _reported_by("commute")),
+    # The dilation's naive last row is 4 W_j t, not 0, so it no longer
+    # looks contact: commute reports that, and subspaces and chart see
+    # the wrong f* theta in pullback_form.
+    "A coefficient dropped in pullback": ({"SmoothMap.frame_matrix": property(_frame_matrix_without_the_twist)},
+                                          _reported_by("subspaces", "commute", "chart")),
     # KNOWN_GAP: d_c and D agree on zero, and d o 0 = 0 o d = 0, so no
     # sampled suite sees it.  A suite that decides exactness, not only
     # d o d = 0, must report it.
@@ -191,15 +210,28 @@ def _clear_caches() -> None:
                 value.cache_clear()
 
 
+def _patch(monkeypatch, patches: dict) -> None:
+    # "Class.attribute" names an attribute of a class of contact; a plain
+    # name is rebound in every module that binds it.
+    for name, f in patches.items():
+        owner, _, attribute = name.rpartition(".")
+        if owner:
+            monkeypatch.setattr(getattr(contact, owner), attribute, f)
+            continue
+        for module in (frame, rumin, contact):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, f)
+
+
 @pytest.fixture()
 def mutate(monkeypatch):
     """`mutate(patches)` rebinds each named function, for one test, in
-    every module of frame, rumin and contact that binds it.  The rumin
-    and frame caches are cleared before and after, so no table built
-    under a mutant outlives it."""
+    every module of frame, rumin and contact that binds it, or the named
+    attribute of a class of contact.  The rumin and frame caches are
+    cleared before and after, so no table built under a mutant outlives
+    it."""
     _clear_caches()
-    yield lambda patches: [monkeypatch.setattr(module, name, f) for name, f in patches.items()
-                           for module in (frame, rumin, contact) if name in vars(module)]
+    yield lambda patches: _patch(monkeypatch, patches)
     monkeypatch.undo()
     _clear_caches()
 
@@ -223,3 +255,54 @@ def test_mutant_outcomes(mutant, mutate):
 def test_every_mutant_but_the_known_gap_is_reported():
     unreported = [m for m, (_, outcomes) in CATALOGUE.items() if "fails" not in outcomes.values()]
     assert unreported == [KNOWN_GAP]
+
+
+# -- every sign of d's kernel table --------------------------------------------
+
+def _d_table_sign_flips(n: int) -> list[tuple]:
+    """Each single sign flip of `_d_table` at n: (blade, "front", i) flips
+    the sign of theta_i ^ blade, and (blade, "tail", merged) that of one
+    term of d(blade) read from dtheta."""
+    flips = []
+    for k in range(2 * n + 2):
+        for blade in frame._blade_tuple(n, k):
+            fronts, tails = _original["_d_table"](n, blade)
+            flips += [(blade, "front", *set(front[2]) - set(blade)) for front in fronts]
+            flips += [(blade, "tail", merged) for merged, _ in tails]
+    return flips
+
+
+def _d_table_flipped(flip: tuple):
+    blade, part, which = flip
+
+    def table(n: int, at: tuple):
+        fronts, tails = _original["_d_table"](n, at)
+        if at != blade:
+            return fronts, tails
+        if part == "front":
+            return tuple(f[:3] + (-f[3],) + f[4:] if which in f[2] else f for f in fronts), tails
+        return fronts, tuple((merged, -sign if merged == which else sign) for merged, sign in tails)
+
+    return table
+
+
+def test_every_sign_flip_of_the_d_table_is_reported(monkeypatch):
+    # derham runs first, as the cheapest column that reports nearly every
+    # flip; a flip it passes must fail another column.  Its three random
+    # functions at seed 1 have no x_2 and no t in them, so their d has no
+    # theta_2 and no theta term, and derham passes the two flips of d on
+    # functions that change those signs.  chart reports the theta one alone.
+    flips = _d_table_sign_flips(N)
+    assert len(flips) == 88 and len(set(flips)) == 88
+    passed_by_derham, unreported = [], []
+    for flip in flips:
+        with monkeypatch.context() as patch:
+            _clear_caches()
+            _patch(patch, {"_d_table": _d_table_flipped(flip)})
+            if _outcome(SUITES["derham"]) == "passes":
+                passed_by_derham.append(flip)
+                if all(_outcome(suite) == "passes" for name, suite in SUITES.items() if name != "derham"):
+                    unreported.append(flip)
+        _clear_caches()
+    assert unreported == []
+    assert passed_by_derham == [((), "front", 2), ((), "front", 5)]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -468,6 +470,100 @@ def test_construction_rejects_components_of_the_wrong_shape():
                      gamma=lambda r, s: (r + 0 * s, s + 0 * r, 0.0),
                      gamma_r=lambda r, s: (1.0, 0.0, 0.0),
                      gamma_s=lambda r, s: (0.0, 1.0, np.zeros(3)))
+
+# -- the records ----------------------------------------------------------------
+
+# The plane t = 0, with module-level evaluators so that pickle can send it.
+def _plane_gamma(r, s):
+    return (r + 0 * s, s + 0 * r, 0.0 * r * s)
+
+
+def _plane_gamma_r(r, s):
+    return (1.0 + 0 * r, 0.0 * r, 0.0 * r)
+
+
+def _plane_gamma_s(r, s):
+    return (0.0 * s, 1.0 + 0 * s, 0.0 * s)
+
+
+def _wrong_gamma_r(r, s):  # should be (1, 0, 0)
+    return (2.0 + 0 * r, 0.0 * r, 0.0 * r)
+
+
+_PLANE = ((0.0, 1.0), (0.0, 1.0), _plane_gamma, _plane_gamma_r, _plane_gamma_s, "plane")
+_FIELDS = ("r_range", "s_range", "gamma", "gamma_r", "gamma_s", "name")
+
+
+def _records() -> list:
+    point = CharPoint(r=1.0, s=-0.5, residual=1e-12, ambient=(0.1, 0.2, 0.3))
+    return [point, ScanResult(points=(point,), failures=()), ParamSurface(*_PLANE)]
+
+
+_RECORD_NAMES = ["CharPoint", "ScanResult", "ParamSurface"]
+
+
+@pytest.mark.parametrize("index", range(3), ids=_RECORD_NAMES)
+def test_records_refuse_assignment_and_deletion(index):
+    record = _records()[index]
+    fields = _FIELDS if isinstance(record, ParamSurface) else record._fields
+    for field in fields:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("index", range(3), ids=_RECORD_NAMES)
+def test_records_with_equal_fields_compare_equal_and_hash_alike(index):
+    first, second = _records()[index], _records()[index]
+    assert first is not second and first == second and hash(first) == hash(second)
+
+
+def test_surfaces_compare_by_all_six_fields():
+    plane = ParamSurface(*_PLANE)
+    assert ParamSurface(*_PLANE[:5]) == ParamSurface(*_PLANE[:5], name="surface")
+    assert plane != ParamSurface(*_PLANE[:5]) and plane != ParamSurface((0.0, 2.0), *_PLANE[1:])
+    assert plane != _PLANE and len({plane, ParamSurface(*_PLANE)}) == 1
+
+
+def test_record_reprs_name_every_field():
+    point = CharPoint(1.0, -0.5, 1e-12, (0.1, 0.2, 0.3), True)
+    assert repr(point) == "CharPoint(r=1.0, s=-0.5, residual=1e-12, ambient=(0.1, 0.2, 0.3), boundary=True)"
+    assert repr(ParamSurface(*_PLANE)) == (
+        f"ParamSurface(r_range=(0.0, 1.0), s_range=(0.0, 1.0), gamma={_plane_gamma!r}, "
+        f"gamma_r={_plane_gamma_r!r}, gamma_s={_plane_gamma_s!r}, name='plane')")
+
+
+def _forged(*fields) -> ParamSurface:
+    # A surface whose fields were set around __init__, so never validated.
+    surface = object.__new__(ParamSurface)
+    for field, value in zip(_FIELDS, fields):
+        object.__setattr__(surface, field, value)
+    return surface
+
+
+@pytest.mark.parametrize("build", [
+    lambda *f: ParamSurface(*f),
+    lambda *f: ParamSurface(**dict(zip(_FIELDS, f))),
+    lambda r, s, gamma, gamma_r, gamma_s, name: ParamSurface(r, s, gamma, gamma_r, gamma_s=gamma_s, name=name),
+    lambda *f: copy.copy(_forged(*f)),
+    lambda *f: copy.deepcopy(_forged(*f)),
+    lambda *f: pickle.loads(pickle.dumps(_forged(*f))),
+], ids=["positional", "keyword", "mixed", "copy", "deepcopy", "pickle"])
+def test_every_way_to_build_a_surface_validates_its_partials(build):
+    # A surface is built only through __init__; no _replace or _make skips it.
+    assert build(*_PLANE) == ParamSurface(*_PLANE)
+    wrong = _PLANE[:3] + (_wrong_gamma_r,) + _PLANE[4:]
+    with pytest.raises(ValueError, match="^gamma_r component 0 disagrees with finite differences"):
+        build(*wrong)
+    with pytest.raises(ValueError, match="^parameter ranges must be nondegenerate"):
+        build((1.0, 0.0), *_PLANE[1:])
+    assert not hasattr(ParamSurface, "_replace") and not hasattr(ParamSurface, "_make")
+
 
 # -- orientation field conversions ----------------------------------------------
 
