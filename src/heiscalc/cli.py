@@ -5,8 +5,9 @@ verify (exactness, lifting, subspace and d_c suites), commute
 (pullback commutation for a map literal), mobius (characteristic-point
 scan).  Output is text, CSV, or JSON; rationals stay "p/q" strings in
 JSON so nothing exact is rounded.  Exit codes: 0 success, 1 a
-verification check failed or a forked worker (verify, commute, the
-mobius scan CSV) failed, 2 bad input or precondition.
+verification check failed, a forked worker (verify, commute, the
+mobius scan CSV) failed or an output could not be written, 2 bad input
+or precondition.
 
 Each command is a function from its arguments to (exit code, output
 text), the text rendered by `_render` in the chosen format; `main`
@@ -29,7 +30,7 @@ import math
 import os
 import sys
 from functools import partial
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn
+from typing import TYPE_CHECKING, BinaryIO, Callable, NoReturn
 
 if TYPE_CHECKING:
     from .surface import ParamSurface
@@ -40,7 +41,7 @@ if TYPE_CHECKING:
 
 class _Failure(Exception):
     """Ends a command with `Error: <message>` on stderr and exit `code`:
-    2 for bad input, 1 for a failed forked worker."""
+    2 for bad input, 1 for a failed forked worker or write."""
 
     def __init__(self, message: str, code: int) -> None:
         super().__init__(message)
@@ -77,45 +78,41 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@contextlib.contextmanager
-def _forked(what: str, parts: list[tuple[str, Callable[[BinaryIO], None]]],
-            tmp_dir: str | None = None) -> Iterator[Callable[[BinaryIO], None]]:
-    """Run each (name, part) of `parts` in a forked worker while the
-    with-block runs in this process.
+def _in_parts(what: str, parts: list[tuple[str, Callable[[BinaryIO], object]]], out: BinaryIO,
+              tmp_dir: str | None = None):
+    """Run each (name, part) of `parts` on `out`, in order, and return
+    what the first part returns.
 
-    Each worker calls its part on an unnamed temporary file in `tmp_dir`
-    and leaves through os._exit, so it never returns into the caller's
-    stack (the command line, a test runner, a tracer).  The block gets
-    `append_to(out)`, which reaps the workers in order and appends each
-    one's file to `out`; a worker that failed raises a _Failure (exit 1)
-    naming its part.  However the block ends, every worker is
-    reaped and the temporary files vanish with their descriptors.
+    Every part but the first runs in a forked worker on an unnamed
+    temporary file in `tmp_dir`, and leaves through os._exit, so it
+    never returns into the caller's stack (the command line, a test
+    runner, a tracer).  The first part runs here, straight into `out`;
+    then the workers are reaped in order and each one's file is
+    appended to `out`.  A worker that failed raises a _Failure (exit 1)
+    naming its part.  However this ends, every worker is reaped and the
+    temporary files vanish with their descriptors.
     """
     workers = []  # [pid, temporary file, name]; pid is None unless a child is running
-
-    def append_to(out: BinaryIO) -> None:
-        for worker in workers:
-            pid, output, name = worker
-            status = os.waitpid(pid, 0)[1]
-            worker[0] = None
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                raise _Failure(
-                    f"{what} failed: the worker for {name} exited with status {code}", 1)
-            output.seek(0)
-            # 64 KiB at a time, as shutil.copyfileobj reads on Linux
-            while chunk := output.read(65536):
-                out.write(chunk)
-
     try:
-        for name, part in parts:
+        for name, part in parts[1:]:
             import tempfile  # only a run that forks loads it
             workers.append([None, tempfile.TemporaryFile(dir=tmp_dir), name])
             pid = os.fork()
             if pid == 0:
                 _worker(part, workers[-1][1].fileno(), f"{what}: the worker for {name}")
             workers[-1][0] = pid
-        yield append_to
+        result = parts[0][1](out)
+        for worker in workers:
+            pid, output, name = worker
+            worker[0] = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                raise _Failure(f"{what} failed: the worker for {name} exited with status {code}", 1)
+            output.seek(0)
+            # 64 KiB at a time, as shutil.copyfileobj reads on Linux
+            while chunk := output.read(65536):
+                out.write(chunk)
+        return result
     finally:
         for pid, output, _ in workers:
             if pid is not None:
@@ -162,10 +159,7 @@ def _run_jobs(what: str, jobs: list[tuple[str, Callable]], in_worker: list[int])
     else:
         parts = [list(every)]
     out = io.BytesIO()
-    with _forked(what, [(", ".join(jobs[i][0] for i in part), partial(dump, part))
-                        for part in parts[1:]]) as append_to:
-        dump(parts[0], out)
-        append_to(out)
+    _in_parts(what, [(", ".join(jobs[i][0] for i in part), partial(dump, part)) for part in parts], out)
     out.seek(0)
     results = {}
     for part in parts:
@@ -431,36 +425,30 @@ def _write_scan_csv(path: str, surface: ParamSurface, grid: tuple[int, int],
     """Write the scan of `surface` on `grid` as CSV, formatting contiguous
     r-row parts in parallel, and return what `search` returns.
 
-    Float reprs dominate the cost, so each part but the first is
-    formatted by a forked worker (`_forked`) into a temporary file next
-    to `path`.  The workers start first; then this process opens `path`
-    and formats the first part straight into it while `search(on_tile)`
-    runs here.  `search` must hand `on_tile` every tile of the scan, as
+    Float reprs dominate the cost, so the r-rows are cut into one
+    contiguous part per available CPU (`_scan_csv_parts`) and handed to
+    `_in_parts`: each part but the first is formatted by a forked worker
+    into a temporary file next to `path`, while this process formats the
+    first straight into `path` as `search(on_tile)` runs here.  `search`
+    must hand `on_tile` every tile of the scan, as
     `find_characteristic_points` does, so the first part is written
     from the search's own pass and no node is evaluated twice here;
     without a search, this process reads the first part's own tiles.
     Every part evaluates its rows tile by tile, so no process holds the
     grid, and a band that a part bound cuts is evaluated whole on both
-    sides, so the bytes do not depend on the split.  There is one part
-    per available CPU (`_scan_csv_parts`).  If anything fails, every
-    worker is reaped and the partial CSV is removed.
+    sides, so the bytes do not depend on the split.  If anything fails,
+    every worker is reaped; the partial CSV is the caller's to remove.
     """
     rows = grid[0]
     parts = _scan_csv_parts(rows)
     bounds = [rows * k // parts for k in range(parts + 1)]
-    workers = [(f"r-rows {lo}..{hi - 1}", partial(_scan_csv_part, surface, grid, lo, hi))
-               for lo, hi in zip(bounds[1:], bounds[2:])]
-    with _forked(f"writing {path}", workers, os.path.dirname(path) or ".") as append_to, \
-            open(path, "wb") as out:
-        try:
-            out.write(b"r,s,N1,N2,N3\n")
-            result = _scan_csv_part(surface, grid, 0, bounds[1], out, search)
-            append_to(out)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-            raise
-    return result
+    with open(path, "wb") as out:
+        out.write(b"r,s,N1,N2,N3\n")
+        out.flush()  # before the workers fork, so none holds the header in its buffer
+        return _in_parts(f"writing {path}", [
+            (f"r-rows {lo}..{hi - 1}",
+             partial(_scan_csv_part, surface, grid, lo, hi, search=search if lo == 0 else None))
+            for lo, hi in zip(bounds, bounds[1:])], out, os.path.dirname(path) or ".")
 
 
 def _scan_csv_part(surface: ParamSurface, grid: tuple[int, int], lo: int, hi: int,
@@ -505,25 +493,32 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
     except ValueError as exc:
         raise _Failure(str(exc), 2)
 
-    # The directories this run makes: a failed scan leaves them empty,
-    # and they go again.
+    # The directories this run makes: a failed run removes both
+    # artifacts, which leaves them empty, and they go again.
     created, _ = _missing_directories(directory)
     os.makedirs(directory, exist_ok=True)
     scan_path = os.path.join(directory, "mobius_scan.csv")
     points_path = os.path.join(directory, "mobius_points.json")
+    writing = scan_path
     try:
         result = _write_scan_csv(scan_path, surf, grid, search=lambda on_tile: (
             surface.find_characteristic_points(surf, grid=grid, tol=tol, on_tile=on_tile)))
+        points = result.to_json()
+        writing = points_path
+        with open(points_path, "w") as handle:
+            handle.write(json.dumps(points, indent=2) + "\n")
     except BaseException as exc:
+        for path in (scan_path, points_path):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
         for path in created:
             with contextlib.suppress(OSError):
                 os.rmdir(path)
         if isinstance(exc, ValueError):
             raise _Failure(str(exc), 2)
+        if isinstance(exc, OSError):
+            raise _Failure(f"cannot write {writing}: {exc.strerror or exc}", 1)
         raise
-    points = result.to_json()
-    with open(points_path, "w") as handle:
-        handle.write(json.dumps(points, indent=2) + "\n")
 
     payload = {
         "command": "mobius", "R": radius, "w": half_width,
@@ -668,20 +663,25 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
     run, out = options.pop("run"), options.pop("out", None)
     try:
         code, text = run(**options)
-        if out:
-            with open(out, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+        try:
+            if out:
+                with open(out, "w") as handle:
+                    handle.write(text)
+            else:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+        except OSError as exc:
+            # A failed write to stdout leaves the text buffered: send it
+            # to devnull, or the exit's flush fails again.  A reader of
+            # stdout that has gone ends the run with exit 1 and no message.
+            if not out:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                raise _Failure(f"cannot write {out or 'stdout'}: {exc.strerror or exc}", 1)
+            code = 1
     except _Failure as exc:
         sys.stderr.write(f"Error: {exc}\n")
         code = exc.code
-    except BrokenPipeError:
-        # The reader of stdout has gone: exit 1, and send what is still
-        # buffered to devnull, or the next flush fails again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
     if not standalone_mode:
         return code
     sys.stdout.flush()

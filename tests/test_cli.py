@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -1066,6 +1067,64 @@ def test_closed_stdout_exits_one_quietly(fresh_python):
         os.close(write)
     assert result.returncode == 1
     assert result.stderr == b""
+
+
+# -- a failed write ---------------------------------------------------------------
+
+# /dev/full refuses every write with ENOSPC.
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@_NEEDS_DEV_FULL
+@pytest.mark.parametrize("target", ["--out", "stdout"])
+def test_failed_output_write_is_one_error_line(fresh_python, target):
+    args = ["-m", "heiscalc.cli", "verify", "--n", "1", "--trials", "2"]
+    with open("/dev/full", "wb") as full:
+        if target == "--out":
+            result = fresh_python([*args, "--out", "/dev/full"], capture_output=True, text=True)
+        else:
+            result = fresh_python(args, stdout=full, stderr=subprocess.PIPE, text=True)
+    name = "/dev/full" if target == "--out" else "stdout"
+    assert result.returncode == 1
+    assert result.stderr == f"Error: cannot write {name}: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_mobius_past_the_file_size_limit_cleans_up(fresh_python, tmp_path, cpus):
+    # The CSV passes RLIMIT_FSIZE, set in the child only, in this process's
+    # part (EFBIG through the search's on_tile) and, split, in the
+    # worker's.  The run removes what it wrote and the directories it made.
+    import resource
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536))
+
+    out = tmp_path / "made" / "out"
+    code = "import sys\nfrom heiscalc import cli\ncli._cpus = lambda: int(sys.argv[1])\ncli.main(sys.argv[2:])\n"
+    result = fresh_python(["-c", code, str(cpus), "mobius", "-R", "0.2", "-w", "0.15", "--grid", "64x64",
+                           "--out", str(out)], preexec_fn=limit_file_size, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("Error: ") == 1
+    assert result.stderr.endswith(
+        f"Error: cannot write {out / 'mobius_scan.csv'}: {os.strerror(errno.EFBIG)}\n")
+    assert os.listdir(tmp_path) == []
+
+
+@_NEEDS_DEV_FULL
+def test_mobius_failed_points_write_removes_both_artifacts(run_cli, tmp_path, monkeypatch):
+    from heiscalc import cli
+
+    def points_on_dev_full(path, *args, **kwargs):
+        return open("/dev/full" if str(path).endswith("mobius_points.json") else path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", points_on_dev_full, raising=False)
+    out = tmp_path / "made" / "out"
+    result = run_cli(["mobius", "-R", "0.2", "-w", "0.15", "--grid", "64x64", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"Error: cannot write {out / 'mobius_points.json'}: {os.strerror(errno.ENOSPC)}\n")
+    assert os.listdir(tmp_path) == []
 
 
 # -- the exit without teardown ----------------------------------------------------

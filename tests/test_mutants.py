@@ -10,11 +10,13 @@ suite.  The suites run at n = 2 with 3 trials and seed 1.  `commute`
 checks that the dilation by 2, a left translation and the contact map
 (t, ..., t, 0) are contact, and pullback by each at every degree
 k = 0..2n.  `derham` checks d o d = 0 and the Leibniz rule on random
-forms of every degree, and `chart` checks d and pullback by the first
-two maps against the coordinate chart of `conftest`, which reads theta
-from the paper and nothing of the frame.  Beside the hand-picked rows,
-a sweep flips each sign of d's kernel table `_d_table` in turn, and
-some column must report every flip.
+forms of every degree, and d o d = 0 on one fixed function in x_n and
+t, and `chart` checks d and pullback by the first two maps against the
+coordinate chart of `conftest`, which reads theta from the paper and
+nothing of the frame.  Beside the hand-picked rows, one row flips each
+single twist and each single term of dtheta at its source, and a sweep
+flips each sign of d's kernel table `_d_table` in turn; some column
+must report every flip.
 """
 
 from __future__ import annotations
@@ -54,8 +56,13 @@ def _commute(n: int, trials: int, seed: int) -> dict:
 
 def _derham(n: int, trials: int, seed: int) -> dict:
     # d o d = 0 on all of Omega^k, and d(a ^ b) = da ^ b + (-1)^k a ^ db
-    # with b a 1-form, on random forms.
+    # with b a 1-form, on random forms.  d o d = 0 also on the function
+    # x_n t + t, whose d has a theta_n and a theta term: the random
+    # functions at seed 1 have no x_n and no t, so their d has neither.
     rng, d = seeded_rng(seed), exterior_derivative
+    t = PolyCoeff.var(n, 2 * n + 1)
+    if not d(d(Form.function(PolyCoeff.var(n, n) * t + t))).is_zero():
+        return {"passed": False}
     for k in range(2 * n):
         for _ in range(trials):
             a, b = random_form(rng, n, k), random_form(rng, n, 1)
@@ -126,6 +133,23 @@ def _dtheta_flipped(n: int) -> Form:
     return -_original["d_contact_form"](n)
 
 
+def _one_twist_flipped(i: int):
+    def twist(n: int, j: int):
+        p = _original["twist_polynomial"](n, j)
+        return -p if j == i else p
+
+    return twist
+
+
+def _one_dtheta_term_flipped(j: int):
+    # the dx_j ^ dy_j term of dtheta alone, with its sign flipped
+    def dtheta(n: int) -> Form:
+        form = _original["d_contact_form"](n)
+        return Form(n, 2, {blade: -c if blade == (j, n + j) else c for blade, c in form.sorted_items()})
+
+    return dtheta
+
+
 def _d_table_tail_flipped(n: int, blade: tuple):
     # the terms d(theta) adds, with the sign of dtheta = -sum_j dx_j ^ dy_j flipped
     fronts, tails = _original["_d_table"](n, blade)
@@ -183,6 +207,14 @@ CATALOGUE = {
                                       _reported_by("chart")),
     "theta-free row in d0+": ({"_d0_pseudo_inverse": _d0_plus_theta_free_row},
                               _reported_by("complex", "lifting", "dc", "commute")),
+    # One sign at its source, at n = 2.  A single twist flipped makes
+    # [X_i, Y_i] vanish for its i, and every column reports it; every
+    # column but subspaces reports a single flipped term of dtheta.
+    **{f"twist_polynomial(2, {i}) alone flipped": ({"twist_polynomial": _one_twist_flipped(i)},
+                                                   _reported_by(*SUITES)) for i in range(1, 2 * N + 1)},
+    **{f"dx_{j} ^ dy_{j} of d_contact_form(2) flipped": (
+        {"d_contact_form": _one_dtheta_term_flipped(j)},
+        _reported_by("complex", "lifting", "dc", "commute", "derham", "chart")) for j in range(1, N + 1)},
     # Only a map whose horizontal components depend on t gives the
     # pullback of a horizontal form a theta term for the projection to
     # remove; commute's third map does, and it reports the mutant at k = 0.
@@ -287,11 +319,10 @@ def _d_table_flipped(flip: tuple):
 
 
 def test_every_sign_flip_of_the_d_table_is_reported(monkeypatch):
-    # derham runs first, as the cheapest column that reports nearly every
-    # flip; a flip it passes must fail another column.  Its three random
-    # functions at seed 1 have no x_2 and no t in them, so their d has no
-    # theta_2 and no theta term, and derham passes the two flips of d on
-    # functions that change those signs.  chart reports the theta one alone.
+    # derham runs first, as the cheapest column, and reports every flip;
+    # a flip it passed would have to fail another column.  Its fixed
+    # function x_2 t + t reports the theta_2 and theta fronts of d on
+    # functions, which its random functions at seed 1 miss.
     flips = _d_table_sign_flips(N)
     assert len(flips) == 88 and len(set(flips)) == 88
     passed_by_derham, unreported = [], []
@@ -305,4 +336,4 @@ def test_every_sign_flip_of_the_d_table_is_reported(monkeypatch):
                     unreported.append(flip)
         _clear_caches()
     assert unreported == []
-    assert passed_by_derham == [((), "front", 2), ((), "front", 5)]
+    assert passed_by_derham == []
