@@ -11,8 +11,11 @@ or precondition.
 
 Each command is a function from its arguments to (exit code, output
 text), the text rendered by `_render` in the chosen format; `main`
-alone writes it, to stdout or to the --out file.  A refusal raises
-_Failure, which `main` prints as one `Error: <message>` line.
+alone writes it, to stdout or to the --out file.  Every output file is
+opened by `_output`, which removes it if its write fails.  Bad input
+raises a ValueError wherever it is found, a failed worker or write a
+_Failure; `main` prints either as one `Error: <message>` line, with
+exit 2 or 1.
 
 The parser is the standard library's argparse: it loads in a fraction
 of the time a third-party one would, and start-up is a large share of
@@ -28,6 +31,7 @@ import json
 import marshal
 import math
 import os
+import stat
 import sys
 from functools import partial
 from typing import TYPE_CHECKING, BinaryIO, Callable, NoReturn
@@ -40,12 +44,8 @@ if TYPE_CHECKING:
 
 
 class _Failure(Exception):
-    """Ends a command with `Error: <message>` on stderr and exit `code`:
-    2 for bad input, 1 for a failed forked worker or write."""
-
-    def __init__(self, message: str, code: int) -> None:
-        super().__init__(message)
-        self.code = code
+    """A failed forked worker or write: `main` prints `Error: <message>`
+    on stderr and exits 1.  Bad input is a ValueError, which exits 2."""
 
 
 _MARK = {True: "pass", False: "FAIL"}
@@ -89,7 +89,8 @@ def _in_parts(what: str, parts: list[tuple[str, Callable[[BinaryIO], object]]], 
     runner, a tracer).  The first part runs here, straight into `out`;
     then the workers are reaped in order and each one's file is
     appended to `out`.  A worker that failed raises a _Failure (exit 1)
-    naming its part.  However this ends, every worker is reaped and the
+    naming its part and, if it exited with status 1, the reason it left
+    in its file.  However this ends, every worker is reaped and the
     temporary files vanish with their descriptors.
     """
     workers = []  # [pid, temporary file, name]; pid is None unless a child is running
@@ -99,16 +100,18 @@ def _in_parts(what: str, parts: list[tuple[str, Callable[[BinaryIO], object]]], 
             workers.append([None, tempfile.TemporaryFile(dir=tmp_dir), name])
             pid = os.fork()
             if pid == 0:
-                _worker(part, workers[-1][1].fileno(), f"{what}: the worker for {name}")
+                _worker(part, workers[-1][1].fileno())
             workers[-1][0] = pid
         result = parts[0][1](out)
         for worker in workers:
             pid, output, name = worker
             worker[0] = None
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code != 0:
-                raise _Failure(f"{what} failed: the worker for {name} exited with status {code}", 1)
             output.seek(0)
+            if code != 0:
+                reason = output.read().decode(errors="replace") if code == 1 else ""
+                raise _Failure(f"{what} failed: the worker for {name} exited with status {code}"
+                               + (f": {reason}" if reason else ""))
             # 64 KiB at a time, as shutil.copyfileobj reads on Linux
             while chunk := output.read(65536):
                 out.write(chunk)
@@ -120,17 +123,21 @@ def _in_parts(what: str, parts: list[tuple[str, Callable[[BinaryIO], object]]], 
             output.close()
 
 
-def _worker(part: Callable[[BinaryIO], None], fd: int, label: str) -> NoReturn:
+def _worker(part: Callable[[BinaryIO], None], fd: int) -> NoReturn:
     # Runs in a forked child and leaves only through os._exit.  The part
     # gets a write-only handle: a text layer over a readable one would
-    # reset its decoder on every write.
+    # reset its decoder on every write.  A part that fails leaves the
+    # reason in the file in place of its output and exits 1; the parent
+    # prints it, so nothing here writes to stderr.
     status = 1
     try:
         with open(fd, "wb", closefd=False) as handle:
             part(handle)
         status = 0
     except BaseException as exc:
-        os.write(2, f"{label}: {exc!r}\n".encode())
+        with contextlib.suppress(OSError):
+            os.ftruncate(fd, 0)
+            os.pwrite(fd, f"{type(exc).__name__}: {exc}".encode(), 0)
     finally:
         os._exit(status)
 
@@ -172,23 +179,20 @@ def _run_jobs(what: str, jobs: list[tuple[str, Callable]], in_worker: list[int])
 
 
 def _parse_n_range(spec: str) -> tuple[int, int]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo_text, hi_text = spec.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(spec)
+    text = spec.strip()
+    try:
+        bounds = [int(part) for part in text.split("..", 1)]
+    except ValueError:
+        raise ValueError(f"cannot parse n range {spec!r}")
+    lo, hi = bounds[0], bounds[-1]
     if not (1 <= lo <= hi <= 8):
-        raise _Failure(f"n range must lie within 1..8, got {spec!r}", 2)
+        raise ValueError(f"n range must lie within 1..8, got {text!r}")
     return lo, hi
 
 
 def dims(n_spec: str, fmt: str) -> tuple[int, str]:
     """Dimension table of the complex: rows (n, k, dim Omega, dim I, dim quotient)."""
-    try:
-        lo, hi = _parse_n_range(n_spec)
-    except ValueError:
-        raise _Failure(f"cannot parse n range {n_spec!r}", 2)
+    lo, hi = _parse_n_range(n_spec)
     from . import rumin
 
     header = ["n", "k", "dim_omega", "dim_I", "dim_quotient"]
@@ -205,10 +209,10 @@ def dims(n_spec: str, fmt: str) -> tuple[int, str]:
 def complex_cmd(n: int, k: int | None, fmt: str) -> tuple[int, str]:
     """Bases of I^k, J^k, and the quotient complement per degree."""
     if n not in (1, 2, 3, 4):
-        raise _Failure("complex listing supports n in {1, 2, 3, 4}", 2)
+        raise ValueError("complex listing supports n in {1, 2, 3, 4}")
     top = 2 * n + 1
     if k is not None and not 1 <= k <= top:
-        raise _Failure(f"degree k must lie in 1..{top}", 2)
+        raise ValueError(f"degree k must lie in 1..{top}")
     degrees = [k] if k is not None else list(range(1, top + 1))
     from . import rumin
 
@@ -244,17 +248,17 @@ def _require_representable(what: str, degree: int) -> None:
     from .coeff import MAX_EXPONENT
 
     if degree > MAX_EXPONENT:
-        raise _Failure(f"{what} = {degree} passes {MAX_EXPONENT}, "
-                       "the largest exponent a monomial key holds", 2)
+        raise ValueError(f"{what} = {degree} passes {MAX_EXPONENT}, "
+                         "the largest exponent a monomial key holds")
 
 
 def _check_sampling(what: str, n: int, trials: int, degree: int) -> None:
     """Exit 2 unless n, trials and degree suit the sampled checks that
     `what` names."""
     if n not in (1, 2, 3):
-        raise _Failure(f"{what} support n in {{1, 2, 3}}", 2)
+        raise ValueError(f"{what} support n in {{1, 2, 3}}")
     if trials < 1 or degree < 0:
-        raise _Failure("trials must be >= 1 and degree >= 0", 2)
+        raise ValueError("trials must be >= 1 and degree >= 0")
 
 
 def verify(n: int, trials: int, seed: int, degree: int, fmt: str) -> tuple[int, str]:
@@ -296,20 +300,17 @@ def commute(map_literal: str, n: int, k: int | None, trials: int, seed: int,
     _check_sampling("commutation checks", n, trials, degree)
     from . import contact
 
-    try:
-        f = contact.parse_map(map_literal, n)
-        # A frame matrix entry has degree at most 2m for a map of degree
-        # m, so a pulled-back input at most m (degree + 2 (2n+1)); the
-        # operators never raise a total degree.
-        _require_representable("--degree", degree)
-        m = max(c.total_degree() for c in f.components)
-        _require_representable(f"the map's degree {m} times (--degree + {4 * n + 2})",
-                               m * (degree + 4 * n + 2))
-        contact._require_contact(f)
-    except ValueError as exc:
-        raise _Failure(str(exc), 2)
+    f = contact.parse_map(map_literal, n)
+    # A frame matrix entry has degree at most 2m for a map of degree m,
+    # so a pulled-back input at most m (degree + 2 (2n+1)); the operators
+    # never raise a total degree.
+    _require_representable("--degree", degree)
+    m = max(c.total_degree() for c in f.components)
+    _require_representable(f"the map's degree {m} times (--degree + {4 * n + 2})",
+                           m * (degree + 4 * n + 2))
+    contact._require_contact(f)
     if k is not None and not 0 <= k <= 2 * n:
-        raise _Failure(f"degree k must lie in 0..{2 * n}", 2)
+        raise ValueError(f"degree k must lie in 0..{2 * n}")
     degrees = [k] if k is not None else list(range(0, 2 * n + 1))
     jobs = [
         (f"k={deg}", partial(contact.commute_check, f, deg, trials=trials, seed=seed, degree=degree))
@@ -420,16 +421,16 @@ def _scan_csv_parts(rows: int) -> int:
     return max(1, min(_cpus(), rows))
 
 
-def _write_scan_csv(path: str, surface: ParamSurface, grid: tuple[int, int],
+def _write_scan_csv(out: BinaryIO, surface: ParamSurface, grid: tuple[int, int],
                     search: Callable | None = None):
-    """Write the scan of `surface` on `grid` as CSV, formatting contiguous
-    r-row parts in parallel, and return what `search` returns.
+    """Write the scan of `surface` on `grid` as CSV to `out`, formatting
+    contiguous r-row parts in parallel, and return what `search` returns.
 
     Float reprs dominate the cost, so the r-rows are cut into one
     contiguous part per available CPU (`_scan_csv_parts`) and handed to
     `_in_parts`: each part but the first is formatted by a forked worker
-    into a temporary file next to `path`, while this process formats the
-    first straight into `path` as `search(on_tile)` runs here.  `search`
+    into a temporary file next to `out`, while this process formats the
+    first straight into `out` as `search(on_tile)` runs here.  `search`
     must hand `on_tile` every tile of the scan, as
     `find_characteristic_points` does, so the first part is written
     from the search's own pass and no node is evaluated twice here;
@@ -442,13 +443,12 @@ def _write_scan_csv(path: str, surface: ParamSurface, grid: tuple[int, int],
     rows = grid[0]
     parts = _scan_csv_parts(rows)
     bounds = [rows * k // parts for k in range(parts + 1)]
-    with open(path, "wb") as out:
-        out.write(b"r,s,N1,N2,N3\n")
-        out.flush()  # before the workers fork, so none holds the header in its buffer
-        return _in_parts(f"writing {path}", [
-            (f"r-rows {lo}..{hi - 1}",
-             partial(_scan_csv_part, surface, grid, lo, hi, search=search if lo == 0 else None))
-            for lo, hi in zip(bounds, bounds[1:])], out, os.path.dirname(path) or ".")
+    out.write(b"r,s,N1,N2,N3\n")
+    out.flush()  # before the workers fork, so none holds the header in its buffer
+    return _in_parts(f"writing {out.name}", [
+        (f"r-rows {lo}..{hi - 1}",
+         partial(_scan_csv_part, surface, grid, lo, hi, search=search if lo == 0 else None))
+        for lo, hi in zip(bounds, bounds[1:])], out, os.path.dirname(out.name) or ".")
 
 
 def _scan_csv_part(surface: ParamSurface, grid: tuple[int, int], lo: int, hi: int,
@@ -475,49 +475,38 @@ def mobius(radius: float, half_width: float, grid_spec: str, tol: float,
     # The CSV workers fork as soon as the surface is built, and the
     # search here writes the first part of the CSV from its own tiles
     # (`_write_scan_csv`), so its Newton steps overlap their formatting.
-    try:
-        grid = _parse_grid(grid_spec)
-    except ValueError as exc:
-        raise _Failure(str(exc), 2)
+    grid = _parse_grid(grid_spec)
     if grid[0] < 64 or grid[1] < 64:
-        raise _Failure("grid must be at least 64x64", 2)
+        raise ValueError("grid must be at least 64x64")
     if grid[0] * grid[1] > _MAX_GRID_NODES:
-        raise _Failure(f"grid {grid[0]}x{grid[1]} has more than {_MAX_GRID_NODES} nodes", 2)
+        raise ValueError(f"grid {grid[0]}x{grid[1]} has more than {_MAX_GRID_NODES} nodes")
     if not tol > 0:
-        raise _Failure("tolerance must be positive", 2)
+        raise ValueError("tolerance must be positive")
     if not math.isfinite(tol):
-        raise _Failure("tolerance must be finite", 2)
+        raise ValueError("tolerance must be finite")
     surface = _import_surface()
-    try:
-        surf = surface.mobius_surface(radius, half_width)
-    except ValueError as exc:
-        raise _Failure(str(exc), 2)
+    surf = surface.mobius_surface(radius, half_width)
 
-    # The directories this run makes: a failed run removes both
-    # artifacts, which leaves them empty, and they go again.
+    # A failed run removes both artifacts (the points are written in the
+    # CSV's block), then the directories it made, which that empties.
     created, _ = _missing_directories(directory)
-    os.makedirs(directory, exist_ok=True)
     scan_path = os.path.join(directory, "mobius_scan.csv")
     points_path = os.path.join(directory, "mobius_points.json")
-    writing = scan_path
     try:
-        result = _write_scan_csv(scan_path, surf, grid, search=lambda on_tile: (
-            surface.find_characteristic_points(surf, grid=grid, tol=tol, on_tile=on_tile)))
-        points = result.to_json()
-        writing = points_path
-        with open(points_path, "w") as handle:
-            handle.write(json.dumps(points, indent=2) + "\n")
-    except BaseException as exc:
-        for path in (scan_path, points_path):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise _cannot_write(directory, exc)
+        with _output(scan_path, "wb") as out:
+            result = _write_scan_csv(out, surf, grid, search=lambda on_tile: (
+                surface.find_characteristic_points(surf, grid=grid, tol=tol, on_tile=on_tile)))
+            points = result.to_json()
+            with _output(points_path) as handle:
+                handle.write(json.dumps(points, indent=2) + "\n")
+    except BaseException:
         for path in created:
             with contextlib.suppress(OSError):
                 os.rmdir(path)
-        if isinstance(exc, ValueError):
-            raise _Failure(str(exc), 2)
-        if isinstance(exc, OSError):
-            raise _Failure(f"cannot write {writing}: {exc.strerror or exc}", 1)
         raise
 
     payload = {
@@ -555,6 +544,31 @@ def _file_path(text: str) -> str:
     if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"Directory {parent!r} does not exist.")
     return text
+
+
+@contextlib.contextmanager
+def _output(path: str, mode: str = "w"):
+    """The file `path`, opened in `mode` for the block to write.  If the
+    block or the close fails, the file goes if this run opened it, it is
+    a regular file and `path` names it, not a link to it (such as
+    /dev/stdout); an OSError becomes a _Failure naming `path`."""
+    opened = None
+    try:
+        with open(path, mode) as handle:
+            opened = os.fstat(handle.fileno())
+            yield handle
+    except BaseException as exc:
+        if opened is not None and stat.S_ISREG(opened.st_mode):
+            with contextlib.suppress(OSError):
+                if os.path.samestat(opened, os.lstat(path)):
+                    os.remove(path)
+        if isinstance(exc, OSError):
+            raise _cannot_write(path, exc)
+        raise
+
+
+def _cannot_write(name: str, exc: OSError) -> _Failure:
+    return _Failure(f"cannot write {name}: {exc.strerror or exc}")
 
 
 def _missing_directories(path: str) -> tuple[list[str], str]:
@@ -662,26 +676,28 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
     options = vars(_parser().parse_args(args))
     run, out = options.pop("run"), options.pop("out", None)
     try:
-        code, text = run(**options)
         try:
-            if out:
-                with open(out, "w") as handle:
-                    handle.write(text)
-            else:
+            code, text = run(**options)
+        except ValueError as exc:  # bad input, wherever the command found it
+            sys.stderr.write(f"Error: {exc}\n")
+            code, text, out = 2, "", None  # no output, and no --out file
+        if out:
+            with _output(out) as handle:
+                handle.write(text)
+        else:
+            try:
                 sys.stdout.write(text)
                 sys.stdout.flush()
-        except OSError as exc:
-            # A failed write to stdout leaves the text buffered: send it
-            # to devnull, or the exit's flush fails again.  A reader of
-            # stdout that has gone ends the run with exit 1 and no message.
-            if not out:
+            except OSError as exc:
+                # The unwritten text goes to devnull, or the exit's flush
+                # fails again; a reader that has gone means exit 1, quietly.
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            if not isinstance(exc, BrokenPipeError):
-                raise _Failure(f"cannot write {out or 'stdout'}: {exc.strerror or exc}", 1)
-            code = 1
+                if not isinstance(exc, BrokenPipeError):
+                    raise _cannot_write("stdout", exc)
+                code = 1
     except _Failure as exc:
         sys.stderr.write(f"Error: {exc}\n")
-        code = exc.code
+        code = 1
     if not standalone_mode:
         return code
     sys.stdout.flush()

@@ -509,7 +509,8 @@ def test_failing_report_is_unchanged_from_a_worker(forks, monkeypatch):
 
 def test_worker_result_of_another_type_fails_naming_its_part(forks, capfd):
     # marshal carries the reports' JSON types only; a Fraction from the
-    # worker is an error with the part's name, never a changed output
+    # worker is an error with the part's name and the worker's reason,
+    # never a changed output, and the worker itself prints nothing
     from fractions import Fraction
 
     from heiscalc import cli
@@ -517,10 +518,10 @@ def test_worker_result_of_another_type_fails_naming_its_part(forks, capfd):
     jobs = [("k=0", lambda: {"passed": True}), ("k=1", lambda: {"value": Fraction(1, 2)})]
     with pytest.raises(cli._Failure) as failure:
         cli._run_jobs("commute", jobs, in_worker=[1])
-    assert failure.value.code == 1
-    assert str(failure.value) == "commute failed: the worker for k=1 exited with status 1"
+    assert str(failure.value) == (
+        "commute failed: the worker for k=1 exited with status 1: ValueError: unmarshallable object")
     assert len(forks) == 1
-    assert "commute: the worker for k=1: ValueError('unmarshallable object')" in capfd.readouterr().err
+    assert capfd.readouterr().err == ""
     for pid in forks:  # the worker was reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -791,10 +792,12 @@ def test_scan_csv_parts_byte_identical(tmp_path, monkeypatch, grid, parts):
     data = scan_grid(surface, grid)
     path = tmp_path / "mobius_scan.csv"
     monkeypatch.setattr(cli, "_scan_csv_parts", lambda rows: parts)
-    cli._write_scan_csv(str(path), surface, grid)
+    with open(path, "wb") as out:
+        cli._write_scan_csv(out, surface, grid)
     assert path.read_bytes() == _reference_scan_csv(data)
     assert os.listdir(tmp_path) == ["mobius_scan.csv"]
-    assert cli._write_scan_csv(str(path), surface, grid, search) == "searched"
+    with open(path, "wb") as out:
+        assert cli._write_scan_csv(out, surface, grid, search) == "searched"
     assert path.read_bytes() == _reference_scan_csv(data)
     assert os.listdir(tmp_path) == ["mobius_scan.csv"]
 
@@ -813,7 +816,8 @@ def test_scan_csv_writes_one_axis_components(tmp_path, monkeypatch):
     data = scan_grid(plane, (64, 64))
     path = tmp_path / "mobius_scan.csv"
     monkeypatch.setattr(cli, "_scan_csv_parts", lambda rows: 2)
-    cli._write_scan_csv(str(path), plane, (64, 64))
+    with open(path, "wb") as out:
+        cli._write_scan_csv(out, plane, (64, 64))
     assert path.read_bytes() == _reference_scan_csv(data)
     assert path.read_text().splitlines()[1].endswith(",1.0")
 
@@ -1124,6 +1128,120 @@ def test_mobius_failed_points_write_removes_both_artifacts(run_cli, tmp_path, mo
     assert result.exit_code == 1
     assert result.stderr == (
         f"Error: cannot write {out / 'mobius_points.json'}: {os.strerror(errno.ENOSPC)}\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, limit", [("dims", 0), ("complex --n 3", 4096)])
+def test_failed_out_write_removes_the_file(fresh_python, tmp_path, command, limit):
+    # RLIMIT_FSIZE, set in the child only, stops the --out file empty (dims)
+    # or after 4 KiB of its 5.3 KB (complex --n 3); the run removes it.
+    import resource
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    out = tmp_path / "out.txt"
+    result = fresh_python(["-m", "heiscalc.cli", *command.split(" "), "--out", str(out)],
+                          preexec_fn=limit_file_size, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == f"Error: cannot write {out}: {os.strerror(errno.EFBIG)}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_file_that_cannot_be_opened_keeps_its_bytes(run_cli, tmp_path, monkeypatch):
+    from heiscalc import cli
+
+    def refusing(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    out = tmp_path / "kept.txt"
+    out.write_bytes(b"written before the run\n")
+    monkeypatch.setattr(cli, "open", refusing, raising=False)
+    result = run_cli(["dims", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: cannot write {out}: {os.strerror(errno.EACCES)}\n"
+    assert out.read_bytes() == b"written before the run\n"
+
+
+@_NEEDS_DEV_FULL
+@pytest.mark.parametrize("target", ["/dev/full", "regular", "link"])
+def test_failed_output_removes_only_a_regular_file(tmp_path, monkeypatch, target):
+    # A recording stand-in for os.remove: a failed write must never ask
+    # to remove /dev/full, nor a link to a regular file (as /dev/stdout
+    # is when stdout goes to one), while a regular file's is removed.
+    from heiscalc import cli
+
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    path = {"/dev/full": "/dev/full", "regular": str(tmp_path / "out.txt"),
+            "link": str(tmp_path / "link.txt")}[target]
+    if target == "link":
+        os.symlink(tmp_path / "out.txt", path)
+    with pytest.raises(cli._Failure) as failure:
+        with cli._output(path) as handle:
+            handle.write("text")
+            if target != "/dev/full":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert str(failure.value) == f"cannot write {path}: {os.strerror(errno.ENOSPC)}"
+    assert removed == ([path] if target == "regular" else [])
+
+
+def test_library_value_error_exits_two_and_other_errors_propagate(run_cli, monkeypatch):
+    # Bad input is a ValueError wherever a command finds it, the library
+    # included; any other exception is a fault and is not turned into exit 2.
+    import heiscalc.rumin as rumin_mod
+
+    def refusing(k, n):
+        raise ValueError("injected refusal")
+
+    monkeypatch.setattr(rumin_mod, "basis_I", refusing)
+    result = run_cli(["complex", "--n", "2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "Error: injected refusal\n"
+
+    def crashing(k, n):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(rumin_mod, "basis_I", crashing)
+    result = run_cli(["complex", "--n", "2"])
+    assert isinstance(result.exception, RuntimeError)
+    assert result.stderr == ""
+
+
+def test_mobius_worker_past_the_file_size_limit_is_one_line(fresh_python, tmp_path):
+    # Only the worker (r-rows 32..63) has RLIMIT_FSIZE: its reason joins
+    # the one Error line, and the worker prints nothing of its own.
+    script = (
+        "import resource, sys\n"
+        "from heiscalc import cli\n"
+        "cli._cpus = lambda: 2\n"
+        "part = cli._scan_csv_part\n"
+        "def limited(surface, grid, lo, hi, out, search=None):\n"
+        "    if lo:\n"
+        "        resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536))\n"
+        "    return part(surface, grid, lo, hi, out, search=search)\n"
+        "cli._scan_csv_part = limited\n"
+        "cli.main(sys.argv[1:])\n"
+    )
+    out = tmp_path / "made"
+    result = fresh_python(["-c", script, "mobius", "-R", "0.2", "-w", "0.15", "--grid", "64x64",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"Error: writing {out / 'mobius_scan.csv'} failed: the worker for r-rows 32..63 exited "
+        f"with status 1: OSError: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_mobius_out_directory_that_cannot_be_made_is_one_error_line(fresh_python, tmp_path):
+    # The last component passes NAME_MAX: makedirs makes mk and mk/made,
+    # then fails; the run prints one line and removes both.
+    out = tmp_path / "mk" / "made" / ("a" * 300)
+    result = fresh_python(["-m", "heiscalc.cli", "mobius", "-R", "0.2", "-w", "0.15", "--grid", "64x64",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == f"Error: cannot write {out}: {os.strerror(errno.ENAMETOOLONG)}\n"
     assert os.listdir(tmp_path) == []
 
 
